@@ -20,8 +20,8 @@ from .kernel import DIRICHLET, BoundaryParams, dk_dt, dk_dt_bound, k_eval, valid
 from .quadrature import IntegrandSpec, integrate
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
                     Weight, find_curve_crossings, grid_eval, norm_c1, uniform_grid)
-from .hammerstein import (BoundsReport, EquicontinuityReport, apply_T, bound_M1,
-                          bound_M2, bounds_report, equicontinuity_check, residual)
+from .hammerstein import (BoundsReport, EquicontinuityReport, apply_T, bounds_report,
+                          equicontinuity_check, residual)
 from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
                          ClassificationResult, HypothesisReport, ProbeResult,
                          certify_hypotheses, check_h1, check_h3, classify_curve,

@@ -2,25 +2,27 @@
 solver, and write one machine-readable report.
 
 Exit codes: 0 when every requested task passes, 1 when a task ran and
-failed, 2 on configuration errors.  Reports are deterministic apart from
-the timestamp field.
+failed, 2 on configuration errors.  A toolkit error inside a task fails
+that task and lands in its report section as {"error", "type"}; a report
+is written either way.  Reports are deterministic apart from the timestamp
+field.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
 from .catalog import make_nonlinearity_from_id, make_weight_from_id
-from .errors import BallViolation, ConfigError, DegenerateGamma, NegativeCoefficient, SolverStall
+from .errors import BvpError, ConfigError, DegenerateGamma, NegativeCoefficient
 from .hammerstein import bounds_report
-from .hypotheses import (HypothesisReport, certify_hypotheses, check_h1, check_h3,
-                         classify_curve, convexification_probe, estimate_HR,
-                         minimal_R_power)
+from .hypotheses import (HypothesisReport, check_h1, check_h3, classify_curve,
+                         convexification_probe, estimate_HR, minimal_R_power)
 from .kernel import validate_params
 from .model import GridFunction, ProblemSpec, norm_c1
 from .solver import solve_picard
@@ -170,6 +172,27 @@ def _classification_dict(c):
             "clipped_measure": c.clipped_measure, "n_t": c.n_t, "n_y": c.n_y}
 
 
+@contextmanager
+def _recording_errors(report: dict, passed: dict, section: str, *tasks):
+    """A toolkit error raised in the block goes into report[section] and
+    fails the given tasks instead of propagating."""
+    try:
+        yield
+    except BvpError as exc:
+        report[section] = {"error": str(exc), "type": type(exc).__name__}
+        passed.update(dict.fromkeys(tasks, False))
+
+
+def _finish(report: dict, passed: dict):
+    report["meta"] = {
+        "tool": "bvpkit",
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "tasks_passed": passed,
+    }
+    return (0 if all(passed.values()) else 1), report
+
+
 def run(cfg: RunConfig):
     """Execute the requested tasks; returns (exit_code, report dict)."""
     weight = make_weight_from_id(cfg.weight_id, cfg.weight_params)
@@ -182,79 +205,77 @@ def run(cfg: RunConfig):
                            radius=radius, quad_tol=cfg.quad_tol,
                            grid_size=cfg.grid_size)
 
-    bounds = None
-    if cfg.radius == "auto-power":
-        bounds = bounds_report(spec_with(1.0))
-        radius = float(minimal_R_power(bounds.m_total, cfg.auto_power_lambda))
-    else:
-        radius = float(cfg.radius)
-    spec = spec_with(radius)
-
     report = {"config": config_echo(cfg), "hypotheses": None, "bounds": None,
               "curves": None, "solution": None, "probe": None, "meta": None}
     passed = {}
 
+    bounds = None
+    if cfg.radius == "auto-power":
+        with _recording_errors(report, passed, "bounds", *cfg.tasks):
+            bounds = bounds_report(spec_with(1.0))
+            radius = float(minimal_R_power(bounds.m_total, cfg.auto_power_lambda))
+        if passed:  # no radius, so no task can run
+            return _finish(report, passed)
+    else:
+        radius = float(cfg.radius)
+    spec = spec_with(radius)
+
     hyp = None
     if "check" in cfg.tasks:
-        if bounds is None:
-            bounds = bounds_report(spec)
-        nodes = spec.nodes
-        t_grid = nodes[(nodes >= cfg.t_min) & (nodes > 0.0)]
-        h1 = check_h1(weight, tol=min(cfg.quad_tol, 1e-9))
-        h2 = estimate_HR(spec, t_grid=t_grid)
-        # Under auto-power the radius was chosen so that max(2,R)**lam times
-        # (M1+M2) fits inside R; the ball check is evaluated against that
-        # premise, with the sampled profile reported alongside (the sampled
-        # sup can exceed the power bound near jump accumulation points).
-        if cfg.radius == "auto-power":
-            hr_sup = max(2.0, radius) ** cfg.auto_power_lambda
-            hr_source = "power-bound"
-        else:
-            hr_sup = h2.sup
-            hr_source = h2.source
-        h3 = check_h3(spec, bounds, hr_sup)
-        hyp = HypothesisReport(h1=h1, h2=h2, h3=h3,
-                               h4=nonlinearity.measurability, h5=[])
-        report["bounds"] = {"m1": bounds.m1, "m2": bounds.m2,
-                            "m_total": bounds.m_total,
-                            "argmax_t_m1": bounds.argmax_t_m1,
-                            "argmax_t_m2": bounds.argmax_t_m2,
-                            "quad_tol": bounds.quad_tol,
-                            "resolved_radius": radius}
-        report["hypotheses"] = {
-            "h1": {"pass": h1.passed, "l1_norm": h1.l1_norm, "detail": h1.detail,
-                   "l1_bound_hint": weight.l1_bound_hint},
-            "h2": {"pass": h2.passed, "sup": h2.sup,
-                   "uniformity_flag": h2.uniformity_flag, "source": h2.source},
-            "h3": {"pass": h3.passed, "product": h3.product, "hr_sup": h3.hr_sup,
-                   "hr_source": hr_source, "radius": radius},
-            "h4": nonlinearity.measurability,
-        }
-        passed["check"] = h1.passed and h2.passed and h3.passed
+        with _recording_errors(report, passed, "hypotheses", "check"):
+            if bounds is None:
+                bounds = bounds_report(spec)
+            nodes = spec.nodes
+            t_grid = nodes[(nodes >= cfg.t_min) & (nodes > 0.0)]
+            h1 = check_h1(weight, tol=min(cfg.quad_tol, 1e-9))
+            h2 = estimate_HR(spec, t_grid=t_grid)
+            # Under auto-power the radius was chosen so that max(2,R)**lam times
+            # (M1+M2) fits inside R; the ball check is evaluated against that
+            # premise, with the sampled profile reported alongside (the sampled
+            # sup can exceed the power bound near jump accumulation points).
+            if cfg.radius == "auto-power":
+                hr_sup = max(2.0, radius) ** cfg.auto_power_lambda
+                hr_source = "power-bound"
+            else:
+                hr_sup = h2.sup
+                hr_source = h2.source
+            h3 = check_h3(spec, bounds, hr_sup)
+            hyp = HypothesisReport(h1=h1, h2=h2, h3=h3,
+                                   h4=nonlinearity.measurability, h5=[])
+            report["bounds"] = {"m1": bounds.m1, "m2": bounds.m2,
+                                "m_total": bounds.m_total,
+                                "argmax_t_m1": bounds.argmax_t_m1,
+                                "argmax_t_m2": bounds.argmax_t_m2,
+                                "quad_tol": bounds.quad_tol,
+                                "resolved_radius": radius}
+            report["hypotheses"] = {
+                "h1": {"pass": h1.passed, "l1_norm": h1.l1_norm, "detail": h1.detail,
+                       "l1_bound_hint": weight.l1_bound_hint},
+                "h2": {"pass": h2.passed, "sup": h2.sup,
+                       "uniformity_flag": h2.uniformity_flag, "source": h2.source},
+                "h3": {"pass": h3.passed, "product": h3.product, "hr_sup": h3.hr_sup,
+                       "hr_source": hr_source, "radius": radius},
+                "h4": nonlinearity.measurability,
+            }
+            passed["check"] = h1.passed and h2.passed and h3.passed
 
     if "classify-curves" in cfg.tasks:
-        results = [classify_curve(spec, c, t_min=cfg.t_min)
-                   for c in nonlinearity.curves]
-        report["curves"] = [_classification_dict(c) for c in results]
-        passed["classify-curves"] = all(c.verdict != "indeterminate"
-                                        for c in results)
-        if hyp is not None:
-            hyp = HypothesisReport(h1=hyp.h1, h2=hyp.h2, h3=hyp.h3, h4=hyp.h4,
-                                   h5=results)
-            report["hypotheses"]["overall"] = hyp.overall
+        with _recording_errors(report, passed, "curves", "classify-curves"):
+            results = [classify_curve(spec, c, t_min=cfg.t_min)
+                       for c in nonlinearity.curves]
+            report["curves"] = [_classification_dict(c) for c in results]
+            passed["classify-curves"] = all(c.verdict != "indeterminate"
+                                            for c in results)
+            if hyp is not None:
+                report["hypotheses"]["overall"] = replace(hyp, h5=results).overall
 
     solution = None
     if "solve" in cfg.tasks:
-        try:
+        with _recording_errors(report, passed, "solution", "solve"):
             solution = solve_picard(spec, relax=cfg.relax, tol=cfg.solver_tol,
                                     max_iter=cfg.max_iter)
-        except BallViolation as exc:
-            report["solution"] = {"error": str(exc)}
-            passed["solve"] = False
-        else:
-            nodes = spec.nodes
             report["solution"] = {
-                "t": nodes.tolist(),
+                "t": spec.nodes.tolist(),
                 "u": solution.u.values.tolist(),
                 "du": solution.u.derivatives.tolist(),
                 "residual": solution.residual,
@@ -271,14 +292,10 @@ def run(cfg: RunConfig):
             passed["solve"] = solution.converged and solution.inside_ball
 
     if "probe" in cfg.tasks:
-        u_probe = solution.u if solution is not None else GridFunction.zero(spec.nodes)
-        try:
+        with _recording_errors(report, passed, "probe", "probe"):
+            u_probe = solution.u if solution is not None else GridFunction.zero(spec.nodes)
             probe = convexification_probe(spec, u_probe, cfg.probe_eps,
                                           cfg.probe_samples)
-        except (SolverStall, BallViolation) as exc:
-            report["probe"] = {"error": str(exc)}
-            passed["probe"] = False
-        else:
             report["probe"] = {
                 "hull_distance": probe.hull_distance,
                 "witness_coeffs": probe.witness_coeffs.tolist(),
@@ -289,13 +306,7 @@ def run(cfg: RunConfig):
             }
             passed["probe"] = True
 
-    report["meta"] = {
-        "tool": "bvpkit",
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "tasks_passed": passed,
-    }
-    return (0 if all(passed.values()) else 1), report
+    return _finish(report, passed)
 
 
 def main(argv=None) -> int:

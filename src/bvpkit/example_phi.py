@@ -59,8 +59,7 @@ def region_index(t: float, u: float) -> int:
 
 
 def _region_array(t, u):
-    t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
+    """region_index on float arrays."""
     if np.any(t <= 0.0):
         raise DomainError("region index needs t > 0")
     pos = np.floor_divide(u, np.sqrt(t)) + 1.0
@@ -94,7 +93,7 @@ class PhiExample:
 
 
 def make_weight() -> Weight:
-    return Weight(eval=lambda t: 1.0 / np.sqrt(np.asarray(t, dtype=float)),
+    return Weight(eval=lambda t: 1.0 / np.sqrt(t),
                   singular_left=True, l1_bound_hint=2.0, label="inv-sqrt")
 
 
@@ -107,15 +106,12 @@ def make_curves(ex: PhiExample):
     curves = []
     for k in range(1, ex.curve_count + 1):
         curves.append(DiscontinuityCurve(
-            a=0.0, b=1.0,
-            value=(lambda t, _k=k: _k * np.sqrt(np.asarray(t, dtype=float))),
-            second_derivative=(lambda t, _k=k:
-                               -_k / (4.0 * np.asarray(t, dtype=float) ** 1.5)),
+            a=0.0, b=1.0, value=lambda t, _k=k: _k * np.sqrt(t),
+            second_derivative=lambda t, _k=k: -_k / (4.0 * t ** 1.5),
             epsilon=ex.epsilon, kind_hint="inviable", label=f"gamma_{k}"))
         curves.append(DiscontinuityCurve(
-            a=0.0, b=1.0,
-            value=(lambda t, _k=k: -np.asarray(t, dtype=float) / (_k + 1.0)),
-            second_derivative=(lambda t, _k=k: np.zeros_like(np.asarray(t, dtype=float))),
+            a=0.0, b=1.0, value=lambda t, _k=k: -t / (_k + 1.0),
+            second_derivative=np.zeros_like,
             epsilon=ex.epsilon, kind_hint="inviable", label=f"gamma_hat_{k}"))
     return tuple(curves)
 
@@ -124,8 +120,6 @@ def make_nonlinearity(ex: PhiExample) -> Nonlinearity:
     lam = ex.lam
 
     def f(t, u):
-        if np.isscalar(t) and np.isscalar(u):
-            return -float(phi(region_index(float(t), float(u)))) ** lam
         return -_phi_pow(_region_array(t, u), lam)
 
     return Nonlinearity(eval=f, curves=make_curves(ex), local_bound=None,

@@ -13,8 +13,8 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import dk_dt, k_eval
-from .model import (GridFunction, ProblemSpec, call_on_array, find_curve_crossings,
-                    grid_eval, norm_c1)
+from .model import (GridFunction, ProblemSpec, find_curve_crossings, grid_eval, norm_c1,
+                    vectorized)
 from .quadrature import IntegrandSpec, integrate
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -42,21 +42,10 @@ def ball_slack(spec: ProblemSpec) -> float:
 
 def _gfu(spec: ProblemSpec, u: GridFunction):
     """Vectorized s -> g(s) * f(s, u(s)) along a grid function."""
-    g = spec.weight.eval
-    f = spec.nonlinearity.eval
+    g, f = spec.weight.eval, spec.nonlinearity.eval
 
     def fn(s):
-        s = np.asarray(s, dtype=float)
-        uv, _ = grid_eval(u, s)
-        gv = call_on_array(g, s)
-        try:
-            fv = np.asarray(f(s, uv), dtype=float)
-            if fv.shape != s.shape:
-                raise ValueError
-        except (TypeError, ValueError):
-            fv = np.array([f(float(a), float(b)) for a, b in zip(s.ravel(), uv.ravel())],
-                          dtype=float).reshape(s.shape)
-        return gv * fv
+        return g(s) * f(s, grid_eval(u, s)[0])
 
     return fn
 
@@ -139,7 +128,7 @@ def _sup_integral(spec: ProblemSpec, row):
 
     def value_at(t):
         def integrand(s):
-            return row(t, s) * np.abs(call_on_array(g, s))
+            return row(t, s) * np.abs(g(s))
 
         breaks = (t,) if 0.0 < t < 1.0 else ()
         return integrate(IntegrandSpec(integrand, breaks,
@@ -167,16 +156,6 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
                         quad_tol=spec.quad_tol)
 
 
-def bound_M1(spec: ProblemSpec) -> float:
-    p = spec.params
-    return _sup_integral(spec, lambda t, s: k_eval(p, t, s))[1]
-
-
-def bound_M2(spec: ProblemSpec) -> float:
-    p = spec.params
-    return _sup_integral(spec, lambda t, s: np.abs(dk_dt(p, t, s)))[1]
-
-
 @dataclass(frozen=True)
 class EquicontinuityReport:
     """Centered-second-difference check of |(Tu)''| <= |g| * H_R."""
@@ -200,22 +179,21 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
     Interior nodes below t_min are skipped (needed when g blows up at 0);
     the slack 10*quad_tol + c_h*h**2 absorbs discretization noise.
     """
+    nodes = spec.nodes
+    interior = nodes[1:-1]
     if hr_values is None:
         if spec.nonlinearity.local_bound is None:
             raise ValueError("no declared bound on f: pass hr_values explicitly "
                              "(e.g. an estimate_HR profile)")
-        lb = spec.nonlinearity.local_bound
-
-        def hr_values(t):
-            return np.array([lb(float(x), spec.radius) for x in np.atleast_1d(t)])
-    nodes = spec.nodes
+        hr = spec.nonlinearity.local_bound(interior, spec.radius)
+    elif callable(hr_values):
+        hr = vectorized(hr_values)(interior)
+    else:
+        hr = np.asarray(hr_values, dtype=float)[1:-1]
     tu = apply_T(spec, u)
     h = float(nodes[1] - nodes[0])
     d2 = (tu.values[2:] - 2.0 * tu.values[1:-1] + tu.values[:-2]) / h**2
-    interior = nodes[1:-1]
-    hr = call_on_array(hr_values, interior) if callable(hr_values) \
-        else np.asarray(hr_values, dtype=float)[1:-1]
-    bound = np.abs(call_on_array(spec.weight.eval, interior)) * hr
+    bound = np.abs(spec.weight.eval(interior)) * hr
     mask = interior >= t_min
     if not np.any(mask):
         raise ValueError("t_min excludes every interior node")

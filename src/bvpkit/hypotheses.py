@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import BallViolation, QuadratureError, SolverStall
 from .hammerstein import BoundsReport, apply_T, bounds_report
-from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight,
-                    call_on_array, norm_c1)
+from .model import DiscontinuityCurve, GridFunction, ProblemSpec, Weight, norm_c1
 from .quadrature import IntegrandSpec, integrate
 
 VIABLE = "viable"
@@ -84,7 +83,7 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     g = weight.eval
 
     def integrand(s):
-        return np.abs(call_on_array(g, s))
+        return np.abs(g(s))
 
     try:
         val = integrate(IntegrandSpec(integrand, (), weight.singular_left, tol), 0.0, 1.0)
@@ -99,7 +98,9 @@ def estimate_HR(spec: ProblemSpec, radius: float | None = None,
 
     Uses the declared closed-form bound when the nonlinearity carries one;
     otherwise samples u_samples points over [-R, R] plus points just above
-    and below each declared curve.  The uniformity flag is a heuristic
+    and below each declared curve, all t at once on one (t, u) grid; a
+    curve point outside the curve's domain or the ball is replaced by -R,
+    which the base samples hold anyway.  The uniformity flag is a heuristic
     warning that the profile piles up toward an endpoint (so the sampled
     sup may not be a uniform essential bound).
     """
@@ -112,26 +113,21 @@ def estimate_HR(spec: ProblemSpec, radius: float | None = None,
 
     nl = spec.nonlinearity
     if nl.local_bound is not None:
-        profile = np.array([float(nl.local_bound(t, r)) for t in t_grid])
+        profile = nl.local_bound(t_grid, r)
         source = "local_bound"
     else:
-        base = np.linspace(-r, r, u_samples)
-        profile = np.empty_like(t_grid)
-        for i, t in enumerate(t_grid):
-            us = [base]
-            for curve in nl.curves:
-                if curve.a <= t <= curve.b:
-                    gv = float(curve.value(t))
-                    extra = np.array([gv - curve.epsilon / 2, gv + curve.epsilon / 2])
-                    us.append(extra[np.abs(extra) <= r])
-            uu = np.concatenate(us)
-            try:
-                fv = np.asarray(nl.eval(np.full_like(uu, t), uu), dtype=float)
-                if fv.shape != uu.shape:
-                    raise ValueError
-            except (TypeError, ValueError):
-                fv = np.array([nl.eval(float(t), float(v)) for v in uu])
-            profile[i] = float(np.max(np.abs(fv)))
+        cols = [np.tile(np.linspace(-r, r, u_samples), (t_grid.size, 1))]
+        for curve in nl.curves:
+            inside = (curve.a <= t_grid) & (t_grid <= curve.b)
+            gv = curve.value(t_grid[inside])
+            for shift in (-curve.epsilon / 2, curve.epsilon / 2):
+                col = np.full_like(t_grid, -r)
+                col[inside] = gv + shift
+                cols.append(col)
+        uu = np.column_stack(cols)
+        uu[~(np.abs(uu) <= r)] = -r
+        tt = np.repeat(t_grid[:, None], uu.shape[1], axis=1)
+        profile = np.max(np.abs(nl.eval(tt, uu)), axis=1)
         source = "sampled"
 
     return HRResult(passed=bool(np.all(np.isfinite(profile))),
@@ -200,35 +196,24 @@ def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
     if n_t < 2 or n_y < 2:
         raise ValueError("need n_t, n_y >= 2")
     ts = np.linspace(lo, hi, n_t)
-    gamma = call_on_array(curve.value, ts)
-    neg_curv = -call_on_array(curve.second_derivative, ts)
-    g = call_on_array(spec.weight.eval, ts)
+    gamma = curve.value(ts)
+    neg_curv = -curve.second_derivative(ts)
+    g = spec.weight.eval(ts)
     f = spec.nonlinearity.eval
-
-    def f_row(t, ys):
-        try:
-            out = np.asarray(f(np.full_like(ys, t), ys), dtype=float)
-            if out.shape != ys.shape:
-                raise ValueError
-            return out
-        except (TypeError, ValueError):
-            return np.array([f(float(t), float(y)) for y in ys])
-
-    on_curve = np.array([f_row(t, np.array([gv]))[0] for t, gv in zip(ts, gamma)])
-    viability_defect = float(np.max(np.abs(neg_curv - g * on_curve)))
+    viability_defect = float(np.max(np.abs(neg_curv - g * f(ts, gamma))))
 
     result = dict(curve=curve.label, epsilon_used=curve.epsilon, t_min_clip=t_min,
                   clipped_measure=float(max(0.0, lo - curve.a)), n_t=n_t, n_y=n_y)
     if viability_defect <= viability_tol:
         return ClassificationResult(verdict=VIABLE, psi_margin=0.0, **result)
 
-    upper = np.inf  # min of -gamma'' - g f over the tube: positive => pushed down
-    lower = np.inf  # min of g f + gamma'' over the tube: positive => pushed up
-    for i, t in enumerate(ts):
-        ys = np.linspace(gamma[i] - curve.epsilon, gamma[i] + curve.epsilon, n_y)
-        gf = g[i] * f_row(t, ys)
-        upper = min(upper, float(np.min(neg_curv[i] - gf)))
-        lower = min(lower, float(np.min(gf - neg_curv[i])))
+    # the epsilon-tube as an (n_t, n_y) grid, one row per sampled t
+    ys = np.linspace(gamma - curve.epsilon, gamma + curve.epsilon, n_y, axis=1)
+    gf = g[:, None] * f(np.repeat(ts[:, None], n_y, axis=1), ys)
+    # min of -gamma'' - g f over the tube: positive => pushed down
+    upper = float(np.min(neg_curv[:, None] - gf))
+    # min of g f + gamma'' over the tube: positive => pushed up
+    lower = float(np.min(gf - neg_curv[:, None]))
 
     if upper > 0.0:
         return ClassificationResult(verdict=INVIABLE_UPPER, psi_margin=upper, **result)

@@ -1,6 +1,11 @@
 """Problem representation: weights, nonlinearities, discontinuity curves,
 grid functions and the discrete C1 norm.
 
+User callables may be any callable of floats.  `vectorized` wraps each once,
+when its dataclass is built, and the toolkit calls them on float arrays: an
+array-capable callable gets one call per batch, a scalar-only one is looped
+over the batch by that wrapper and nowhere else.
+
 A candidate solution is carried as node values plus node derivative values
 on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
 Hermite interpolation, which is exact on cubics and matches the C1 setting
@@ -9,6 +14,7 @@ the integral operator works in.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -17,17 +23,39 @@ from .errors import DomainError
 from .kernel import BoundaryParams
 
 
-def call_on_array(fn, x):
-    """Evaluate fn on a numpy array, falling back to a scalar loop for
-    callables that only accept scalars."""
-    x = np.asarray(x, dtype=float)
-    try:
-        out = np.asarray(fn(x), dtype=float)
-        if out.shape == x.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([fn(float(v)) for v in np.atleast_1d(x)], dtype=float).reshape(x.shape)
+def vectorized(fn):
+    """fn on float arrays: one array call, or, when that raises TypeError/
+    ValueError or misses the arguments' broadcast shape, one call per element.
+    Idempotent, so dataclasses.replace does not stack wrappers."""
+    if getattr(fn, "_vectorized", False) is True:
+        return fn
+
+    @functools.wraps(fn)
+    def call(*args):
+        args = [np.asarray(a, dtype=float) for a in args]
+        shape = args[0].shape
+        for a in args[1:]:
+            if a.shape != shape:
+                shape = np.broadcast_shapes(shape, a.shape)
+        try:
+            out = np.asarray(fn(*args), dtype=float)
+            if out.shape == shape:
+                return out
+        except (TypeError, ValueError):
+            pass
+        cols = [np.broadcast_to(a, shape).ravel() for a in args]
+        return np.array([fn(*map(float, xs)) for xs in zip(*cols)],
+                        dtype=float).reshape(shape)
+
+    call._vectorized = True
+    return call
+
+
+def _vectorize_fields(obj, *names):
+    for name in names:
+        fn = getattr(obj, name)
+        if fn is not None:
+            object.__setattr__(obj, name, vectorized(fn))
 
 
 @dataclass(frozen=True)
@@ -38,6 +66,9 @@ class Weight:
     singular_left: bool = False
     l1_bound_hint: float | None = None
     label: str = "weight"
+
+    def __post_init__(self):
+        _vectorize_fields(self, "eval")
 
 
 @dataclass(frozen=True)
@@ -61,6 +92,7 @@ class DiscontinuityCurve:
             raise ValueError(f"curve domain [{self.a}, {self.b}] invalid")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
+        _vectorize_fields(self, "value", "second_derivative")
 
 
 @dataclass(frozen=True)
@@ -78,6 +110,9 @@ class Nonlinearity:
     # how the measurability requirement is discharged: catalog entries are
     # "asserted"; the divisor example documents an explicit decomposition
     measurability: str = "asserted"
+
+    def __post_init__(self):
+        _vectorize_fields(self, "eval", "local_bound")
 
 
 @dataclass(frozen=True)
@@ -107,7 +142,7 @@ class GridFunction:
     @classmethod
     def from_callable(cls, fn, dfn, nodes):
         nodes = np.asarray(nodes, dtype=float)
-        return cls(nodes, call_on_array(fn, nodes), call_on_array(dfn, nodes))
+        return cls(nodes, vectorized(fn)(nodes), vectorized(dfn)(nodes))
 
     @classmethod
     def zero(cls, nodes):
@@ -197,7 +232,7 @@ def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
     n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
     ts = np.linspace(lo, hi, n_scan + 1)
     vals, _ = grid_eval(u, ts)
-    gap = vals - call_on_array(curve.value, ts)
+    gap = vals - curve.value(ts)
 
     def d(s):
         v, _ = grid_eval(u, s)

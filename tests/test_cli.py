@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,17 @@ class TestRun:
         assert code == 1
         assert not report["hypotheses"]["h3"]["pass"]
 
+    def test_auto_power_error_fails_every_task(self):
+        # the radius cannot be resolved, so no task runs
+        doc = smoke_doc()
+        doc["problem"]["R"] = {"mode": "auto-power", "lambda": 0.5}
+        doc["numerics"]["quad_tol"] = 1e-300
+        code, report = run(parse_config(doc))
+        assert code == 1
+        assert report["bounds"]["type"] == "MaxDepthExceeded"
+        assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
+        assert report["hypotheses"] is None and report["solution"] is None
+
     def test_probe_without_solve_uses_zero(self):
         doc = smoke_doc(tasks=["probe"])
         doc["numerics"]["probe_samples"] = 3
@@ -148,6 +160,21 @@ class TestMain:
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_task_error_is_reported(self, tmp_path):
+        # no quadrature meets tol 1e-300: each task fails with a typed error,
+        # and the report is still written
+        out_path = tmp_path / "report.json"
+        cfg_path = Path(__file__).resolve().parent.parent / "demos" / "configs" \
+            / "dirichlet_smoke.json"
+        code = main(["run", "--config", str(cfg_path), "--tol", "1e-300",
+                     "--out", str(out_path)])
+        assert code == 1
+        report = json.loads(out_path.read_text())
+        assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
+        for section in ("hypotheses", "solution"):
+            assert report[section]["type"] == "MaxDepthExceeded"
+            assert "bisection levels" in report[section]["error"]
 
     def test_malformed_json_exits_two(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -114,14 +114,15 @@ class TestNonlinearity:
         assert np.all(g(t) * f(t, u) <= -(2 ** LAM) / np.sqrt(t) + 1e-12)
 
     def test_scalar_and_array_paths_agree(self):
+        # the array f against the pointwise definition -phi(n(t, u))**lam
         ex = PhiExample(lam=LAM)
         f = make_nonlinearity(ex).eval
         rng = np.random.default_rng(41)
         t = rng.uniform(1e-3, 1.0, size=50)
         u = rng.uniform(-4.0, 4.0, size=50)
-        arr = f(t, u)
-        scal = np.array([f(float(a), float(b)) for a, b in zip(t, u)])
-        assert np.array_equal(arr, scal)
+        ref = np.array([-float(phi(region_index(float(a), float(b)))) ** LAM
+                        for a, b in zip(t, u)])
+        assert np.array_equal(f(t, u), ref)
 
 
 class TestCurves:

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from bvpkit import (DIRICHLET, BallViolation, apply_T, bound_M1, bound_M2,
-                    bounds_report, equicontinuity_check, norm_c1, residual,
-                    validate_params)
+from bvpkit import (DIRICHLET, BallViolation, apply_T, bounds_report,
+                    equicontinuity_check, norm_c1, residual, validate_params)
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
 from conftest import const_weight, random_ball_function, smoke_spec
@@ -104,8 +103,8 @@ class TestBounds:
 
     def test_single_bound_entry_points(self):
         spec = smoke_spec(quad_tol=1e-10, grid_size=65)
-        assert bound_M1(spec) == pytest.approx(0.125, abs=1e-8)
-        assert bound_M2(spec) == pytest.approx(0.5, abs=1e-8)
+        assert bounds_report(spec).m1 == pytest.approx(0.125, abs=1e-8)
+        assert bounds_report(spec).m2 == pytest.approx(0.5, abs=1e-8)
 
     def test_divisor_example_total(self, divisor_bounds):
         # closed forms: sup of 10/9 + 10t/9 - 4t**1.5/3 is 2680/2187 at t=25/81,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,67 @@ class TestClassifyCurve:
                                    epsilon=0.1)
         with pytest.raises(ValueError):
             classify_curve(divisor_spec, curve, t_min=0.7)
+
+
+def _loop_margins(spec, curve, t_min=1e-6, n_t=200, n_y=30):
+    """Reference for classify_curve's tube: one linspace and one f call per t."""
+    ts = np.linspace(max(curve.a, t_min), curve.b, n_t)
+    gamma, neg_curv = curve.value(ts), -curve.second_derivative(ts)
+    g = spec.weight.eval(ts)
+    upper = lower = np.inf
+    for i, t in enumerate(ts):
+        ys = np.linspace(gamma[i] - curve.epsilon, gamma[i] + curve.epsilon, n_y)
+        gf = g[i] * spec.nonlinearity.eval(np.full_like(ys, t), ys)
+        upper = min(upper, float(np.min(neg_curv[i] - gf)))
+        lower = min(lower, float(np.min(gf - neg_curv[i])))
+    return upper, lower
+
+
+def _loop_hr_profile(spec, t_grid, u_samples=201):
+    """Reference for estimate_HR's sampled profile: one f call per t."""
+    r, nl = spec.radius, spec.nonlinearity
+    profile = []
+    for t in t_grid:
+        us = [np.linspace(-r, r, u_samples)]
+        for curve in nl.curves:
+            if curve.a <= t <= curve.b:
+                gv = float(curve.value(t))
+                extra = np.array([gv - curve.epsilon / 2, gv + curve.epsilon / 2])
+                us.append(extra[np.abs(extra) <= r])
+        uu = np.concatenate(us)
+        profile.append(float(np.max(np.abs(nl.eval(np.full_like(uu, t), uu)))))
+    return np.array(profile)
+
+
+class TestGridPassesMatchLoops:
+    """The one-pass (t, u) grids give bit-identical results to per-t loops."""
+
+    def test_classify_curve_margins(self, divisor_spec):
+        for curve in divisor_spec.nonlinearity.curves:
+            r = classify_curve(divisor_spec, curve)
+            upper, lower = _loop_margins(divisor_spec, curve)
+            assert r.verdict == INVIABLE_UPPER and r.psi_margin == upper
+            assert lower <= 0.0
+
+    def test_classify_curve_margin_depends_on_tube(self):
+        # f = 0.1 u + 1 above y = 0.3: the margin is f at the tube's lower edge
+        spec, curve = poly_spec(), _const_curve(0.3, eps=0.2)
+        r = classify_curve(spec, curve)
+        upper, lower = _loop_margins(spec, curve)
+        assert r.verdict == INVIABLE_LOWER and r.psi_margin == lower
+        assert lower == pytest.approx(0.1 * (0.3 - 0.2) + 1.0)
+
+    def test_estimate_HR_profile(self, divisor_spec):
+        t_grid = divisor_spec.nodes[1:]
+        r = estimate_HR(divisor_spec)
+        assert np.array_equal(r.profile, _loop_hr_profile(divisor_spec, t_grid))
+
+    def test_estimate_HR_profile_small_ball(self, divisor_spec):
+        # R = 0.5 excludes most curve points, so -R placeholders are exercised
+        spec = replace(divisor_spec, radius=0.5)
+        t_grid = np.linspace(0.01, 1.0, 37)
+        r = estimate_HR(spec, t_grid=t_grid, u_samples=17)
+        assert np.array_equal(r.profile, _loop_hr_profile(spec, t_grid, 17))
 
 
 class TestSimplexLeastSquares:
