@@ -31,6 +31,6 @@ sol = report["solution"]
 print(f"solve: converged={sol['converged']} residual={sol['residual']:.2e} "
       f"norm={sol['norm_c1']:.4f} in {sol['iterations']} iterations")
 
-out = Path(__file__).parent / "divisor_example_report.json"
+out = Path("divisor_example_report.json")
 out.write_text(json.dumps(report, indent=2) + "\n")
 print(f"full report written to {out}")

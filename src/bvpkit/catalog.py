@@ -31,7 +31,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
     if nl_id == "constant":
         c = float(params.get("value", 1.0))
         return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(t, _c),
-                            local_bound=lambda t, r, _c=c: abs(_c),
+                            local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)),
                             label="constant")
     if nl_id == "polynomial":
         coeffs = [float(c) for c in params.get("coeffs", [1.0])]
@@ -43,7 +43,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             return out
 
         def bound(t, r, _c=tuple(coeffs)):
-            return sum(abs(cj) * r ** j for j, cj in enumerate(_c))
+            return np.full_like(t, sum(abs(cj) * r ** j for j, cj in enumerate(_c)))
 
         return Nonlinearity(eval=f, local_bound=bound, label="polynomial")
     if nl_id == "step":
@@ -60,8 +60,9 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             value=lambda t, _thr=thr: np.full_like(t, _thr),
             second_derivative=np.zeros_like,
             epsilon=eps, label="step-threshold")
+        bound = max(abs(low), abs(high))
         return Nonlinearity(eval=f, curves=(curve,),
-                            local_bound=lambda t, r: max(abs(low), abs(high)),
+                            local_bound=lambda t, r: np.full_like(t, bound),
                             label="step")
     if nl_id == "phi-example":
         ex = PhiExample(lam=float(params.get("lambda", 1.0 / 3.0)),

@@ -2,10 +2,10 @@
 solver, and write one machine-readable report.
 
 Exit codes: 0 when every requested task passes, 1 when a task ran and
-failed, 2 on configuration errors.  A toolkit error inside a task fails
-that task and lands in its report section as {"error", "type"}; a report
-is written either way.  Reports are deterministic apart from the timestamp
-field.
+failed, 2 on configuration errors.  A toolkit, value or arithmetic error
+inside a task fails that task and lands in its report section as
+{"error", "type"}; a report is written either way.  Reports are
+deterministic apart from the timestamp field.
 """
 
 import argparse
@@ -113,6 +113,8 @@ def parse_config(doc: dict) -> RunConfig:
              "grid_size must be odd and >= 3", "numerics.grid_size")
     relax = positive("relax", 1.0)
     _require(relax <= 1.0, "relax must lie in (0, 1]", "numerics.relax")
+    t_min = positive("t_min", 1e-6)
+    _require(t_min < 1.0, "t_min must lie in (0, 1)", "numerics.t_min")
 
     tasks = doc.get("tasks")
     _require(isinstance(tasks, (list, tuple)) and tasks, "tasks must be nonempty",
@@ -137,7 +139,7 @@ def parse_config(doc: dict) -> RunConfig:
         solver_tol=positive("solver_tol", 1e-8),
         max_iter=positive("max_iter", 50, int),
         relax=relax,
-        t_min=positive("t_min", 1e-6),
+        t_min=t_min,
         probe_eps=positive("probe_eps", 1e-3),
         probe_samples=positive("probe_samples", 5, int),
         tasks=tasks, output=output)
@@ -174,11 +176,11 @@ def _classification_dict(c):
 
 @contextmanager
 def _recording_errors(report: dict, passed: dict, section: str, *tasks):
-    """A toolkit error raised in the block goes into report[section] and
-    fails the given tasks instead of propagating."""
+    """A toolkit, value or arithmetic error raised in the block goes into
+    report[section] and fails the given tasks instead of propagating."""
     try:
         yield
-    except BvpError as exc:
+    except (BvpError, ValueError, ArithmeticError) as exc:
         report[section] = {"error": str(exc), "type": type(exc).__name__}
         passed.update(dict.fromkeys(tasks, False))
 

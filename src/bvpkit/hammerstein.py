@@ -2,9 +2,11 @@
 derivative, the fixed-point residual, and the sup-integral bounds M1/M2
 that certify the ball self-mapping estimate.
 
-All node integrals are adaptive with the kernel diagonal and every detected
-crossing of a declared discontinuity curve inserted as breakpoints, so f(., u(.))
-is integrated piecewise-smooth between panels.
+The kernel is k(t,s) = left(min(t,s)) right(max(t,s)) / Gamma (kernel.py), so
+int k(t,.) h and int dk/dt(t,.) h are closed forms in L(t) = int_0^t left*h
+and R(t) = int_t^1 right*h.  Both are summed over panels between grid nodes,
+each adaptive with every detected crossing of a declared discontinuity curve
+as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.
 """
 
 from dataclasses import dataclass
@@ -12,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BallViolation
-from .kernel import dk_dt, k_eval
+from .kernel import left_factor, right_factor
 from .model import (GridFunction, ProblemSpec, find_curve_crossings, grid_eval, norm_c1,
                     vectorized)
 from .quadrature import IntegrandSpec, integrate
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -40,28 +40,48 @@ def ball_slack(spec: ProblemSpec) -> float:
     return 10.0 * spec.quad_tol + 1e-12
 
 
-def _gfu(spec: ProblemSpec, u: GridFunction):
-    """Vectorized s -> g(s) * f(s, u(s)) along a grid function."""
-    g, f = spec.weight.eval, spec.nonlinearity.eval
-
-    def fn(s):
-        return g(s) * f(s, grid_eval(u, s)[0])
-
-    return fn
-
-
 def crossing_breakpoints(spec: ProblemSpec, u: GridFunction):
     """All abscissae where u crosses a declared discontinuity curve."""
-    pts = []
-    for curve in spec.nonlinearity.curves:
-        pts.extend(find_curve_crossings(u, curve))
-    return sorted(pts)
+    return sorted(x for c in spec.nonlinearity.curves for x in find_curve_crossings(u, c))
+
+
+def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
+    """L[i] = int_{e_0}^{e_i} left*h and R[i] = int_{e_i}^{e_m} right*h at the
+    edges e_0 < ... < e_m (default: the grid nodes).
+
+    integrate() runs once per factor per panel [e_i, e_{i+1}], with breaks as
+    breakpoints and a singular weight's sqrt substitution on the first panel
+    only, to quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid
+    nodes.  Node values and derivatives combine L and R with coefficients of
+    total size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most
+    N-1 panels, so each meets quad_tol, as one node integral over [0, 1] would.
+    """
+    p = spec.params
+    edges = spec.nodes if edges is None else np.asarray(edges, dtype=float)
+    tol = spec.quad_tol * p.gamma_const / (
+        (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
+
+    def panels(factor):
+        return np.array([
+            integrate(IntegrandSpec(lambda s: factor(p, s) * h(s), breaks,
+                                    i == 0 and spec.weight.singular_left, tol), lo, hi)
+            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
+
+    left, right = panels(left_factor), panels(right_factor)
+    return (np.concatenate(([0.0], np.cumsum(left))),
+            np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
+
+
+def _closed_forms(spec: ProblemSpec, t, left, right):
+    """int k(t,s) h(s) ds and int dk/dt(t,s) h(s) ds from L(t) and R(t)."""
+    p = spec.params
+    return ((right_factor(p, t) * left + left_factor(p, t) * right) / p.gamma_const,
+            (p.alpha * right - p.gamma * left) / p.gamma_const)
 
 
 def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
-    """One application of the integral operator: node values from the kernel
-    row, node derivatives from the kernel t-derivative row, each integrated
-    to spec.quad_tol.
+    """One application of the integral operator: node values and derivatives
+    from the running integrals of g*f(., u) against both kernel factors.
 
     Requires norm_c1(u) <= spec.radius so the pointwise bound on f applies
     along u; raises BallViolation otherwise.
@@ -71,28 +91,10 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
         raise BallViolation(
             f"||u|| = {nrm:.6g} exceeds the ball radius R = {spec.radius:.6g}")
 
-    gfu = _gfu(spec, u)
-    crossings = crossing_breakpoints(spec, u)
-    p = spec.params
-    nodes = spec.nodes
-    vals = np.empty_like(nodes)
-    ders = np.empty_like(nodes)
-    for i, t in enumerate(nodes):
-        breaks = tuple(crossings) + ((t,) if 0.0 < t < 1.0 else ())
-
-        def value_integrand(s, _t=t):
-            return k_eval(p, _t, s) * gfu(s)
-
-        def deriv_integrand(s, _t=t):
-            return dk_dt(p, _t, s) * gfu(s)
-
-        vals[i] = integrate(IntegrandSpec(value_integrand, breaks,
-                                          spec.weight.singular_left, spec.quad_tol),
-                            0.0, 1.0)
-        ders[i] = integrate(IntegrandSpec(deriv_integrand, breaks,
-                                          spec.weight.singular_left, spec.quad_tol),
-                            0.0, 1.0)
-    return GridFunction(nodes, vals, ders)
+    g, f = spec.weight.eval, spec.nonlinearity.eval
+    left, right = _running_integrals(spec, lambda s: g(s) * f(s, grid_eval(u, s)[0]),
+                                     tuple(crossing_breakpoints(spec, u)))
+    return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right))
 
 
 def residual(spec: ProblemSpec, u: GridFunction) -> float:
@@ -100,60 +102,47 @@ def residual(spec: ProblemSpec, u: GridFunction) -> float:
     return norm_c1(u - apply_T(spec, u))
 
 
-def _golden_max(fn, a, b, xtol=1e-7):
-    """Golden-section maximization; returns the best point/value seen."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fn(c), fn(d)
-    best_x, best_v = (c, fc) if fc >= fd else (d, fd)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fn(d)
-        x, v = (c, fc) if fc >= fd else (d, fd)
-        if v > best_v:
-            best_x, best_v = x, v
-    return best_x, best_v
+def bounds_report(spec: ProblemSpec) -> BoundsReport:
+    """M1 = sup_t int k(t,.)|g| and M2 = sup_t int |dk/dt(t,.)| |g|, from the
+    running integrals L, R of |g| against the two kernel factors.
 
+    M1 = (right L + left R) / Gamma is concave, since M1' = (alpha R - gamma L)
+    / Gamma and M1'' = -(gamma left + alpha right)|g| / Gamma <= 0: its sup
+    lies within one node of the best node, where the monotone M1' is bisected
+    to width 1e-7, keeping the better of node and refined value.
 
-def _sup_integral(spec: ProblemSpec, row):
-    """max over t of int_0^1 row(t, s) |g(s)| ds, over the grid nodes plus one
-    golden-section refinement around the best node."""
-    g = spec.weight.eval
+    M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
+    - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,
+    from - to +: M2 peaks at t = 0 or t = 1 (ties go to 0).
+    """
+    p = spec.params
 
-    def value_at(t):
-        def integrand(s):
-            return row(t, s) * np.abs(g(s))
-
-        breaks = (t,) if 0.0 < t < 1.0 else ()
-        return integrate(IntegrandSpec(integrand, breaks,
-                                       spec.weight.singular_left, spec.quad_tol),
-                         0.0, 1.0)
+    def abs_g(s):
+        return np.abs(spec.weight.eval(s))
 
     nodes = spec.nodes
-    node_vals = np.array([value_at(t) for t in nodes])
-    i_best = int(np.argmax(node_vals))
-    best_t, best_v = float(nodes[i_best]), float(node_vals[i_best])
-    lo = nodes[max(i_best - 1, 0)]
-    hi = nodes[min(i_best + 1, nodes.size - 1)]
-    x, v = _golden_max(value_at, lo, hi)
-    if v > best_v:
-        best_t, best_v = float(x), float(v)
-    return best_t, best_v
+    left, right = _running_integrals(spec, abs_g)
+    m1_nodes, _ = _closed_forms(spec, nodes, left, right)
+    i = int(np.argmax(m1_nodes))
+    j = max(i - 1, 0)
 
+    def m1_at(t):
+        """(M1(t), M1'(t)), carrying L and R on from node j."""
+        dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], t))
+        return _closed_forms(spec, t, left[j] + dl[1], right[j] - dr[0])
 
-def bounds_report(spec: ProblemSpec) -> BoundsReport:
-    """Compute M1 and M2 jointly (this is the expensive certification step)."""
-    p = spec.params
-    t1, m1 = _sup_integral(spec, lambda t, s: k_eval(p, t, s))
-    t2, m2 = _sup_integral(spec, lambda t, s: np.abs(dk_dt(p, t, s)))
-    return BoundsReport(m1=m1, m2=m2, argmax_t_m1=t1, argmax_t_m2=t2,
-                        quad_tol=spec.quad_tol)
+    a, b = nodes[j], nodes[min(i + 1, nodes.size - 1)]
+    while b - a > 1e-7:
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if m1_at(mid)[1] > 0.0 else (a, mid)
+    t1, m1 = 0.5 * (a + b), m1_at(0.5 * (a + b))[0]
+    if m1 <= m1_nodes[i]:
+        t1, m1 = nodes[i], m1_nodes[i]
+
+    m2_0, m2_1 = p.alpha * right[0] / p.gamma_const, p.gamma * left[-1] / p.gamma_const
+    t2, m2 = (0.0, m2_0) if m2_0 >= m2_1 else (1.0, m2_1)
+    return BoundsReport(m1=float(m1), m2=float(m2), argmax_t_m1=float(t1),
+                        argmax_t_m2=t2, quad_tol=spec.quad_tol)
 
 
 @dataclass(frozen=True)

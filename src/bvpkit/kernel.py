@@ -6,11 +6,12 @@ The boundary conditions are
 
 with alpha, beta, gamma, delta >= 0 and
 Gamma = gamma*beta + alpha*gamma + alpha*delta > 0.  The kernel is the
-piecewise-bilinear function
+product of two linear factors,
 
-    k(t, s) = (gamma + delta - gamma*t)(beta + alpha*s) / Gamma   for s <= t,
-    k(t, s) = (beta + alpha*t)(gamma + delta - gamma*s) / Gamma   for s >  t.
+    k(t, s) = left(min(t, s)) * right(max(t, s)) / Gamma,
+    left(s) = beta + alpha*s,    right(s) = gamma + delta - gamma*s,
 
+where left solves the boundary condition at 0 and right the one at 1.
 k is continuous, non-negative and symmetric on the unit square; its
 t-derivative jumps across the diagonal s = t.
 """
@@ -57,20 +58,30 @@ def validate_params(alpha, beta, gamma, delta) -> BoundaryParams:
                           float(g_const))
 
 
-def _check_unit(name, x):
-    if np.any(x < 0) or np.any(x > 1):
-        raise DomainError(f"{name} must lie in [0, 1]")
+def _unit_args(t, s):
+    """t and s as float arrays, both checked to lie in [0, 1]."""
+    t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+    for name, x in (("t", t), ("s", s)):
+        if np.any(x < 0) or np.any(x > 1):
+            raise DomainError(f"{name} must lie in [0, 1]")
+    return t, s
+
+
+def left_factor(p: BoundaryParams, s):
+    """beta + alpha*s: the kernel factor carried by the smaller argument."""
+    return p.beta + p.alpha * s
+
+
+def right_factor(p: BoundaryParams, s):
+    """gamma + delta - gamma*s: the kernel factor carried by the larger argument."""
+    return p.gamma + p.delta - p.gamma * s
 
 
 def k_eval(p: BoundaryParams, t, s):
     """Kernel value k(t, s).  Accepts scalars or numpy arrays (broadcast)."""
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_unit("t", t)
-    _check_unit("s", s)
-    lower = (p.gamma + p.delta - p.gamma * t) * (p.beta + p.alpha * s)
-    upper = (p.beta + p.alpha * t) * (p.gamma + p.delta - p.gamma * s)
-    out = np.where(s <= t, lower, upper) / p.gamma_const
+    t, s = _unit_args(t, s)
+    out = (left_factor(p, np.minimum(t, s)) * right_factor(p, np.maximum(t, s))
+           / p.gamma_const)
     return out if out.ndim else float(out)
 
 
@@ -80,20 +91,16 @@ def dk_dt(p: BoundaryParams, t, s):
     Discontinuous across s = t; the s <= t branch is used on the diagonal
     (the diagonal has measure zero in every integral the toolkit forms).
     """
-    t = np.asarray(t, dtype=float)
-    s = np.asarray(s, dtype=float)
-    _check_unit("t", t)
-    _check_unit("s", s)
-    lower = -p.gamma * (p.beta + p.alpha * s)
-    upper = p.alpha * (p.gamma + p.delta - p.gamma * s)
-    out = np.where(s <= t, lower, upper) / p.gamma_const
+    t, s = _unit_args(t, s)
+    out = np.where(s <= t, -p.gamma * left_factor(p, s),
+                   p.alpha * right_factor(p, s)) / p.gamma_const
     return out if out.ndim else float(out)
 
 
 def dk_dt_bound(p: BoundaryParams) -> float:
     """Essential bound on |dk/dt| over the unit square."""
-    return max(p.gamma * (p.beta + p.alpha),
-               p.alpha * (p.gamma + p.delta)) / p.gamma_const
+    return max(p.gamma * left_factor(p, 1.0),
+               p.alpha * right_factor(p, 0.0)) / p.gamma_const
 
 
 DIRICHLET = validate_params(1.0, 0.0, 1.0, 0.0)

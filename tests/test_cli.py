@@ -1,8 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from bvpkit.catalog import make_nonlinearity_from_id
 from bvpkit.cli import RunConfig, config_echo, main, parse_config, run
 from bvpkit.errors import ConfigError
 
@@ -72,6 +74,13 @@ class TestParse:
             parse_config(doc)
         assert "lambda" in exc.value.field
 
+    def test_t_min_below_one(self):
+        doc = smoke_doc()
+        doc["numerics"]["t_min"] = 2
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == "numerics.t_min"
+
     def test_task_order_normalized(self):
         cfg = parse_config(smoke_doc(tasks=["solve", "check"]))
         assert cfg.tasks == ("check", "solve")
@@ -118,6 +127,16 @@ class TestRun:
         assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
         assert report["hypotheses"] is None and report["solution"] is None
 
+    def test_auto_power_value_error_is_reported(self):
+        # M1 + M2 = 0 for a zero weight, so minimal_R_power raises ValueError
+        doc = smoke_doc()
+        doc["problem"]["weight"] = {"id": "constant", "value": 0}
+        doc["problem"]["R"] = {"mode": "auto-power", "lambda": 0.5}
+        code, report = run(parse_config(doc))
+        assert code == 1
+        assert report["bounds"]["type"] == "ValueError"
+        assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
+
     def test_probe_without_solve_uses_zero(self):
         doc = smoke_doc(tasks=["probe"])
         doc["numerics"]["probe_samples"] = 3
@@ -125,6 +144,19 @@ class TestRun:
         assert code == 0
         assert report["probe"]["target"] == "zero"
         assert report["probe"]["hull_distance"] == pytest.approx(0.625, abs=1e-2)
+
+
+class TestCatalog:
+    @pytest.mark.parametrize("nl_id, params, bound_at_r2", [
+        ("constant", {"value": -2.0}, 2.0),
+        ("polynomial", {"coeffs": [1.0, -0.5, 0.25]}, 3.0),
+        ("step", {"low": 1.0, "high": -3.0, "threshold": 0.1}, 3.0)])
+    def test_local_bound_is_one_array_call(self, nl_id, params, bound_at_r2):
+        nl = make_nonlinearity_from_id(nl_id, params)
+        t = np.linspace(0.0, 1.0, 7)
+        out = nl.local_bound.__wrapped__(t, 2.0)
+        assert out.shape == t.shape
+        assert np.all(out == bound_at_r2)
 
 
 class TestMain:

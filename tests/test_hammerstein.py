@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from bvpkit import (DIRICHLET, BallViolation, apply_T, bounds_report,
+from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_report,
                     equicontinuity_check, norm_c1, residual, validate_params)
+from bvpkit.catalog import make_weight_from_id
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
-from conftest import const_weight, random_ball_function, smoke_spec
+from conftest import const_nonlinearity, const_weight, random_ball_function, smoke_spec
 
 
 def sin_forcing_spec(quad_tol=1e-10):
@@ -158,6 +160,76 @@ class TestBounds:
         for (a1, a2), (b1, b2) in zip(vals[:-1], vals[1:]):
             assert abs(a1 - b1) <= 1e-4
             assert abs(a2 - b2) <= 1e-4
+
+
+class TestFactoredKernelOracles:
+    """Closed forms for general separated BCs, independent of the running
+    integrals the operator and the bounds are computed from."""
+
+    @staticmethod
+    def inv_sqrt_moments(p, t):
+        """L(t) = int_0^t left/sqrt(s) and R(t) = int_t^1 right/sqrt(s), exactly,
+        from int s**(k - 1/2) = s**(k + 1/2) / (k + 1/2)."""
+        rt, rt3 = np.sqrt(t), t ** 1.5
+        left = 2 * p.beta * rt + 2 / 3 * p.alpha * rt3
+        right = 2 * (p.gamma + p.delta) * (1 - rt) - 2 / 3 * p.gamma * (1 - rt3)
+        return left, right
+
+    def test_inv_sqrt_bounds_random_bcs(self):
+        from scipy.optimize import minimize_scalar
+
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 8:
+            a, b, g, d = rng.uniform(0.0, 2.0, size=4)
+            if g * b + a * g + a * d < 0.05:
+                continue
+            checked += 1
+            p = validate_params(a, b, g, d)
+            spec = ProblemSpec(params=p, weight=make_weight_from_id("inv-sqrt", {}),
+                               nonlinearity=const_nonlinearity(), radius=1.0,
+                               quad_tol=1e-10, grid_size=129)
+            rep = bounds_report(spec)
+
+            def m1(t):
+                left, right = self.inv_sqrt_moments(p, t)
+                return ((p.gamma + p.delta - p.gamma * t) * left
+                        + (p.beta + p.alpha * t) * right) / p.gamma_const
+
+            def m2(t):
+                left, right = self.inv_sqrt_moments(p, t)
+                return (p.gamma * left + p.alpha * right) / p.gamma_const
+
+            m2_exact = max(p.alpha * (2 * (p.gamma + p.delta) - 2 / 3 * p.gamma),
+                           p.gamma * (2 * p.beta + 2 / 3 * p.alpha)) / p.gamma_const
+            assert rep.m2 == pytest.approx(m2_exact, abs=1e-8)
+            assert np.max(m2(np.linspace(0.0, 1.0, 2001))) <= m2_exact + 1e-12
+            opt = minimize_scalar(lambda t: -m1(t), bounds=(0.0, 1.0), method="bounded",
+                                  options={"xatol": 1e-10})
+            m1_exact = max(-opt.fun, m1(0.0), m1(1.0))
+            assert rep.m1 == pytest.approx(m1_exact, abs=1e-8)
+            assert m1(rep.argmax_t_m1) == pytest.approx(rep.m1, abs=1e-8)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+           n=st.integers(2, 64).map(lambda k: 2 * k + 1))
+    def test_constant_forcing_any_bc(self, coeffs, n):
+        # u'' = -1 with alpha u(0) - beta u'(0) = 0 = gamma u(1) + delta u'(1):
+        # u = -t**2/2 + c1 t + c0 with c0 = beta q / Gamma, c1 = alpha q / Gamma,
+        # q = gamma/2 + delta
+        a, b, g, d = coeffs
+        assume(g * b + a * g + a * d > 1e-3)
+        p = validate_params(a, b, g, d)
+        spec = ProblemSpec(params=p, weight=const_weight(),
+                           nonlinearity=const_nonlinearity(), radius=1.0,
+                           quad_tol=1e-10, grid_size=n)
+        tu = apply_T(spec, GridFunction.zero(spec.nodes))
+        q = p.gamma / 2 + p.delta
+        c0, c1 = p.beta * q / p.gamma_const, p.alpha * q / p.gamma_const
+        t = spec.nodes
+        assert np.max(np.abs(tu.values - (-t ** 2 / 2 + c1 * t + c0))) <= 2 * spec.quad_tol
+        assert np.max(np.abs(tu.derivatives - (c1 - t))) <= 2 * spec.quad_tol
+        assert max(bc_residual(p, tu)) <= 1e-10
 
 
 class TestEquicontinuity:
