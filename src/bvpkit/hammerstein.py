@@ -4,9 +4,9 @@ that certify the ball self-mapping estimate.
 
 The kernel is k(t,s) = left(min(t,s)) right(max(t,s)) / Gamma (kernel.py), so
 int k(t,.) h and int dk/dt(t,.) h are closed forms in L(t) = int_0^t left*h
-and R(t) = int_t^1 right*h.  Both are summed over panels between grid nodes,
-each adaptive with every detected crossing of a declared discontinuity curve
-as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.
+and R(t) = int_t^1 right*h.  One adaptive pass integrates both over all panels
+between grid nodes, with every detected crossing of a declared discontinuity
+curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from .errors import BallViolation
 from .kernel import left_factor, right_factor
 from .model import (GridFunction, ProblemSpec, find_curve_crossings, grid_eval, norm_c1,
                     vectorized)
-from .quadrature import IntegrandSpec, integrate
+from .quadrature import _integrate_groups
 
 
 @dataclass(frozen=True)
@@ -49,25 +49,25 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
     """L[i] = int_{e_0}^{e_i} left*h and R[i] = int_{e_i}^{e_m} right*h at the
     edges e_0 < ... < e_m (default: the grid nodes).
 
-    integrate() runs once per factor per panel [e_i, e_{i+1}], with breaks as
-    breakpoints and a singular weight's sqrt substitution on the first panel
-    only, to quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid
-    nodes.  Node values and derivatives combine L and R with coefficients of
-    total size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most
-    N-1 panels, so each meets quad_tol, as one node integral over [0, 1] would.
+    One quadrature call integrates (left*h, right*h), h once per point, over
+    every panel [e_i, e_{i+1}], with breaks as breakpoints and a singular
+    weight's sqrt substitution on a panel starting at 0, each panel to
+    quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.
+    Node values and derivatives combine L and R with coefficients of total
+    size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most N-1
+    panels, so each meets quad_tol, as one node integral over [0, 1] would.
     """
     p = spec.params
     edges = spec.nodes if edges is None else np.asarray(edges, dtype=float)
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
 
-    def panels(factor):
-        return np.array([
-            integrate(IntegrandSpec(lambda s: factor(p, s) * h(s), breaks,
-                                    i == 0 and spec.weight.singular_left, tol), lo, hi)
-            for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))])
+    def both(s):
+        hs = h(s)
+        return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
 
-    left, right = panels(left_factor), panels(right_factor)
+    left, right = _integrate_groups(both, edges, breaks,
+                                    spec.weight.singular_left and edges[0] == 0.0, tol)
     return (np.concatenate(([0.0], np.cumsum(left))),
             np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 

@@ -15,6 +15,7 @@ the integral operator works in.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -166,6 +167,15 @@ def uniform_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n)
 
 
+def _hermite(h, x, u0, u1, m0, m1):
+    """Cubic Hermite value at local coordinate x on a panel of width h, with
+    the same operations on arrays and on floats, so the same bits."""
+    x2 = x * x
+    x3 = x2 * x
+    return (u0 * (2 * x3 - 3 * x2 + 1) + h * m0 * (x3 - 2 * x2 + x)
+            + u1 * (-2 * x3 + 3 * x2) + h * m1 * (x3 - x2))
+
+
 def grid_eval(u: GridFunction, t):
     """Cubic Hermite value and derivative at t (scalar or array); exact at
     nodes and on sampled cubics."""
@@ -177,11 +187,9 @@ def grid_eval(u: GridFunction, t):
     h = u.nodes[idx + 1] - t0
     x = (t_arr - t0) / h
     x2 = x * x
-    x3 = x2 * x
     u0, u1 = u.values[idx], u.values[idx + 1]
     m0, m1 = u.derivatives[idx], u.derivatives[idx + 1]
-    val = (u0 * (2 * x3 - 3 * x2 + 1) + h * m0 * (x3 - 2 * x2 + x)
-           + u1 * (-2 * x3 + 3 * x2) + h * m1 * (x3 - x2))
+    val = _hermite(h, x, u0, u1, m0, m1)
     der = (u0 * (6 * x2 - 6 * x) + h * m0 * (3 * x2 - 4 * x + 1)
            + u1 * (-6 * x2 + 6 * x) + h * m1 * (3 * x2 - 2 * x)) / h
     if val.ndim == 0:
@@ -221,7 +229,9 @@ class ProblemSpec:
 def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
                          scan_per_panel: int = 4, tol: float = 1e-12):
     """Locate points where u crosses the curve, by sign-change bisection of
-    u(s) - curve.value(s) on a scan grid refined from the function's panels.
+    u(s) - curve.value(s) on a scan grid refined from the function's panels,
+    all cells in lockstep with one curve.value call per step; u is evaluated
+    in floats, as numpy's per-call cost dominates on a few cells.
 
     Returns a sorted list of crossing abscissae inside the curve's domain.
     Double crossings inside one scan cell are not resolved.
@@ -231,38 +241,35 @@ def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
         return []
     n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
     ts = np.linspace(lo, hi, n_scan + 1)
-    vals, _ = grid_eval(u, ts)
-    gap = vals - curve.value(ts)
+    gap = grid_eval(u, ts)[0] - curve.value(ts)
+    # [a, b, gap at a] per scan point where gap is 0 (b = a) or cell where it changes sign
+    hits = np.flatnonzero((gap == 0.0) | np.append(gap[:-1] * gap[1:] < 0.0, False))
+    if not hits.size:
+        return []
+    ends = np.where(gap[hits] == 0.0, hits, hits + 1)
+    cells = [list(c) for c in zip(ts[hits].tolist(), ts[ends].tolist(), gap[hits].tolist())]
+    nodes, vals, ders = u.nodes.tolist(), u.values.tolist(), u.derivatives.tolist()
 
-    def d(s):
-        v, _ = grid_eval(u, s)
-        return v - float(curve.value(s))
+    def value(s):  # grid_eval(u, s)[0] for a float s
+        i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
+        h = nodes[i + 1] - nodes[i]
+        return _hermite(h, (s - nodes[i]) / h, vals[i], vals[i + 1], ders[i], ders[i + 1])
 
-    crossings = []
-    for i in range(n_scan):
-        g0, g1 = gap[i], gap[i + 1]
-        if g0 == 0.0:
-            crossings.append(ts[i])
-            continue
-        if g0 * g1 < 0.0:
-            a, b = ts[i], ts[i + 1]
-            fa = g0
-            while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = d(mid)
-                if fm == 0.0:
-                    a = b = mid
-                    break
-                if fa * fm < 0.0:
-                    b = mid
-                else:
-                    a, fa = mid, fm
-            crossings.append(0.5 * (a + b))
-    if gap[-1] == 0.0:
-        crossings.append(ts[-1])
+    run = [c for c in cells if c[1] - c[0] > tol]
+    while run:
+        mids = [0.5 * (a + b) for a, b, _ in run]
+        for c, mid, level in zip(run, mids, curve.value(np.array(mids)).tolist()):
+            fm = value(mid) - level
+            if fm == 0.0:
+                c[0] = c[1] = mid
+            elif c[2] * fm < 0.0:
+                c[1] = mid
+            else:
+                c[0], c[2] = mid, fm
+        run = [c for c in run if c[1] - c[0] > tol]
 
     out = []
-    for c in crossings:
+    for c in (0.5 * (a + b) for a, b, _ in cells):
         if not out or c - out[-1] > 10 * tol:
-            out.append(float(c))
+            out.append(c)
     return out

@@ -1,21 +1,21 @@
 """Adaptive Gauss-Legendre integration on subintervals of [0, 1].
 
-Panels use a fixed 16-point rule with the 8-point rule as error reference.
-The worst panel (largest error estimate) is bisected until the summed
-estimate meets the requested absolute tolerance; 40 bisection levels per
-panel convert silent stalls (e.g. a non-integrable singularity) into a
-MaxDepthExceeded error.
+_integrate_groups integrates a k-component integrand over every group
+[e_0, e_1], ..., [e_{m-1}, e_m] at once; integrate() is its one-group,
+one-component case.  Breakpoints split the groups into subpanels up front,
+and an inverse-square-root singularity at e_0 is removed exactly by
+s = e_0 + w*tau**2 on the segment that starts there.  A subpanel's error
+estimate is |I16 - I8| (16-point rule, 8-point reference), floored as in
+QUADPACK at 50 eps times the 16-point integral of |f|, below which it
+measures rounding.  Each round is one integrand call on every new subpanel:
+a group is done once each component's summed estimate meets tol, and in the
+others each subpanel above tol / (the group's subpanel count) is bisected,
+at least one per group.  A 41st level, or a group whose floor exceeds tol,
+raises MaxDepthExceeded, so a failure costs at most 41 integrand calls.
 
-Known interior breakpoints split the range up front so that piecewise-smooth
-integrands are integrated panel-aligned.  An integrable inverse-square-root
-singularity at the left endpoint is removed exactly by the substitution
-s = a + (b-a)*tau**2 on the leftmost segment.
-
-Integrands are called with numpy arrays of sample points and must return
-arrays of the same shape.
+Integrands map a flat array of points to one row of values per component.
 """
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +24,10 @@ from .errors import MaxDepthExceeded, NonFiniteIntegrand
 
 _NODES8, _WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
+_NODES = np.concatenate((_NODES16, _NODES8))
 
 MAX_DEPTH = 40
+_ROUNDING = 50.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -47,89 +49,110 @@ class IntegrandSpec:
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
 
-def _panel(fn, lo, hi):
-    """Return (I16, err, ok) for one panel; ok=False flags non-finite samples."""
-    mid = 0.5 * (lo + hi)
+def _subpanels(edges, breakpoints):
+    """Subpanel ends and group index after splitting each group at the
+    breakpoints inside it; one within 1e-14 of the previous cut or of the
+    group's right end is dropped."""
+    m = edges.size - 1
+    cuts, last = [], {}
+    for x in sorted({float(x) for x in breakpoints}):
+        i = int(np.searchsorted(edges, x, side="right")) - 1
+        if 0 <= i < m and x - last.get(i, edges[i]) > 1e-14 and edges[i + 1] - x > 1e-14:
+            cuts.append(x)
+            last[i] = x
+    pts = np.sort(np.concatenate((edges, cuts)))
+    return pts[:-1].copy(), pts[1:].copy(), np.searchsorted(edges, pts[:-1], side="right") - 1
+
+
+def _interval(lo, hi, sq, s0, width):
+    """A subpanel's range in s (a substituted one is kept in tau)."""
+    return f"[{s0 + width * lo * lo}, {s0 + width * hi * hi}]" if sq else f"[{lo}, {hi}]"
+
+
+def _rule(fn, lo, hi, sq, s0, width):
+    """(I16, error estimate, rounding floor), each of shape (k, P), for the P
+    subpanels [lo, hi] from one call of fn on all their Gauss points."""
     half = 0.5 * (hi - lo)
-    pts = np.concatenate((mid + half * _NODES16, mid + half * _NODES8))
-    vals = fn(pts)
-    if not np.all(np.isfinite(vals)):
-        return 0.0, 0.0, False
-    i16 = half * float(_WEIGHTS16 @ vals[:16])
-    i8 = half * float(_WEIGHTS8 @ vals[16:])
-    return i16, abs(i16 - i8), True
+    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
+    s = np.where(sq[:, None], s0 + width * x * x, x)
+    f = np.asarray(fn(s.ravel()), dtype=float).reshape(-1, *x.shape)
+    if sq.any():
+        f = f * np.where(sq[:, None], 2.0 * width * x, 1.0)
+    finite = np.isfinite(f).all(axis=(0, 2))
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NonFiniteIntegrand(
+            f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
+    i16 = half * (f[..., :16] @ _WEIGHTS16)
+    floor = _ROUNDING * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
+    return i16, np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)), floor), floor
 
 
-def _segments(spec: IntegrandSpec, a: float, b: float):
-    """Split [a, b] at interior breakpoints; transform the leftmost segment
-    when a left-endpoint singularity is declared."""
-    pts = sorted({float(x) for x in spec.breakpoints if a < x < b})
-    # drop breakpoints indistinguishable from a neighbour or an endpoint
-    edges = [a]
-    for x in pts:
-        if x - edges[-1] > 1e-14 and b - x > 1e-14:
-            edges.append(x)
-    edges.append(b)
+def _group_sums(grp, rows, m):
+    return np.stack([np.bincount(grp, row, minlength=m) for row in rows])
 
-    fn = spec.integrand
-    segs = []
-    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if i == 0 and spec.singular_left:
-            width = hi - lo
 
-            def transformed(tau, _lo=lo, _w=width):
-                return fn(_lo + _w * tau * tau) * 2.0 * _w * tau
+def _integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
+    """Integrals of fn over each group [edges[i], edges[i+1]], shape (k, m)
+    for a k-component integrand (k = 1 when fn returns one flat array), each
+    component of each group to absolute tolerance tol."""
+    edges = np.asarray(edges, dtype=float)
+    m = edges.size - 1
+    lo, hi, grp = _subpanels(edges, breakpoints)
+    # the substituted segment is integrated in tau over [0, 1]
+    s0, width = edges[0], hi[0] - lo[0]
+    sq = np.zeros(lo.size, dtype=bool)
+    if singular_left:
+        sq[0], lo[0], hi[0] = True, 0.0, 1.0
+    panels = (lo, hi, grp, sq, np.zeros(lo.size, dtype=int))
+    estimates = _rule(fn, lo, hi, sq, s0, width)
+    out = np.zeros((estimates[0].shape[0], m))
+    while True:
+        lo, hi, grp, sq, depth = panels
+        val, err, floor = estimates
+        floor_sum = _group_sums(grp, floor, m)
+        if np.any(floor_sum > tol):
+            c, g = np.argwhere(floor_sum > tol)[0]
+            raise MaxDepthExceeded(
+                f"rounding floor {floor_sum[c, g]:.3e} above tol {tol:.3e} on [{edges[g]}, "
+                f"{edges[g + 1]}]: no depth up to {MAX_DEPTH} bisection levels can meet it")
+        err_sum = _group_sums(grp, err, m)
+        done = np.all(err_sum <= tol, axis=0)
+        out[:, done] += _group_sums(grp, val, m)[:, done]
+        live = ~done[grp]
+        if not live.any():
+            return out
 
-            segs.append((transformed, 0.0, 1.0))
-        else:
-            segs.append((fn, lo, hi))
-    return segs
+        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
+        deep = split & (depth >= MAX_DEPTH)
+        if deep.any():
+            i = int(np.argmax(deep))
+            raise MaxDepthExceeded(
+                f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
+                f"after {MAX_DEPTH} bisection levels near "
+                f"{_interval(lo[i], hi[i], sq[i], s0, width)}")
+        keep = live & ~split
+        mid = 0.5 * (lo + hi)
+        halves = (np.concatenate((lo[split], mid[split])),
+                  np.concatenate((mid[split], hi[split])),
+                  *(np.tile(a[split], 2) for a in (grp, sq, depth + 1)))
+        panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
+        estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in
+                          zip(estimates, _rule(fn, halves[0], halves[1], halves[3], s0, width)))
 
 
 def integrate(spec: IntegrandSpec, a: float, b: float) -> float:
     """Integrate spec.integrand over [a, b] to absolute tolerance spec.tol.
 
-    Raises MaxDepthExceeded when the panel budget runs out before the
-    tolerance is met (the usual symptom of an undeclared or non-integrable
-    singularity) and NonFiniteIntegrand when a sample away from the declared
-    singular endpoint is NaN or infinite.
+    Raises MaxDepthExceeded when the tolerance cannot be met within
+    MAX_DEPTH bisection levels (the usual symptom of an undeclared or
+    non-integrable singularity, or of a tol below rounding) and
+    NonFiniteIntegrand when a sample away from the declared singular
+    endpoint is NaN or infinite.
     """
     if not 0.0 <= a <= b <= 1.0:
         raise ValueError(f"need 0 <= a <= b <= 1, got a={a}, b={b}")
     if b - a <= 1e-15:
         return 0.0
-
-    heap = []
-    seq = 0
-    total = 0.0
-    total_err = 0.0
-    for fn, lo, hi in _segments(spec, a, b):
-        val, err, ok = _panel(fn, lo, hi)
-        if not ok:
-            raise NonFiniteIntegrand(
-                f"integrand not finite on [{lo}, {hi}]")
-        heapq.heappush(heap, (-err, seq, lo, hi, val, 0, fn))
-        seq += 1
-        total += val
-        total_err += err
-
-    while total_err > spec.tol:
-        neg_err, _, lo, hi, val, depth, fn = heapq.heappop(heap)
-        if depth >= MAX_DEPTH:
-            raise MaxDepthExceeded(
-                f"error estimate {total_err:.3e} still above tol {spec.tol:.3e} "
-                f"after {MAX_DEPTH} bisection levels near [{lo}, {hi}]")
-        total -= val
-        total_err += neg_err  # neg_err = -err
-        mid = 0.5 * (lo + hi)
-        for c, d in ((lo, mid), (mid, hi)):
-            v, e, ok = _panel(fn, c, d)
-            if not ok:
-                raise NonFiniteIntegrand(
-                    f"integrand not finite on [{c}, {d}]")
-            heapq.heappush(heap, (-e, seq, c, d, v, depth + 1, fn))
-            seq += 1
-            total += v
-            total_err += e
-
-    return total
+    return float(_integrate_groups(spec.integrand, (a, b), spec.breakpoints,
+                                   spec.singular_left, spec.tol)[0, 0])

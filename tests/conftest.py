@@ -47,3 +47,18 @@ def divisor_bounds(divisor_spec):
 def divisor_solution(divisor_spec):
     from bvpkit import solve_picard
     return solve_picard(divisor_spec, tol=1e-8)
+
+
+class Counted:
+    """A callable that counts its calls and the sample points it is given;
+    past max_points it raises, so a runaway quadrature fails fast."""
+
+    def __init__(self, fn, max_points=None):
+        self.fn, self.calls, self.points, self.max_points = fn, 0, 0, max_points
+
+    def __call__(self, s, *args):
+        self.calls += 1
+        self.points += np.size(s)
+        if self.max_points is not None and self.points > self.max_points:
+            raise AssertionError(f"{self.points} sample points in {self.calls} calls")
+        return self.fn(s, *args)

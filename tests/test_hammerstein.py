@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_report,
-                    equicontinuity_check, norm_c1, residual, validate_params)
-from bvpkit.catalog import make_weight_from_id
+                    equicontinuity_check, norm_c1, residual, solve_picard, validate_params)
+from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+from bvpkit.hammerstein import crossing_breakpoints
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
-from conftest import const_nonlinearity, const_weight, random_ball_function, smoke_spec
+from conftest import Counted, const_nonlinearity, const_weight, random_ball_function, smoke_spec
 
 
 def sin_forcing_spec(quad_tol=1e-10):
@@ -230,6 +233,35 @@ class TestFactoredKernelOracles:
         assert np.max(np.abs(tu.values - (-t ** 2 / 2 + c1 * t + c0))) <= 2 * spec.quad_tol
         assert np.max(np.abs(tu.derivatives - (c1 - t))) <= 2 * spec.quad_tol
         assert max(bc_residual(p, tu)) <= 1e-10
+
+
+class TestWorkCounts:
+    """h = g*f(., u) is evaluated once per quadrature round for every panel
+    and both kernel factors, not once per panel or per factor."""
+
+    @staticmethod
+    def counted(nl_id, params, radius, grid_size):
+        spec = ProblemSpec(params=DIRICHLET,
+                           weight=make_weight_from_id("constant", {"value": 1.0}),
+                           nonlinearity=make_nonlinearity_from_id(nl_id, params),
+                           radius=radius, quad_tol=1e-9, grid_size=grid_size)
+        u = solve_picard(spec, tol=1e-8).u
+        g, f = Counted(spec.weight.eval), Counted(spec.nonlinearity.eval)
+        return replace(spec, weight=replace(spec.weight, eval=g),
+                       nonlinearity=replace(spec.nonlinearity, eval=f)), u, g, f
+
+    def test_picard_apply_T_calls_g_and_f_once(self):
+        spec, u, g, f = self.counted("polynomial", {"coeffs": [1.0, -1.4]}, 10.0, 257)
+        apply_T(spec, u)
+        assert (g.calls, g.points) == (1, 256 * 24)
+        assert (f.calls, f.points) == (1, 256 * 24)
+
+    def test_step_crossing_apply_T_calls_f_at_most_three_times(self):
+        spec, u, _, f = self.counted("step", {"low": 1.0, "high": 2.0, "threshold": 0.05},
+                                     4.0, 129)
+        assert len(crossing_breakpoints(spec, u)) == 2
+        apply_T(spec, u)
+        assert 1 <= f.calls <= 3
 
 
 class TestEquicontinuity:

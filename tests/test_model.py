@@ -163,3 +163,90 @@ class TestCurveCrossings:
                                    second_derivative=lambda t: np.zeros_like(np.asarray(t, float)),
                                    epsilon=0.1)
         assert find_curve_crossings(u, curve) == []
+
+
+def crossings_per_cell(u, curve, scan_per_panel=4, tol=1e-12):
+    """find_curve_crossings as a loop over scan cells with scalar bisection,
+    kept as the reference for the lockstep version."""
+    lo, hi = max(curve.a, 0.0), min(curve.b, 1.0)
+    if hi - lo <= tol:
+        return []
+    n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
+    ts = np.linspace(lo, hi, n_scan + 1)
+    vals, _ = grid_eval(u, ts)
+    gap = vals - curve.value(ts)
+
+    def d(s):
+        v, _ = grid_eval(u, s)
+        return v - float(curve.value(s))
+
+    crossings = []
+    for i in range(n_scan):
+        g0, g1 = gap[i], gap[i + 1]
+        if g0 == 0.0:
+            crossings.append(ts[i])
+            continue
+        if g0 * g1 < 0.0:
+            a, b = ts[i], ts[i + 1]
+            fa = g0
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                fm = d(mid)
+                if fm == 0.0:
+                    a = b = mid
+                    break
+                if fa * fm < 0.0:
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            crossings.append(0.5 * (a + b))
+    if gap[-1] == 0.0:
+        crossings.append(ts[-1])
+
+    out = []
+    for c in crossings:
+        if not out or c - out[-1] > 10 * tol:
+            out.append(float(c))
+    return out
+
+
+class TestLockstepCrossings:
+    """The lockstep bisection returns bitwise the abscissae of the per-cell loop."""
+
+    @staticmethod
+    def check(u, curve, **kw):
+        got = find_curve_crossings(u, curve, **kw)
+        assert got == crossings_per_cell(u, curve, **kw)
+        return got
+
+    def test_step_crossing_solution(self):
+        from bvpkit import DIRICHLET, ProblemSpec, solve_picard
+        from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+        nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
+        spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
+                           weight=make_weight_from_id("constant", {"value": 1.0}))
+        u = solve_picard(spec, tol=1e-8).u
+        assert len(self.check(u, nl.curves[0])) == 2
+
+    def test_exact_zeros_at_scan_points_and_midpoints(self):
+        line = TestCurveCrossings().line_curve(0.0)
+        # a touch at 0.25 and a crossing at 0.75, both scan points
+        assert self.check(sampled(lambda t: (t - 0.25) ** 2 * (t - 0.75),
+                                  lambda t: (t - 0.25) * (3 * t - 1.75), n=17), line) \
+            == [0.25, 0.75]
+        # a zero at the last scan point
+        assert self.check(sampled(lambda t: t - 1.0, lambda t: 1 + 0 * t), line) == [1.0]
+        # the first bisection midpoint of the cell [1/8, 1/4] is an exact zero
+        u = GridFunction.from_callable(lambda t: t - 0.1875, lambda t: 1 + 0 * t,
+                                       uniform_grid(3))
+        assert self.check(u, line) == [0.1875]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hermite_against_a_sine(self, seed):
+        rng = np.random.default_rng(seed)
+        nodes = uniform_grid(9)
+        u = GridFunction(nodes, 0.5 * rng.standard_normal(9), 3.0 * rng.standard_normal(9))
+        curve = DiscontinuityCurve(a=rng.uniform(0.0, 0.2), b=rng.uniform(0.8, 1.0),
+                                   value=lambda t: 0.3 * np.sin(5.0 * t),
+                                   second_derivative=lambda t: -7.5 * np.sin(5.0 * t))
+        self.check(u, curve, scan_per_panel=int(rng.integers(2, 6)))

@@ -1,8 +1,14 @@
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from bvpkit import (DIRICHLET, IntegrandSpec, MaxDepthExceeded, NonFiniteIntegrand,
-                    dk_dt, integrate)
+from bvpkit import (DIRICHLET, GridFunction, IntegrandSpec, MaxDepthExceeded,
+                    NonFiniteIntegrand, apply_T, dk_dt, integrate)
+from bvpkit.quadrature import MAX_DEPTH, _integrate_groups
+
+from conftest import Counted, smoke_spec
 
 
 def test_linear_monomial():
@@ -106,3 +112,85 @@ def test_matches_scipy_on_piecewise_integrand():
     ours = integrate(IntegrandSpec(fn, breakpoints=(0.37,), tol=1e-11), 0, 1)
     ref = quad(lambda s: float(fn(np.asarray(s))), 0, 1, points=[0.37], limit=200)[0]
     assert ours == pytest.approx(ref, abs=1e-9)
+
+
+class TestGroups:
+    """The batched engine behind integrate(): per-group integrals over
+    adjacent groups, one integrand call per bisection round."""
+
+    @staticmethod
+    def scipy_groups(fn, edges, breaks=()):
+        from scipy.integrate import quad
+        return np.array([
+            quad(lambda s: float(fn(np.array([s]))[0]), a, b, limit=200,
+                 epsabs=1e-14, epsrel=1e-14, points=[x for x in breaks if a < x < b] or None)[0]
+            for a, b in zip(edges[:-1], edges[1:])])
+
+    def test_breakpoints_in_random_groups_match_scipy(self):
+        rng = np.random.default_rng(11)
+        edges = np.linspace(0.0, 1.0, 17)
+        groups = np.sort(rng.choice(16, size=5, replace=False))
+        breaks = edges[groups] + rng.uniform(0.1, 0.9, size=5) / 16
+
+        def fn(s):
+            k = np.searchsorted(breaks, s)
+            return np.sin(7.0 * s + k) + k * s * s
+
+        tol = 1e-11
+        got = _integrate_groups(fn, edges, tuple(breaks), tol=tol)
+        assert got.shape == (1, 16)
+        assert np.max(np.abs(got[0] - self.scipy_groups(fn, edges, breaks))) <= tol
+
+    def test_breakpoint_within_1e14_of_an_edge_is_merged(self):
+        edges = np.linspace(0.0, 1.0, 9)
+        fn = Counted(lambda s: np.exp(s) * np.cos(3.0 * s))
+        breaks = (edges[3] + 5e-15, edges[6] - 5e-15, 0.4, 0.4 + 5e-15)
+        got = _integrate_groups(fn, edges, breaks, tol=1e-12)
+        # 8 groups plus the one real cut at 0.4, 24 points per subpanel
+        assert fn.calls == 1 and fn.points == 9 * 24
+        assert np.max(np.abs(got[0] - self.scipy_groups(fn, edges, breaks[2:3]))) <= 1e-12
+
+    def test_inv_sqrt_moments_on_the_first_group(self):
+        edges = np.array([0.0, 0.05, 0.3, 0.55, 1.0])
+        ks = np.arange(4)[:, None]
+        tol = 1e-12
+        got = _integrate_groups(lambda s: s ** (ks - 0.5), edges, singular_left=True, tol=tol)
+        exact = np.diff(edges ** (ks + 0.5), axis=1) / (ks + 0.5)
+        assert np.max(np.abs(got - exact)) <= tol
+
+    def test_components_match_separate_runs(self):
+        edges = np.linspace(0.0, 1.0, 6)
+        f1 = lambda s: np.abs(np.sin(9.0 * s))
+        f2 = lambda s: 1.0 / (1.0 + 100.0 * (s - 0.37) ** 2)
+        tol = 1e-11
+        both = _integrate_groups(lambda s: np.stack((f1(s), f2(s))), edges, tol=tol)
+        for row, fn in zip(both, (f1, f2)):
+            assert np.max(np.abs(row - _integrate_groups(fn, edges, tol=tol)[0])) <= tol
+
+    def test_nan_names_its_subinterval(self):
+        edges = np.linspace(0.0, 1.0, 6)
+
+        def fn(s):
+            return np.where((s > 0.64) & (s < 0.76), np.nan, s)
+
+        with pytest.raises(NonFiniteIntegrand, match=re.escape(f"[{edges[3]}, {edges[4]}]")):
+            _integrate_groups(fn, edges)
+
+
+@pytest.mark.parametrize("fn, singular", [(lambda s: 1.0 / s, True),
+                                          (lambda s: 1.0 / np.sqrt(s), False)],
+                         ids=["1/s declared", "1/sqrt(s) undeclared"])
+def test_failure_work_is_bounded(fn, singular):
+    counted = Counted(fn, max_points=10_000)
+    with pytest.raises(MaxDepthExceeded, match="bisection levels"):
+        integrate(IntegrandSpec(counted, singular_left=singular, tol=1e-10), 0, 1)
+    assert counted.calls <= MAX_DEPTH + 1
+
+
+def test_tolerance_below_rounding_fails_with_bounded_work():
+    spec = smoke_spec(quad_tol=1e-300)
+    f = Counted(spec.nonlinearity.eval, max_points=10_000)
+    spec = replace(spec, nonlinearity=replace(spec.nonlinearity, eval=f))
+    with pytest.raises(MaxDepthExceeded, match="bisection levels"):
+        apply_T(spec, GridFunction.zero(spec.nodes))
+    assert f.calls <= MAX_DEPTH + 1
