@@ -17,7 +17,7 @@ from .errors import BallViolation
 from .kernel import left_factor, right_factor
 from .model import (GridFunction, ProblemSpec, find_curve_crossings, grid_eval, norm_c1,
                     vectorized)
-from .quadrature import _integrate_groups
+from .quadrature import integrate_groups
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,9 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
     quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.
     Node values and derivatives combine L and R with coefficients of total
     size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most N-1
-    panels, so each meets quad_tol, as one node integral over [0, 1] would.
+    panels, so each meets quad_tol, as one node integral over [0, 1] would,
+    apart from rounding; a quad_tol below that rounding (the panels' summed
+    floors, scaled the same way) raises MaxDepthExceeded.
     """
     p = spec.params
     edges = spec.nodes if edges is None else np.asarray(edges, dtype=float)
@@ -66,8 +68,8 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
         hs = h(s)
         return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
 
-    left, right = _integrate_groups(both, edges, breaks,
-                                    spec.weight.singular_left and edges[0] == 0.0, tol)
+    left, right = integrate_groups(both, edges, breaks,
+                                   spec.weight.singular_left and edges[0] == 0.0, tol)
     return (np.concatenate(([0.0], np.cumsum(left))),
             np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 

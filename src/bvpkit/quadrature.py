@@ -1,18 +1,16 @@
 """Adaptive Gauss-Legendre integration on subintervals of [0, 1].
 
-_integrate_groups integrates a k-component integrand over every group
-[e_0, e_1], ..., [e_{m-1}, e_m] at once; integrate() is its one-group,
-one-component case.  Breakpoints split the groups into subpanels up front,
-and an inverse-square-root singularity at e_0 is removed exactly by
-s = e_0 + w*tau**2 on the segment that starts there.  A subpanel's error
-estimate is |I16 - I8| (16-point rule, 8-point reference), floored as in
-QUADPACK at 50 eps times the 16-point integral of |f|, below which it
-measures rounding.  Each round is one integrand call on every new subpanel:
-a group is done once each component's summed estimate meets tol, and in the
-others each subpanel above tol / (the group's subpanel count) is bisected,
-at least one per group.  A 41st level, or a group whose floor exceeds tol,
-raises MaxDepthExceeded, so a failure costs at most 41 integrand calls.
-
+integrate_groups integrates a k-component integrand over every group
+[e_0, e_1], ..., [e_{m-1}, e_m] at once; integrate() is its one-group case.
+Breakpoints split groups into subpanels up front; s = e_0 + w*tau**2 removes
+an inverse-square-root singularity at e_0.  A subpanel's error estimate is
+the excess of |I16 - I8| (16-point rule, 8-point reference) over its rounding
+floor, eps times the integral of |f|.  Each round is one integrand call on
+every new subpanel: a group is done once each component's summed estimate is
+<= tol; in the others every subpanel above tol / (its group's subpanel count)
+is bisected.  Floors that sum past m*tol (rounding alone uses up the total
+asked for), or a group still open after MAX_DEPTH rounds, raise
+MaxDepthExceeded, so the integrand is called at most MAX_DEPTH + 1 times.
 Integrands map a flat array of points to one row of values per component.
 """
 
@@ -27,7 +25,7 @@ _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate((_NODES16, _NODES8))
 
 MAX_DEPTH = 40
-_ROUNDING = 50.0 * np.finfo(float).eps
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -84,15 +82,15 @@ def _rule(fn, lo, hi, sq, s0, width):
         raise NonFiniteIntegrand(
             f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
     i16 = half * (f[..., :16] @ _WEIGHTS16)
-    floor = _ROUNDING * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
-    return i16, np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)), floor), floor
+    floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
+    return i16, np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0), floor
 
 
 def _group_sums(grp, rows, m):
     return np.stack([np.bincount(grp, row, minlength=m) for row in rows])
 
 
-def _integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
+def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
     """Integrals of fn over each group [edges[i], edges[i+1]], shape (k, m)
     for a k-component integrand (k = 1 when fn returns one flat array), each
     component of each group to absolute tolerance tol."""
@@ -104,38 +102,38 @@ def _integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10)
     sq = np.zeros(lo.size, dtype=bool)
     if singular_left:
         sq[0], lo[0], hi[0] = True, 0.0, 1.0
-    panels = (lo, hi, grp, sq, np.zeros(lo.size, dtype=int))
+    panels = (lo, hi, grp, sq)
     estimates = _rule(fn, lo, hi, sq, s0, width)
     out = np.zeros((estimates[0].shape[0], m))
-    while True:
-        lo, hi, grp, sq, depth = panels
+    floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
+    for level in range(MAX_DEPTH + 1):
+        lo, hi, grp, sq = panels
         val, err, floor = estimates
-        floor_sum = _group_sums(grp, floor, m)
-        if np.any(floor_sum > tol):
-            c, g = np.argwhere(floor_sum > tol)[0]
+        rounding = floor_done + floor.sum(axis=1)
+        if np.any(rounding > m * tol):
             raise MaxDepthExceeded(
-                f"rounding floor {floor_sum[c, g]:.3e} above tol {tol:.3e} on [{edges[g]}, "
-                f"{edges[g + 1]}]: no depth up to {MAX_DEPTH} bisection levels can meet it")
+                f"rounding floor {rounding.max():.3e} above the total tol {m * tol:.3e}: "
+                f"no depth up to {MAX_DEPTH} bisection levels can meet it")
         err_sum = _group_sums(grp, err, m)
         done = np.all(err_sum <= tol, axis=0)
         out[:, done] += _group_sums(grp, val, m)[:, done]
         live = ~done[grp]
         if not live.any():
             return out
-
-        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
-        deep = split & (depth >= MAX_DEPTH)
-        if deep.any():
-            i = int(np.argmax(deep))
+        if level == MAX_DEPTH:
+            i = int(np.argmax(np.where(live, err.max(axis=0), -1.0)))
             raise MaxDepthExceeded(
                 f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
                 f"after {MAX_DEPTH} bisection levels near "
                 f"{_interval(lo[i], hi[i], sq[i], s0, width)}")
+
+        floor_done += floor[:, ~live].sum(axis=1)
+        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
         keep = live & ~split
         mid = 0.5 * (lo + hi)
         halves = (np.concatenate((lo[split], mid[split])),
                   np.concatenate((mid[split], hi[split])),
-                  *(np.tile(a[split], 2) for a in (grp, sq, depth + 1)))
+                  *(np.tile(a[split], 2) for a in (grp, sq)))
         panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
         estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in
                           zip(estimates, _rule(fn, halves[0], halves[1], halves[3], s0, width)))
@@ -154,5 +152,5 @@ def integrate(spec: IntegrandSpec, a: float, b: float) -> float:
         raise ValueError(f"need 0 <= a <= b <= 1, got a={a}, b={b}")
     if b - a <= 1e-15:
         return 0.0
-    return float(_integrate_groups(spec.integrand, (a, b), spec.breakpoints,
-                                   spec.singular_left, spec.tol)[0, 0])
+    return float(integrate_groups(spec.integrand, (a, b), spec.breakpoints,
+                                  spec.singular_left, spec.tol)[0, 0])

@@ -6,9 +6,10 @@ import pytest
 
 from bvpkit import (DIRICHLET, GridFunction, IntegrandSpec, MaxDepthExceeded,
                     NonFiniteIntegrand, apply_T, dk_dt, integrate)
-from bvpkit.quadrature import MAX_DEPTH, _integrate_groups
+from bvpkit.model import Weight
+from bvpkit.quadrature import MAX_DEPTH, integrate_groups
 
-from conftest import Counted, smoke_spec
+from conftest import Counted, const_weight, smoke_spec
 
 
 def test_linear_monomial():
@@ -137,7 +138,7 @@ class TestGroups:
             return np.sin(7.0 * s + k) + k * s * s
 
         tol = 1e-11
-        got = _integrate_groups(fn, edges, tuple(breaks), tol=tol)
+        got = integrate_groups(fn, edges, tuple(breaks), tol=tol)
         assert got.shape == (1, 16)
         assert np.max(np.abs(got[0] - self.scipy_groups(fn, edges, breaks))) <= tol
 
@@ -145,7 +146,7 @@ class TestGroups:
         edges = np.linspace(0.0, 1.0, 9)
         fn = Counted(lambda s: np.exp(s) * np.cos(3.0 * s))
         breaks = (edges[3] + 5e-15, edges[6] - 5e-15, 0.4, 0.4 + 5e-15)
-        got = _integrate_groups(fn, edges, breaks, tol=1e-12)
+        got = integrate_groups(fn, edges, breaks, tol=1e-12)
         # 8 groups plus the one real cut at 0.4, 24 points per subpanel
         assert fn.calls == 1 and fn.points == 9 * 24
         assert np.max(np.abs(got[0] - self.scipy_groups(fn, edges, breaks[2:3]))) <= 1e-12
@@ -154,7 +155,7 @@ class TestGroups:
         edges = np.array([0.0, 0.05, 0.3, 0.55, 1.0])
         ks = np.arange(4)[:, None]
         tol = 1e-12
-        got = _integrate_groups(lambda s: s ** (ks - 0.5), edges, singular_left=True, tol=tol)
+        got = integrate_groups(lambda s: s ** (ks - 0.5), edges, singular_left=True, tol=tol)
         exact = np.diff(edges ** (ks + 0.5), axis=1) / (ks + 0.5)
         assert np.max(np.abs(got - exact)) <= tol
 
@@ -163,9 +164,9 @@ class TestGroups:
         f1 = lambda s: np.abs(np.sin(9.0 * s))
         f2 = lambda s: 1.0 / (1.0 + 100.0 * (s - 0.37) ** 2)
         tol = 1e-11
-        both = _integrate_groups(lambda s: np.stack((f1(s), f2(s))), edges, tol=tol)
+        both = integrate_groups(lambda s: np.stack((f1(s), f2(s))), edges, tol=tol)
         for row, fn in zip(both, (f1, f2)):
-            assert np.max(np.abs(row - _integrate_groups(fn, edges, tol=tol)[0])) <= tol
+            assert np.max(np.abs(row - integrate_groups(fn, edges, tol=tol)[0])) <= tol
 
     def test_nan_names_its_subinterval(self):
         edges = np.linspace(0.0, 1.0, 6)
@@ -174,7 +175,7 @@ class TestGroups:
             return np.where((s > 0.64) & (s < 0.76), np.nan, s)
 
         with pytest.raises(NonFiniteIntegrand, match=re.escape(f"[{edges[3]}, {edges[4]}]")):
-            _integrate_groups(fn, edges)
+            integrate_groups(fn, edges)
 
 
 @pytest.mark.parametrize("fn, singular", [(lambda s: 1.0 / s, True),
@@ -194,3 +195,29 @@ def test_tolerance_below_rounding_fails_with_bounded_work():
     with pytest.raises(MaxDepthExceeded, match="bisection levels"):
         apply_T(spec, GridFunction.zero(spec.nodes))
     assert f.calls <= MAX_DEPTH + 1
+
+
+@pytest.mark.parametrize("g, u, du", [
+    (lambda t: 1e4 + 0 * t, lambda t: 1e4 * t * (1 - t) / 2, lambda t: 1e4 * (0.5 - t)),
+    (lambda t: 1e5 + 0 * t, lambda t: 1e5 * t * (1 - t) / 2, lambda t: 1e5 * (0.5 - t)),
+    (lambda t: 1e6 * t ** 20, lambda t: 1e6 * (t - t ** 22) / 462,
+     lambda t: 1e6 * (1 - 22 * t ** 21) / 462)], ids=["1e4", "1e5", "1e6 t^20"])
+def test_large_integrand_meets_a_tolerance_above_rounding(g, u, du):
+    # the per-panel tol, 3.9e-13, is below 50 eps times a panel integral (and,
+    # for 1e6 t^20, below eps times the last one), but rounding over all of T
+    # stays below quad_tol
+    spec = replace(smoke_spec(quad_tol=1e-10), weight=Weight(eval=g))
+    tu = apply_T(spec, GridFunction.zero(spec.nodes))
+    t = spec.nodes
+    assert np.max(np.abs(tu.values - u(t))) <= 1e-10
+    assert np.max(np.abs(tu.derivatives - du(t))) <= 1e-10
+
+
+def test_tolerance_below_the_rounding_of_T_fails_at_once():
+    # T is about 1e7 here, where one ulp is already above quad_tol
+    spec = replace(smoke_spec(quad_tol=1e-10), weight=const_weight(1e8))
+    f = Counted(spec.nonlinearity.eval)
+    spec = replace(spec, nonlinearity=replace(spec.nonlinearity, eval=f))
+    with pytest.raises(MaxDepthExceeded, match="rounding floor"):
+        apply_T(spec, GridFunction.zero(spec.nodes))
+    assert f.calls == 1
