@@ -19,7 +19,8 @@ from .errors import (BallViolation, BvpError, ConfigError, DegenerateGamma,
 from .kernel import DIRICHLET, BoundaryParams, dk_dt, dk_dt_bound, k_eval, validate_params
 from .quadrature import IntegrandSpec, integrate
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
-                    Weight, find_curve_crossings, grid_eval, norm_c1, uniform_grid)
+                    Weight, find_crossings, find_curve_crossings, grid_eval, norm_c1,
+                    uniform_grid)
 from .hammerstein import (BoundsReport, EquicontinuityReport, apply_T, bounds_report,
                           equicontinuity_check, residual)
 from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
-from .model import (GridFunction, ProblemSpec, find_curve_crossings, grid_eval, norm_c1,
-                    vectorized)
+from .model import GridFunction, ProblemSpec, find_crossings, grid_eval, norm_c1, vectorized
 from .quadrature import integrate_groups
 
 
@@ -42,7 +41,7 @@ def ball_slack(spec: ProblemSpec) -> float:
 
 def crossing_breakpoints(spec: ProblemSpec, u: GridFunction):
     """All abscissae where u crosses a declared discontinuity curve."""
-    return sorted(x for c in spec.nonlinearity.curves for x in find_curve_crossings(u, c))
+    return sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
 
 
 def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
@@ -110,8 +109,11 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
 
     M1 = (right L + left R) / Gamma is concave, since M1' = (alpha R - gamma L)
     / Gamma and M1'' = -(gamma left + alpha right)|g| / Gamma <= 0: its sup
-    lies within one node of the best node, where the monotone M1' is bisected
-    to width 1e-7, keeping the better of node and refined value.
+    lies within one node of the best node.  Each round evaluates the monotone
+    M1' at up to 32 equispaced points of that bracket from one quadrature call
+    and keeps the cell where it changes sign, until the bracket is 1e-7 wide;
+    M1 at its midpoint comes from one panel [node, t], as node values do, and
+    the better of node and refined value is kept.
 
     M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
     - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,
@@ -128,16 +130,18 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     i = int(np.argmax(m1_nodes))
     j = max(i - 1, 0)
 
-    def m1_at(t):
-        """(M1(t), M1'(t)), carrying L and R on from node j."""
-        dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], t))
-        return _closed_forms(spec, t, left[j] + dl[1], right[j] - dr[0])
-
     a, b = nodes[j], nodes[min(i + 1, nodes.size - 1)]
     while b - a > 1e-7:
-        mid = 0.5 * (a + b)
-        a, b = (mid, b) if m1_at(mid)[1] > 0.0 else (a, mid)
-    t1, m1 = 0.5 * (a + b), m1_at(0.5 * (a + b))[0]
+        # M1' at up to 32 equispaced points of [a, b] from one quadrature
+        # call, carrying L and R on from node j; keep the sign change
+        ts = np.linspace(a, b, min(33, int(np.ceil((b - a) / 1e-7))) + 1)[1:-1]
+        dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], *ts))
+        _, slope = _closed_forms(spec, ts, left[j] + dl[1:], right[j] - (dr[0] - dr[1:]))
+        k = int(np.argmax(np.append(slope <= 0.0, True)))
+        a, b = (ts[k - 1] if k else a), (ts[k] if k < ts.size else b)
+    t1 = 0.5 * (a + b)
+    dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], t1))
+    m1, _ = _closed_forms(spec, t1, left[j] + dl[1], right[j] - dr[0])
     if m1 <= m1_nodes[i]:
         t1, m1 = nodes[i], m1_nodes[i]
 

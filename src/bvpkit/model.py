@@ -226,28 +226,34 @@ class ProblemSpec:
         return uniform_grid(self.grid_size)
 
 
-def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
-                         scan_per_panel: int = 4, tol: float = 1e-12):
-    """Locate points where u crosses the curve, by sign-change bisection of
-    u(s) - curve.value(s) on a scan grid refined from the function's panels,
-    all cells in lockstep with one curve.value call per step; u is evaluated
-    in floats, as numpy's per-call cost dominates on a few cells.
+def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4, tol: float = 1e-12):
+    """Locate the points where u crosses each curve: one sorted list of
+    crossing abscissae inside the curve's domain per curve.
 
-    Returns a sorted list of crossing abscissae inside the curve's domain.
-    Double crossings inside one scan cell are not resolved.
+    u(s) - curve.value(s) is scanned at scan_per_panel points per panel of u
+    over the curve's domain, with u evaluated once per distinct domain; zeros
+    and sign changes of all curves' gaps are found in one array pass, and all
+    sign-change cells are bisected in lockstep to width tol, one curve.value
+    call per step for each curve with live cells and u in floats (numpy's
+    per-call cost dominates on a few cells).  Crossings closer than 10*tol
+    are merged.  Double crossings inside one scan cell are not resolved.
     """
-    lo, hi = max(curve.a, 0.0), min(curve.b, 1.0)
-    if hi - lo <= tol:
-        return []
-    n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
-    ts = np.linspace(lo, hi, n_scan + 1)
-    gap = grid_eval(u, ts)[0] - curve.value(ts)
-    # [a, b, gap at a] per scan point where gap is 0 (b = a) or cell where it changes sign
-    hits = np.flatnonzero((gap == 0.0) | np.append(gap[:-1] * gap[1:] < 0.0, False))
-    if not hits.size:
-        return []
-    ends = np.where(gap[hits] == 0.0, hits, hits + 1)
-    cells = [list(c) for c in zip(ts[hits].tolist(), ts[ends].tolist(), gap[hits].tolist())]
+    spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
+    live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
+    cells = [[] for _ in curves]  # [a, b, gap at a]; b = a where the gap is 0
+    if live:
+        n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
+        grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
+        levels = {d: grid_eval(u, ts)[0] for d, ts in grids.items()}
+        gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])
+        hit = gap == 0.0
+        hit[:, :-1] |= gap[:, :-1] * gap[:, 1:] < 0.0
+        for r, i in zip(*np.nonzero(hit)):
+            ts, g = grids[spans[live[r]]], float(gap[r, i])
+            cells[live[r]].append([float(ts[i]), float(ts[i if g == 0.0 else i + 1]), g])
+    if not any(cells):
+        return cells
+
     nodes, vals, ders = u.nodes.tolist(), u.values.tolist(), u.derivatives.tolist()
 
     def value(s):  # grid_eval(u, s)[0] for a float s
@@ -255,21 +261,34 @@ def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
         h = nodes[i + 1] - nodes[i]
         return _hermite(h, (s - nodes[i]) / h, vals[i], vals[i + 1], ders[i], ders[i + 1])
 
-    run = [c for c in cells if c[1] - c[0] > tol]
-    while run:
-        mids = [0.5 * (a + b) for a, b, _ in run]
-        for c, mid, level in zip(run, mids, curve.value(np.array(mids)).tolist()):
-            fm = value(mid) - level
-            if fm == 0.0:
-                c[0] = c[1] = mid
-            elif c[2] * fm < 0.0:
-                c[1] = mid
-            else:
-                c[0], c[2] = mid, fm
-        run = [c for c in run if c[1] - c[0] > tol]
+    run = [(c.value, cs) for c, cs in zip(curves, cells)]
+    while run:  # one bisection step of every curve's live cells
+        step, run = run, []
+        for level, cs in step:
+            cs = [c for c in cs if c[1] - c[0] > tol]
+            if not cs:
+                continue
+            run.append((level, cs))
+            mids = [0.5 * (a + b) for a, b, _ in cs]
+            for c, mid, lv in zip(cs, mids, level(np.array(mids)).tolist()):
+                fm = value(mid) - lv
+                if fm == 0.0:
+                    c[0] = c[1] = mid
+                elif c[2] * fm < 0.0:
+                    c[1] = mid
+                else:
+                    c[0], c[2] = mid, fm
 
-    out = []
-    for c in (0.5 * (a + b) for a, b, _ in cells):
-        if not out or c - out[-1] > 10 * tol:
-            out.append(c)
+    out = [[] for _ in curves]
+    for xs, cs in zip(out, cells):
+        for x in (0.5 * (a + b) for a, b, _ in cs):
+            if not xs or x - xs[-1] > 10 * tol:
+                xs.append(x)
     return out
+
+
+def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
+                         scan_per_panel: int = 4, tol: float = 1e-12):
+    """find_crossings for one curve: its sorted list of crossing abscissae.
+    Double crossings inside one scan cell are not resolved."""
+    return find_crossings(u, (curve,), scan_per_panel, tol)[0]

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import BallViolation
 from .hammerstein import apply_T, ball_slack, residual
 from .kernel import BoundaryParams
-from .model import GridFunction, ProblemSpec, find_curve_crossings, norm_c1
+from .model import GridFunction, ProblemSpec, find_crossings, norm_c1
 
 MIN_RELAX = 1.0 / 16.0
 
@@ -101,8 +101,8 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     res = residual(spec, final)
     converged = stopped and res <= tol * (1.0 + norm_c1(final))
     left, right = bc_residual(spec.params, final)
-    crossings = [(c.label, len(find_curve_crossings(final, c)))
-                 for c in spec.nonlinearity.curves]
+    curves = spec.nonlinearity.curves
+    crossings = [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(final, curves))]
     return Solution(u=final, residual=res, iterations=iterations,
                     bc_residual_left=left, bc_residual_right=right,
                     inside_ball=norm_c1(final) <= spec.radius + ball_slack(spec),

@@ -119,6 +119,20 @@ class TestBounds:
         assert divisor_bounds.m_total == pytest.approx(2.336, abs=0.005)
         assert divisor_bounds.argmax_t_m1 == pytest.approx(25 / 81, abs=1e-4)
 
+    def test_divisor_argmax_within_refinement_width(self, divisor_bounds):
+        assert divisor_bounds.argmax_t_m1 == pytest.approx(25 / 81, abs=1e-7)
+
+    @pytest.mark.parametrize("which", ["smoke", "divisor"])
+    def test_m1_refinement_rounds_are_few_quadrature_calls(self, monkeypatch, which,
+                                                           divisor_spec):
+        import bvpkit.hammerstein
+        spec = divisor_spec if which == "divisor" else smoke_spec(quad_tol=1e-10)
+        assert spec.grid_size == 129
+        calls = Counted(bvpkit.hammerstein.integrate_groups)
+        monkeypatch.setattr(bvpkit.hammerstein, "integrate_groups", calls)
+        bounds_report(spec)
+        assert 1 <= calls.calls <= 6
+
     def test_divisor_example_against_scipy(self, divisor_spec):
         from scipy.integrate import quad
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bvpkit import DomainError, find_curve_crossings, grid_eval, norm_c1, uniform_grid
+from bvpkit import (DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1,
+                    uniform_grid)
 from bvpkit.model import DiscontinuityCurve, GridFunction
 
 from conftest import smoke_spec
@@ -250,3 +251,56 @@ class TestLockstepCrossings:
                                    value=lambda t: 0.3 * np.sin(5.0 * t),
                                    second_derivative=lambda t: -7.5 * np.sin(5.0 * t))
         self.check(u, curve, scan_per_panel=int(rng.integers(2, 6)))
+
+
+class TestBatchedCrossings:
+    """find_crossings over many curves returns bitwise the per-curve loop's
+    abscissae, with one scan of u per distinct curve domain."""
+
+    @staticmethod
+    def random_curves(rng, n):
+        shared = [(0.0, 1.0), (0.1, 0.9)]
+        curves = []
+        for k in range(n):
+            if k == 0:
+                a, b = 0.5, 0.5 + 1e-13  # clipped to width <= tol: no scan
+            elif k % 3:
+                a, b = shared[k % 2]
+            else:
+                a, b = sorted(rng.uniform(0.0, 1.0, 2))
+            c, w = rng.uniform(-0.4, 0.4), rng.uniform(1.0, 8.0)
+            curves.append(DiscontinuityCurve(
+                a=a, b=b, value=lambda t, _c=c, _w=w: _c + 0.1 * np.sin(_w * t),
+                second_derivative=lambda t, _c=c, _w=w: -0.1 * _w ** 2 * np.sin(_w * t),
+                label=f"curve_{k}"))
+        return tuple(curves)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_curve_sets_match_the_per_curve_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(9, 33))
+        u = GridFunction(uniform_grid(n), 0.5 * rng.standard_normal(n),
+                         3.0 * rng.standard_normal(n))
+        curves = self.random_curves(rng, int(rng.integers(4, 12)))
+        kw = {"scan_per_panel": int(rng.integers(2, 6))}
+        got = find_crossings(u, curves, **kw)
+        assert got == [crossings_per_cell(u, c, **kw) for c in curves]
+        assert got[0] == []
+        assert sum(bool(xs) for xs in got) >= 2  # the lockstep runs over several curves
+
+    def test_no_curves(self):
+        assert find_crossings(sampled(np.sin, np.cos), ()) == []
+
+    def test_one_scan_per_shared_domain(self, monkeypatch, divisor_spec, divisor_solution):
+        import bvpkit.model
+        from bvpkit.hammerstein import crossing_breakpoints
+        sizes = []
+
+        def counted(u, t):
+            sizes.append(np.size(t))
+            return grid_eval(u, t)
+
+        monkeypatch.setattr(bvpkit.model, "grid_eval", counted)
+        assert len(divisor_spec.nonlinearity.curves) == 16
+        assert crossing_breakpoints(divisor_spec, divisor_solution.u) == []
+        assert sizes == [4 * 128 + 1]
