@@ -1,18 +1,20 @@
 """Batch front end: load a JSON problem config, run certification and/or the
 solver, and write one machine-readable report.
 
-Exit codes: 0 when every requested task passes, 1 when a task ran and
+The tasks check and classify-curves are served by one certify_hypotheses
+call.  Exit codes: 0 when every requested task passes, 1 when a task ran and
 failed, 2 on configuration errors.  A toolkit, value or arithmetic error
 inside a task fails that task and lands in its report section as
-{"error", "type"}; a report is written either way.  Reports are
-deterministic apart from the timestamp field.
+{"error", "type"}; an error in the certification fails every requested
+certification task, in each of their sections.  A report is written either
+way.  Reports are deterministic apart from the timestamp field.
 """
 
 import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -21,13 +23,15 @@ from . import __version__
 from .catalog import make_nonlinearity_from_id, make_weight_from_id
 from .errors import BvpError, ConfigError, DegenerateGamma, NegativeCoefficient
 from .hammerstein import bounds_report
-from .hypotheses import (HypothesisReport, check_h1, check_h3, classify_curve,
-                         convexification_probe, estimate_HR, minimal_R_power)
+from .hypotheses import (INDETERMINATE, certify_hypotheses, convexification_probe,
+                         minimal_R_power)
 from .kernel import validate_params
 from .model import GridFunction, ProblemSpec, norm_c1
 from .solver import solve_picard
 
 TASK_ORDER = ("check", "classify-curves", "solve", "probe")
+# the tasks served by one certify_hypotheses call, and their report sections
+CERTIFY_SECTIONS = {"check": "hypotheses", "classify-curves": "curves"}
 
 
 @dataclass
@@ -168,21 +172,30 @@ def config_echo(cfg: RunConfig) -> dict:
     }
 
 
-def _classification_dict(c):
-    return {"curve": c.curve, "verdict": c.verdict, "psi_margin": c.psi_margin,
-            "epsilon": c.epsilon_used, "t_min": c.t_min_clip,
-            "clipped_measure": c.clipped_measure, "n_t": c.n_t, "n_y": c.n_y}
+# result-dataclass field -> report key, in every section
+_RENAMES = {"passed": "pass", "epsilon_used": "epsilon", "t_min_clip": "t_min"}
+
+
+def _section(result, drop=(), **extra) -> dict:
+    """A result dataclass as a report section: its fields in declaration
+    order, renamed and without those in drop, then extra; arrays as lists."""
+    items = [(_RENAMES.get(f.name, f.name), getattr(result, f.name))
+             for f in fields(result) if f.name not in drop]
+    return {key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in items + list(extra.items())}
 
 
 @contextmanager
-def _recording_errors(report: dict, passed: dict, section: str, *tasks):
-    """A toolkit, value or arithmetic error raised in the block goes into
-    report[section] and fails the given tasks instead of propagating."""
+def _recording_errors(report: dict, passed: dict, sections: dict):
+    """A toolkit, value or arithmetic error raised in the block fails every
+    task of sections ({task: report section}) and goes into each task's
+    section instead of propagating."""
     try:
         yield
     except (BvpError, ValueError, ArithmeticError) as exc:
-        report[section] = {"error": str(exc), "type": type(exc).__name__}
-        passed.update(dict.fromkeys(tasks, False))
+        for task, section in sections.items():
+            report[section] = {"error": str(exc), "type": type(exc).__name__}
+            passed[task] = False
 
 
 def _finish(report: dict, passed: dict):
@@ -211,101 +224,66 @@ def run(cfg: RunConfig):
               "curves": None, "solution": None, "probe": None, "meta": None}
     passed = {}
 
-    bounds = None
+    bounds = hr_sup = None
     if cfg.radius == "auto-power":
-        with _recording_errors(report, passed, "bounds", *cfg.tasks):
+        with _recording_errors(report, passed, dict.fromkeys(cfg.tasks, "bounds")):
             bounds = bounds_report(spec_with(1.0))
             radius = float(minimal_R_power(bounds.m_total, cfg.auto_power_lambda))
         if passed:  # no radius, so no task can run
             return _finish(report, passed)
+        # The radius was chosen so that max(2,R)**lam times (M1+M2) fits
+        # inside R; H3 is checked against that premise, with the sampled
+        # profile reported alongside (the sampled sup can exceed the power
+        # bound near jump accumulation points).
+        hr_sup = max(2.0, radius) ** cfg.auto_power_lambda
     else:
         radius = float(cfg.radius)
     spec = spec_with(radius)
 
-    hyp = None
-    if "check" in cfg.tasks:
-        with _recording_errors(report, passed, "hypotheses", "check"):
+    certify = {task: section for task, section in CERTIFY_SECTIONS.items()
+               if task in cfg.tasks}
+    if certify:
+        with _recording_errors(report, passed, certify):
             if bounds is None:
                 bounds = bounds_report(spec)
-            nodes = spec.nodes
-            t_grid = nodes[(nodes >= cfg.t_min) & (nodes > 0.0)]
-            h1 = check_h1(weight, tol=min(cfg.quad_tol, 1e-9))
-            h2 = estimate_HR(spec, t_grid=t_grid)
-            # Under auto-power the radius was chosen so that max(2,R)**lam times
-            # (M1+M2) fits inside R; the ball check is evaluated against that
-            # premise, with the sampled profile reported alongside (the sampled
-            # sup can exceed the power bound near jump accumulation points).
-            if cfg.radius == "auto-power":
-                hr_sup = max(2.0, radius) ** cfg.auto_power_lambda
-                hr_source = "power-bound"
-            else:
-                hr_sup = h2.sup
-                hr_source = h2.source
-            h3 = check_h3(spec, bounds, hr_sup)
-            hyp = HypothesisReport(h1=h1, h2=h2, h3=h3,
-                                   h4=nonlinearity.measurability, h5=[])
-            report["bounds"] = {"m1": bounds.m1, "m2": bounds.m2,
-                                "m_total": bounds.m_total,
-                                "argmax_t_m1": bounds.argmax_t_m1,
-                                "argmax_t_m2": bounds.argmax_t_m2,
-                                "quad_tol": bounds.quad_tol,
-                                "resolved_radius": radius}
-            report["hypotheses"] = {
-                "h1": {"pass": h1.passed, "l1_norm": h1.l1_norm, "detail": h1.detail,
-                       "l1_bound_hint": weight.l1_bound_hint},
-                "h2": {"pass": h2.passed, "sup": h2.sup,
-                       "uniformity_flag": h2.uniformity_flag, "source": h2.source},
-                "h3": {"pass": h3.passed, "product": h3.product, "hr_sup": h3.hr_sup,
-                       "hr_source": hr_source, "radius": radius},
-                "h4": nonlinearity.measurability,
-            }
-            passed["check"] = h1.passed and h2.passed and h3.passed
-
-    if "classify-curves" in cfg.tasks:
-        with _recording_errors(report, passed, "curves", "classify-curves"):
-            results = [classify_curve(spec, c, t_min=cfg.t_min)
-                       for c in nonlinearity.curves]
-            report["curves"] = [_classification_dict(c) for c in results]
-            passed["classify-curves"] = all(c.verdict != "indeterminate"
-                                            for c in results)
-            if hyp is not None:
-                report["hypotheses"]["overall"] = replace(hyp, h5=results).overall
+            hyp = certify_hypotheses(spec, t_min=cfg.t_min, bounds=bounds,
+                                     hr_sup=hr_sup)
+            if "check" in certify:
+                report["bounds"] = _section(bounds, m_total=bounds.m_total,
+                                            resolved_radius=radius)
+                hr_source = "power-bound" if hr_sup is not None else hyp.h2.source
+                report["hypotheses"] = {
+                    "h1": _section(hyp.h1, l1_bound_hint=weight.l1_bound_hint),
+                    "h2": _section(hyp.h2, drop={"profile", "t_grid"}),
+                    "h3": _section(hyp.h3, drop={"m1", "m2"}, hr_source=hr_source),
+                    "h4": hyp.h4,
+                }
+                passed["check"] = hyp.h1.passed and hyp.h2.passed and hyp.h3.passed
+            if "classify-curves" in certify:
+                report["curves"] = [_section(c) for c in hyp.h5]
+                passed["classify-curves"] = all(c.verdict != INDETERMINATE
+                                                for c in hyp.h5)
+                if "check" in certify:
+                    report["hypotheses"]["overall"] = hyp.overall
 
     solution = None
     if "solve" in cfg.tasks:
-        with _recording_errors(report, passed, "solution", "solve"):
+        with _recording_errors(report, passed, {"solve": "solution"}):
             solution = solve_picard(spec, relax=cfg.relax, tol=cfg.solver_tol,
                                     max_iter=cfg.max_iter)
-            report["solution"] = {
-                "t": spec.nodes.tolist(),
-                "u": solution.u.values.tolist(),
-                "du": solution.u.derivatives.tolist(),
-                "residual": solution.residual,
-                "iterations": solution.iterations,
-                "bc_residual_left": solution.bc_residual_left,
-                "bc_residual_right": solution.bc_residual_right,
-                "inside_ball": solution.inside_ball,
-                "converged": solution.converged,
-                "norm_c1": norm_c1(solution.u),
-                "curve_crossings": [[label, count]
-                                    for label, count in solution.curve_crossings],
-                "relax_final": solution.relax_final,
-            }
+            report["solution"] = _section(
+                solution, drop={"u", "update_norms"}, t=spec.nodes,
+                u=solution.u.values, du=solution.u.derivatives,
+                norm_c1=norm_c1(solution.u))
             passed["solve"] = solution.converged and solution.inside_ball
 
     if "probe" in cfg.tasks:
-        with _recording_errors(report, passed, "probe", "probe"):
+        with _recording_errors(report, passed, {"probe": "probe"}):
             u_probe = solution.u if solution is not None else GridFunction.zero(spec.nodes)
             probe = convexification_probe(spec, u_probe, cfg.probe_eps,
                                           cfg.probe_samples)
-            report["probe"] = {
-                "hull_distance": probe.hull_distance,
-                "witness_coeffs": probe.witness_coeffs.tolist(),
-                "history": probe.history,
-                "eps": probe.eps,
-                "n_samples": probe.n_samples,
-                "target": "solution" if solution is not None else "zero",
-            }
+            report["probe"] = _section(
+                probe, target="solution" if solution is not None else "zero")
             passed["probe"] = True
 
     return _finish(report, passed)

@@ -44,27 +44,20 @@ def phi(n: int) -> int:
 
 def region_index(t: float, u: float) -> int:
     """The region containing (t, u): 1 below u = -t, floor(t/-u) in the
-    wedge -t <= u < 0, floor(u/sqrt(t)) + 1 for u >= 0."""
-    if t <= 0.0:
-        raise DomainError("region index needs t > 0")
-    if u >= 0.0:
-        n = math.floor(u / math.sqrt(t)) + 1
-    elif u < -t:
-        n = 1
-    else:
-        n = math.floor(t / -u)
-    if n > _MAX_REGION:
-        raise DomainError(f"region index {n} too large to evaluate")
-    return int(n)
+    wedge -t <= u < 0, floor(u/sqrt(t)) + 1 for u >= 0.  The quotients are
+    rounded before the floor, so u = -t/n lies in region n."""
+    return int(_region_array(t, u))
 
 
 def _region_array(t, u):
     """region_index on float arrays."""
+    t = np.asarray(t, dtype=float)
+    u = np.asarray(u, dtype=float)
     if np.any(t <= 0.0):
         raise DomainError("region index needs t > 0")
-    pos = np.floor_divide(u, np.sqrt(t)) + 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        mid = np.floor_divide(t, -u)
+        pos = np.floor(u / np.sqrt(t)) + 1.0
+        mid = np.floor(t / -u)
     n = np.where(u >= 0.0, pos, np.where(u < -t, 1.0, mid))
     if np.any(~np.isfinite(n)) or np.any(n > _MAX_REGION):
         raise DomainError("region index overflow near u = 0-")
@@ -155,21 +148,13 @@ class DecompositionReport:
 
 def measurable_decomposition(u: GridFunction, t_grid) -> DecompositionReport:
     """Partition the sampled times by which preimage set they fall in,
-    checking exhaustiveness/disjointness and agreement with the region map."""
-    entries = []
-    consistent = True
-    for t in np.asarray(t_grid, dtype=float):
-        if t <= 0.0:
-            raise DomainError("decomposition needs t > 0")
-        uv, _ = grid_eval(u, float(t))
-        in_i = uv >= 0.0
-        in_k = uv < -t
-        in_j = (not in_i) and (not in_k)
-        if sum((in_i, in_j, in_k)) != 1:
-            consistent = False
-        n = region_index(float(t), float(uv))
-        kind = "I" if in_i else ("K" if in_k else "J")
-        if kind == "K" and n != 1:
-            consistent = False
-        entries.append((float(t), kind, n))
-    return DecompositionReport(entries=entries, consistent=consistent)
+    checking agreement with the region map."""
+    ts = np.asarray(t_grid, dtype=float)
+    if np.any(ts <= 0.0):
+        raise DomainError("decomposition needs t > 0")
+    uv, _ = grid_eval(u, ts)
+    n = _region_array(ts, uv)
+    kinds = np.where(uv >= 0.0, "I", np.where(uv < -ts, "K", "J"))
+    entries = [(float(t), str(kind), int(m)) for t, kind, m in zip(ts, kinds, n)]
+    return DecompositionReport(entries=entries,
+                               consistent=bool(np.all(n[kinds == "K"] == 1)))

@@ -380,15 +380,21 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
                        history=history, eps=eps, n_samples=n_samples)
 
 
-def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6, n_t: int = 200,
-                       n_y: int = 30, bounds: BoundsReport | None = None,
-                       hr: HRResult | None = None) -> HypothesisReport:
-    """Run the whole certification pipeline for one problem."""
+def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
+                       bounds: BoundsReport | None = None,
+                       hr_sup: float | None = None) -> HypothesisReport:
+    """Run the whole certification pipeline for one problem.
+
+    t_min clips both the H_R sample grid (the nodes t >= t_min, t > 0) and
+    every curve's classification domain.  bounds, when given, are the
+    problem's M1/M2 report and are not recomputed.  hr_sup is the H_R
+    premise of the ball check H3; None means the sampled sup of H_R.
+    """
     h1 = check_h1(spec.weight, tol=min(spec.quad_tol, 1e-9))
-    h2 = hr if hr is not None else estimate_HR(spec)
+    nodes = spec.nodes
+    h2 = estimate_HR(spec, t_grid=nodes[(nodes >= t_min) & (nodes > 0.0)])
     b = bounds if bounds is not None else bounds_report(spec)
-    h3 = check_h3(spec, b, h2.sup)
-    h5 = [classify_curve(spec, c, t_min=t_min, n_t=n_t, n_y=n_y)
-          for c in spec.nonlinearity.curves]
+    h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
+    h5 = [classify_curve(spec, c, t_min=t_min) for c in spec.nonlinearity.curves]
     return HypothesisReport(h1=h1, h2=h2, h3=h3,
                             h4=spec.nonlinearity.measurability, h5=h5)

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvpkit.catalog import make_nonlinearity_from_id
+from bvpkit import ProblemSpec, bounds_report, certify_hypotheses, validate_params
+from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.cli import RunConfig, config_echo, main, parse_config, run
 from bvpkit.errors import ConfigError
 
@@ -144,6 +145,71 @@ class TestRun:
         assert code == 0
         assert report["probe"]["target"] == "zero"
         assert report["probe"]["hull_distance"] == pytest.approx(0.625, abs=1e-2)
+
+
+def spec_of(cfg, radius):
+    """The ProblemSpec that run() builds for cfg at the given radius."""
+    return ProblemSpec(params=validate_params(*cfg.bc),
+                       weight=make_weight_from_id(cfg.weight_id, cfg.weight_params),
+                       nonlinearity=make_nonlinearity_from_id(cfg.nonlinearity_id,
+                                                              cfg.nonlinearity_params),
+                       radius=radius, quad_tol=cfg.quad_tol, grid_size=cfg.grid_size)
+
+
+def step_doc():
+    doc = smoke_doc(tasks=["check", "classify-curves"])
+    doc["problem"]["nonlinearity"] = {"id": "step", "low": 1.0, "high": 2.0,
+                                      "threshold": 0.05}
+    doc["problem"]["R"] = 4.0
+    return doc
+
+
+class TestCertificationPath:
+    """check and classify-curves are one certify_hypotheses call."""
+
+    def test_auto_power_h3_is_the_library_h3(self):
+        cfg = parse_config(divisor_doc())
+        code, report = run(cfg)
+        assert code == 0
+        radius = report["bounds"]["resolved_radius"]
+        lam = cfg.auto_power_lambda
+        h3 = certify_hypotheses(spec_of(cfg, radius), t_min=cfg.t_min,
+                                bounds=bounds_report(spec_of(cfg, 1.0)),
+                                hr_sup=max(2.0, radius) ** lam).h3
+        assert report["hypotheses"]["h3"] == {
+            "pass": h3.passed, "product": h3.product, "hr_sup": h3.hr_sup,
+            "radius": h3.radius, "hr_source": "power-bound"}
+
+    def test_certification_error_fails_both_tasks(self):
+        doc = step_doc()
+        doc["numerics"]["quad_tol"] = 1e-300
+        code, report = run(parse_config(doc))
+        assert code == 1
+        assert report["meta"]["tasks_passed"] == {"check": False,
+                                                  "classify-curves": False}
+        for section in ("hypotheses", "curves"):
+            assert set(report[section]) == {"error", "type"}
+            assert report[section]["type"] == "MaxDepthExceeded"
+
+    def test_classify_only_writes_only_curves(self):
+        code, report = run(parse_config(step_doc() | {"tasks": ["classify-curves"]}))
+        assert code == 0
+        assert report["hypotheses"] is None and report["bounds"] is None
+        assert [c["verdict"] for c in report["curves"]] == ["inviable_lower"]
+        assert report["curves"][0]["epsilon"] == 0.05
+        assert report["curves"][0]["t_min"] == 1e-6
+
+    def test_t_min_clips_hr_grid_and_hr_sup_is_the_premise(self):
+        cfg = parse_config(step_doc())
+        spec = spec_of(cfg, 4.0)
+        rep = certify_hypotheses(spec, t_min=0.5)
+        assert np.array_equal(rep.h2.t_grid, spec.nodes[spec.nodes >= 0.5])
+        assert rep.h3.hr_sup == rep.h2.sup == 2.0
+        assert all(c.t_min_clip == 0.5 for c in rep.h5)
+        rep = certify_hypotheses(spec, t_min=0.5, hr_sup=3.0)
+        assert rep.h2.sup == 2.0
+        assert rep.h3.hr_sup == 3.0
+        assert rep.h3.product == 3.0 * (rep.h3.m1 + rep.h3.m2)
 
 
 class TestCatalog:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,27 @@ class TestNonlinearity:
         ref = np.array([-float(phi(region_index(float(a), float(b)))) ** LAM
                         for a, b in zip(t, u)])
         assert np.array_equal(f(t, u), ref)
+
+
+    def test_jump_lines_follow_the_pointwise_rule(self):
+        # on the jump lines themselves, where floor_divide and the floor of the
+        # rounded quotient can differ, region_index and the array f both
+        # follow the pointwise rule: u = k sqrt(t) is in region k+1 and
+        # u = -t/n in region n
+        def pointwise(t, u):
+            if u >= 0.0:
+                return math.floor(u / math.sqrt(t)) + 1
+            return 1 if u < -t else math.floor(t / -u)
+
+        rng = np.random.default_rng(53)
+        t = np.tile(rng.uniform(1e-4, 1.0, size=1400), 18)
+        k = np.repeat(np.arange(1.0, 10.0), 1400)
+        u = np.concatenate([k * np.sqrt(t[:12600]), -t[12600:] / k])
+        ref = [pointwise(float(a), float(b)) for a, b in zip(t, u)]
+        assert [region_index(float(a), float(b)) for a, b in zip(t, u)] == ref
+        f = make_nonlinearity(PhiExample(lam=LAM)).eval
+        assert np.array_equal(f(t, u), -np.array([phi(n) for n in ref], float) ** LAM)
+        assert f(0.36, -0.36 / 7) == -phi(7) ** LAM
 
 
 class TestCurves:
