@@ -210,9 +210,13 @@ def _finish(report: dict, passed: dict):
 
 def run(cfg: RunConfig):
     """Execute the requested tasks; returns (exit_code, report dict)."""
-    weight = make_weight_from_id(cfg.weight_id, cfg.weight_params)
-    nonlinearity = make_nonlinearity_from_id(cfg.nonlinearity_id,
-                                             cfg.nonlinearity_params)
+    fld = "problem.weight"  # the section whose catalog parameters are being read
+    try:
+        weight = make_weight_from_id(cfg.weight_id, cfg.weight_params)
+        fld = "problem.nonlinearity"
+        nonlinearity = make_nonlinearity_from_id(cfg.nonlinearity_id, cfg.nonlinearity_params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {fld} parameters: {exc}", field=fld) from exc
     params = validate_params(*cfg.bc)
 
     def spec_with(radius):
@@ -244,12 +248,10 @@ def run(cfg: RunConfig):
                if task in cfg.tasks}
     if certify:
         with _recording_errors(report, passed, certify):
-            if bounds is None:
-                bounds = bounds_report(spec)
             hyp = certify_hypotheses(spec, t_min=cfg.t_min, bounds=bounds,
                                      hr_sup=hr_sup)
             if "check" in certify:
-                report["bounds"] = _section(bounds, m_total=bounds.m_total,
+                report["bounds"] = _section(hyp.bounds, m_total=hyp.bounds.m_total,
                                             resolved_radius=radius)
                 hr_source = "power-bound" if hr_sup is not None else hyp.h2.source
                 report["hypotheses"] = {
@@ -315,13 +317,11 @@ def main(argv=None) -> int:
         print("config error: top level must be an object", file=sys.stderr)
         return 2
     doc = dict(doc)
-    doc.setdefault("numerics", {})
-    if args.grid_size is not None:
-        doc["numerics"]["grid_size"] = args.grid_size
-    if args.tol is not None:
-        doc["numerics"]["quad_tol"] = args.tol
-    if args.solver_tol is not None:
-        doc["numerics"]["solver_tol"] = args.solver_tol
+    overrides = {"grid_size": args.grid_size, "quad_tol": args.tol,
+                 "solver_tol": args.solver_tol}
+    num = doc.setdefault("numerics", {})
+    if isinstance(num, dict):  # parse_config rejects any other numerics
+        num.update({k: v for k, v in overrides.items() if v is not None})
     if args.task:
         doc["tasks"] = args.task
     if args.out is not None:

@@ -91,7 +91,7 @@ def make_weight() -> Weight:
 
 
 def make_curves(ex: PhiExample):
-    """The first curve_count members of each jump family, hinted inviable.
+    """The first curve_count members of each jump family.
 
     The sqrt-fan curvature blows up at 0, so those curves open at t = 0;
     classification clips them at its t_min anyway.
@@ -101,11 +101,11 @@ def make_curves(ex: PhiExample):
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: _k * np.sqrt(t),
             second_derivative=lambda t, _k=k: -_k / (4.0 * t ** 1.5),
-            epsilon=ex.epsilon, kind_hint="inviable", label=f"gamma_{k}"))
+            epsilon=ex.epsilon, label=f"gamma_{k}"))
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: -t / (_k + 1.0),
             second_derivative=np.zeros_like,
-            epsilon=ex.epsilon, kind_hint="inviable", label=f"gamma_hat_{k}"))
+            epsilon=ex.epsilon, label=f"gamma_hat_{k}"))
     return tuple(curves)
 
 

@@ -34,9 +34,10 @@ class BoundsReport:
         return self.m1 + self.m2
 
 
-def ball_slack(spec: ProblemSpec) -> float:
-    """Tolerance separating genuine ball violations from quadrature noise."""
-    return 10.0 * spec.quad_tol + 1e-12
+def in_ball(spec: ProblemSpec, u: GridFunction, margin: float = 0.0) -> bool:
+    """The one C1-ball test: norm_c1(u) + margin <= R, up to the slack
+    10*quad_tol + 1e-12 that separates ball violations from quadrature noise."""
+    return norm_c1(u) + margin <= spec.radius + 10.0 * spec.quad_tol + 1e-12
 
 
 def crossing_breakpoints(spec: ProblemSpec, u: GridFunction):
@@ -84,13 +85,12 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """One application of the integral operator: node values and derivatives
     from the running integrals of g*f(., u) against both kernel factors.
 
-    Requires norm_c1(u) <= spec.radius so the pointwise bound on f applies
-    along u; raises BallViolation otherwise.
+    Requires in_ball(spec, u) so the pointwise bound on f applies along u;
+    raises BallViolation otherwise.
     """
-    nrm = norm_c1(u)
-    if nrm > spec.radius + ball_slack(spec):
+    if not in_ball(spec, u):
         raise BallViolation(
-            f"||u|| = {nrm:.6g} exceeds the ball radius R = {spec.radius:.6g}")
+            f"||u|| = {norm_c1(u):.6g} exceeds the ball radius R = {spec.radius:.6g}")
 
     g, f = spec.weight.eval, spec.nonlinearity.eval
     left, right = _running_integrals(spec, lambda s: g(s) * f(s, grid_eval(u, s)[0]),
@@ -166,13 +166,13 @@ class EquicontinuityReport:
 
 
 def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
-                         t_min: float = 0.0, c_h: float = 10.0) -> EquicontinuityReport:
+                         t_min: float = 0.0) -> EquicontinuityReport:
     """Verify the second-derivative bound behind compactness of T.
 
     hr_values: pointwise bound H_R at the grid nodes (array or callable);
     defaults to the nonlinearity's declared local_bound when it has one.
     Interior nodes below t_min are skipped (needed when g blows up at 0);
-    the slack 10*quad_tol + c_h*h**2 absorbs discretization noise.
+    the slack 10*quad_tol + 10*h**2 absorbs discretization noise.
     """
     nodes = spec.nodes
     interior = nodes[1:-1]
@@ -195,6 +195,6 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
     excess = np.abs(d2[mask]) - bound[mask]
     i = int(np.argmax(excess))
     return EquicontinuityReport(max_excess=float(excess[i]),
-                                slack=10.0 * spec.quad_tol + c_h * h**2,
+                                slack=10.0 * spec.quad_tol + 10.0 * h**2,
                                 worst_t=float(interior[mask][i]),
                                 n_checked=int(mask.sum()))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BallViolation, QuadratureError, SolverStall
-from .hammerstein import BoundsReport, apply_T, bounds_report
+from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
 from .model import DiscontinuityCurve, GridFunction, ProblemSpec, Weight, norm_c1
 from .quadrature import IntegrandSpec, integrate
 
@@ -23,6 +23,7 @@ VIABLE = "viable"
 INVIABLE_UPPER = "inviable_upper"
 INVIABLE_LOWER = "inviable_lower"
 INDETERMINATE = "indeterminate"
+FW_MAX_ITER = 20000  # Frank-Wolfe iterations before simplex_least_squares stalls
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,7 @@ class HypothesisReport:
     h2: HRResult
     h3: H3Result
     h4: str
+    bounds: BoundsReport  # the M1/M2 report that H3 used
     h5: list = field(default_factory=list)
 
     @property
@@ -92,9 +94,8 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     return H1Result(passed=True, l1_norm=val)
 
 
-def estimate_HR(spec: ProblemSpec, radius: float | None = None,
-                t_grid=None, u_samples: int = 201) -> HRResult:
-    """Pointwise bound H_R(t) on |f(t, u)| over |u| <= R.
+def estimate_HR(spec: ProblemSpec, t_grid=None, u_samples: int = 201) -> HRResult:
+    """Pointwise bound H_R(t) on |f(t, u)| over |u| <= R = spec.radius.
 
     Uses the declared closed-form bound when the nonlinearity carries one;
     otherwise samples u_samples points over [-R, R] plus points just above
@@ -104,9 +105,7 @@ def estimate_HR(spec: ProblemSpec, radius: float | None = None,
     warning that the profile piles up toward an endpoint (so the sampled
     sup may not be a uniform essential bound).
     """
-    r = spec.radius if radius is None else radius
-    if r <= 0:
-        raise ValueError("radius must be > 0")
+    r = spec.radius
     if t_grid is None:
         t_grid = spec.nodes[1:]  # drop t=0: f may be undefined there
     t_grid = np.asarray(t_grid, dtype=float)
@@ -180,11 +179,10 @@ def minimal_R_power(m_total: float, lam: float) -> int:
 
 
 def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
-                   t_min: float = 1e-6, n_t: int = 200, n_y: int = 30,
-                   viability_tol: float = 1e-8) -> ClassificationResult:
+                   t_min: float = 1e-6, n_t: int = 200, n_y: int = 30) -> ClassificationResult:
     """Sample-based verdict for one declared discontinuity curve.
 
-    Viable when -curve'' - g*f(t, curve(t)) vanishes along the curve;
+    Viable when -curve'' - g*f(t, curve(t)) vanishes (to 1e-8) along the curve;
     inviable when the sampled margin over the epsilon-tube is uniformly
     one-sided; otherwise indeterminate (the safe verdict).  The domain is
     clipped at t_min when the weight or curvature is singular at 0; the
@@ -204,7 +202,7 @@ def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
 
     result = dict(curve=curve.label, epsilon_used=curve.epsilon, t_min_clip=t_min,
                   clipped_measure=float(max(0.0, lo - curve.a)), n_t=n_t, n_y=n_y)
-    if viability_defect <= viability_tol:
+    if viability_defect <= 1e-8:
         return ClassificationResult(verdict=VIABLE, psi_margin=0.0, **result)
 
     # the epsilon-tube as an (n_t, n_y) grid, one row per sampled t
@@ -224,13 +222,13 @@ def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
 
 
 def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
-                          gap_tol: float = 1e-10, max_iter: int = 20000,
-                          coeffs0: np.ndarray | None = None):
+                          gap_tol: float = 1e-10, coeffs0: np.ndarray | None = None):
     """min_lam ||vertices @ lam - target||_2 over the probability simplex,
     by Frank-Wolfe with away steps and exact line search.
 
     vertices has one column per hull point.  Returns (coeffs, distance).
-    Raises SolverStall if the duality gap fails to reach gap_tol.
+    Raises SolverStall if the duality gap fails to reach gap_tol within
+    FW_MAX_ITER iterations.
     """
     v = np.asarray(vertices, dtype=float)
     y = np.asarray(target, dtype=float)
@@ -248,7 +246,7 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
         lam[start] = 1.0
 
     resid = v @ lam - y
-    for _ in range(max_iter):
+    for _ in range(FW_MAX_ITER):
         grad = v.T @ resid
         s = int(np.argmin(grad))
         support = np.flatnonzero(lam > 0)
@@ -278,7 +276,7 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
         lam /= lam.sum()
         resid = v @ lam - y
     raise SolverStall(f"Frank-Wolfe gap {fw_gap:.3e} > {gap_tol:.3e} "
-                      f"after {max_iter} iterations")
+                      f"after {FW_MAX_ITER} iterations")
 
 
 def _bump_window(j: int):
@@ -335,8 +333,7 @@ class ProbeResult:
 
 
 def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
-                          n_samples: int, gap_tol: float = 1e-10,
-                          max_iter: int = 20000) -> ProbeResult:
+                          n_samples: int) -> ProbeResult:
     """Finite-sample shadow of the convexified-operator membership test.
 
     Perturbs u inside an eps-ball, applies the operator to every sample, and
@@ -344,11 +341,12 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     distance).  A small distance is evidence that u survives convexification;
     a distance bounded away from zero is evidence it does not.  The distance
     is non-increasing in n_samples because the family is nested and each
-    enrichment is warm-started from the previous witness.
+    enrichment is warm-started from the previous witness.  Requires
+    in_ball(spec, u, margin=eps), so apply_T accepts every sample.
     """
     if eps <= 0 or n_samples < 1:
         raise ValueError("need eps > 0 and n_samples >= 1")
-    if norm_c1(u) + eps > spec.radius + 1e-12:
+    if not in_ball(spec, u, margin=eps):
         raise BallViolation(
             f"||u|| + eps = {norm_c1(u) + eps:.6g} exceeds R = {spec.radius:.6g}")
 
@@ -367,7 +365,7 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
         if coeffs is not None:
             warm = np.zeros(m)
             warm[:m - 1] = coeffs
-        coeffs, _ = simplex_least_squares(cols[:, :m], y, gap_tol, max_iter, warm)
+        coeffs, _ = simplex_least_squares(cols[:, :m], y, coeffs0=warm)
         candidates = [coeffs] + [np.eye(m)[i] for i in range(m)]
         for lam in candidates:
             d = _c1_vec_dist(cols[:, :m] @ lam - y)
@@ -387,8 +385,9 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
 
     t_min clips both the H_R sample grid (the nodes t >= t_min, t > 0) and
     every curve's classification domain.  bounds, when given, are the
-    problem's M1/M2 report and are not recomputed.  hr_sup is the H_R
-    premise of the ball check H3; None means the sampled sup of H_R.
+    problem's M1/M2 report and are not recomputed; either way the report
+    carries them.  hr_sup is the H_R premise of the ball check H3; None
+    means the sampled sup of H_R.
     """
     h1 = check_h1(spec.weight, tol=min(spec.quad_tol, 1e-9))
     nodes = spec.nodes
@@ -396,5 +395,5 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
     b = bounds if bounds is not None else bounds_report(spec)
     h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
     h5 = [classify_curve(spec, c, t_min=t_min) for c in spec.nonlinearity.curves]
-    return HypothesisReport(h1=h1, h2=h2, h3=h3,
-                            h4=spec.nonlinearity.measurability, h5=h5)
+    return HypothesisReport(h1=h1, h2=h2, h3=h3, h4=spec.nonlinearity.measurability,
+                            bounds=b, h5=h5)

@@ -76,8 +76,7 @@ class Weight:
 class DiscontinuityCurve:
     """A curve y = value(t) on [a, b] along which f(t, .) may jump.
 
-    epsilon is the half-width of the tube sampled by the classifier;
-    kind_hint ("viable"/"inviable") is advisory only.
+    epsilon is the half-width of the tube sampled by the classifier.
     """
 
     a: float
@@ -85,7 +84,6 @@ class DiscontinuityCurve:
     value: callable
     second_derivative: callable
     epsilon: float = 0.05
-    kind_hint: str | None = None
     label: str = "curve"
 
     def __post_init__(self):
@@ -157,9 +155,6 @@ class GridFunction:
         return replace(self, values=self.values - other.values,
                        derivatives=self.derivatives - other.derivatives)
 
-    def eval(self, t):
-        return grid_eval(self, t)
-
 
 def uniform_grid(n: int) -> np.ndarray:
     if n < 3:
@@ -226,18 +221,19 @@ class ProblemSpec:
         return uniform_grid(self.grid_size)
 
 
-def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4, tol: float = 1e-12):
+def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4):
     """Locate the points where u crosses each curve: one sorted list of
     crossing abscissae inside the curve's domain per curve.
 
     u(s) - curve.value(s) is scanned at scan_per_panel points per panel of u
     over the curve's domain, with u evaluated once per distinct domain; zeros
     and sign changes of all curves' gaps are found in one array pass, and all
-    sign-change cells are bisected in lockstep to width tol, one curve.value
-    call per step for each curve with live cells and u in floats (numpy's
-    per-call cost dominates on a few cells).  Crossings closer than 10*tol
-    are merged.  Double crossings inside one scan cell are not resolved.
+    sign-change cells are bisected in lockstep to width 1e-12, one
+    curve.value call per step for each curve with live cells and u in floats
+    (numpy's per-call cost dominates on a few cells).  Crossings closer than
+    1e-11 are merged.  Double crossings inside one scan cell are not resolved.
     """
+    tol = 1e-12
     spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
     cells = [[] for _ in curves]  # [a, b, gap at a]; b = a where the gap is 0
@@ -288,7 +284,7 @@ def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4, tol: float 
 
 
 def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
-                         scan_per_panel: int = 4, tol: float = 1e-12):
+                         scan_per_panel: int = 4):
     """find_crossings for one curve: its sorted list of crossing abscissae.
     Double crossings inside one scan cell are not resolved."""
-    return find_crossings(u, (curve,), scan_per_panel, tol)[0]
+    return find_crossings(u, (curve,), scan_per_panel)[0]

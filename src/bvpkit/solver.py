@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BallViolation
-from .hammerstein import apply_T, ball_slack, residual
+from .hammerstein import apply_T, in_ball, residual
 from .kernel import BoundaryParams
 from .model import GridFunction, ProblemSpec, find_crossings, norm_c1
 
@@ -55,14 +55,13 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     Stops when the update norm drops below tol*(1 + ||u||); the residual
     ||u - Tu|| is then computed once as the certificate.  Three consecutive
     sign-alternating update directions halve the relaxation (chattering across
-    an inviable curve is the usual cause).  Raises BallViolation if an iterate
-    leaves the ball by more than quadrature slack.
+    an inviable curve is the usual cause).  Raises BallViolation if u0 (in
+    apply_T) or an iterate fails in_ball, so every candidate final iterate
+    has passed that test and inside_ball is true whenever a Solution returns.
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
     u = u0 if u0 is not None else GridFunction.zero(spec.nodes)
-    if norm_c1(u) > spec.radius + ball_slack(spec):
-        raise BallViolation("initial iterate lies outside the ball")
 
     update_norms = []
     best_u, best_diff = u, np.inf
@@ -73,7 +72,7 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     for iterations in range(1, max_iter + 1):
         tu = apply_T(spec, u)
         u_next = _blend(u, tu, relax)
-        if norm_c1(u_next) > spec.radius + ball_slack(spec):
+        if not in_ball(spec, u_next):
             raise BallViolation(
                 f"iterate {iterations} left the ball: ||u|| = {norm_c1(u_next):.6g} "
                 f"> R = {spec.radius:.6g}")
@@ -105,6 +104,6 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     crossings = [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(final, curves))]
     return Solution(u=final, residual=res, iterations=iterations,
                     bc_residual_left=left, bc_residual_right=right,
-                    inside_ball=norm_c1(final) <= spec.radius + ball_slack(spec),
+                    inside_ball=in_ball(spec, final),
                     converged=converged, curve_crossings=crossings,
                     update_norms=update_norms, relax_final=relax)

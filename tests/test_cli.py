@@ -256,6 +256,29 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path)]) == 2
         assert "problem.bc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, entry", [
+        ("weight", {"id": "constant", "value": "x"}),
+        ("nonlinearity", {"id": "polynomial", "coeffs": 5}),
+        ("nonlinearity", {"id": "phi-example", "lambda": 2}),
+    ])
+    def test_bad_catalog_parameter_exits_two(self, tmp_path, capsys, section, entry):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        doc = smoke_doc()
+        doc["problem"][section] = entry
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert f"(field: problem.{section})" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_override_on_non_object_numerics_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(smoke_doc(numerics=[])))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path),
+                     "--grid-size", "65"]) == 2
+        assert "numerics must be an object" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -164,7 +164,6 @@ class TestCurves:
     def test_count_and_hints(self):
         curves = make_curves(PhiExample(curve_count=5))
         assert len(curves) == 10
-        assert all(c.kind_hint == "inviable" for c in curves)
 
 
 class TestClassificationOfExampleCurves:

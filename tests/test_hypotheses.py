@@ -378,6 +378,23 @@ class TestConvexificationProbe:
         with pytest.raises(BallViolation):
             convexification_probe(spec, u, eps=0.5, n_samples=3)
 
+    @staticmethod
+    def constant_u(spec, excess):
+        """u = c with ||u|| + 0.5 = R + excess * (the ball slack 10*quad_tol + 1e-12)."""
+        c = spec.radius - 0.5 + excess * (10 * spec.quad_tol + 1e-12)
+        return GridFunction(spec.nodes, np.full(spec.grid_size, c), np.zeros(spec.grid_size))
+
+    def test_ball_precondition_within_the_slack(self):
+        # every sample then has ||w|| <= ||u|| + eps, which apply_T accepts
+        spec = smoke_spec()
+        r = convexification_probe(spec, self.constant_u(spec, 0.5), eps=0.5, n_samples=3)
+        assert len(r.history) == 3
+
+    def test_ball_precondition_beyond_the_slack(self):
+        spec = smoke_spec()
+        with pytest.raises(BallViolation):
+            convexification_probe(spec, self.constant_u(spec, 2.0), eps=0.5, n_samples=3)
+
     def test_family_is_nested_and_in_ball(self):
         spec = smoke_spec()
         u = GridFunction.zero(spec.nodes)
@@ -398,6 +415,12 @@ class TestCertifyPipeline:
         assert rep.h4 == "asserted"
         assert rep.h5 == []
         assert rep.overall
+
+    def test_report_carries_its_bounds(self):
+        spec = smoke_spec()
+        assert certify_hypotheses(spec).bounds == bounds_report(spec)
+        given = bounds_report(spec)
+        assert certify_hypotheses(spec, bounds=given).bounds is given
 
     def test_divisor_pipeline_reports_h3_gap(self, divisor_spec, divisor_bounds):
         rep = certify_hypotheses(divisor_spec, bounds=divisor_bounds)

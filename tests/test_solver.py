@@ -5,7 +5,7 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, norm_c1,
                     solve_picard, validate_params)
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
-from conftest import const_weight, smoke_spec
+from conftest import const_nonlinearity, const_weight, smoke_spec
 
 
 class TestBcResidual:
@@ -92,6 +92,14 @@ class TestSolvePicard:
                            np.zeros(spec.grid_size))
         with pytest.raises(BallViolation):
             solve_picard(spec, u0=big)
+
+    def test_iterate_leaving_the_ball(self):
+        # the start 0 is in the ball, but T0 = 5t(1-t) for f = 10 has
+        # ||T0|| = 1.25 + 5 = 6.25 > R = 1
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                           nonlinearity=const_nonlinearity(10.0), radius=1.0, grid_size=33)
+        with pytest.raises(BallViolation, match="iterate 1 left the ball"):
+            solve_picard(spec)
 
     def test_relax_validation(self):
         with pytest.raises(ValueError):
