@@ -32,6 +32,11 @@ from .solver import solve_picard
 TASK_ORDER = ("check", "classify-curves", "solve", "probe")
 # the tasks served by one certify_hypotheses call, and their report sections
 CERTIFY_SECTIONS = {"check": "hypotheses", "classify-curves": "curves"}
+# numerics key -> (type, default), in report order; every value must be positive
+NUMERICS = {"grid_size": (int, 129), "quad_tol": (float, 1e-9),
+            "solver_tol": (float, 1e-8), "max_iter": (int, 50),
+            "relax": (float, 1.0), "t_min": (float, 1e-6),
+            "probe_eps": (float, 1e-3), "probe_samples": (int, 5)}
 
 
 @dataclass
@@ -60,6 +65,11 @@ def _require(cond, message, fld):
         raise ConfigError(message, field=fld)
 
 
+def _is_number(val) -> bool:
+    """A JSON number; booleans are ints in Python but not numbers here."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document; raises ConfigError naming the bad field."""
     _require(isinstance(doc, dict), "config must be a JSON object", "")
@@ -67,11 +77,12 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(problem, dict), "missing problem section", "problem")
 
     bc = problem.get("bc")
-    _require(isinstance(bc, (list, tuple)) and len(bc) == 4,
+    _require(isinstance(bc, (list, tuple)) and len(bc) == 4
+             and all(_is_number(x) for x in bc),
              "bc must be [alpha, beta, gamma, delta]", "problem.bc")
     try:
         validate_params(*[float(x) for x in bc])
-    except (NegativeCoefficient, DegenerateGamma, ValueError, TypeError) as exc:
+    except (NegativeCoefficient, DegenerateGamma) as exc:
         raise ConfigError(f"invalid bc coefficients: {exc}", field="problem.bc")
 
     weight = problem.get("weight")
@@ -92,7 +103,7 @@ def parse_config(doc: dict) -> RunConfig:
         auto_lam = r.get("lambda", nl.get("lambda"))
         r = "auto-power"
     else:
-        _require(isinstance(r, (int, float)) and r > 0,
+        _require(_is_number(r) and r > 0,
                  "R must be a positive number or auto-power", "problem.R")
         r = float(r)
     if r == "auto-power":
@@ -103,22 +114,18 @@ def parse_config(doc: dict) -> RunConfig:
     num = doc.get("numerics", {})
     _require(isinstance(num, dict), "numerics must be an object", "numerics")
 
-    def positive(name, default, cast=float):
-        val = num.get(name, default)
-        try:
-            val = cast(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{name} must be a number", field=f"numerics.{name}")
-        _require(val > 0, f"{name} must be positive", f"numerics.{name}")
-        return val
-
-    grid_size = positive("grid_size", 129, int)
-    _require(grid_size >= 3 and grid_size % 2 == 1,
+    numerics = {}
+    for name, (kind, default) in NUMERICS.items():
+        val, fld = num.get(name, default), f"numerics.{name}"
+        _require(_is_number(val), f"{name} must be a number", fld)
+        _require(kind is float or isinstance(val, int) or val.is_integer(),
+                 f"{name} must be an integer", fld)
+        _require(val > 0, f"{name} must be positive", fld)
+        numerics[name] = kind(val)
+    _require(numerics["grid_size"] >= 3 and numerics["grid_size"] % 2 == 1,
              "grid_size must be odd and >= 3", "numerics.grid_size")
-    relax = positive("relax", 1.0)
-    _require(relax <= 1.0, "relax must lie in (0, 1]", "numerics.relax")
-    t_min = positive("t_min", 1e-6)
-    _require(t_min < 1.0, "t_min must lie in (0, 1)", "numerics.t_min")
+    _require(numerics["relax"] <= 1.0, "relax must lie in (0, 1]", "numerics.relax")
+    _require(numerics["t_min"] < 1.0, "t_min must lie in (0, 1)", "numerics.t_min")
 
     tasks = doc.get("tasks")
     _require(isinstance(tasks, (list, tuple)) and tasks, "tasks must be nonempty",
@@ -137,15 +144,7 @@ def parse_config(doc: dict) -> RunConfig:
         weight_params={k: v for k, v in weight.items() if k != "id"},
         nonlinearity_id=str(nl["id"]),
         nonlinearity_params={k: v for k, v in nl.items() if k != "id"},
-        radius=r, auto_power_lambda=auto_lam,
-        grid_size=grid_size,
-        quad_tol=positive("quad_tol", 1e-9),
-        solver_tol=positive("solver_tol", 1e-8),
-        max_iter=positive("max_iter", 50, int),
-        relax=relax,
-        t_min=t_min,
-        probe_eps=positive("probe_eps", 1e-3),
-        probe_samples=positive("probe_samples", 5, int),
+        radius=r, auto_power_lambda=auto_lam, **numerics,
         tasks=tasks, output=output)
 
 
@@ -161,12 +160,7 @@ def config_echo(cfg: RunConfig) -> dict:
             "nonlinearity": {"id": cfg.nonlinearity_id, **cfg.nonlinearity_params},
             "R": r,
         },
-        "numerics": {
-            "grid_size": cfg.grid_size, "quad_tol": cfg.quad_tol,
-            "solver_tol": cfg.solver_tol, "max_iter": cfg.max_iter,
-            "relax": cfg.relax, "t_min": cfg.t_min,
-            "probe_eps": cfg.probe_eps, "probe_samples": cfg.probe_samples,
-        },
+        "numerics": {name: getattr(cfg, name) for name in NUMERICS},
         "tasks": list(cfg.tasks),
         "output": cfg.output,
     }
@@ -330,15 +324,17 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(doc)
         code, report = run(cfg)
+        out_path = cfg.output or "report.json"
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                json.dump(report, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise ConfigError(str(exc), field="output") from exc
     except ConfigError as exc:
         where = f" (field: {exc.field})" if exc.field else ""
         print(f"config error: {exc}{where}", file=sys.stderr)
         return 2
-
-    out_path = cfg.output or "report.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
 
     for task in cfg.tasks:
         status = report["meta"]["tasks_passed"].get(task)

@@ -2,10 +2,10 @@
 
 f may jump, so derivative-based methods are unjustified; the sweep
 u <- (1-relax)*u + relax*Tu with oscillation-triggered damping is the
-constructive search used here.  The result always carries a residual
-certificate: convergence of the iteration is claimed only when the final
-fixed-point defect is small, and a non-converged run returns its best
-iterate as a diagnostic rather than raising.
+constructive search used here.  One test both stops the iteration and
+certifies its result: the fixed-point defect ||u - Tu|| of an iterate whose
+image the sweep has computed.  A non-converged run returns its
+least-defect iterate as a diagnostic rather than raising.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BallViolation
-from .hammerstein import apply_T, in_ball, residual
+from .hammerstein import apply_T, in_ball
 from .kernel import BoundaryParams
 from .model import GridFunction, ProblemSpec, find_crossings, norm_c1
 
@@ -52,8 +52,11 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
                  max_iter: int = 50) -> Solution:
     """Iterate u <- (1-relax)*u + relax*Tu from u0 (default 0).
 
-    Stops when the update norm drops below tol*(1 + ||u||); the residual
-    ||u - Tu|| is then computed once as the certificate.  Three consecutive
+    Each sweep computes Tu and the residual ||u - Tu||; the first iterate with
+    residual <= tol*(1 + ||u||) is returned, certified, so the returned iterate
+    is the last one whose image is known and T is applied exactly iterations
+    times.  If max_iter sweeps pass without that, the iterate of least
+    residual is returned with converged false.  Three consecutive
     sign-alternating update directions halve the relaxation (chattering across
     an inviable curve is the usual cause).  Raises BallViolation if u0 (in
     apply_T) or an iterate fails in_ball, so every candidate final iterate
@@ -61,16 +64,22 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     u = u0 if u0 is not None else GridFunction.zero(spec.nodes)
 
     update_norms = []
-    best_u, best_diff = u, np.inf
+    best_u, best_res = u, np.inf
     prev_delta = None
     alternations = 0
-    stopped = False
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         tu = apply_T(spec, u)
+        res = norm_c1(u - tu)
+        converged = res <= tol * (1.0 + norm_c1(u))
+        if converged or res < best_res:
+            best_u, best_res = u, res
+        if converged:
+            break
         u_next = _blend(u, tu, relax)
         if not in_ball(spec, u_next):
             raise BallViolation(
@@ -78,10 +87,7 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
                 f"> R = {spec.radius:.6g}")
         delta = np.concatenate([u_next.values - u.values,
                                 u_next.derivatives - u.derivatives])
-        diff = norm_c1(u_next - u)
-        update_norms.append(diff)
-        if diff < best_diff:
-            best_u, best_diff = u_next, diff
+        update_norms.append(norm_c1(u_next - u))
         if prev_delta is not None and float(delta @ prev_delta) < 0.0:
             alternations += 1
             if alternations >= 3 and relax > MIN_RELAX:
@@ -90,20 +96,13 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
         else:
             alternations = 0
         prev_delta = delta
-        scale = 1.0 + norm_c1(u)
         u = u_next
-        if diff <= tol * scale:
-            stopped = True
-            break
 
-    final = u if stopped else best_u
-    res = residual(spec, final)
-    converged = stopped and res <= tol * (1.0 + norm_c1(final))
-    left, right = bc_residual(spec.params, final)
+    left, right = bc_residual(spec.params, best_u)
     curves = spec.nonlinearity.curves
-    crossings = [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(final, curves))]
-    return Solution(u=final, residual=res, iterations=iterations,
+    crossings = [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(best_u, curves))]
+    return Solution(u=best_u, residual=best_res, iterations=iterations,
                     bc_residual_left=left, bc_residual_right=right,
-                    inside_ball=in_ball(spec, final),
+                    inside_ball=in_ball(spec, best_u),
                     converged=converged, curve_crossings=crossings,
                     update_norms=update_norms, relax_final=relax)

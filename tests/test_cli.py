@@ -6,7 +6,7 @@ import pytest
 
 from bvpkit import ProblemSpec, bounds_report, certify_hypotheses, validate_params
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.cli import RunConfig, config_echo, main, parse_config, run
+from bvpkit.cli import NUMERICS, RunConfig, config_echo, main, parse_config, run
 from bvpkit.errors import ConfigError
 
 
@@ -90,6 +90,54 @@ class TestParse:
         cfg = parse_config(divisor_doc())
         again = parse_config(config_echo(cfg))
         assert again == cfg
+
+
+def _set(doc, path, value):
+    """doc with the entry at a dotted path (an int part indexes a list) set."""
+    *head, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+class TestStrictNumbers:
+    """Booleans are not numbers, and integer numerics take no fraction."""
+
+    @pytest.mark.parametrize("path, value, fld", [
+        ("problem.R", True, "problem.R"),
+        *[(f"problem.bc.{i}", True, "problem.bc") for i in range(4)],
+        *[(f"numerics.{name}", True, f"numerics.{name}") for name in NUMERICS],
+        ("numerics.grid_size", 129.9, "numerics.grid_size"),
+        ("numerics.max_iter", 50.5, "numerics.max_iter"),
+        ("numerics.probe_samples", 5.5, "numerics.probe_samples"),
+    ])
+    def test_rejected_with_exit_two(self, tmp_path, capsys, path, value, fld):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(_set(smoke_doc(), path, value)))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(_set(smoke_doc(), path, value))
+        assert exc.value.field == fld
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert f"(field: {fld})" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_integral_floats_are_integers(self):
+        doc = smoke_doc()
+        doc["numerics"].update(grid_size=65.0, max_iter=7.0, probe_samples=3.0)
+        cfg = parse_config(doc)
+        assert (cfg.grid_size, cfg.max_iter, cfg.probe_samples) == (65, 7, 3)
+        assert all(type(getattr(cfg, name)) is kind
+                   for name, (kind, _) in NUMERICS.items())
+
+    def test_echo_keeps_the_report_key_order(self):
+        cfg = parse_config(smoke_doc())
+        assert list(config_echo(cfg)["numerics"].items()) == [
+            ("grid_size", 129), ("quad_tol", 1e-10), ("solver_tol", 1e-9),
+            ("max_iter", 50), ("relax", 1.0), ("t_min", 1e-6), ("probe_eps", 1e-3),
+            ("probe_samples", 5)]
 
 
 class TestRun:
@@ -278,6 +326,16 @@ class TestMain:
         assert main(["run", "--config", str(cfg_path), "--out", str(out_path),
                      "--grid-size", "65"]) == 2
         assert "numerics must be an object" in capsys.readouterr().err
+
+    def test_unwritable_output_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "missing" / "r.json"
+        cfg_path.write_text(json.dumps(smoke_doc()))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "(field: output)" in err
+        assert not out_path.exists()
 
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

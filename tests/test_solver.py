@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import bvpkit.hammerstein
+import bvpkit.solver
 from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, norm_c1,
                     solve_picard, validate_params)
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
@@ -104,6 +106,62 @@ class TestSolvePicard:
     def test_relax_validation(self):
         with pytest.raises(ValueError):
             solve_picard(smoke_spec(), relax=0.0)
+
+
+def _contractive_spec():
+    f = Nonlinearity(eval=lambda t, u: 0.5 * np.asarray(u, float) + 1.0,
+                     local_bound=lambda t, r: 0.5 * r + 1.0)
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                       radius=2.0, quad_tol=1e-10, grid_size=33)
+
+
+class TestOneStopTest:
+    """The residual of an iterate whose image is known stops and certifies."""
+
+    @pytest.mark.parametrize("spec_name, applications", [("divisor", 2),
+                                                         ("smoke", None)])
+    def test_T_applied_once_per_iteration(self, request, monkeypatch, spec_name,
+                                          applications):
+        spec = request.getfixturevalue("divisor_spec") if spec_name == "divisor" \
+            else smoke_spec()
+        calls = []
+
+        def counted(spec, u):
+            calls.append(u)
+            return apply_T(spec, u)
+
+        monkeypatch.setattr(bvpkit.hammerstein, "apply_T", counted)
+        monkeypatch.setattr(bvpkit.solver, "apply_T", counted)
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged
+        assert len(calls) == sol.iterations
+        if applications is not None:
+            assert sol.iterations == applications
+
+    @pytest.mark.parametrize("tol, max_iter, converged", [(1e-8, 50, True),
+                                                          (1e-14, 2, False)])
+    def test_residual_is_the_certificate(self, tol, max_iter, converged):
+        spec = _contractive_spec()
+        sol = solve_picard(spec, tol=tol, max_iter=max_iter)
+        assert sol.converged == converged
+        assert sol.residual == norm_c1(sol.u - apply_T(spec, sol.u))
+        assert sol.converged == (sol.residual <= tol * (1 + norm_c1(sol.u)))
+
+    def test_non_converged_run_returns_least_residual_iterate(self):
+        # 20/pi**2 > 1: the sweeps diverge, so the start 0 has the least residual
+        f = Nonlinearity(eval=lambda t, u: 1.0 - 20.0 * np.asarray(u, float),
+                         local_bound=lambda t, r: 20.0 * r + 1.0)
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                           radius=50.0, quad_tol=1e-10, grid_size=33)
+        sol = solve_picard(spec, max_iter=3)
+        assert not sol.converged
+        assert sol.update_norms[0] < sol.update_norms[1] < sol.update_norms[2]
+        assert not np.any(sol.u.values) and not np.any(sol.u.derivatives)
+        assert sol.residual == norm_c1(apply_T(spec, sol.u))
+
+    def test_max_iter_validation(self):
+        with pytest.raises(ValueError):
+            solve_picard(smoke_spec(), max_iter=0)
 
 
 class TestDivisorExampleSolve:
