@@ -5,22 +5,37 @@ limited to this catalog; library users construct Weight/Nonlinearity
 directly.  The callables below receive float arrays (see model.vectorized).
 """
 
+import math
+
 import numpy as np
 
 from .errors import ConfigError
-from .example_phi import PhiExample, make_nonlinearity, make_weight
+from .example_phi import PhiExample, make_nonlinearity
 from .model import DiscontinuityCurve, Nonlinearity, Weight
+
+
+def number(val, kind=float):
+    """val as kind (float or int) if it is a finite JSON number: not a bool,
+    within float range, and integral when kind is int.  Raises TypeError or
+    ValueError otherwise."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise TypeError(f"expected a number, got {val!r}")
+    try:
+        finite = math.isfinite(val)
+    except OverflowError:
+        raise ValueError("expected a finite number, got an int beyond float range") from None
+    if not finite or (kind is int and val != int(val)):
+        raise ValueError(f"expected a finite {kind.__name__}, got {val!r}")
+    return kind(val)
 
 
 def make_weight_from_id(weight_id: str, params: dict) -> Weight:
     if weight_id == "constant":
-        c = float(params.get("value", 1.0))
+        c = number(params.get("value", 1.0))
         return Weight(eval=lambda t, _c=c: np.full_like(t, _c),
                       singular_left=False, l1_bound_hint=abs(c), label="constant")
     if weight_id == "inv-sqrt":
-        scale = float(params.get("scale", 1.0))
-        if scale == 1.0:
-            return make_weight()
+        scale = number(params.get("scale", 1.0))
         return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t),
                       singular_left=True, l1_bound_hint=2.0 * abs(scale),
                       label="inv-sqrt")
@@ -29,12 +44,12 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
 
 def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
     if nl_id == "constant":
-        c = float(params.get("value", 1.0))
+        c = number(params.get("value", 1.0))
         return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(t, _c),
                             local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)),
                             label="constant")
     if nl_id == "polynomial":
-        coeffs = [float(c) for c in params.get("coeffs", [1.0])]
+        coeffs = [number(c) for c in params.get("coeffs", [1.0])]
 
         def f(t, u, _c=tuple(coeffs)):
             out = np.zeros_like(u)
@@ -47,10 +62,10 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
 
         return Nonlinearity(eval=f, local_bound=bound, label="polynomial")
     if nl_id == "step":
-        low = float(params.get("low", 1.0))
-        high = float(params.get("high", 0.0))
-        thr = float(params.get("threshold", 0.0))
-        eps = float(params.get("epsilon", 0.05))
+        low = number(params.get("low", 1.0))
+        high = number(params.get("high", 0.0))
+        thr = number(params.get("threshold", 0.0))
+        eps = number(params.get("epsilon", 0.05))
 
         def f(t, u, _lo=low, _hi=high, _thr=thr):
             return np.where(u < _thr, _lo, _hi)
@@ -65,9 +80,9 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
                             local_bound=lambda t, r: np.full_like(t, bound),
                             label="step")
     if nl_id == "phi-example":
-        ex = PhiExample(lam=float(params.get("lambda", 1.0 / 3.0)),
-                        curve_count=int(params.get("curve_count", 8)),
-                        epsilon=float(params.get("epsilon", 0.05)))
+        ex = PhiExample(lam=number(params.get("lambda", 1.0 / 3.0)),
+                        curve_count=number(params.get("curve_count", 8), int),
+                        epsilon=number(params.get("epsilon", 0.05)))
         return make_nonlinearity(ex)
     raise ConfigError(f"unknown nonlinearity id {nl_id!r}",
                       field="problem.nonlinearity.id")

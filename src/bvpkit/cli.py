@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .catalog import make_nonlinearity_from_id, make_weight_from_id
+from .catalog import make_nonlinearity_from_id, make_weight_from_id, number
 from .errors import BvpError, ConfigError, DegenerateGamma, NegativeCoefficient
 from .hammerstein import bounds_report
 from .hypotheses import (INDETERMINATE, certify_hypotheses, convexification_probe,
@@ -65,9 +65,12 @@ def _require(cond, message, fld):
         raise ConfigError(message, field=fld)
 
 
-def _is_number(val) -> bool:
-    """A JSON number; booleans are ints in Python but not numbers here."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+def _number(val, fld, kind=float):
+    """catalog.number(val, kind), failing with a ConfigError naming fld."""
+    try:
+        return number(val, kind)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc), field=fld) from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -77,11 +80,11 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(problem, dict), "missing problem section", "problem")
 
     bc = problem.get("bc")
-    _require(isinstance(bc, (list, tuple)) and len(bc) == 4
-             and all(_is_number(x) for x in bc),
+    _require(isinstance(bc, (list, tuple)) and len(bc) == 4,
              "bc must be [alpha, beta, gamma, delta]", "problem.bc")
+    bc = tuple(_number(x, "problem.bc") for x in bc)
     try:
-        validate_params(*[float(x) for x in bc])
+        validate_params(*bc)
     except (NegativeCoefficient, DegenerateGamma) as exc:
         raise ConfigError(f"invalid bc coefficients: {exc}", field="problem.bc")
 
@@ -103,25 +106,21 @@ def parse_config(doc: dict) -> RunConfig:
         auto_lam = r.get("lambda", nl.get("lambda"))
         r = "auto-power"
     else:
-        _require(_is_number(r) and r > 0,
-                 "R must be a positive number or auto-power", "problem.R")
-        r = float(r)
+        r = _number(r, "problem.R")
+        _require(r > 0, "R must be a positive number or auto-power", "problem.R")
     if r == "auto-power":
-        _require(auto_lam is not None and 0.0 < float(auto_lam) < 1.0,
-                 "auto-power needs lambda in (0, 1)", "problem.R.lambda")
-        auto_lam = float(auto_lam)
+        auto_lam = _number(auto_lam, "problem.R.lambda")
+        _require(0.0 < auto_lam < 1.0, "auto-power needs lambda in (0, 1)",
+                 "problem.R.lambda")
 
     num = doc.get("numerics", {})
     _require(isinstance(num, dict), "numerics must be an object", "numerics")
 
     numerics = {}
     for name, (kind, default) in NUMERICS.items():
-        val, fld = num.get(name, default), f"numerics.{name}"
-        _require(_is_number(val), f"{name} must be a number", fld)
-        _require(kind is float or isinstance(val, int) or val.is_integer(),
-                 f"{name} must be an integer", fld)
-        _require(val > 0, f"{name} must be positive", fld)
-        numerics[name] = kind(val)
+        fld = f"numerics.{name}"
+        numerics[name] = _number(num.get(name, default), fld, kind)
+        _require(numerics[name] > 0, f"{name} must be positive", fld)
     _require(numerics["grid_size"] >= 3 and numerics["grid_size"] % 2 == 1,
              "grid_size must be odd and >= 3", "numerics.grid_size")
     _require(numerics["relax"] <= 1.0, "relax must lie in (0, 1]", "numerics.relax")
@@ -139,7 +138,7 @@ def parse_config(doc: dict) -> RunConfig:
              "output")
 
     return RunConfig(
-        bc=tuple(float(x) for x in bc),
+        bc=bc,
         weight_id=str(weight["id"]),
         weight_params={k: v for k, v in weight.items() if k != "id"},
         nonlinearity_id=str(nl["id"]),

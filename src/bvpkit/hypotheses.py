@@ -279,20 +279,12 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
                       f"after {FW_MAX_ITER} iterations")
 
 
-def _bump_window(j: int):
-    """Deterministic dyadic window layout: j=1 -> [0,1]; j=2,3 -> halves;
-    j=4..7 -> quarters; and so on."""
-    level = int(math.floor(math.log2(j)))
-    k = j - 2 ** level
-    width = 1.0 / 2 ** level
-    return k * width, (k + 1) * width
-
-
 def _bump(nodes: np.ndarray, j: int):
-    """Cosine bump on the j-th window, normalized to discrete C1 norm 1."""
-    a, b = _bump_window(j)
-    w = b - a
-    xi = np.clip((nodes - a) / w, 0.0, 1.0)
+    """Cosine bump on the j-th dyadic window, normalized to discrete C1 norm 1:
+    j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on."""
+    level = j.bit_length() - 1
+    w = 0.5 ** level
+    xi = np.clip((nodes - (j - 2 ** level) * w) / w, 0.0, 1.0)
     vals = 0.5 * (1.0 - np.cos(2.0 * np.pi * xi))
     ders = (np.pi / w) * np.sin(2.0 * np.pi * xi)
     scale = np.max(np.abs(vals)) + np.max(np.abs(ders))
@@ -303,17 +295,11 @@ def perturbation_family(u: GridFunction, eps: float, n_samples: int):
     """u itself followed by u +/- eps * (bump_1), u +/- eps * (bump_2), ...
     A deterministic family: prefixes are nested as n_samples grows."""
     out = [u]
-    j = 1
-    sign = +1
-    while len(out) < n_samples:
-        bv, bd = _bump(u.nodes, j)
+    for i in range(n_samples - 1):
+        bv, bd = _bump(u.nodes, i // 2 + 1)
+        sign = -1 if i % 2 else +1
         out.append(GridFunction(u.nodes, u.values + sign * eps * bv,
                                 u.derivatives + sign * eps * bd))
-        if sign > 0:
-            sign = -1
-        else:
-            sign = +1
-            j += 1
     return out
 
 
@@ -339,10 +325,13 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     Perturbs u inside an eps-ball, applies the operator to every sample, and
     measures how close u is to the convex hull of the images (discrete C1
     distance).  A small distance is evidence that u survives convexification;
-    a distance bounded away from zero is evidence it does not.  The distance
-    is non-increasing in n_samples because the family is nested and each
-    enrichment is warm-started from the previous witness.  Requires
-    in_ball(spec, u, margin=eps), so apply_T accepts every sample.
+    a distance bounded away from zero is evidence it does not.  The family is
+    nested, and enrichment m (the first m images) keeps the best distance so
+    far, so history is non-increasing.  Each enrichment warm-starts the
+    simplex solve from the previous coefficients and measures only its
+    coefficients and the newest vertex: every vertex is measured once, when
+    it joins.  Requires in_ball(spec, u, margin=eps), so apply_T accepts
+    every sample.
     """
     if eps <= 0 or n_samples < 1:
         raise ValueError("need eps > 0 and n_samples >= 1")
@@ -356,23 +345,15 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
                     axis=1)
     y = np.concatenate([u.values, u.derivatives])
 
-    best = np.inf
-    witness = None
-    history = []
-    coeffs = None
+    best, witness, history = np.inf, None, []
+    coeffs = np.zeros(0)
     for m in range(1, n_samples + 1):
-        warm = None
-        if coeffs is not None:
-            warm = np.zeros(m)
-            warm[:m - 1] = coeffs
-        coeffs, _ = simplex_least_squares(cols[:, :m], y, coeffs0=warm)
-        candidates = [coeffs] + [np.eye(m)[i] for i in range(m)]
-        for lam in candidates:
+        # at m = 1 the warm start [0.0] is a cold start
+        coeffs, _ = simplex_least_squares(cols[:, :m], y, coeffs0=np.append(coeffs, 0.0))
+        for lam in (coeffs, np.eye(m)[m - 1]):
             d = _c1_vec_dist(cols[:, :m] @ lam - y)
             if d < best:
-                best = d
-                witness = np.zeros(n_samples)
-                witness[:m] = lam
+                best, witness = d, np.pad(lam, (0, n_samples - m))
         history.append(best)
     return ProbeResult(hull_distance=best, witness_coeffs=witness,
                        history=history, eps=eps, n_samples=n_samples)

@@ -25,17 +25,17 @@ from .errors import DegenerateGamma, DomainError, NegativeCoefficient
 
 @dataclass(frozen=True)
 class BoundaryParams:
-    """Separated-BC coefficients with the normalization constant cached."""
+    """Separated-BC coefficients; Gamma is derived from them, never stored."""
 
     alpha: float
     beta: float
     gamma: float
     delta: float
-    gamma_const: float
 
-    def __str__(self):
-        return (f"BoundaryParams(alpha={self.alpha}, beta={self.beta}, "
-                f"gamma={self.gamma}, delta={self.delta}, Gamma={self.gamma_const})")
+    @property
+    def gamma_const(self) -> float:
+        """Gamma = gamma*beta + alpha*gamma + alpha*delta."""
+        return self.gamma * self.beta + self.alpha * self.gamma + self.alpha * self.delta
 
 
 def validate_params(alpha, beta, gamma, delta) -> BoundaryParams:
@@ -50,12 +50,11 @@ def validate_params(alpha, beta, gamma, delta) -> BoundaryParams:
             raise NegativeCoefficient(f"{name} must be finite, got {v!r}")
         if v < 0:
             raise NegativeCoefficient(f"{name} must be >= 0, got {v!r}")
-    g_const = gamma * beta + alpha * gamma + alpha * delta
-    if g_const <= 0:
+    params = BoundaryParams(float(alpha), float(beta), float(gamma), float(delta))
+    if params.gamma_const <= 0:
         raise DegenerateGamma(
-            f"gamma*beta + alpha*gamma + alpha*delta = {g_const} must be > 0")
-    return BoundaryParams(float(alpha), float(beta), float(gamma), float(delta),
-                          float(g_const))
+            f"gamma*beta + alpha*gamma + alpha*delta = {params.gamma_const} must be > 0")
+    return params
 
 
 def _unit_args(t, s):

@@ -4,8 +4,9 @@ f may jump, so derivative-based methods are unjustified; the sweep
 u <- (1-relax)*u + relax*Tu with oscillation-triggered damping is the
 constructive search used here.  One test both stops the iteration and
 certifies its result: the fixed-point defect ||u - Tu|| of an iterate whose
-image the sweep has computed.  A non-converged run returns its
-least-defect iterate as a diagnostic rather than raising.
+image the sweep has computed.  That defect r = Tu - u is the only difference
+a sweep forms: the update is relax*r, its norm relax*||r||.  A non-converged
+run returns its least-defect iterate as a diagnostic rather than raising.
 """
 
 from dataclasses import dataclass, replace
@@ -57,8 +58,9 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     is the last one whose image is known and T is applied exactly iterations
     times.  If max_iter sweeps pass without that, the iterate of least
     residual is returned with converged false.  Three consecutive
-    sign-alternating update directions halve the relaxation (chattering across
-    an inviable curve is the usual cause).  Raises BallViolation if u0 (in
+    sign-alternating residuals Tu - u, the directions of the updates, halve
+    the relaxation (chattering across an inviable curve is the usual cause);
+    update_norms holds relax*||Tu - u||.  Raises BallViolation if u0 (in
     apply_T) or an iterate fails in_ball, so every candidate final iterate
     has passed that test and inside_ball is true whenever a Solution returns.
     """
@@ -70,11 +72,12 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
 
     update_norms = []
     best_u, best_res = u, np.inf
-    prev_delta = None
+    r_prev = GridFunction.zero(u.nodes)  # none yet: the first product is 0
     alternations = 0
     for iterations in range(1, max_iter + 1):
         tu = apply_T(spec, u)
-        res = norm_c1(u - tu)
+        r = tu - u
+        res = norm_c1(r)
         converged = res <= tol * (1.0 + norm_c1(u))
         if converged or res < best_res:
             best_u, best_res = u, res
@@ -85,17 +88,15 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
             raise BallViolation(
                 f"iterate {iterations} left the ball: ||u|| = {norm_c1(u_next):.6g} "
                 f"> R = {spec.radius:.6g}")
-        delta = np.concatenate([u_next.values - u.values,
-                                u_next.derivatives - u.derivatives])
-        update_norms.append(norm_c1(u_next - u))
-        if prev_delta is not None and float(delta @ prev_delta) < 0.0:
+        update_norms.append(relax * res)
+        if r.values @ r_prev.values + r.derivatives @ r_prev.derivatives < 0.0:
             alternations += 1
             if alternations >= 3 and relax > MIN_RELAX:
                 relax = max(relax / 2.0, MIN_RELAX)
                 alternations = 0
         else:
             alternations = 0
-        prev_delta = delta
+        r_prev = r
         u = u_next
 
     left, right = bc_residual(spec.params, best_u)

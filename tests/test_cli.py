@@ -112,6 +112,18 @@ class TestStrictNumbers:
         ("numerics.grid_size", 129.9, "numerics.grid_size"),
         ("numerics.max_iter", 50.5, "numerics.max_iter"),
         ("numerics.probe_samples", 5.5, "numerics.probe_samples"),
+        ("numerics.solver_tol", float("inf"), "numerics.solver_tol"),
+        ("numerics.relax", float("nan"), "numerics.relax"),
+        pytest.param("numerics.quad_tol", 10 ** 400, "numerics.quad_tol",
+                     id="numerics.quad_tol-int-beyond-float"),
+        pytest.param("problem.bc.1", 10 ** 400, "problem.bc", id="problem.bc-int-beyond-float"),
+        ("problem.R", float("inf"), "problem.R"),
+        ("problem.R", {"mode": "auto-power", "lambda": "x"}, "problem.R.lambda"),
+        ("problem.R", {"mode": "auto-power", "lambda": [0.3]}, "problem.R.lambda"),
+        ("problem.R", {"mode": "auto-power", "lambda": "0.3"}, "problem.R.lambda"),
+        ("problem", {"bc": [1, 0, 1, 0], "weight": {"id": "constant"}, "R": "auto-power",
+                     "nonlinearity": {"id": "phi-example", "lambda": "0.3"}},
+         "problem.R.lambda"),
     ])
     def test_rejected_with_exit_two(self, tmp_path, capsys, path, value, fld):
         cfg_path = tmp_path / "cfg.json"
@@ -308,6 +320,12 @@ class TestMain:
         ("weight", {"id": "constant", "value": "x"}),
         ("nonlinearity", {"id": "polynomial", "coeffs": 5}),
         ("nonlinearity", {"id": "phi-example", "lambda": 2}),
+        ("weight", {"id": "constant", "value": True}),
+        ("weight", {"id": "inv-sqrt", "scale": float("inf")}),
+        ("nonlinearity", {"id": "phi-example", "curve_count": 8.7}),
+        ("nonlinearity", {"id": "phi-example", "curve_count": True}),
+        ("nonlinearity", {"id": "step", "threshold": "0.1"}),
+        ("nonlinearity", {"id": "polynomial", "coeffs": [1.0, 10 ** 400]}),
     ])
     def test_bad_catalog_parameter_exits_two(self, tmp_path, capsys, section, entry):
         cfg_path = tmp_path / "cfg.json"

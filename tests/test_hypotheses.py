@@ -3,14 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bvpkit.hypotheses
 from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     VIABLE, BallViolation, apply_T, bounds_report,
                     certify_hypotheses, check_h1, check_h3, classify_curve,
                     convexification_probe, estimate_HR, minimal_R_power, norm_c1,
                     perturbation_family, residual, simplex_least_squares,
                     solve_picard)
+from bvpkit.catalog import make_nonlinearity_from_id
+from bvpkit.hypotheses import _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
-                          ProblemSpec, Weight)
+                          ProblemSpec, Weight, uniform_grid)
 
 from conftest import const_weight, smoke_spec
 
@@ -404,6 +407,109 @@ class TestConvexificationProbe:
             assert np.array_equal(a.values, b.values)
         for w in fam5:
             assert norm_c1(w) <= 0.05 + 1e-12
+
+
+def reference_probe(spec, u, eps, n_samples, solve=simplex_least_squares):
+    """The probe loop that measures all m vertices at each enrichment, with a
+    zero-padded warm start, on the +/- bump family built by a toggle."""
+    family, j, sign = [u], 1, +1
+    while len(family) < n_samples:
+        bv, bd = _bump(u.nodes, j)
+        family.append(GridFunction(u.nodes, u.values + sign * eps * bv,
+                                   u.derivatives + sign * eps * bd))
+        j, sign = (j, -1) if sign > 0 else (j + 1, +1)
+    images = [apply_T(spec, w) for w in family]
+    cols = np.stack([np.concatenate([im.values, im.derivatives]) for im in images],
+                    axis=1)
+    y = np.concatenate([u.values, u.derivatives])
+    best, witness, history, coeffs = np.inf, None, [], None
+    for m in range(1, n_samples + 1):
+        warm = None
+        if coeffs is not None:
+            warm = np.zeros(m)
+            warm[:m - 1] = coeffs
+        coeffs, _ = solve(cols[:, :m], y, coeffs0=warm)
+        for lam in [coeffs] + [np.eye(m)[i] for i in range(m)]:
+            delta = cols[:, :m] @ lam - y
+            half = delta.size // 2
+            d = float(np.max(np.abs(delta[:half])) + np.max(np.abs(delta[half:])))
+            if d < best:
+                best = d
+                witness = np.zeros(n_samples)
+                witness[:m] = lam
+        history.append(best)
+    return best, history, witness
+
+
+def _step_spec():
+    """Dirichlet, g = 1, f steps from 2 down to -1 at u = 0.1: Picard chatters
+    across the threshold, which its iterates cross twice."""
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                       nonlinearity=make_nonlinearity_from_id(
+                           "step", {"low": 2.0, "high": -1.0, "threshold": 0.1}),
+                       radius=4.0, quad_tol=1e-9, grid_size=129)
+
+
+def _linear_spec():
+    """Dirichlet, g = 1, f = 1 - 1.4 u: Picard halves its relaxation."""
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                       nonlinearity=make_nonlinearity_from_id(
+                           "polynomial", {"coeffs": [1.0, -1.4]}),
+                       radius=10.0, quad_tol=1e-9, grid_size=65)
+
+
+class TestProbeMatchesReference:
+    """Each vertex measured once, when it joins, gives the all-vertex result."""
+
+    @pytest.fixture(scope="class", params=["smoke", "step", "linear"])
+    def spec_and_solution(self, request):
+        spec = {"smoke": smoke_spec, "step": _step_spec,
+                "linear": _linear_spec}[request.param]()
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged == (request.param != "step")
+        assert [n for _, n in sol.curve_crossings] == ([2] if request.param == "step" else [])
+        return spec, sol.u
+
+    @pytest.mark.parametrize("target", ["solution", "zero"])
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    def test_bitwise_equal(self, spec_and_solution, target, eps):
+        spec, u_sol = spec_and_solution
+        u = u_sol if target == "solution" else GridFunction.zero(spec.nodes)
+        for n in (1, 2, 5, 9):
+            r = convexification_probe(spec, u, eps, n)
+            best, history, witness = reference_probe(spec, u, eps, n)
+            assert r.hull_distance == best
+            assert r.history == history
+            assert np.array_equal(r.witness_coeffs, witness)
+
+    def test_vertices_compete_with_the_coefficients(self, monkeypatch):
+        # a stand-in solver that always returns vertex 0 leaves the newest
+        # vertices to lower the distance
+        def first_vertex(vertices, target, coeffs0=None):
+            lam = np.zeros(vertices.shape[1])
+            lam[0] = 1.0
+            return lam, float(np.linalg.norm(vertices[:, 0] - target))
+
+        monkeypatch.setattr(bvpkit.hypotheses, "simplex_least_squares", first_vertex)
+        spec = _linear_spec()
+        u = GridFunction.zero(spec.nodes)
+        r = convexification_probe(spec, u, 0.5, 9)
+        best, history, witness = reference_probe(spec, u, 0.5, 9, solve=first_vertex)
+        assert r.history[-1] < r.history[0]
+        assert (r.hull_distance, r.history) == (best, history)
+        assert np.array_equal(r.witness_coeffs, witness)
+
+    def test_bump_lives_on_its_dyadic_window(self):
+        nodes = uniform_grid(257)
+        for j in range(1, 32):
+            level = int(np.floor(np.log2(j)))
+            a, b = (j - 2 ** level) / 2 ** level, (j - 2 ** level + 1) / 2 ** level
+            vals, ders = _bump(nodes, j)
+            outside = (nodes < a) | (nodes > b)
+            assert outside.any() == (j > 1)
+            assert np.max(np.abs(vals[outside]), initial=0.0) <= 1e-12
+            assert np.max(np.abs(ders[outside]), initial=0.0) <= 1e-12
+            assert norm_c1(GridFunction(nodes, vals, ders)) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestCertifyPipeline:

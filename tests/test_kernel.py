@@ -1,8 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from bvpkit import (DIRICHLET, DegenerateGamma, DomainError, NegativeCoefficient,
                     dk_dt, dk_dt_bound, k_eval, validate_params)
+from bvpkit.kernel import BoundaryParams
 
 
 def sample_params(rng, gamma_floor=1e-3):
@@ -20,6 +23,11 @@ class TestValidate:
 
     def test_dirichlet(self):
         assert validate_params(1, 0, 1, 0).gamma_const == 1.0
+
+    def test_gamma_is_derived_not_stored(self):
+        assert [f.name for f in fields(BoundaryParams)] == ["alpha", "beta", "gamma",
+                                                            "delta"]
+        assert BoundaryParams(1.0, 1.0, 1.0, 1.0).gamma_const == 3.0
 
     def test_pure_neumann_rejected(self):
         with pytest.raises(DegenerateGamma):

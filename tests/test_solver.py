@@ -164,6 +164,21 @@ class TestOneStopTest:
             solve_picard(smoke_spec(), max_iter=0)
 
 
+class TestHalving:
+    """Three sign-alternating residuals Tu - u in a row halve the relaxation."""
+
+    @pytest.mark.parametrize("c, iterations, relax_final", [(-5.0, 16, 0.5),
+                                                            (-10.0, 21, 0.25)])
+    def test_halving_decisions(self, c, iterations, relax_final):
+        f = Nonlinearity(eval=lambda t, u: 1.0 + c * np.asarray(u, float),
+                         local_bound=lambda t, r: 1.0 + abs(c) * r)
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                           radius=100.0, grid_size=65)
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged
+        assert (sol.iterations, sol.relax_final) == (iterations, relax_final)
+
+
 class TestDivisorExampleSolve:
     def test_certificate_and_closed_form(self, divisor_spec, divisor_solution):
         sol = divisor_solution
