@@ -26,7 +26,7 @@ from .hammerstein import (BoundsReport, EquicontinuityReport, apply_T, bounds_re
 from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
                          ClassificationResult, HypothesisReport, ProbeResult,
                          certify_hypotheses, check_h1, check_h3, classify_curve,
-                         convexification_probe, estimate_HR, minimal_R_power,
+                         classify_curves, convexification_probe, estimate_HR, minimal_R_power,
                          perturbation_family, simplex_least_squares)
 from .solver import Solution, bc_residual, solve_picard
 from .example_phi import (PhiExample, build_problem, measurable_decomposition,

@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON, not UTF-8, too many digits
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

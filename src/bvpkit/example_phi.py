@@ -20,9 +20,12 @@ from .kernel import BoundaryParams
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
                     Weight, grid_eval)
 
-# beyond this the divisor count is not worth trial-dividing for; sampling
-# never gets that close to the u -> 0- accumulation of regions
+# region indices past this raise DomainError instead of being trial-divided.
+# The regions accumulate at u -> 0- (n = floor(t/-u)), and sampling does get
+# there: apply_T on a ball function with a root of u bisects toward the root
+# until some region index passes this bound
 _MAX_REGION = 10 ** 12
+_PHI_TABLE_SIZE = 2 ** 16  # phi(n) for n below this is looked up, not divided
 
 
 @lru_cache(maxsize=None)
@@ -64,10 +67,36 @@ def _region_array(t, u):
     return n.astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _phi_table() -> np.ndarray:
+    """phi(n) for 0 < n < _PHI_TABLE_SIZE, built on first use: every d up
+    to the square root adds its divisor pair d, n/d to each multiple n >= d*d,
+    and a square's root counts once."""
+    tab = np.zeros(_PHI_TABLE_SIZE, dtype=np.int64)
+    for d in range(1, math.isqrt(_PHI_TABLE_SIZE - 1) + 1):
+        tab[d * d::d] += 2
+        tab[d * d] -= 1
+    tab[1] = 2  # the phi(1) = 2 convention
+    tab.flags.writeable = False
+    return tab
+
+
 def _phi_pow(n_arr, lam: float):
-    uniq, inverse = np.unique(n_arr, return_inverse=True)
-    vals = np.array([phi(int(m)) for m in uniq], dtype=float) ** lam
-    return vals[inverse].reshape(np.shape(n_arr))
+    """phi(n)**lam on an integer array.
+
+    phi comes from _phi_table; indices outside it (n >= _PHI_TABLE_SIZE,
+    which region indices up to _MAX_REGION can be, and n < 1, for phi's
+    DomainError) go through the cached trial division of phi.  The power is
+    a lookup into arange(max phi + 1)**lam, the same float pow as on each
+    value."""
+    n = np.asarray(n_arr, dtype=np.int64).ravel()
+    tab = _phi_table()
+    off = (n < 1) | (n >= tab.size)
+    phis = tab.take(n, mode="clip")
+    if off.any():
+        phis[off] = [phi(int(m)) for m in n[off]]
+    powers = np.arange(phis.max(initial=0) + 1.0) ** lam
+    return powers[phis].reshape(np.shape(n_arr))
 
 
 @dataclass(frozen=True)

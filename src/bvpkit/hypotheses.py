@@ -125,8 +125,7 @@ def estimate_HR(spec: ProblemSpec, t_grid=None, u_samples: int = 201) -> HRResul
                 cols.append(col)
         uu = np.column_stack(cols)
         uu[~(np.abs(uu) <= r)] = -r
-        tt = np.repeat(t_grid[:, None], uu.shape[1], axis=1)
-        profile = np.max(np.abs(nl.eval(tt, uu)), axis=1)
+        profile = np.max(np.abs(nl.eval(t_grid[:, None], uu)), axis=1)
         source = "sampled"
 
     return HRResult(passed=bool(np.all(np.isfinite(profile))),
@@ -188,37 +187,59 @@ def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
     clipped at t_min when the weight or curvature is singular at 0; the
     measure of the clipped part is reported.
     """
-    lo, hi = max(curve.a, t_min), curve.b
-    if lo >= hi:
-        raise ValueError("t_min clips the whole curve domain")
+    return classify_curves(spec, (curve,), t_min, n_t, n_y)[0]
+
+
+def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 200,
+                    n_y: int = 30) -> list:
+    """classify_curve for each curve, with one viability pass per distinct
+    clipped domain: the curves sharing a domain share its t grid, one weight
+    call and one f call on their stacked centre lines.  Each non-viable
+    curve's epsilon-tube is then one f call of its own."""
     if n_t < 2 or n_y < 2:
         raise ValueError("need n_t, n_y >= 2")
-    ts = np.linspace(lo, hi, n_t)
-    gamma = curve.value(ts)
-    neg_curv = -curve.second_derivative(ts)
-    g = spec.weight.eval(ts)
+    domains = {}
+    for i, curve in enumerate(curves):
+        lo, hi = max(curve.a, t_min), curve.b
+        if lo >= hi:
+            raise ValueError("t_min clips the whole curve domain")
+        domains.setdefault((lo, hi), []).append(i)
+
     f = spec.nonlinearity.eval
-    viability_defect = float(np.max(np.abs(neg_curv - g * f(ts, gamma))))
+    out = [None] * len(curves)
+    for (lo, hi), members in domains.items():
+        ts = np.linspace(lo, hi, n_t)
+        g = spec.weight.eval(ts)
+        gammas = np.array([curves[i].value(ts) for i in members])
+        neg_curvs = -np.array([curves[i].second_derivative(ts) for i in members])
+        defects = np.max(np.abs(neg_curvs - g * f(ts, gammas)), axis=1)
+        for i, gamma, neg_curv, defect in zip(members, gammas, neg_curvs, defects):
+            curve = curves[i]
+            if defect <= 1e-8:
+                verdict, margin = VIABLE, 0.0
+            else:
+                verdict, margin = _tube_verdict(f, ts, g, gamma, neg_curv,
+                                                curve.epsilon, n_y)
+            out[i] = ClassificationResult(
+                curve=curve.label, verdict=verdict, psi_margin=margin,
+                epsilon_used=curve.epsilon, t_min_clip=t_min,
+                clipped_measure=float(max(0.0, lo - curve.a)), n_t=n_t, n_y=n_y)
+    return out
 
-    result = dict(curve=curve.label, epsilon_used=curve.epsilon, t_min_clip=t_min,
-                  clipped_measure=float(max(0.0, lo - curve.a)), n_t=n_t, n_y=n_y)
-    if viability_defect <= 1e-8:
-        return ClassificationResult(verdict=VIABLE, psi_margin=0.0, **result)
 
-    # the epsilon-tube as an (n_t, n_y) grid, one row per sampled t
-    ys = np.linspace(gamma - curve.epsilon, gamma + curve.epsilon, n_y, axis=1)
-    gf = g[:, None] * f(np.repeat(ts[:, None], n_y, axis=1), ys)
+def _tube_verdict(f, ts, g, gamma, neg_curv, eps, n_y):
+    """(verdict, margin) of a non-viable curve from its sampled epsilon-tube."""
+    # the epsilon-tube as an (n_y, n_t) grid, one row per offset from the curve
+    gf = g * f(ts, np.linspace(gamma - eps, gamma + eps, n_y))
     # min of -gamma'' - g f over the tube: positive => pushed down
-    upper = float(np.min(neg_curv[:, None] - gf))
+    upper = float(np.min(neg_curv - gf))
     # min of g f + gamma'' over the tube: positive => pushed up
-    lower = float(np.min(gf - neg_curv[:, None]))
-
+    lower = float(np.min(gf - neg_curv))
     if upper > 0.0:
-        return ClassificationResult(verdict=INVIABLE_UPPER, psi_margin=upper, **result)
+        return INVIABLE_UPPER, upper
     if lower > 0.0:
-        return ClassificationResult(verdict=INVIABLE_LOWER, psi_margin=lower, **result)
-    return ClassificationResult(verdict=INDETERMINATE,
-                                psi_margin=float(max(upper, lower)), **result)
+        return INVIABLE_LOWER, lower
+    return INDETERMINATE, float(max(upper, lower))
 
 
 def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
@@ -375,6 +396,6 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
     h2 = estimate_HR(spec, t_grid=nodes[(nodes >= t_min) & (nodes > 0.0)])
     b = bounds if bounds is not None else bounds_report(spec)
     h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
-    h5 = [classify_curve(spec, c, t_min=t_min) for c in spec.nonlinearity.curves]
+    h5 = classify_curves(spec, spec.nonlinearity.curves, t_min=t_min)
     return HypothesisReport(h1=h1, h2=h2, h3=h3, h4=spec.nonlinearity.measurability,
                             bounds=b, h5=h5)

@@ -2,9 +2,10 @@
 grid functions and the discrete C1 norm.
 
 User callables may be any callable of floats.  `vectorized` wraps each once,
-when its dataclass is built, and the toolkit calls them on float arrays: an
-array-capable callable gets one call per batch, a scalar-only one is looped
-over the batch by that wrapper and nowhere else.
+when its dataclass is built, and the toolkit calls them on float arrays that
+broadcast against each other (f may get one row or column of t against a
+whole grid of u): an array-capable callable gets one call per batch, a
+scalar-only one is looped over the batch by that wrapper and nowhere else.
 
 A candidate solution is carried as node values plus node derivative values
 on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
@@ -25,9 +26,12 @@ from .kernel import BoundaryParams
 
 
 def vectorized(fn):
-    """fn on float arrays: one array call, or, when that raises TypeError/
-    ValueError or misses the arguments' broadcast shape, one call per element.
-    Idempotent, so dataclasses.replace does not stack wrappers."""
+    """fn on float arrays of broadcastable shapes: one array call, or, when
+    that raises TypeError/ValueError or its result is a scalar or does not
+    broadcast to the arguments' broadcast shape, one call per element.  A
+    non-scalar result that broadcasts (a function of t alone, called on a
+    column of t and a grid of u) is expanded to that shape.  Idempotent, so
+    dataclasses.replace does not stack wrappers."""
     if getattr(fn, "_vectorized", False) is True:
         return fn
 
@@ -37,11 +41,14 @@ def vectorized(fn):
         shape = args[0].shape
         for a in args[1:]:
             if a.shape != shape:
-                shape = np.broadcast_shapes(shape, a.shape)
+                shape = np.broadcast(*args).shape
+                break
         try:
             out = np.asarray(fn(*args), dtype=float)
             if out.shape == shape:
                 return out
+            if out.ndim and np.broadcast_shapes(out.shape, shape) == shape:
+                return np.broadcast_to(out, shape).copy()
         except (TypeError, ValueError):
             pass
         cols = [np.broadcast_to(a, shape).ravel() for a in args]

@@ -377,3 +377,15 @@ class TestMain:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")
         assert main(["run", "--config", str(cfg_path)]) == 2
+
+    @pytest.mark.parametrize("content", [
+        b'{"problem": {"R": 1' + b"0" * 5000 + b"}}",  # past the int-conversion limit
+        b'{"problem": "\xff\xfe"}',  # not UTF-8
+    ], ids=["5001-digit-integer", "non-utf8"])
+    def test_undecodable_config_exits_two(self, tmp_path, capsys, content):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        cfg_path.write_bytes(content)
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out_path.exists()

@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bvpkit
+
 from bvpkit import (DomainError, PhiExample, build_problem, classify_curve,
                     measurable_decomposition, phi, region_index, uniform_grid,
                     validate_params)
-from bvpkit.example_phi import make_curves, make_nonlinearity, make_weight
+from bvpkit.example_phi import (_MAX_REGION, _phi_pow, _phi_table, make_curves,
+                                make_nonlinearity, make_weight)
 from bvpkit.model import GridFunction
 
 LAM = 1.0 / 3.0
@@ -33,6 +40,54 @@ class TestPhi:
     def test_domain(self):
         with pytest.raises(DomainError):
             phi(0)
+
+
+def _phi_pow_reference(n, lam):
+    """phi(n)**lam by trial division of each entry."""
+    n = np.asarray(n)
+    return np.array([phi(int(m)) for m in n.ravel()], float).reshape(n.shape) ** lam
+
+
+class TestPhiTable:
+    def test_table_is_phi(self):
+        tab = _phi_table()
+        # the uncached trial division, so the check leaves phi's cache alone
+        ref = [phi.__wrapped__(n) for n in range(1, tab.size)]
+        assert tab.size == 2 ** 16
+        assert np.array_equal(tab[1:], ref)
+
+    @pytest.mark.parametrize("lam", [1.0 / 3.0, 0.31, 0.77])
+    def test_phi_pow_is_bitwise_the_pointwise_power(self, lam):
+        rng = np.random.default_rng(59)
+        n = np.concatenate([rng.integers(1, 2 ** 16, 3000),
+                            rng.integers(2 ** 16, 2 ** 20, 40),
+                            _MAX_REGION - rng.integers(0, 1000, 4),
+                            [1, 2 ** 16 - 1, 2 ** 16, _MAX_REGION]])
+        rng.shuffle(n)
+        for arr in (n, n.reshape(4, -1), np.array(7), np.array(2 ** 16 + 1),
+                    np.array([], dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
+            got, ref = _phi_pow(arr, lam), _phi_pow_reference(arr, lam)
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
+
+    def test_phi_pow_rejects_n_below_one(self):
+        with pytest.raises(DomainError):
+            _phi_pow(np.array([3, 0, 5]), LAM)
+
+    def test_table_is_read_only(self):
+        with pytest.raises(ValueError):
+            _phi_table()[2] = 0
+
+    def test_import_does_not_build_the_table(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(bvpkit.__file__).resolve().parent.parent)
+        code = ("import bvpkit, bvpkit.cli, bvpkit.catalog\n"
+                "from bvpkit.example_phi import _phi_table\n"
+                "print(_phi_table.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0"
 
 
 class TestRegionIndex:

@@ -7,9 +7,9 @@ import bvpkit.hypotheses
 from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     VIABLE, BallViolation, apply_T, bounds_report,
                     certify_hypotheses, check_h1, check_h3, classify_curve,
-                    convexification_probe, estimate_HR, minimal_R_power, norm_c1,
-                    perturbation_family, residual, simplex_least_squares,
-                    solve_picard)
+                    classify_curves, convexification_probe, estimate_HR,
+                    minimal_R_power, norm_c1, perturbation_family, residual,
+                    simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
 from bvpkit.hypotheses import _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
@@ -231,6 +231,95 @@ class TestClassifyCurve:
                                    epsilon=0.1)
         with pytest.raises(ValueError):
             classify_curve(divisor_spec, curve, t_min=0.7)
+
+
+def _step_classifier_spec():
+    """g = 1, f = -1 below u = 0.5 and 2 above: gamma = t(t-1)/2 solves
+    -gamma'' = g f, so it is viable; a curve through u = 0.5 is indeterminate."""
+    f = Nonlinearity(eval=lambda t, u: np.where(u < 0.5, -1.0, 2.0))
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                       radius=1.0, grid_size=33)
+
+
+def _viable_curve(a=0.0, b=1.0):
+    return DiscontinuityCurve(a=a, b=b, value=lambda t: t * (t - 1.0) / 2.0,
+                              second_derivative=np.ones_like, epsilon=0.1,
+                              label="viable")
+
+
+def _random_curves(rng, count):
+    """Lines on a few shared and some distinct domains, plus one viable curve."""
+    domains = [(0.0, 1.0), (0.0, 0.5), (0.25, 1.0), (1e-7, 1.0)]
+    curves = [_viable_curve(*domains[rng.integers(len(domains))])]
+    for k in range(count - 1):
+        a, b = domains[rng.integers(len(domains))]
+        if rng.random() < 0.25:
+            a = float(rng.uniform(0.0, 0.4))  # a domain of its own
+        c0, c1 = rng.uniform(-0.8, 0.8, size=2)
+        curves.append(DiscontinuityCurve(
+            a=a, b=b, value=lambda t, _c0=c0, _c1=c1: _c0 + _c1 * t,
+            second_derivative=np.zeros_like, epsilon=float(rng.uniform(0.02, 0.3)),
+            label=f"line_{k}"))
+    order = rng.permutation(count)
+    return [curves[i] for i in order]
+
+
+class TestClassifyCurves:
+    """One viability pass per domain gives classify_curve's results."""
+
+    def test_divisor_curves_match_one_at_a_time(self, divisor_spec):
+        curves = divisor_spec.nonlinearity.curves
+        batch = classify_curves(divisor_spec, curves, t_min=1e-6)
+        assert batch == [classify_curve(divisor_spec, c, t_min=1e-6) for c in curves]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_mixed_domains_match_one_at_a_time(self, seed):
+        spec, rng = _step_classifier_spec(), np.random.default_rng(seed)
+        curves = _random_curves(rng, 9)
+        t_min = float(rng.choice([1e-6, 0.1]))
+        batch = classify_curves(spec, curves, t_min=t_min, n_t=64, n_y=12)
+        single = [classify_curve(spec, c, t_min=t_min, n_t=64, n_y=12) for c in curves]
+        assert batch == single
+        assert [r.psi_margin for r in batch] == [r.psi_margin for r in single]
+        verdicts = {r.curve: r.verdict for r in batch}
+        assert verdicts["viable"] == VIABLE
+        assert {INVIABLE_UPPER, INDETERMINATE} <= set(verdicts.values())
+
+    def test_viable_tube_is_never_evaluated(self):
+        def f(t, u):
+            if not np.array_equal(u, np.broadcast_to(t * (t - 1.0) / 2.0, u.shape)):
+                raise RuntimeError("f evaluated off the viable curve")
+            return np.full(u.shape, -1.0)
+
+        spec = replace(_step_classifier_spec(), nonlinearity=Nonlinearity(eval=f))
+        with pytest.raises(RuntimeError):
+            spec.nonlinearity.eval(np.array([0.5]), np.array([0.0]))
+        (r,) = classify_curves(spec, [_viable_curve()])
+        assert r.verdict == VIABLE and r.psi_margin == 0.0
+
+    def test_clipped_domain_rejected(self, divisor_spec):
+        curves = [divisor_spec.nonlinearity.curves[0], _viable_curve(0.0, 0.5)]
+        with pytest.raises(ValueError, match="clips the whole curve domain"):
+            classify_curves(divisor_spec, curves, t_min=0.7)
+
+    def test_no_curves(self, divisor_spec):
+        assert classify_curves(divisor_spec, ()) == []
+
+    def test_divisor_certification_f_calls(self, divisor_spec):
+        # estimate_HR, one centre-line pass for the one shared domain, and
+        # one tube per curve: 18 calls, against 33 for one curve at a time
+        calls = []
+        f = divisor_spec.nonlinearity.eval
+
+        def counted(t, u):
+            calls.append(t)
+            return f(t, u)
+
+        spec = replace(divisor_spec,
+                       nonlinearity=replace(divisor_spec.nonlinearity, eval=counted))
+        report = certify_hypotheses(spec)
+        assert len(calls) <= 18
+        assert [r.verdict for r in report.h5] == [INVIABLE_UPPER] * 16
 
 
 def _loop_margins(spec, curve, t_min=1e-6, n_t=200, n_y=30):

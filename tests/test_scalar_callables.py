@@ -128,6 +128,20 @@ class TestVectorized:
         out = vectorized(f)(np.arange(3.0), 2.0)
         assert np.array_equal(out, [0.0, 2.0, 4.0]) and len(calls) == 1
 
+    def test_result_of_t_alone_is_broadcast(self):
+        calls = []
+
+        def f(t, u):
+            calls.append(t)
+            return np.full_like(t, 2.0)
+
+        t, u = np.arange(3.0)[:, None], np.zeros((3, 4))
+        out = vectorized(f)(t, u)
+        assert out.shape == (3, 4) and np.all(out == 2.0) and len(calls) == 1
+        out[0, 0] = 5.0  # a writable array of its own, not a broadcast view
+        assert np.array_equal(vectorized(f)(np.arange(3.0), np.zeros((2, 3))),
+                              np.full((2, 3), 2.0))
+
     def test_wrong_shape_is_looped(self):
         out = vectorized(lambda t, r: 2.0)(np.arange(3.0), 1.0)
         assert np.array_equal(out, [2.0, 2.0, 2.0])
