@@ -33,12 +33,11 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
     if weight_id == "constant":
         c = number(params.get("value", 1.0))
         return Weight(eval=lambda t, _c=c: np.full_like(t, _c),
-                      singular_left=False, l1_bound_hint=abs(c), label="constant")
+                      singular_left=False, l1_bound_hint=abs(c))
     if weight_id == "inv-sqrt":
         scale = number(params.get("scale", 1.0))
         return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t),
-                      singular_left=True, l1_bound_hint=2.0 * abs(scale),
-                      label="inv-sqrt")
+                      singular_left=True, l1_bound_hint=2.0 * abs(scale))
     raise ConfigError(f"unknown weight id {weight_id!r}", field="problem.weight.id")
 
 
@@ -46,8 +45,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
     if nl_id == "constant":
         c = number(params.get("value", 1.0))
         return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(t, _c),
-                            local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)),
-                            label="constant")
+                            local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)))
     if nl_id == "polynomial":
         coeffs = [number(c) for c in params.get("coeffs", [1.0])]
 
@@ -60,7 +58,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
         def bound(t, r, _c=tuple(coeffs)):
             return np.full_like(t, sum(abs(cj) * r ** j for j, cj in enumerate(_c)))
 
-        return Nonlinearity(eval=f, local_bound=bound, label="polynomial")
+        return Nonlinearity(eval=f, local_bound=bound)
     if nl_id == "step":
         low = number(params.get("low", 1.0))
         high = number(params.get("high", 0.0))
@@ -77,8 +75,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             epsilon=eps, label="step-threshold")
         bound = max(abs(low), abs(high))
         return Nonlinearity(eval=f, curves=(curve,),
-                            local_bound=lambda t, r: np.full_like(t, bound),
-                            label="step")
+                            local_bound=lambda t, r: np.full_like(t, bound))
     if nl_id == "phi-example":
         ex = PhiExample(lam=number(params.get("lambda", 1.0 / 3.0)),
                         curve_count=number(params.get("curve_count", 8), int),

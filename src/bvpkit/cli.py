@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -65,12 +65,14 @@ def _require(cond, message, fld):
         raise ConfigError(message, field=fld)
 
 
-def _number(val, fld, kind=float):
-    """catalog.number(val, kind), failing with a ConfigError naming fld."""
+def _accepted(fld, fn, *args, what=""):
+    """fn(*args), its rejection of a config value (by catalog.number,
+    validate_params or a catalog constructor) failing as a ConfigError that
+    names fld, with what before the reason."""
     try:
-        return number(val, kind)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc), field=fld) from exc
+        return fn(*args)
+    except (TypeError, ValueError, NegativeCoefficient, DegenerateGamma) as exc:
+        raise ConfigError(f"{what}{exc}", field=fld) from exc
 
 
 def parse_config(doc: dict) -> RunConfig:
@@ -82,11 +84,8 @@ def parse_config(doc: dict) -> RunConfig:
     bc = problem.get("bc")
     _require(isinstance(bc, (list, tuple)) and len(bc) == 4,
              "bc must be [alpha, beta, gamma, delta]", "problem.bc")
-    bc = tuple(_number(x, "problem.bc") for x in bc)
-    try:
-        validate_params(*bc)
-    except (NegativeCoefficient, DegenerateGamma) as exc:
-        raise ConfigError(f"invalid bc coefficients: {exc}", field="problem.bc")
+    bc = tuple(_accepted("problem.bc", number, x) for x in bc)
+    _accepted("problem.bc", validate_params, *bc, what="invalid bc coefficients: ")
 
     weight = problem.get("weight")
     _require(isinstance(weight, dict) and "id" in weight,
@@ -99,19 +98,17 @@ def parse_config(doc: dict) -> RunConfig:
     auto_lam = None
     if isinstance(r, str):
         _require(r == "auto-power", f"unknown R mode {r!r}", "problem.R")
-        auto_lam = nl.get("lambda")
-    elif isinstance(r, dict):
+        r = {"mode": r}
+    if isinstance(r, dict):
         _require(r.get("mode") == "auto-power", "R object must set mode=auto-power",
                  "problem.R")
-        auto_lam = r.get("lambda", nl.get("lambda"))
-        r = "auto-power"
-    else:
-        r = _number(r, "problem.R")
-        _require(r > 0, "R must be a positive number or auto-power", "problem.R")
-    if r == "auto-power":
-        auto_lam = _number(auto_lam, "problem.R.lambda")
+        auto_lam = _accepted("problem.R.lambda", number, r.get("lambda", nl.get("lambda")))
         _require(0.0 < auto_lam < 1.0, "auto-power needs lambda in (0, 1)",
                  "problem.R.lambda")
+        r = "auto-power"
+    else:
+        r = _accepted("problem.R", number, r)
+        _require(r > 0, "R must be a positive number or auto-power", "problem.R")
 
     num = doc.get("numerics", {})
     _require(isinstance(num, dict), "numerics must be an object", "numerics")
@@ -119,7 +116,7 @@ def parse_config(doc: dict) -> RunConfig:
     numerics = {}
     for name, (kind, default) in NUMERICS.items():
         fld = f"numerics.{name}"
-        numerics[name] = _number(num.get(name, default), fld, kind)
+        numerics[name] = _accepted(fld, number, num.get(name, default), kind)
         _require(numerics[name] > 0, f"{name} must be positive", fld)
     _require(numerics["grid_size"] >= 3 and numerics["grid_size"] % 2 == 1,
              "grid_size must be odd and >= 3", "numerics.grid_size")
@@ -203,39 +200,33 @@ def _finish(report: dict, passed: dict):
 
 def run(cfg: RunConfig):
     """Execute the requested tasks; returns (exit_code, report dict)."""
-    fld = "problem.weight"  # the section whose catalog parameters are being read
-    try:
-        weight = make_weight_from_id(cfg.weight_id, cfg.weight_params)
-        fld = "problem.nonlinearity"
-        nonlinearity = make_nonlinearity_from_id(cfg.nonlinearity_id, cfg.nonlinearity_params)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {fld} parameters: {exc}", field=fld) from exc
-    params = validate_params(*cfg.bc)
-
-    def spec_with(radius):
-        return ProblemSpec(params=params, weight=weight, nonlinearity=nonlinearity,
-                           radius=radius, quad_tol=cfg.quad_tol,
-                           grid_size=cfg.grid_size)
+    weight = _accepted("problem.weight", make_weight_from_id, cfg.weight_id,
+                       cfg.weight_params, what="invalid problem.weight parameters: ")
+    nonlinearity = _accepted("problem.nonlinearity", make_nonlinearity_from_id,
+                             cfg.nonlinearity_id, cfg.nonlinearity_params,
+                             what="invalid problem.nonlinearity parameters: ")
+    auto = cfg.radius == "auto-power"  # then M1 + M2 at R = 1 pick the radius
+    spec = ProblemSpec(params=validate_params(*cfg.bc), weight=weight,
+                       nonlinearity=nonlinearity, radius=1.0 if auto else float(cfg.radius),
+                       quad_tol=cfg.quad_tol, grid_size=cfg.grid_size)
 
     report = {"config": config_echo(cfg), "hypotheses": None, "bounds": None,
               "curves": None, "solution": None, "probe": None, "meta": None}
     passed = {}
 
     bounds = hr_sup = None
-    if cfg.radius == "auto-power":
+    if auto:
         with _recording_errors(report, passed, dict.fromkeys(cfg.tasks, "bounds")):
-            bounds = bounds_report(spec_with(1.0))
-            radius = float(minimal_R_power(bounds.m_total, cfg.auto_power_lambda))
+            bounds = bounds_report(spec)
+            radius = minimal_R_power(bounds.m_total, cfg.auto_power_lambda)
+            spec = replace(spec, radius=float(radius))
         if passed:  # no radius, so no task can run
             return _finish(report, passed)
         # The radius was chosen so that max(2,R)**lam times (M1+M2) fits
         # inside R; H3 is checked against that premise, with the sampled
         # profile reported alongside (the sampled sup can exceed the power
         # bound near jump accumulation points).
-        hr_sup = max(2.0, radius) ** cfg.auto_power_lambda
-    else:
-        radius = float(cfg.radius)
-    spec = spec_with(radius)
+        hr_sup = max(2.0, spec.radius) ** cfg.auto_power_lambda
 
     certify = {task: section for task, section in CERTIFY_SECTIONS.items()
                if task in cfg.tasks}
@@ -245,7 +236,7 @@ def run(cfg: RunConfig):
                                      hr_sup=hr_sup)
             if "check" in certify:
                 report["bounds"] = _section(hyp.bounds, m_total=hyp.bounds.m_total,
-                                            resolved_radius=radius)
+                                            resolved_radius=spec.radius)
                 hr_source = "power-bound" if hr_sup is not None else hyp.h2.source
                 report["hypotheses"] = {
                     "h1": _section(hyp.h1, l1_bound_hint=weight.l1_bound_hint),
@@ -291,12 +282,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute the tasks requested by a config")
     runp.add_argument("--config", required=True, help="path to a JSON run config")
-    runp.add_argument("--out", help="report path (overrides the config)")
-    runp.add_argument("--grid-size", type=int, help="override numerics.grid_size")
-    runp.add_argument("--tol", type=float, help="override numerics.quad_tol")
-    runp.add_argument("--solver-tol", type=float, help="override numerics.solver_tol")
-    runp.add_argument("--task", action="append", choices=list(TASK_ORDER),
-                      help="run only these tasks (repeatable)")
+    runp.add_argument("--out", help="report path (overrides the config's output)")
     args = parser.parse_args(argv)
 
     try:
@@ -309,14 +295,6 @@ def main(argv=None) -> int:
     if not isinstance(doc, dict):
         print("config error: top level must be an object", file=sys.stderr)
         return 2
-    doc = dict(doc)
-    overrides = {"grid_size": args.grid_size, "quad_tol": args.tol,
-                 "solver_tol": args.solver_tol}
-    num = doc.setdefault("numerics", {})
-    if isinstance(num, dict):  # parse_config rejects any other numerics
-        num.update({k: v for k, v in overrides.items() if v is not None})
-    if args.task:
-        doc["tasks"] = args.task
     if args.out is not None:
         doc["output"] = args.out
 

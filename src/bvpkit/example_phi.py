@@ -53,16 +53,22 @@ def region_index(t: float, u: float) -> int:
 
 
 def _region_array(t, u):
-    """region_index on float arrays."""
+    """region_index on float arrays, each quotient computed only where it
+    applies.  A NaN u counts as in the wedge, so it makes a NaN index that
+    the one bound scan rejects along with inf and indices past _MAX_REGION."""
     t = np.asarray(t, dtype=float)
-    u = np.asarray(u, dtype=float)
     if np.any(t <= 0.0):
         raise DomainError("region index needs t > 0")
+    u = np.asarray(u, dtype=float)
+    up = u >= 0.0
+    wedge = ~(up | (u < -t))  # of the broadcast shape of t and u
+    n = np.ones(wedge.shape)
     with np.errstate(divide="ignore", over="ignore"):
-        pos = np.floor(u / np.sqrt(t)) + 1.0
-        mid = np.floor(t / -u)
-    n = np.where(u >= 0.0, pos, np.where(u < -t, 1.0, mid))
-    if np.any(~np.isfinite(n)) or np.any(n > _MAX_REGION):
+        np.divide(u, np.sqrt(t), out=n, where=up)
+        np.divide(t, -u, out=n, where=wedge)
+    np.floor(n, out=n)
+    np.add(n, 1.0, out=n, where=up)
+    if not np.all(n <= _MAX_REGION):
         raise DomainError("region index overflow near u = 0-")
     return n.astype(np.int64)
 
@@ -115,8 +121,7 @@ class PhiExample:
 
 
 def make_weight() -> Weight:
-    return Weight(eval=lambda t: 1.0 / np.sqrt(t),
-                  singular_left=True, l1_bound_hint=2.0, label="inv-sqrt")
+    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, l1_bound_hint=2.0)
 
 
 def make_curves(ex: PhiExample):
@@ -145,7 +150,7 @@ def make_nonlinearity(ex: PhiExample) -> Nonlinearity:
         return -_phi_pow(_region_array(t, u), lam)
 
     return Nonlinearity(eval=f, curves=make_curves(ex), local_bound=None,
-                        label="phi-example", measurability="checked_by_decomposition")
+                        measurability="checked_by_decomposition")
 
 
 def build_problem(ex: PhiExample, params: BoundaryParams, radius: float,

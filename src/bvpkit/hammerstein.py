@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
-from .model import GridFunction, ProblemSpec, find_crossings, grid_eval, norm_c1, vectorized
+from .model import GridFunction, ProblemSpec, find_crossings, grid_eval, norm_c1
 from .quadrature import integrate_groups
 
 
@@ -169,7 +169,7 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
                          t_min: float = 0.0) -> EquicontinuityReport:
     """Verify the second-derivative bound behind compactness of T.
 
-    hr_values: pointwise bound H_R at the grid nodes (array or callable);
+    hr_values: pointwise bound H_R at the grid nodes, as an array;
     defaults to the nonlinearity's declared local_bound when it has one.
     Interior nodes below t_min are skipped (needed when g blows up at 0);
     the slack 10*quad_tol + 10*h**2 absorbs discretization noise.
@@ -181,8 +181,6 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
             raise ValueError("no declared bound on f: pass hr_values explicitly "
                              "(e.g. an estimate_HR profile)")
         hr = spec.nonlinearity.local_bound(interior, spec.radius)
-    elif callable(hr_values):
-        hr = vectorized(hr_values)(interior)
     else:
         hr = np.asarray(hr_values, dtype=float)[1:-1]
     tu = apply_T(spec, u)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import BallViolation, QuadratureError, SolverStall
 from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
-from .model import DiscontinuityCurve, GridFunction, ProblemSpec, Weight, norm_c1
+from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
+                    norm_c1)
 from .quadrature import IntegrandSpec, integrate
 
 VIABLE = "viable"
@@ -24,6 +25,8 @@ INVIABLE_UPPER = "inviable_upper"
 INVIABLE_LOWER = "inviable_lower"
 INDETERMINATE = "indeterminate"
 FW_MAX_ITER = 20000  # Frank-Wolfe iterations before simplex_least_squares stalls
+FW_GAP_TOL = 1e-10  # the Frank-Wolfe duality gap at which simplex_least_squares stops
+HR_U_SAMPLES = 201  # evenly spaced u in [-R, R] at which estimate_HR samples |f|
 
 
 @dataclass(frozen=True)
@@ -94,11 +97,11 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     return H1Result(passed=True, l1_norm=val)
 
 
-def estimate_HR(spec: ProblemSpec, t_grid=None, u_samples: int = 201) -> HRResult:
+def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     """Pointwise bound H_R(t) on |f(t, u)| over |u| <= R = spec.radius.
 
     Uses the declared closed-form bound when the nonlinearity carries one;
-    otherwise samples u_samples points over [-R, R] plus points just above
+    otherwise samples HR_U_SAMPLES points over [-R, R] plus points just above
     and below each declared curve, all t at once on one (t, u) grid; a
     curve point outside the curve's domain or the ball is replaced by -R,
     which the base samples hold anyway.  The uniformity flag is a heuristic
@@ -115,7 +118,7 @@ def estimate_HR(spec: ProblemSpec, t_grid=None, u_samples: int = 201) -> HRResul
         profile = nl.local_bound(t_grid, r)
         source = "local_bound"
     else:
-        cols = [np.tile(np.linspace(-r, r, u_samples), (t_grid.size, 1))]
+        cols = [np.tile(np.linspace(-r, r, HR_U_SAMPLES), (t_grid.size, 1))]
         for curve in nl.curves:
             inside = (curve.a <= t_grid) & (t_grid <= curve.b)
             gv = curve.value(t_grid[inside])
@@ -243,12 +246,12 @@ def _tube_verdict(f, ts, g, gamma, neg_curv, eps, n_y):
 
 
 def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
-                          gap_tol: float = 1e-10, coeffs0: np.ndarray | None = None):
+                          coeffs0: np.ndarray | None = None):
     """min_lam ||vertices @ lam - target||_2 over the probability simplex,
     by Frank-Wolfe with away steps and exact line search.
 
     vertices has one column per hull point.  Returns (coeffs, distance).
-    Raises SolverStall if the duality gap fails to reach gap_tol within
+    Raises SolverStall if the duality gap fails to reach FW_GAP_TOL within
     FW_MAX_ITER iterations.
     """
     v = np.asarray(vertices, dtype=float)
@@ -273,7 +276,7 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
         support = np.flatnonzero(lam > 0)
         a = int(support[np.argmax(grad[support])])
         fw_gap = float(grad @ lam - grad[s])
-        if fw_gap <= gap_tol:
+        if fw_gap <= FW_GAP_TOL:
             return lam, float(np.linalg.norm(resid))
         away_gap = float(grad[a] - grad @ lam)
         if fw_gap >= away_gap:
@@ -296,7 +299,7 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum()
         resid = v @ lam - y
-    raise SolverStall(f"Frank-Wolfe gap {fw_gap:.3e} > {gap_tol:.3e} "
+    raise SolverStall(f"Frank-Wolfe gap {fw_gap:.3e} > {FW_GAP_TOL:.3e} "
                       f"after {FW_MAX_ITER} iterations")
 
 
@@ -308,7 +311,7 @@ def _bump(nodes: np.ndarray, j: int):
     xi = np.clip((nodes - (j - 2 ** level) * w) / w, 0.0, 1.0)
     vals = 0.5 * (1.0 - np.cos(2.0 * np.pi * xi))
     ders = (np.pi / w) * np.sin(2.0 * np.pi * xi)
-    scale = np.max(np.abs(vals)) + np.max(np.abs(ders))
+    scale = c1_norm_of(vals, ders)
     return vals / scale, ders / scale
 
 
@@ -322,12 +325,6 @@ def perturbation_family(u: GridFunction, eps: float, n_samples: int):
         out.append(GridFunction(u.nodes, u.values + sign * eps * bv,
                                 u.derivatives + sign * eps * bd))
     return out
-
-
-def _c1_vec_dist(delta: np.ndarray) -> float:
-    """Discrete C1 norm of a concatenated (values, derivatives) vector."""
-    half = delta.size // 2
-    return float(np.max(np.abs(delta[:half])) + np.max(np.abs(delta[half:])))
 
 
 @dataclass(frozen=True)
@@ -372,7 +369,8 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
         # at m = 1 the warm start [0.0] is a cold start
         coeffs, _ = simplex_least_squares(cols[:, :m], y, coeffs0=np.append(coeffs, 0.0))
         for lam in (coeffs, np.eye(m)[m - 1]):
-            d = _c1_vec_dist(cols[:, :m] @ lam - y)
+            # the discrete C1 norm of the stacked (values, derivatives) gap
+            d = c1_norm_of(*np.split(cols[:, :m] @ lam - y, 2))
             if d < best:
                 best, witness = d, np.pad(lam, (0, n_samples - m))
         history.append(best)

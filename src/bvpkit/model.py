@@ -24,6 +24,8 @@ import numpy as np
 from .errors import DomainError
 from .kernel import BoundaryParams
 
+SCAN_PER_PANEL = 4  # gap samples per panel of u in the find_crossings scan
+
 
 def vectorized(fn):
     """fn on float arrays of broadcastable shapes: one array call, or, when
@@ -73,7 +75,6 @@ class Weight:
     eval: callable
     singular_left: bool = False
     l1_bound_hint: float | None = None
-    label: str = "weight"
 
     def __post_init__(self):
         _vectorize_fields(self, "eval")
@@ -112,7 +113,6 @@ class Nonlinearity:
     eval: callable
     curves: tuple = field(default_factory=tuple)
     local_bound: callable | None = None
-    label: str = "nonlinearity"
     # how the measurability requirement is discharged: catalog entries are
     # "asserted"; the divisor example documents an explicit decomposition
     measurability: str = "asserted"
@@ -199,9 +199,14 @@ def grid_eval(u: GridFunction, t):
     return val, der
 
 
+def c1_norm_of(values, derivatives) -> float:
+    """max|values| + max|derivatives|: the discrete C1 norm of node data."""
+    return float(np.max(np.abs(values)) + np.max(np.abs(derivatives)))
+
+
 def norm_c1(u: GridFunction) -> float:
     """Discrete proxy of sup|u| + sup|u'|, taken over the nodes."""
-    return float(np.max(np.abs(u.values)) + np.max(np.abs(u.derivatives)))
+    return c1_norm_of(u.values, u.derivatives)
 
 
 @dataclass(frozen=True)
@@ -228,11 +233,11 @@ class ProblemSpec:
         return uniform_grid(self.grid_size)
 
 
-def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4):
+def find_crossings(u: GridFunction, curves):
     """Locate the points where u crosses each curve: one sorted list of
     crossing abscissae inside the curve's domain per curve.
 
-    u(s) - curve.value(s) is scanned at scan_per_panel points per panel of u
+    u(s) - curve.value(s) is scanned at SCAN_PER_PANEL points per panel of u
     over the curve's domain, with u evaluated once per distinct domain; zeros
     and sign changes of all curves' gaps are found in one array pass, and all
     sign-change cells are bisected in lockstep to width 1e-12, one
@@ -245,7 +250,7 @@ def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4):
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
     cells = [[] for _ in curves]  # [a, b, gap at a]; b = a where the gap is 0
     if live:
-        n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
+        n_scan = max(2, SCAN_PER_PANEL * (u.nodes.size - 1))
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
         levels = {d: grid_eval(u, ts)[0] for d, ts in grids.items()}
         gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])
@@ -290,8 +295,7 @@ def find_crossings(u: GridFunction, curves, scan_per_panel: int = 4):
     return out
 
 
-def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve,
-                         scan_per_panel: int = 4):
+def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve):
     """find_crossings for one curve: its sorted list of crossing abscissae.
     Double crossings inside one scan cell are not resolved."""
-    return find_crossings(u, (curve,), scan_per_panel)[0]
+    return find_crossings(u, (curve,))[0]

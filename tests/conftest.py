@@ -5,14 +5,14 @@ from bvpkit import DIRICHLET, PhiExample, build_problem, norm_c1, validate_param
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
 
-def const_weight(c=1.0, label="constant"):
+def const_weight(c=1.0):
     return Weight(eval=lambda t, _c=c: np.full_like(np.asarray(t, dtype=float), _c),
-                  singular_left=False, l1_bound_hint=abs(c), label=label)
+                  singular_left=False, l1_bound_hint=abs(c))
 
 
 def const_nonlinearity(c=1.0):
     return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(np.asarray(t, dtype=float), _c),
-                        local_bound=lambda t, r, _c=c: abs(_c), label="constant")
+                        local_bound=lambda t, r, _c=c: abs(_c))
 
 
 def smoke_spec(grid_size=129, quad_tol=1e-10, radius=1.0):

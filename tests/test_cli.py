@@ -296,17 +296,19 @@ class TestMain:
         assert report["meta"]["tool"] == "bvpkit"
         assert report["meta"]["tasks_passed"] == {"check": True, "solve": True}
 
-    def test_flag_overrides(self, tmp_path):
+    @pytest.mark.parametrize("flag", [["--grid-size", "65"], ["--tol", "1e-3"],
+                                      ["--solver-tol", "1e-3"], ["--task", "check"]],
+                             ids=lambda flag: flag[0])
+    def test_setting_flags_are_usage_errors(self, tmp_path, capsys, flag):
+        # every setting comes from the config; --out is the only override
         cfg_path = tmp_path / "cfg.json"
         out_path = tmp_path / "report.json"
         cfg_path.write_text(json.dumps(smoke_doc()))
-        code = main(["run", "--config", str(cfg_path), "--out", str(out_path),
-                     "--grid-size", "65", "--task", "check"])
-        assert code == 0
-        report = json.loads(out_path.read_text())
-        assert report["config"]["numerics"]["grid_size"] == 65
-        assert report["config"]["tasks"] == ["check"]
-        assert report["solution"] is None
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg_path), "--out", str(out_path), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -337,13 +339,13 @@ class TestMain:
         assert f"(field: problem.{section})" in capsys.readouterr().err
         assert not out_path.exists()
 
-    def test_override_on_non_object_numerics_exits_two(self, tmp_path, capsys):
+    def test_non_object_numerics_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         out_path = tmp_path / "report.json"
         cfg_path.write_text(json.dumps(smoke_doc(numerics=[])))
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_path),
-                     "--grid-size", "65"]) == 2
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
         assert "numerics must be an object" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -361,11 +363,13 @@ class TestMain:
     def test_task_error_is_reported(self, tmp_path):
         # no quadrature meets tol 1e-300: each task fails with a typed error,
         # and the report is still written
+        cfg_path = tmp_path / "cfg.json"
         out_path = tmp_path / "report.json"
-        cfg_path = Path(__file__).resolve().parent.parent / "demos" / "configs" \
-            / "dirichlet_smoke.json"
-        code = main(["run", "--config", str(cfg_path), "--tol", "1e-300",
-                     "--out", str(out_path)])
+        doc = json.loads((Path(__file__).resolve().parent.parent / "demos" / "configs"
+                          / "dirichlet_smoke.json").read_text())
+        doc["numerics"]["quad_tol"] = 1e-300
+        cfg_path.write_text(json.dumps(doc))
+        code = main(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 1
         report = json.loads(out_path.read_text())
         assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}

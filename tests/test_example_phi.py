@@ -120,6 +120,13 @@ class TestRegionIndex:
         with pytest.raises(DomainError):
             region_index(0.0, 0.5)
 
+    @pytest.mark.parametrize("t, u", [(0.5, -1e-14), (0.5, np.nan), (0.5, np.inf),
+                                      (np.nan, 0.3), (np.nan, -0.3), (np.inf, -0.3)])
+    def test_overflowing_or_non_finite_index_rejected(self, t, u):
+        with pytest.raises(DomainError, match="region index overflow near u = 0-"):
+            region_index(t, u)
+        assert region_index(0.5, -np.inf) == 1  # below the wedge
+
     def test_jump_set(self):
         # jumps exactly on the sqrt fan and the wedge lines; none at u = -t,
         # where both sides sit in region 1

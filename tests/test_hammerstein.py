@@ -15,7 +15,7 @@ from conftest import Counted, const_nonlinearity, const_weight, random_ball_func
 
 def sin_forcing_spec(quad_tol=1e-10):
     f = Nonlinearity(eval=lambda t, u: np.pi ** 2 * np.sin(np.pi * np.asarray(t, float)),
-                     local_bound=lambda t, r: np.pi ** 2, label="sin-forcing")
+                     local_bound=lambda t, r: np.pi ** 2)
     return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
                        radius=np.pi ** 2, quad_tol=quad_tol, grid_size=129)
 

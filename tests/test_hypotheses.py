@@ -11,7 +11,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     minimal_R_power, norm_c1, perturbation_family, residual,
                     simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import _bump
+from bvpkit.hypotheses import HR_U_SAMPLES, _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight, uniform_grid)
 
@@ -21,7 +21,7 @@ from conftest import const_weight, smoke_spec
 def poly_spec(quad_tol=1e-10):
     """Dirichlet, g = 1, f = 0.1 u + 1: continuous and contractive."""
     f = Nonlinearity(eval=lambda t, u: 0.1 * np.asarray(u, float) + 1.0,
-                     local_bound=lambda t, r: 0.1 * r + 1.0, label="polynomial")
+                     local_bound=lambda t, r: 0.1 * r + 1.0)
     return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
                        radius=1.0, quad_tol=quad_tol, grid_size=129)
 
@@ -336,12 +336,12 @@ def _loop_margins(spec, curve, t_min=1e-6, n_t=200, n_y=30):
     return upper, lower
 
 
-def _loop_hr_profile(spec, t_grid, u_samples=201):
+def _loop_hr_profile(spec, t_grid):
     """Reference for estimate_HR's sampled profile: one f call per t."""
     r, nl = spec.radius, spec.nonlinearity
     profile = []
     for t in t_grid:
-        us = [np.linspace(-r, r, u_samples)]
+        us = [np.linspace(-r, r, HR_U_SAMPLES)]
         for curve in nl.curves:
             if curve.a <= t <= curve.b:
                 gv = float(curve.value(t))
@@ -379,8 +379,8 @@ class TestGridPassesMatchLoops:
         # R = 0.5 excludes most curve points, so -R placeholders are exercised
         spec = replace(divisor_spec, radius=0.5)
         t_grid = np.linspace(0.01, 1.0, 37)
-        r = estimate_HR(spec, t_grid=t_grid, u_samples=17)
-        assert np.array_equal(r.profile, _loop_hr_profile(spec, t_grid, 17))
+        r = estimate_HR(spec, t_grid=t_grid)
+        assert np.array_equal(r.profile, _loop_hr_profile(spec, t_grid))
 
 
 class TestSimplexLeastSquares:
@@ -404,7 +404,7 @@ class TestSimplexLeastSquares:
             dim, m = 5, 4
             v = rng.normal(size=(dim, m))
             y = rng.normal(size=dim)
-            lam, dist = simplex_least_squares(v, y, gap_tol=1e-12)
+            lam, dist = simplex_least_squares(v, y)
             ref = minimize(lambda x: np.linalg.norm(v @ x - y) ** 2,
                            np.full(m, 1 / m), method="SLSQP",
                            bounds=[(0, 1)] * m,

@@ -3,7 +3,7 @@ import pytest
 
 from bvpkit import (DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1,
                     uniform_grid)
-from bvpkit.model import DiscontinuityCurve, GridFunction
+from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction
 
 from conftest import smoke_spec
 
@@ -166,13 +166,13 @@ class TestCurveCrossings:
         assert find_curve_crossings(u, curve) == []
 
 
-def crossings_per_cell(u, curve, scan_per_panel=4, tol=1e-12):
+def crossings_per_cell(u, curve, tol=1e-12):
     """find_curve_crossings as a loop over scan cells with scalar bisection,
     kept as the reference for the lockstep version."""
     lo, hi = max(curve.a, 0.0), min(curve.b, 1.0)
     if hi - lo <= tol:
         return []
-    n_scan = max(2, scan_per_panel * (u.nodes.size - 1))
+    n_scan = max(2, SCAN_PER_PANEL * (u.nodes.size - 1))
     ts = np.linspace(lo, hi, n_scan + 1)
     vals, _ = grid_eval(u, ts)
     gap = vals - curve.value(ts)
@@ -215,9 +215,9 @@ class TestLockstepCrossings:
     """The lockstep bisection returns bitwise the abscissae of the per-cell loop."""
 
     @staticmethod
-    def check(u, curve, **kw):
-        got = find_curve_crossings(u, curve, **kw)
-        assert got == crossings_per_cell(u, curve, **kw)
+    def check(u, curve):
+        got = find_curve_crossings(u, curve)
+        assert got == crossings_per_cell(u, curve)
         return got
 
     def test_step_crossing_solution(self):
@@ -250,7 +250,7 @@ class TestLockstepCrossings:
         curve = DiscontinuityCurve(a=rng.uniform(0.0, 0.2), b=rng.uniform(0.8, 1.0),
                                    value=lambda t: 0.3 * np.sin(5.0 * t),
                                    second_derivative=lambda t: -7.5 * np.sin(5.0 * t))
-        self.check(u, curve, scan_per_panel=int(rng.integers(2, 6)))
+        self.check(u, curve)
 
 
 class TestBatchedCrossings:
@@ -282,9 +282,8 @@ class TestBatchedCrossings:
         u = GridFunction(uniform_grid(n), 0.5 * rng.standard_normal(n),
                          3.0 * rng.standard_normal(n))
         curves = self.random_curves(rng, int(rng.integers(4, 12)))
-        kw = {"scan_per_panel": int(rng.integers(2, 6))}
-        got = find_crossings(u, curves, **kw)
-        assert got == [crossings_per_cell(u, c, **kw) for c in curves]
+        got = find_crossings(u, curves)
+        assert got == [crossings_per_cell(u, c) for c in curves]
         assert got[0] == []
         assert sum(bool(xs) for xs in got) >= 2  # the lockstep runs over several curves
 

@@ -101,8 +101,6 @@ class TestSameResults:
         s, v = specs
         assert (equicontinuity_check(s, crossing_u(s))
                 == equicontinuity_check(v, crossing_u(v)))
-        assert (equicontinuity_check(v, crossing_u(v), hr_values=lambda t: 2.0)
-                == equicontinuity_check(v, crossing_u(v), hr_values=np.full(33, 2.0)))
 
 
 class TestVectorized:
@@ -150,8 +148,8 @@ class TestVectorized:
         s, _ = specs
         nl, curve = s.nonlinearity, s.nonlinearity.curves[0]
         assert vectorized(s.weight.eval) is s.weight.eval
-        assert replace(s.weight, label="w").eval is s.weight.eval
-        nl2 = replace(nl, label="n")
+        assert replace(s.weight, l1_bound_hint=1.0).eval is s.weight.eval
+        nl2 = replace(nl, measurability="n")
         assert nl2.eval is nl.eval and nl2.local_bound is nl.local_bound
         curve2 = replace(curve, epsilon=0.02)
         assert curve2.value is curve.value
