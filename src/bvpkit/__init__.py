@@ -21,13 +21,13 @@ from .quadrature import IntegrandSpec, integrate
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
                     Weight, find_crossings, find_curve_crossings, grid_eval, norm_c1,
                     uniform_grid)
-from .hammerstein import (BoundsReport, EquicontinuityReport, apply_T, bounds_report,
-                          equicontinuity_check, residual)
+from .hammerstein import BoundsReport, apply_T, bounds_report, residual
 from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
-                         ClassificationResult, HypothesisReport, ProbeResult,
-                         certify_hypotheses, check_h1, check_h3, classify_curve,
-                         classify_curves, convexification_probe, estimate_HR, minimal_R_power,
-                         perturbation_family, simplex_least_squares)
+                         ClassificationResult, EquicontinuityReport, HypothesisReport,
+                         ProbeResult, certify_hypotheses, check_h1, check_h3, classify_curve,
+                         classify_curves, convexification_probe, equicontinuity_check,
+                         estimate_HR, minimal_R_power, perturbation_family,
+                         simplex_least_squares)
 from .solver import Solution, bc_residual, solve_picard
 from .example_phi import (PhiExample, build_problem, measurable_decomposition,
                           phi, region_index)

@@ -118,8 +118,7 @@ def parse_config(doc: dict) -> RunConfig:
         fld = f"numerics.{name}"
         numerics[name] = _accepted(fld, number, num.get(name, default), kind)
         _require(numerics[name] > 0, f"{name} must be positive", fld)
-    _require(numerics["grid_size"] >= 3 and numerics["grid_size"] % 2 == 1,
-             "grid_size must be odd and >= 3", "numerics.grid_size")
+    _require(numerics["grid_size"] >= 3, "grid_size must be >= 3", "numerics.grid_size")
     _require(numerics["relax"] <= 1.0, "relax must lie in (0, 1]", "numerics.relax")
     _require(numerics["t_min"] < 1.0, "t_min must lie in (0, 1)", "numerics.t_min")
 
@@ -292,14 +291,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if not isinstance(doc, dict):
-        print("config error: top level must be an object", file=sys.stderr)
-        return 2
-    if args.out is not None:
-        doc["output"] = args.out
-
     try:
         cfg = parse_config(doc)
+        if args.out is not None:
+            cfg = replace(cfg, output=args.out)
         code, report = run(cfg)
         out_path = cfg.output or "report.json"
         try:

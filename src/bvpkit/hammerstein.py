@@ -108,12 +108,12 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     running integrals L, R of |g| against the two kernel factors.
 
     M1 = (right L + left R) / Gamma is concave, since M1' = (alpha R - gamma L)
-    / Gamma and M1'' = -(gamma left + alpha right)|g| / Gamma <= 0: its sup
-    lies within one node of the best node.  Each round evaluates the monotone
-    M1' at up to 32 equispaced points of that bracket from one quadrature call
-    and keeps the cell where it changes sign, until the bracket is 1e-7 wide;
-    M1 at its midpoint comes from one panel [node, t], as node values do, and
-    the better of node and refined value is kept.
+    / Gamma and M1'' = -|g| <= 0 (kernel.py): its sup lies within one node of
+    the best node.  Each round evaluates the monotone M1' at up to 32
+    equispaced points of that bracket from one quadrature call and keeps the
+    cell where it changes sign, until the bracket is 1e-7 wide; M1 at its
+    midpoint comes from one panel [node, t], as node values do, and the
+    better of node and refined value is kept.
 
     M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
     - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,
@@ -150,49 +150,3 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     return BoundsReport(m1=float(m1), m2=float(m2), argmax_t_m1=float(t1),
                         argmax_t_m2=t2, quad_tol=spec.quad_tol)
 
-
-@dataclass(frozen=True)
-class EquicontinuityReport:
-    """Centered-second-difference check of |(Tu)''| <= |g| * H_R."""
-
-    max_excess: float
-    slack: float
-    worst_t: float
-    n_checked: int
-
-    @property
-    def passed(self) -> bool:
-        return self.max_excess <= self.slack
-
-
-def equicontinuity_check(spec: ProblemSpec, u: GridFunction, hr_values=None,
-                         t_min: float = 0.0) -> EquicontinuityReport:
-    """Verify the second-derivative bound behind compactness of T.
-
-    hr_values: pointwise bound H_R at the grid nodes, as an array;
-    defaults to the nonlinearity's declared local_bound when it has one.
-    Interior nodes below t_min are skipped (needed when g blows up at 0);
-    the slack 10*quad_tol + 10*h**2 absorbs discretization noise.
-    """
-    nodes = spec.nodes
-    interior = nodes[1:-1]
-    if hr_values is None:
-        if spec.nonlinearity.local_bound is None:
-            raise ValueError("no declared bound on f: pass hr_values explicitly "
-                             "(e.g. an estimate_HR profile)")
-        hr = spec.nonlinearity.local_bound(interior, spec.radius)
-    else:
-        hr = np.asarray(hr_values, dtype=float)[1:-1]
-    tu = apply_T(spec, u)
-    h = float(nodes[1] - nodes[0])
-    d2 = (tu.values[2:] - 2.0 * tu.values[1:-1] + tu.values[:-2]) / h**2
-    bound = np.abs(spec.weight.eval(interior)) * hr
-    mask = interior >= t_min
-    if not np.any(mask):
-        raise ValueError("t_min excludes every interior node")
-    excess = np.abs(d2[mask]) - bound[mask]
-    i = int(np.argmax(excess))
-    return EquicontinuityReport(max_excess=float(excess[i]),
-                                slack=10.0 * spec.quad_tol + 10.0 * h**2,
-                                worst_t=float(interior[mask][i]),
-                                n_checked=int(mask.sum()))

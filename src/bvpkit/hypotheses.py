@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BallViolation, QuadratureError, SolverStall
 from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
 from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
-                    norm_c1)
+                    grid_eval, norm_c1)
 from .quadrature import IntegrandSpec, integrate
 
 VIABLE = "viable"
@@ -154,6 +154,36 @@ def _uniformity_flag(profile: np.ndarray) -> bool:
     if np.all(np.diff(right) >= 0) and right[-1] > right[0]:
         return True
     return False
+
+
+@dataclass(frozen=True)
+class EquicontinuityReport:
+    """The second-derivative bound |(Tu)''| <= |g| H_R at the checked nodes."""
+
+    max_excess: float
+    worst_t: float
+    n_checked: int
+    passed: bool
+
+
+def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
+                         t_min: float = 0.0) -> EquicontinuityReport:
+    """The bound |(Tu)''| <= |g| H_R behind compactness of T, for u in the ball.
+
+    (Tu)'' = -g f(., u) exactly (kernel.py), so no T is applied: at the nodes
+    t > 0, t >= t_min (the H_R grid of certify_hypotheses) the excess is
+    |g(t)| (|f(t, u(t))| - H_R(t)), with H_R from estimate_HR, and the check
+    passes when no excess is positive.
+    """
+    nodes = spec.nodes
+    t = nodes[(nodes >= t_min) & (nodes > 0.0)]
+    if t.size == 0:
+        raise ValueError("t_min excludes every node")
+    fu = spec.nonlinearity.eval(t, grid_eval(u, t)[0])
+    excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - estimate_HR(spec, t).profile)
+    i = int(np.argmax(excess))
+    return EquicontinuityReport(max_excess=float(excess[i]), worst_t=float(t[i]),
+                                n_checked=t.size, passed=bool(excess[i] <= 0.0))
 
 
 def check_h3(spec: ProblemSpec, bounds: BoundsReport, hr_sup: float) -> H3Result:

@@ -14,6 +14,11 @@ product of two linear factors,
 where left solves the boundary condition at 0 and right the one at 1.
 k is continuous, non-negative and symmetric on the unit square; its
 t-derivative jumps across the diagonal s = t.
+
+The factors satisfy alpha*right(s) + gamma*left(s) = Gamma for every s.  So
+w(t) = int k(t,s) h(s) ds = (right(t) L(t) + left(t) R(t)) / Gamma, with
+L = int_0^t left*h and R = int_t^1 right*h, has w' = (alpha*R - gamma*L) / Gamma
+and w'' = -h: (Tu)'' = -g f(., u) exactly, and M1 = int k(t,.)|g| has M1'' = -|g|.
 """
 
 from dataclasses import dataclass

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .kernel import BoundaryParams
 
-SCAN_PER_PANEL = 4  # gap samples per panel of u in the find_crossings scan
+SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
 
 
 def vectorized(fn):
@@ -225,8 +225,8 @@ class ProblemSpec:
             raise ValueError("radius must be > 0")
         if self.quad_tol <= 0:
             raise ValueError("quad_tol must be > 0")
-        if self.grid_size < 3 or self.grid_size % 2 == 0:
-            raise ValueError("grid_size must be odd and >= 3 so that t=1/2 is a node")
+        if self.grid_size < 3:
+            raise ValueError("grid_size must be >= 3")
 
     @property
     def nodes(self) -> np.ndarray:
@@ -237,20 +237,21 @@ def find_crossings(u: GridFunction, curves):
     """Locate the points where u crosses each curve: one sorted list of
     crossing abscissae inside the curve's domain per curve.
 
-    u(s) - curve.value(s) is scanned at SCAN_PER_PANEL points per panel of u
-    over the curve's domain, with u evaluated once per distinct domain; zeros
-    and sign changes of all curves' gaps are found in one array pass, and all
-    sign-change cells are bisected in lockstep to width 1e-12, one
-    curve.value call per step for each curve with live cells and u in floats
-    (numpy's per-call cost dominates on a few cells).  Crossings closer than
-    1e-11 are merged.  Double crossings inside one scan cell are not resolved.
+    u(s) - curve.value(s) is scanned on SCAN_PER_PANEL * (N - 1) equal cells of
+    the curve's domain, whatever its width, for u on N nodes, with u evaluated
+    once per distinct domain; zeros and sign changes of all curves' gaps are
+    found in one array pass, and all sign-change cells are bisected in
+    lockstep to width 1e-12, one curve.value call per step for each curve
+    with live cells and u in floats (numpy's per-call cost dominates on a
+    few cells).  Crossings closer than 1e-11 are merged.  Double crossings
+    inside one scan cell are not resolved.
     """
     tol = 1e-12
     spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
     cells = [[] for _ in curves]  # [a, b, gap at a]; b = a where the gap is 0
     if live:
-        n_scan = max(2, SCAN_PER_PANEL * (u.nodes.size - 1))
+        n_scan = SCAN_PER_PANEL * (u.nodes.size - 1)
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
         levels = {d: grid_eval(u, ts)[0] for d, ts in grids.items()}
         gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])

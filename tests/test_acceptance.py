@@ -149,7 +149,7 @@ def test_criterion_7_equicontinuity():
     rng = np.random.default_rng(77)
     for _ in range(20):
         u = random_ball_function(spec, rng, fill=rng.uniform(0.05, 1.0))
-        rep = equicontinuity_check(spec, u, hr_values=np.ones(spec.grid_size))
+        rep = equicontinuity_check(spec, u)
         assert rep.passed
 
 

@@ -53,13 +53,6 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_config(doc)
 
-    def test_even_grid_rejected(self):
-        doc = smoke_doc()
-        doc["numerics"]["grid_size"] = 128
-        with pytest.raises(ConfigError) as exc:
-            parse_config(doc)
-        assert exc.value.field == "numerics.grid_size"
-
     def test_unknown_task(self):
         with pytest.raises(ConfigError):
             parse_config(smoke_doc(tasks=["frobnicate"]))
@@ -81,6 +74,15 @@ class TestParse:
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.field == "numerics.t_min"
+
+    def test_any_grid_size_from_three(self):
+        doc = smoke_doc()
+        doc["numerics"]["grid_size"] = 128
+        assert parse_config(doc).grid_size == 128
+        doc["numerics"]["grid_size"] = 2
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == "numerics.grid_size"
 
     def test_task_order_normalized(self):
         cfg = parse_config(smoke_doc(tasks=["solve", "check"]))
@@ -345,6 +347,14 @@ class TestMain:
         cfg_path.write_text(json.dumps(smoke_doc(numerics=[])))
         assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
         assert "numerics must be an object" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_non_object_config_exits_two(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps([1, 2]))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_unwritable_output_exits_two(self, tmp_path, capsys):

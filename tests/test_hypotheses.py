@@ -7,15 +7,15 @@ import bvpkit.hypotheses
 from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     VIABLE, BallViolation, apply_T, bounds_report,
                     certify_hypotheses, check_h1, check_h3, classify_curve,
-                    classify_curves, convexification_probe, estimate_HR,
-                    minimal_R_power, norm_c1, perturbation_family, residual,
-                    simplex_least_squares, solve_picard)
+                    classify_curves, convexification_probe, equicontinuity_check,
+                    estimate_HR, minimal_R_power, norm_c1, perturbation_family,
+                    residual, simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
 from bvpkit.hypotheses import HR_U_SAMPLES, _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight, uniform_grid)
 
-from conftest import const_weight, smoke_spec
+from conftest import Counted, const_weight, random_ball_function, smoke_spec
 
 
 def poly_spec(quad_tol=1e-10):
@@ -599,6 +599,21 @@ class TestProbeMatchesReference:
             assert np.max(np.abs(vals[outside]), initial=0.0) <= 1e-12
             assert np.max(np.abs(ders[outside]), initial=0.0) <= 1e-12
             assert norm_c1(GridFunction(nodes, vals, ders)) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestEquicontinuityCheck:
+    @pytest.mark.parametrize("seed, passed", [(0, True), (1, False), (2, False),
+                                              (3, False), (4, False)])
+    def test_divisor_ball_functions_apply_no_T(self, divisor_spec, seed, passed):
+        # 1000 f points is below one apply_T round (3072 on 128 panels), so the
+        # check applies no T; apply_T itself does not finish on these functions
+        f = Counted(divisor_spec.nonlinearity.eval, max_points=1000)
+        spec = replace(divisor_spec, nonlinearity=replace(divisor_spec.nonlinearity, eval=f))
+        u = random_ball_function(spec, np.random.default_rng(seed), 0.9)
+        rep = equicontinuity_check(spec, u)
+        assert rep.n_checked == 128
+        assert rep.passed is passed
+        assert (rep.max_excess <= 0.0) is passed
 
 
 class TestCertifyPipeline:

@@ -2,10 +2,11 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import (DIRICHLET, DegenerateGamma, DomainError, NegativeCoefficient,
                     dk_dt, dk_dt_bound, k_eval, validate_params)
-from bvpkit.kernel import BoundaryParams
+from bvpkit.kernel import BoundaryParams, left_factor, right_factor
 
 
 def sample_params(rng, gamma_floor=1e-3):
@@ -118,3 +119,14 @@ class TestKernelProperties:
             right = p.gamma * k_eval(p, 1.0, s) + p.delta * dk_dt(p, 1.0, s)
             assert abs(left) <= 1e-12
             assert abs(right) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+           s=st.floats(0.0, 1.0))
+    def test_factor_identity(self, coeffs, s):
+        # alpha*right + gamma*left = Gamma: the identity behind (Tu)'' = -g f(., u)
+        a, b, g, d = coeffs
+        assume(g * b + a * g + a * d > 1e-3)
+        p = validate_params(a, b, g, d)
+        lhs = p.alpha * right_factor(p, s) + p.gamma * left_factor(p, s)
+        assert lhs == pytest.approx(p.gamma_const, rel=1e-14, abs=1e-14)

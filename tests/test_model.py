@@ -120,10 +120,6 @@ class TestGridFunctionInvariants:
 
 
 class TestProblemSpec:
-    def test_even_grid_rejected(self):
-        with pytest.raises(ValueError):
-            smoke_spec(grid_size=128)
-
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError):
             smoke_spec(radius=-1.0)
