@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError
 from .kernel import BoundaryParams
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
-                    Weight, grid_eval)
+                    Weight, grid_value)
 
 # region indices past this raise DomainError instead of being trial-divided.
 # The regions accumulate at u -> 0- (n = floor(t/-u)), and sampling does get
@@ -184,9 +184,9 @@ def measurable_decomposition(u: GridFunction, t_grid) -> DecompositionReport:
     """Partition the sampled times by which preimage set they fall in,
     checking agreement with the region map."""
     ts = np.asarray(t_grid, dtype=float)
-    if np.any(ts <= 0.0):
-        raise DomainError("decomposition needs t > 0")
-    uv, _ = grid_eval(u, ts)
+    if np.any(ts <= 0.0) or np.any(ts > 1.0):
+        raise DomainError("decomposition needs 0 < t <= 1")
+    uv = grid_value(u, ts)
     n = _region_array(ts, uv)
     kinds = np.where(uv >= 0.0, "I", np.where(uv < -ts, "K", "J"))
     entries = [(float(t), str(kind), int(m)) for t, kind, m in zip(ts, kinds, n)]

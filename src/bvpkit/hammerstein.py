@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
-from .model import GridFunction, ProblemSpec, find_crossings, grid_eval, norm_c1
-from .quadrature import integrate_groups
+from .model import GridFunction, ProblemSpec, find_crossings, grid_value, norm_c1
+from .quadrature import BLOCK, integrate_groups
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,9 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
     edges e_0 < ... < e_m (default: the grid nodes).
 
     One quadrature call integrates (left*h, right*h), h once per point, over
-    every panel [e_i, e_{i+1}], with breaks as breakpoints and a singular
+    every panel [e_i, e_{i+1}]; h gets the points as rows of one quadrature
+    block each, so each row lies inside one panel and apply_T evaluates u once
+    per block.  breaks are breakpoints, and a singular
     weight's sqrt substitution on a panel starting at 0, each panel to
     quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.
     Node values and derivatives combine L and R with coefficients of total
@@ -65,6 +67,7 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
 
     def both(s):
+        s = s.reshape(-1, BLOCK)
         hs = h(s)
         return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
 
@@ -85,15 +88,18 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """One application of the integral operator: node values and derivatives
     from the running integrals of g*f(., u) against both kernel factors.
 
-    Requires in_ball(spec, u) so the pointwise bound on f applies along u;
-    raises BallViolation otherwise.
+    Requires in_ball(spec, u) so the pointwise bound on f applies along u,
+    and raises BallViolation otherwise; u must live on spec.nodes, since the
+    quadrature panels between them are where u is evaluated once per block.
     """
+    if not np.array_equal(u.nodes, spec.nodes):
+        raise ValueError("u does not live on spec.nodes")
     if not in_ball(spec, u):
         raise BallViolation(
             f"||u|| = {norm_c1(u):.6g} exceeds the ball radius R = {spec.radius:.6g}")
 
     g, f = spec.weight.eval, spec.nonlinearity.eval
-    left, right = _running_integrals(spec, lambda s: g(s) * f(s, grid_eval(u, s)[0]),
+    left, right = _running_integrals(spec, lambda s: g(s) * f(s, grid_value(u, s)),
                                      tuple(crossing_breakpoints(spec, u)))
     return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import BallViolation, QuadratureError, SolverStall
 from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
 from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
-                    grid_eval, norm_c1)
+                    grid_value, norm_c1)
 from .quadrature import IntegrandSpec, integrate
 
 VIABLE = "viable"
@@ -179,7 +179,7 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
     t = nodes[(nodes >= t_min) & (nodes > 0.0)]
     if t.size == 0:
         raise ValueError("t_min excludes every node")
-    fu = spec.nonlinearity.eval(t, grid_eval(u, t)[0])
+    fu = spec.nonlinearity.eval(t, grid_value(u, t))
     excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - estimate_HR(spec, t).profile)
     i = int(np.argmax(excess))
     return EquicontinuityReport(max_excess=float(excess[i]), worst_t=float(t[i]),

@@ -10,7 +10,9 @@ scalar-only one is looped over the batch by that wrapper and nowhere else.
 A candidate solution is carried as node values plus node derivative values
 on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
 Hermite interpolation, which is exact on cubics and matches the C1 setting
-the integral operator works in.
+the integral operator works in.  grid_value takes its points in rows that
+each lie in one node panel and looks the panel up once per row: apply_T
+evaluates u once per quadrature block, the other callers one point per row.
 """
 
 from __future__ import annotations
@@ -178,22 +180,37 @@ def _hermite(h, x, u0, u1, m0, m1):
             + u1 * (-2 * x3 + 3 * x2) + h * m1 * (x3 - x2))
 
 
+def _panels(u: GridFunction, rows):
+    """Node panel data of each row of points as (P, 1) columns: width h, the
+    rows' local coordinates x, and end values and derivatives.  A row's panel
+    is the one its middle point falls in (the last one from t = 1 on)."""
+    i = np.searchsorted(u.nodes, rows[:, rows.shape[1] // 2], side="right") - 1
+    i = np.clip(i, 0, u.nodes.size - 2)[:, None]
+    t0 = u.nodes[i]
+    h = u.nodes[i + 1] - t0
+    return (h, (rows - t0) / h, u.values[i], u.values[i + 1],
+            u.derivatives[i], u.derivatives[i + 1])
+
+
+def grid_value(u: GridFunction, s):
+    """Cubic Hermite value of u at the points s, with no range check: for 2-d
+    s each row must lie in one node panel (its ends included), and a 1-d s is
+    one point per row.  Same bits as grid_eval(u, s)[0]."""
+    s = np.asarray(s, dtype=float)
+    return _hermite(*_panels(u, s[:, None] if s.ndim == 1 else s)).reshape(s.shape)
+
+
 def grid_eval(u: GridFunction, t):
     """Cubic Hermite value and derivative at t (scalar or array); exact at
     nodes and on sampled cubics."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise DomainError("t must lie in [0, 1]")
-    idx = np.clip(np.searchsorted(u.nodes, t_arr, side="right") - 1, 0, u.nodes.size - 2)
-    t0 = u.nodes[idx]
-    h = u.nodes[idx + 1] - t0
-    x = (t_arr - t0) / h
+    h, x, u0, u1, m0, m1 = _panels(u, t_arr.reshape(-1, 1))
     x2 = x * x
-    u0, u1 = u.values[idx], u.values[idx + 1]
-    m0, m1 = u.derivatives[idx], u.derivatives[idx + 1]
-    val = _hermite(h, x, u0, u1, m0, m1)
-    der = (u0 * (6 * x2 - 6 * x) + h * m0 * (3 * x2 - 4 * x + 1)
-           + u1 * (-6 * x2 + 6 * x) + h * m1 * (3 * x2 - 2 * x)) / h
+    val = _hermite(h, x, u0, u1, m0, m1).reshape(t_arr.shape)
+    der = ((u0 * (6 * x2 - 6 * x) + h * m0 * (3 * x2 - 4 * x + 1)
+            + u1 * (-6 * x2 + 6 * x) + h * m1 * (3 * x2 - 2 * x)) / h).reshape(t_arr.shape)
     if val.ndim == 0:
         return float(val), float(der)
     return val, der
@@ -228,9 +245,12 @@ class ProblemSpec:
         if self.grid_size < 3:
             raise ValueError("grid_size must be >= 3")
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return uniform_grid(self.grid_size)
+        """The uniform grid, built once per spec and read-only."""
+        nodes = uniform_grid(self.grid_size)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def find_crossings(u: GridFunction, curves):

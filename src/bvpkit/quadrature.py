@@ -9,9 +9,16 @@ floor, eps times the integral of |f|.  Each round is one integrand call on
 every new subpanel: a group is done once each component's summed estimate is
 <= tol; in the others every subpanel above tol / (its group's subpanel count)
 is bisected.  Floors that sum past m*tol (rounding alone uses up the total
-asked for), or a group still open after MAX_DEPTH rounds, raise
-MaxDepthExceeded, so the integrand is called at most MAX_DEPTH + 1 times.
+asked for), a group still open after MAX_DEPTH rounds, or a round that would
+take the call past MAX_GROWTH times its first round's subpanels plus
+2*MAX_DEPTH raise MaxDepthExceeded: the integrand is called at most
+MAX_DEPTH + 1 times, and its work and memory stay within that subpanel budget.
+
 Integrands map a flat array of points to one row of values per component.
+The points come in consecutive blocks of BLOCK, one block per subpanel (its
+16 Gauss-Legendre points, then its 8), and each block lies inside one group,
+so an integrand may look up anything that depends on the group once per
+block (s.reshape(-1, BLOCK) gives one row per block).
 """
 
 from dataclasses import dataclass, field
@@ -23,8 +30,13 @@ from .errors import MaxDepthExceeded, NonFiniteIntegrand
 _NODES8, _WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate((_NODES16, _NODES8))
+BLOCK = _NODES.size  # integrand points per subpanel
 
 MAX_DEPTH = 40
+# subpanels one call may sample, per subpanel of its first round; the
+# 2*MAX_DEPTH on top lets even a one-group call chase one jump, kink or
+# endpoint singularity (two new subpanels per level) through every level
+MAX_GROWTH = 32
 _EPS = np.finfo(float).eps
 
 
@@ -72,9 +84,10 @@ def _rule(fn, lo, hi, sq, s0, width):
     subpanels [lo, hi] from one call of fn on all their Gauss points."""
     half = 0.5 * (hi - lo)
     x = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
-    s = np.where(sq[:, None], s0 + width * x * x, x)
+    substituted = sq.any()
+    s = np.where(sq[:, None], s0 + width * x * x, x) if substituted else x
     f = np.asarray(fn(s.ravel()), dtype=float).reshape(-1, *x.shape)
-    if sq.any():
+    if substituted:
         f = f * np.where(sq[:, None], 2.0 * width * x, 1.0)
     finite = np.isfinite(f).all(axis=(0, 2))
     if not finite.all():
@@ -93,7 +106,11 @@ def _group_sums(grp, rows, m):
 def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
     """Integrals of fn over each group [edges[i], edges[i+1]], shape (k, m)
     for a k-component integrand (k = 1 when fn returns one flat array), each
-    component of each group to absolute tolerance tol."""
+    component of each group to absolute tolerance tol.
+
+    fn gets a flat array of BLOCK points per subpanel, each block inside one
+    group; each component's values may come in any shape with one value per
+    point, such as (P, BLOCK) from points taken as rows."""
     edges = np.asarray(edges, dtype=float)
     m = edges.size - 1
     lo, hi, grp = _subpanels(edges, breakpoints)
@@ -104,6 +121,7 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
         sq[0], lo[0], hi[0] = True, 0.0, 1.0
     panels = (lo, hi, grp, sq)
     estimates = _rule(fn, lo, hi, sq, s0, width)
+    first = sampled = lo.size
     out = np.zeros((estimates[0].shape[0], m))
     floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
     for level in range(MAX_DEPTH + 1):
@@ -120,15 +138,19 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
         live = ~done[grp]
         if not live.any():
             return out
-        if level == MAX_DEPTH:
+        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
+        sampled += 2 * np.count_nonzero(split)
+        if level == MAX_DEPTH or sampled > MAX_GROWTH * first + 2 * MAX_DEPTH:
             i = int(np.argmax(np.where(live, err.max(axis=0), -1.0)))
+            budget = "" if level == MAX_DEPTH else (
+                f" (the next round would take the call to {sampled} subpanels, past "
+                f"{MAX_GROWTH} times its first round's {first} plus {2 * MAX_DEPTH})")
             raise MaxDepthExceeded(
                 f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
-                f"after {MAX_DEPTH} bisection levels near "
-                f"{_interval(lo[i], hi[i], sq[i], s0, width)}")
+                f"after {level} bisection levels near "
+                f"{_interval(lo[i], hi[i], sq[i], s0, width)}{budget}")
 
         floor_done += floor[:, ~live].sum(axis=1)
-        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
         keep = live & ~split
         mid = 0.5 * (lo + hi)
         halves = (np.concatenate((lo[split], mid[split])),

@@ -293,3 +293,7 @@ class TestMeasurableDecomposition:
     def test_rejects_zero_time(self):
         with pytest.raises(DomainError):
             measurable_decomposition(self.grid_const(1.0), [0.0])
+
+    def test_rejects_time_past_one(self):
+        with pytest.raises(DomainError):
+            measurable_decomposition(self.grid_const(1.0), [0.5, 1.0 + 1e-12])

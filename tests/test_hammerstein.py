@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_report,
-                    equicontinuity_check, norm_c1, residual, solve_picard, validate_params)
+                    equicontinuity_check, grid_eval, norm_c1, residual, solve_picard,
+                    validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.hammerstein import crossing_breakpoints
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
@@ -58,6 +59,11 @@ class TestApplyT:
         tu2 = apply_T(spec, random_ball_function(spec, rng))
         assert np.allclose(tu1.values, tu2.values, atol=2 * spec.quad_tol)
         assert np.allclose(tu1.derivatives, tu2.derivatives, atol=2 * spec.quad_tol)
+
+    def test_u_on_another_grid_rejected(self):
+        spec = smoke_spec()
+        with pytest.raises(ValueError, match="spec.nodes"):
+            apply_T(spec, GridFunction.zero(np.linspace(0.0, 1.0, 65)))
 
     def test_ball_violation(self):
         spec = smoke_spec()
@@ -276,6 +282,23 @@ class TestWorkCounts:
         assert len(crossing_breakpoints(spec, u)) == 2
         apply_T(spec, u)
         assert 1 <= f.calls <= 3
+
+    def test_apply_T_evaluates_u_without_grid_eval(self, monkeypatch):
+        import bvpkit.hammerstein
+        import bvpkit.model
+        sizes = []
+
+        def counted(u, t):
+            sizes.append(np.size(t))
+            return grid_eval(u, t)
+
+        for mod in (bvpkit.model, bvpkit.hammerstein):
+            monkeypatch.setattr(mod, "grid_eval", counted, raising=False)
+        f = Counted(lambda t, u: np.exp(3.0 * u))
+        spec = replace(smoke_spec(quad_tol=1e-12),
+                       nonlinearity=Nonlinearity(eval=f, local_bound=lambda t, r: np.exp(3.0 * r)))
+        apply_T(spec, random_ball_function(spec, np.random.default_rng(4)))
+        assert f.calls > 1 and sizes == []
 
 
 class TestEquicontinuity:

@@ -3,7 +3,9 @@ import pytest
 
 from bvpkit import (DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1,
                     uniform_grid)
-from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction
+from bvpkit.errors import MaxDepthExceeded
+from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value
+from bvpkit.quadrature import BLOCK, integrate_groups
 
 from conftest import smoke_spec
 
@@ -72,6 +74,69 @@ class TestGridEval:
         assert 12 < ratio < 20  # cubic Hermite: error ~ h**4
 
 
+class TestGridValue:
+    """grid_value on rows of quadrature points, one node-panel lookup per
+    row, has the bits of grid_eval's per-point lookup and formula."""
+
+    @staticmethod
+    def quadrature_rows(fn, nodes, **kw):
+        seen = []
+
+        def record(s):
+            seen.append(s.copy())
+            return fn(s)
+
+        try:
+            integrate_groups(record, nodes, **kw)
+        except MaxDepthExceeded:
+            pass
+        return np.concatenate(seen).reshape(-1, BLOCK)
+
+    @staticmethod
+    def random_u(seed, n=33):
+        rng = np.random.default_rng(seed)
+        return GridFunction(uniform_grid(n), rng.standard_normal(n), rng.standard_normal(n))
+
+    def check(self, u, rows):
+        got = grid_value(u, rows)
+        assert got.shape == rows.shape
+        assert got.tobytes() == grid_eval(u, rows.ravel())[0].reshape(rows.shape).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_breakpoint_split_subpanels(self, seed):
+        u = self.random_u(seed)
+        rng = np.random.default_rng(100 + seed)
+        breaks = tuple(rng.uniform(0.0, 1.0, size=20))
+        rows = self.quadrature_rows(lambda s: np.cos(9.0 * s), u.nodes, breakpoints=breaks,
+                                    tol=1e-12)
+        assert rows.shape[0] == 32 + 20
+        self.check(u, rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subpanels_bisected_to_full_depth_next_to_a_node(self, seed):
+        u = self.random_u(seed)
+        node = u.nodes[1 + seed * 7]
+        rows = self.quadrature_rows(lambda s: 1.0 / np.sqrt(np.abs(s - node)), u.nodes,
+                                    tol=1e-10)
+        # 40 levels into a 1/32 panel: subpanels of width 2**-45
+        assert np.min(np.abs(rows - node)) < 2.0 ** -45
+        self.check(u, rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_substituted_first_panel_of_a_singular_weight(self, seed):
+        u = self.random_u(seed)
+        rows = self.quadrature_rows(lambda s: np.cos(s) / np.sqrt(s), u.nodes,
+                                    singular_left=True, tol=1e-13)
+        first = rows[rows.max(axis=1) <= u.nodes[1]]
+        assert first.size and np.min(first) < 1e-6
+        self.check(u, rows)
+
+    def test_one_point_per_row(self):
+        u = self.random_u(7)
+        t = np.concatenate((u.nodes, np.random.default_rng(7).uniform(0.0, 1.0, 200)))
+        assert grid_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
+
+
 class TestNormC1:
     def test_zero(self):
         assert norm_c1(GridFunction.zero(uniform_grid(9))) == 0.0
@@ -127,6 +192,12 @@ class TestProblemSpec:
     def test_half_is_a_node(self):
         spec = smoke_spec(grid_size=129)
         assert 0.5 in spec.nodes
+
+    def test_nodes_built_once_and_read_only(self):
+        spec = smoke_spec()
+        assert spec.nodes is spec.nodes
+        with pytest.raises(ValueError):
+            spec.nodes[1] = 0.5
 
 
 class TestCurveCrossings:

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bvpkit import (DIRICHLET, GridFunction, IntegrandSpec, MaxDepthExceeded,
+from bvpkit import (DIRICHLET, BvpError, GridFunction, IntegrandSpec, MaxDepthExceeded,
                     NonFiniteIntegrand, apply_T, dk_dt, integrate)
 from bvpkit.model import Weight
-from bvpkit.quadrature import MAX_DEPTH, integrate_groups
+from bvpkit.quadrature import BLOCK, MAX_DEPTH, MAX_GROWTH, integrate_groups
 
-from conftest import Counted, const_weight, smoke_spec
+from conftest import Counted, const_weight, random_ball_function, smoke_spec
 
 
 def test_linear_monomial():
@@ -168,6 +168,23 @@ class TestGroups:
         for row, fn in zip(both, (f1, f2)):
             assert np.max(np.abs(row - integrate_groups(fn, edges, tol=tol)[0])) <= tol
 
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_each_block_lies_in_one_group(self, singular):
+        rng = np.random.default_rng(5)
+        edges = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 1.0, 9)), [1.0]))
+        breaks = tuple(rng.uniform(0.0, 1.0, 6))
+        seen = []
+
+        def fn(s):
+            seen.append(s.copy())
+            return np.abs(s - 0.4321) ** 0.25 / (np.sqrt(s) if singular else 1.0)
+
+        integrate_groups(fn, edges, breaks, singular_left=singular, tol=1e-11)
+        assert len(seen) > 2 and all(s.ndim == 1 and s.size % BLOCK == 0 for s in seen)
+        rows = np.concatenate(seen).reshape(-1, BLOCK)
+        i = np.searchsorted(edges, rows[:, BLOCK // 2], side="right") - 1
+        assert np.all(edges[i] <= rows.min(axis=1)) and np.all(rows.max(axis=1) <= edges[i + 1])
+
     def test_nan_names_its_subinterval(self):
         edges = np.linspace(0.0, 1.0, 6)
 
@@ -186,6 +203,22 @@ def test_failure_work_is_bounded(fn, singular):
     with pytest.raises(MaxDepthExceeded, match="bisection levels"):
         integrate(IntegrandSpec(counted, singular_left=singular, tol=1e-10), 0, 1)
     assert counted.calls <= MAX_DEPTH + 1
+
+
+def test_one_group_chases_an_undeclared_jump_through_every_level():
+    # 67 subpanels, past MAX_GROWTH times the first round's one
+    fn = Counted(lambda s: np.where(s < 1.0 / 3.0, 1.0, 2.0))
+    assert integrate(IntegrandSpec(fn, tol=1e-12), 0, 1) == pytest.approx(5.0 / 3.0, abs=1e-10)
+    assert fn.points == 67 * BLOCK > MAX_GROWTH * BLOCK
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_divisor_ball_functions_fail_within_the_point_budget(divisor_spec, seed):
+    # u has dozens of roots, and the jump curves of f accumulate at u = 0-
+    f = Counted(divisor_spec.nonlinearity.eval, max_points=10 ** 6)
+    spec = replace(divisor_spec, nonlinearity=replace(divisor_spec.nonlinearity, eval=f))
+    with pytest.raises(BvpError):
+        apply_T(spec, random_ball_function(spec, np.random.default_rng(seed), 0.9))
 
 
 def test_tolerance_below_rounding_fails_with_bounded_work():
