@@ -29,12 +29,21 @@ def number(val, kind=float):
     return kind(val)
 
 
+def _only(params: dict, *names):
+    """Reject a parameter that the catalog entry does not read (ValueError)."""
+    for key in params:
+        if key not in names:
+            raise ValueError(f"unknown parameter {key!r}")
+
+
 def make_weight_from_id(weight_id: str, params: dict) -> Weight:
     if weight_id == "constant":
+        _only(params, "value")
         c = number(params.get("value", 1.0))
         return Weight(eval=lambda t, _c=c: np.full_like(t, _c),
                       singular_left=False, l1_bound_hint=abs(c))
     if weight_id == "inv-sqrt":
+        _only(params, "scale")
         scale = number(params.get("scale", 1.0))
         return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t),
                       singular_left=True, l1_bound_hint=2.0 * abs(scale))
@@ -43,10 +52,12 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
 
 def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
     if nl_id == "constant":
+        _only(params, "value")
         c = number(params.get("value", 1.0))
         return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(t, _c),
                             local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)))
     if nl_id == "polynomial":
+        _only(params, "coeffs")
         coeffs = [number(c) for c in params.get("coeffs", [1.0])]
 
         def f(t, u, _c=tuple(coeffs)):
@@ -60,6 +71,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
 
         return Nonlinearity(eval=f, local_bound=bound)
     if nl_id == "step":
+        _only(params, "low", "high", "threshold", "epsilon")
         low = number(params.get("low", 1.0))
         high = number(params.get("high", 0.0))
         thr = number(params.get("threshold", 0.0))
@@ -77,6 +89,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
         return Nonlinearity(eval=f, curves=(curve,),
                             local_bound=lambda t, r: np.full_like(t, bound))
     if nl_id == "phi-example":
+        _only(params, "lambda", "curve_count", "epsilon")
         ex = PhiExample(lam=number(params.get("lambda", 1.0 / 3.0)),
                         curve_count=number(params.get("curve_count", 8), int),
                         epsilon=number(params.get("epsilon", 0.05)))

@@ -65,6 +65,12 @@ def _require(cond, message, fld):
         raise ConfigError(message, field=fld)
 
 
+def _known(section: dict, fld: str, keys):
+    """Reject a key of section that parse_config does not read."""
+    for key in section:
+        _require(key in keys, f"unknown key {key!r}", f"{fld}.{key}" if fld else key)
+
+
 def _accepted(fld, fn, *args, what=""):
     """fn(*args), its rejection of a config value (by catalog.number,
     validate_params or a catalog constructor) failing as a ConfigError that
@@ -78,8 +84,10 @@ def _accepted(fld, fn, *args, what=""):
 def parse_config(doc: dict) -> RunConfig:
     """Validate a config document; raises ConfigError naming the bad field."""
     _require(isinstance(doc, dict), "config must be a JSON object", "")
+    _known(doc, "", ("problem", "numerics", "tasks", "output"))
     problem = doc.get("problem")
     _require(isinstance(problem, dict), "missing problem section", "problem")
+    _known(problem, "problem", ("bc", "weight", "nonlinearity", "R"))
 
     bc = problem.get("bc")
     _require(isinstance(bc, (list, tuple)) and len(bc) == 4,
@@ -100,6 +108,7 @@ def parse_config(doc: dict) -> RunConfig:
         _require(r == "auto-power", f"unknown R mode {r!r}", "problem.R")
         r = {"mode": r}
     if isinstance(r, dict):
+        _known(r, "problem.R", ("mode", "lambda"))
         _require(r.get("mode") == "auto-power", "R object must set mode=auto-power",
                  "problem.R")
         auto_lam = _accepted("problem.R.lambda", number, r.get("lambda", nl.get("lambda")))
@@ -112,6 +121,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     num = doc.get("numerics", {})
     _require(isinstance(num, dict), "numerics must be an object", "numerics")
+    _known(num, "numerics", NUMERICS)
 
     numerics = {}
     for name, (kind, default) in NUMERICS.items():
@@ -234,7 +244,8 @@ def run(cfg: RunConfig):
             hyp = certify_hypotheses(spec, t_min=cfg.t_min, bounds=bounds,
                                      hr_sup=hr_sup)
             if "check" in certify:
-                report["bounds"] = _section(hyp.bounds, m_total=hyp.bounds.m_total,
+                report["bounds"] = _section(hyp.bounds, drop={"l1_norm"},
+                                            m_total=hyp.bounds.m_total,
                                             resolved_radius=spec.radius)
                 hr_source = "power-bound" if hr_sup is not None else hyp.h2.source
                 report["hypotheses"] = {

@@ -21,12 +21,13 @@ from .quadrature import BLOCK, integrate_groups
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Sup-over-t integrals of k*|g| (m1) and |dk/dt|*|g| (m2)."""
+    """Sup-over-t integrals of k*|g| (m1) and |dk/dt|*|g| (m2), and int |g|."""
 
     m1: float
     m2: float
     argmax_t_m1: float
     argmax_t_m2: float
+    l1_norm: float
     quad_tol: float
 
     @property
@@ -110,20 +111,21 @@ def residual(spec: ProblemSpec, u: GridFunction) -> float:
 
 
 def bounds_report(spec: ProblemSpec) -> BoundsReport:
-    """M1 = sup_t int k(t,.)|g| and M2 = sup_t int |dk/dt(t,.)| |g|, from the
-    running integrals L, R of |g| against the two kernel factors.
+    """M1 = sup_t int k(t,.)|g|, M2 = sup_t int |dk/dt(t,.)| |g| and
+    int_0^1 |g|, from the running integrals L, R of |g| against the two
+    kernel factors.
 
     M1 = (right L + left R) / Gamma is concave, since M1' = (alpha R - gamma L)
     / Gamma and M1'' = -|g| <= 0 (kernel.py): its sup lies within one node of
-    the best node.  Each round evaluates the monotone M1' at up to 32
+    the best node.  Each round evaluates M1 and the monotone M1' at up to 32
     equispaced points of that bracket from one quadrature call and keeps the
-    cell where it changes sign, until the bracket is 1e-7 wide; M1 at its
-    midpoint comes from one panel [node, t], as node values do, and the
-    better of node and refined value is kept.
+    cell where M1' changes sign, until the bracket is 1e-7 wide; M1 is the
+    largest value the node pass and the search evaluated.
 
     M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
     - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,
-    from - to +: M2 peaks at t = 0 or t = 1 (ties go to 0).
+    from - to +: M2 peaks at t = 0 or t = 1 (ties go to 0).  And
+    int_0^1 |g| = M2(0) + M2(1) (kernel.py), so H1 needs no integral of its own.
     """
     p = spec.params
 
@@ -135,24 +137,20 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     m1_nodes, _ = _closed_forms(spec, nodes, left, right)
     i = int(np.argmax(m1_nodes))
     j = max(i - 1, 0)
+    t1, m1 = nodes[i], m1_nodes[i]
 
     a, b = nodes[j], nodes[min(i + 1, nodes.size - 1)]
     while b - a > 1e-7:
-        # M1' at up to 32 equispaced points of [a, b] from one quadrature
-        # call, carrying L and R on from node j; keep the sign change
+        # M1, M1' at up to 32 equispaced points of [a, b] from one quadrature call,
+        # carrying L and R on from node j; keep the best M1 and the M1' sign change
         ts = np.linspace(a, b, min(33, int(np.ceil((b - a) / 1e-7))) + 1)[1:-1]
         dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], *ts))
-        _, slope = _closed_forms(spec, ts, left[j] + dl[1:], right[j] - (dr[0] - dr[1:]))
+        vals, slope = _closed_forms(spec, ts, left[j] + dl[1:], right[j] - (dr[0] - dr[1:]))
+        t1, m1 = max((t1, m1), *zip(ts, vals), key=lambda tm: tm[1])
         k = int(np.argmax(np.append(slope <= 0.0, True)))
         a, b = (ts[k - 1] if k else a), (ts[k] if k < ts.size else b)
-    t1 = 0.5 * (a + b)
-    dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], t1))
-    m1, _ = _closed_forms(spec, t1, left[j] + dl[1], right[j] - dr[0])
-    if m1 <= m1_nodes[i]:
-        t1, m1 = nodes[i], m1_nodes[i]
 
     m2_0, m2_1 = p.alpha * right[0] / p.gamma_const, p.gamma * left[-1] / p.gamma_const
     t2, m2 = (0.0, m2_0) if m2_0 >= m2_1 else (1.0, m2_1)
     return BoundsReport(m1=float(m1), m2=float(m2), argmax_t_m1=float(t1),
-                        argmax_t_m2=t2, quad_tol=spec.quad_tol)
-
+                        argmax_t_m2=t2, l1_norm=float(m2_0 + m2_1), quad_tol=spec.quad_tol)

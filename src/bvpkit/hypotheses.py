@@ -1,12 +1,12 @@
 """Executable certification of the existence-theorem hypotheses.
 
-The checks are numerical evidence, not proofs: the weight's integrability is
-established by adaptive quadrature, the pointwise bound on f by sampling,
-the ball condition by the computed sup-integrals, and each declared
-discontinuity curve is classified as viable (it solves the ODE) or inviable
-(a uniform margin pushes nearby solutions away).  A finite-sample convex-hull
-probe gives evidence for or against membership of u in the convexified
-operator image.
+The checks are numerical evidence, not proofs: the weight's integral and the
+ball condition come from one quadrature pass (the sup-integrals M1, M2 and
+int |g| = M2(0) + M2(1)), the pointwise bound on f from sampling, and each
+declared discontinuity curve is classified as viable (it solves the ODE) or
+inviable (a uniform margin pushes nearby solutions away).  A finite-sample
+convex-hull probe gives evidence for or against membership of u in the
+convexified operator image.
 """
 
 import math
@@ -18,7 +18,7 @@ from .errors import BallViolation, QuadratureError, SolverStall
 from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
 from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
                     grid_value, norm_c1)
-from .quadrature import IntegrandSpec, integrate
+from .quadrature import integrate_groups
 
 VIABLE = "viable"
 INVIABLE_UPPER = "inviable_upper"
@@ -84,17 +84,16 @@ class HypothesisReport:
 
 
 def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
-    """Integrability of the weight: compute int_0^1 |g| or report divergence."""
-    g = weight.eval
-
-    def integrand(s):
-        return np.abs(g(s))
-
+    """Integrability of the weight on its own: int_0^1 |g| to tol, or the
+    divergence.  certify_hypotheses reads the integral off bounds_report."""
+    if tol <= 0:
+        raise ValueError(f"tol must be > 0, got {tol}")
     try:
-        val = integrate(IntegrandSpec(integrand, (), weight.singular_left, tol), 0.0, 1.0)
+        val = integrate_groups(lambda s: np.abs(weight.eval(s)), (0.0, 1.0),
+                               singular_left=weight.singular_left, tol=tol)
     except QuadratureError as exc:
         return H1Result(passed=False, l1_norm=None, detail=str(exc))
-    return H1Result(passed=True, l1_norm=val)
+    return H1Result(passed=True, l1_norm=float(val[0, 0]))
 
 
 def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
@@ -415,14 +414,15 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
 
     t_min clips both the H_R sample grid (the nodes t >= t_min, t > 0) and
     every curve's classification domain.  bounds, when given, are the
-    problem's M1/M2 report and are not recomputed; either way the report
-    carries them.  hr_sup is the H_R premise of the ball check H3; None
-    means the sampled sup of H_R.
+    problem's bounds report and are not recomputed; either way the report
+    carries them, and H1 is their int |g|: a weight that is not integrable
+    makes bounds_report raise MaxDepthExceeded.  hr_sup is the H_R premise
+    of the ball check H3; None means the sampled sup of H_R.
     """
-    h1 = check_h1(spec.weight, tol=min(spec.quad_tol, 1e-9))
+    b = bounds if bounds is not None else bounds_report(spec)
+    h1 = H1Result(passed=True, l1_norm=b.l1_norm)
     nodes = spec.nodes
     h2 = estimate_HR(spec, t_grid=nodes[(nodes >= t_min) & (nodes > 0.0)])
-    b = bounds if bounds is not None else bounds_report(spec)
     h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
     h5 = classify_curves(spec, spec.nonlinearity.curves, t_min=t_min)
     return HypothesisReport(h1=h1, h2=h2, h3=h3, h4=spec.nonlinearity.measurability,

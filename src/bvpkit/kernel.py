@@ -19,6 +19,8 @@ The factors satisfy alpha*right(s) + gamma*left(s) = Gamma for every s.  So
 w(t) = int k(t,s) h(s) ds = (right(t) L(t) + left(t) R(t)) / Gamma, with
 L = int_0^t left*h and R = int_t^1 right*h, has w' = (alpha*R - gamma*L) / Gamma
 and w'' = -h: (Tu)'' = -g f(., u) exactly, and M1 = int k(t,.)|g| has M1'' = -|g|.
+With h = |g|, M2 = int |dk/dt(t,.)| |g| = (gamma*L + alpha*R) / Gamma, and the
+same identity gives int_0^1 |g| = (alpha*R(0) + gamma*L(1)) / Gamma = M2(0) + M2(1).
 """
 
 from dataclasses import dataclass

@@ -273,7 +273,7 @@ def find_crossings(u: GridFunction, curves):
     if live:
         n_scan = SCAN_PER_PANEL * (u.nodes.size - 1)
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
-        levels = {d: grid_eval(u, ts)[0] for d, ts in grids.items()}
+        levels = {d: grid_value(u, ts) for d, ts in grids.items()}
         gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])
         hit = gap == 0.0
         hit[:, :-1] |= gap[:, :-1] * gap[:, 1:] < 0.0
@@ -285,7 +285,7 @@ def find_crossings(u: GridFunction, curves):
 
     nodes, vals, ders = u.nodes.tolist(), u.values.tolist(), u.derivatives.tolist()
 
-    def value(s):  # grid_eval(u, s)[0] for a float s
+    def value(s):  # grid_value(u, s) for a float s
         i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
         h = nodes[i + 1] - nodes[i]
         return _hermite(h, (s - nodes[i]) / h, vals[i], vals[i + 1], ders[i], ders[i + 1])

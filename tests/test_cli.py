@@ -126,6 +126,9 @@ class TestStrictNumbers:
         ("problem", {"bc": [1, 0, 1, 0], "weight": {"id": "constant"}, "R": "auto-power",
                      "nonlinearity": {"id": "phi-example", "lambda": "0.3"}},
          "problem.R.lambda"),
+        ("numerics.quad_tl", 1e-3, "numerics.quad_tl"),
+        ("problem.R", {"mode": "auto-power", "lamda": 0.3}, "problem.R.lamda"),
+        ("tsks", ["check"], "tsks"),
     ])
     def test_rejected_with_exit_two(self, tmp_path, capsys, path, value, fld):
         cfg_path = tmp_path / "cfg.json"
@@ -330,6 +333,8 @@ class TestMain:
         ("nonlinearity", {"id": "phi-example", "curve_count": True}),
         ("nonlinearity", {"id": "step", "threshold": "0.1"}),
         ("nonlinearity", {"id": "polynomial", "coeffs": [1.0, 10 ** 400]}),
+        ("weight", {"id": "constant", "valu": 5.0}),
+        ("nonlinearity", {"id": "phi-example", "lamda": 0.3}),
     ])
     def test_bad_catalog_parameter_exits_two(self, tmp_path, capsys, section, entry):
         cfg_path = tmp_path / "cfg.json"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_report,
-                    equicontinuity_check, grid_eval, norm_c1, residual, solve_picard,
-                    validate_params)
+                    check_h1, equicontinuity_check, grid_eval, norm_c1, residual,
+                    solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.hammerstein import crossing_breakpoints
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
@@ -183,6 +183,23 @@ class TestBounds:
         for (a1, a2), (b1, b2) in zip(vals[:-1], vals[1:]):
             assert abs(a1 - b1) <= 1e-4
             assert abs(a2 - b2) <= 1e-4
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+           n=st.integers(3, 129), weight=st.sampled_from(["constant", "inv-sqrt"]),
+           c=st.floats(-3.0, 3.0))
+    def test_l1_norm_is_m2_at_both_ends(self, coeffs, n, weight, c):
+        # alpha*right + gamma*left = Gamma, so int |g| = M2(0) + M2(1): the
+        # bounds pass gives H1's integral, to quad_tol like a direct one
+        a, b, g, d = coeffs
+        assume(g * b + a * g + a * d > 1e-3)
+        w = make_weight_from_id(weight, {"value" if weight == "constant" else "scale": c})
+        spec = ProblemSpec(params=validate_params(a, b, g, d), weight=w,
+                           nonlinearity=const_nonlinearity(), radius=1.0,
+                           quad_tol=1e-10, grid_size=n)
+        direct = check_h1(w, tol=spec.quad_tol)
+        assert direct.passed
+        assert abs(bounds_report(spec).l1_norm - direct.l1_norm) <= spec.quad_tol
 
 
 class TestFactoredKernelOracles:

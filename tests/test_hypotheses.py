@@ -632,6 +632,25 @@ class TestCertifyPipeline:
         given = bounds_report(spec)
         assert certify_hypotheses(spec, bounds=given).bounds is given
 
+    @pytest.mark.parametrize("which, l1", [("smoke", 1.0), ("divisor", 2.0)])
+    def test_h1_comes_from_the_bounds_pass(self, monkeypatch, divisor_spec, which, l1):
+        import bvpkit.hammerstein
+        import bvpkit.quadrature
+
+        def no_h1(*args, **kwargs):
+            raise AssertionError("certification integrated the weight on its own")
+
+        spec = divisor_spec if which == "divisor" else smoke_spec()
+        assert spec.grid_size == 129
+        calls = Counted(bvpkit.quadrature.integrate_groups)
+        monkeypatch.setattr(bvpkit.hypotheses, "check_h1", no_h1)
+        for module in (bvpkit.hammerstein, bvpkit.hypotheses, bvpkit.quadrature):
+            monkeypatch.setattr(module, "integrate_groups", calls)
+        rep = certify_hypotheses(spec)
+        assert rep.h1.passed
+        assert rep.h1.l1_norm == pytest.approx(l1, abs=1e-9)
+        assert calls.calls == 5
+
     def test_divisor_pipeline_reports_h3_gap(self, divisor_spec, divisor_bounds):
         rep = certify_hypotheses(divisor_spec, bounds=divisor_bounds)
         assert rep.h1.passed

@@ -364,9 +364,9 @@ class TestBatchedCrossings:
 
         def counted(u, t):
             sizes.append(np.size(t))
-            return grid_eval(u, t)
+            return grid_value(u, t)
 
-        monkeypatch.setattr(bvpkit.model, "grid_eval", counted)
+        monkeypatch.setattr(bvpkit.model, "grid_value", counted)
         assert len(divisor_spec.nonlinearity.curves) == 16
         assert crossing_breakpoints(divisor_spec, divisor_solution.u) == []
         assert sizes == [4 * 128 + 1]
