@@ -36,6 +36,14 @@ def _only(params: dict, *names):
             raise ValueError(f"unknown parameter {key!r}")
 
 
+def phi_example(params: dict) -> PhiExample:
+    """The phi-example entry's PhiExample; an absent parameter keeps its default."""
+    _only(params, "lambda", "curve_count", "epsilon")
+    return PhiExample(lam=number(params.get("lambda", PhiExample.lam)),
+                      curve_count=number(params.get("curve_count", PhiExample.curve_count), int),
+                      epsilon=number(params.get("epsilon", PhiExample.epsilon)))
+
+
 def make_weight_from_id(weight_id: str, params: dict) -> Weight:
     if weight_id == "constant":
         _only(params, "value")
@@ -89,10 +97,6 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
         return Nonlinearity(eval=f, curves=(curve,),
                             local_bound=lambda t, r: np.full_like(t, bound))
     if nl_id == "phi-example":
-        _only(params, "lambda", "curve_count", "epsilon")
-        ex = PhiExample(lam=number(params.get("lambda", 1.0 / 3.0)),
-                        curve_count=number(params.get("curve_count", 8), int),
-                        epsilon=number(params.get("epsilon", 0.05)))
-        return make_nonlinearity(ex)
+        return make_nonlinearity(phi_example(params))
     raise ConfigError(f"unknown nonlinearity id {nl_id!r}",
                       field="problem.nonlinearity.id")

@@ -1,6 +1,10 @@
 """Batch front end: load a JSON problem config, run certification and/or the
 solver, and write one machine-readable report.
 
+problem.R is a positive radius or "auto-power", which needs the phi-example
+nonlinearity and takes its lambda: R is then the least integer >= 2 with
+R**(1-lambda) >= M1+M2, and H3 is checked against |f| <= max(2,R)**lambda.
+
 The tasks check and classify-curves are served by one certify_hypotheses
 call.  Exit codes: 0 when every requested task passes, 1 when a task ran and
 failed, 2 on configuration errors.  A toolkit, value or arithmetic error
@@ -20,7 +24,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .catalog import make_nonlinearity_from_id, make_weight_from_id, number
+from .catalog import make_nonlinearity_from_id, make_weight_from_id, number, phi_example
 from .errors import BvpError, ConfigError, DegenerateGamma, NegativeCoefficient
 from .hammerstein import bounds_report
 from .hypotheses import (INDETERMINATE, certify_hypotheses, convexification_probe,
@@ -47,7 +51,7 @@ class RunConfig:
     nonlinearity_id: str
     nonlinearity_params: dict
     radius: object  # positive number or the string "auto-power"
-    auto_power_lambda: float | None
+    auto_power_lambda: float | None  # phi-example's lambda when radius is auto-power
     grid_size: int
     quad_tol: float
     solver_tol: float
@@ -102,22 +106,18 @@ def parse_config(doc: dict) -> RunConfig:
     _require(isinstance(nl, dict) and "id" in nl,
              "nonlinearity must be an object with an id", "problem.nonlinearity")
 
+    nl_params = {k: v for k, v in nl.items() if k != "id"}
     r = problem.get("R")
     auto_lam = None
-    if isinstance(r, str):
-        _require(r == "auto-power", f"unknown R mode {r!r}", "problem.R")
-        r = {"mode": r}
-    if isinstance(r, dict):
-        _known(r, "problem.R", ("mode", "lambda"))
-        _require(r.get("mode") == "auto-power", "R object must set mode=auto-power",
+    if r == "auto-power":  # the premise max(2,R)**lambda takes f's own lambda
+        _require(nl["id"] == "phi-example",
+                 f"auto-power needs the phi-example nonlinearity, not {nl['id']!r}",
                  "problem.R")
-        auto_lam = _accepted("problem.R.lambda", number, r.get("lambda", nl.get("lambda")))
-        _require(0.0 < auto_lam < 1.0, "auto-power needs lambda in (0, 1)",
-                 "problem.R.lambda")
-        r = "auto-power"
+        auto_lam = _accepted("problem.nonlinearity", phi_example, nl_params,
+                             what="invalid problem.nonlinearity parameters: ").lam
     else:
-        r = _accepted("problem.R", number, r)
-        _require(r > 0, "R must be a positive number or auto-power", "problem.R")
+        r = _accepted("problem.R", number, r, what='R is a positive number or "auto-power": ')
+        _require(r > 0, "R must be positive", "problem.R")
 
     num = doc.get("numerics", {})
     _require(isinstance(num, dict), "numerics must be an object", "numerics")
@@ -148,22 +148,19 @@ def parse_config(doc: dict) -> RunConfig:
         weight_id=str(weight["id"]),
         weight_params={k: v for k, v in weight.items() if k != "id"},
         nonlinearity_id=str(nl["id"]),
-        nonlinearity_params={k: v for k, v in nl.items() if k != "id"},
+        nonlinearity_params=nl_params,
         radius=r, auto_power_lambda=auto_lam, **numerics,
         tasks=tasks, output=output)
 
 
 def config_echo(cfg: RunConfig) -> dict:
     """Normalized config block for the report; re-parses to the same RunConfig."""
-    r = cfg.radius
-    if r == "auto-power":
-        r = {"mode": "auto-power", "lambda": cfg.auto_power_lambda}
     return {
         "problem": {
             "bc": list(cfg.bc),
             "weight": {"id": cfg.weight_id, **cfg.weight_params},
             "nonlinearity": {"id": cfg.nonlinearity_id, **cfg.nonlinearity_params},
-            "R": r,
+            "R": cfg.radius,
         },
         "numerics": {name: getattr(cfg, name) for name in NUMERICS},
         "tasks": list(cfg.tasks),

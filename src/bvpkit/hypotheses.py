@@ -111,6 +111,8 @@ def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     if t_grid is None:
         t_grid = spec.nodes[1:]  # drop t=0: f may be undefined there
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size == 0:
+        raise ValueError("estimate_HR needs a nonempty t grid")
 
     nl = spec.nonlinearity
     if nl.local_bound is not None:
@@ -142,17 +144,12 @@ def _uniformity_flag(profile: np.ndarray) -> bool:
     with a strict overall increase raises the flag.  Constant profiles and
     interior spikes do not.
     """
-    n = profile.size
-    if n < 8:
+    if profile.size < 8:
         return False
-    k = min(5, n // 4)
-    left = profile[:k]
-    if np.all(np.diff(left) <= 0) and left[0] > left[-1]:
-        return True
-    right = profile[-k:]
-    if np.all(np.diff(right) >= 0) and right[-1] > right[0]:
-        return True
-    return False
+    k = min(5, profile.size // 4)
+    left, right = profile[:k], profile[-k:]
+    return bool((np.all(np.diff(left) <= 0) and left[0] > left[-1])
+                or (np.all(np.diff(right) >= 0) and right[-1] > right[0]))
 
 
 @dataclass(frozen=True)
@@ -176,10 +173,9 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
     """
     nodes = spec.nodes
     t = nodes[(nodes >= t_min) & (nodes > 0.0)]
-    if t.size == 0:
-        raise ValueError("t_min excludes every node")
+    hr = estimate_HR(spec, t).profile  # a ValueError if t_min excludes every node
     fu = spec.nonlinearity.eval(t, grid_value(u, t))
-    excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - estimate_HR(spec, t).profile)
+    excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - hr)
     i = int(np.argmax(excess))
     return EquicontinuityReport(max_excess=float(excess[i]), worst_t=float(t[i]),
                                 n_checked=t.size, passed=bool(excess[i] <= 0.0))

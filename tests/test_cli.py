@@ -4,7 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bvpkit import ProblemSpec, bounds_report, certify_hypotheses, validate_params
+import bvpkit.hypotheses
+from bvpkit import (PhiExample, ProblemSpec, bounds_report, certify_hypotheses,
+                    validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.cli import NUMERICS, RunConfig, config_echo, main, parse_config, run
 from bvpkit.errors import ConfigError
@@ -62,11 +64,22 @@ class TestParse:
             parse_config(smoke_doc(tasks=[]))
 
     def test_auto_power_needs_lambda(self):
+        # the premise max(2,R)**lambda takes phi-example's lambda; a constant
+        # nonlinearity has none
         doc = smoke_doc()
         doc["problem"]["R"] = "auto-power"
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
-        assert "lambda" in exc.value.field
+        assert exc.value.field == "problem.R"
+
+    @pytest.mark.parametrize("params, lam", [({}, PhiExample.lam), ({"lambda": 0.3}, 0.3)])
+    def test_auto_power_lambda_is_the_phi_example_lambda(self, params, lam):
+        doc = divisor_doc()
+        doc["problem"]["nonlinearity"] = {"id": "phi-example", **params}
+        cfg = parse_config(doc)
+        assert cfg.auto_power_lambda == lam
+        assert config_echo(cfg)["problem"]["R"] == "auto-power"
+        assert parse_config(config_echo(cfg)) == cfg
 
     def test_t_min_below_one(self):
         doc = smoke_doc()
@@ -104,6 +117,12 @@ def _set(doc, path, value):
     return doc
 
 
+def auto_power_problem(nl):
+    """A problem section with R = "auto-power" and the nonlinearity nl."""
+    return {"bc": [1, 0, 1, 0], "weight": {"id": "constant"}, "R": "auto-power",
+            "nonlinearity": nl}
+
+
 class TestStrictNumbers:
     """Booleans are not numbers, and integer numerics take no fraction."""
 
@@ -120,14 +139,18 @@ class TestStrictNumbers:
                      id="numerics.quad_tol-int-beyond-float"),
         pytest.param("problem.bc.1", 10 ** 400, "problem.bc", id="problem.bc-int-beyond-float"),
         ("problem.R", float("inf"), "problem.R"),
-        ("problem.R", {"mode": "auto-power", "lambda": "x"}, "problem.R.lambda"),
-        ("problem.R", {"mode": "auto-power", "lambda": [0.3]}, "problem.R.lambda"),
-        ("problem.R", {"mode": "auto-power", "lambda": "0.3"}, "problem.R.lambda"),
-        ("problem", {"bc": [1, 0, 1, 0], "weight": {"id": "constant"}, "R": "auto-power",
-                     "nonlinearity": {"id": "phi-example", "lambda": "0.3"}},
-         "problem.R.lambda"),
+        # R is a number or "auto-power", never an object; under auto-power a
+        # bad lambda is the phi-example nonlinearity's
+        ("problem.R", {"mode": "auto-power", "lambda": 0.5}, "problem.R"),
+        ("problem", auto_power_problem({"id": "phi-example", "lambda": [0.3]}),
+         "problem.nonlinearity"),
+        ("problem", auto_power_problem({"id": "phi-example", "lambda": "x"}),
+         "problem.nonlinearity"),
+        ("problem", auto_power_problem({"id": "phi-example", "lambda": "0.3"}),
+         "problem.nonlinearity"),
         ("numerics.quad_tl", 1e-3, "numerics.quad_tl"),
-        ("problem.R", {"mode": "auto-power", "lamda": 0.3}, "problem.R.lamda"),
+        # f = 5 has no lambda for the premise max(2,R)**lambda
+        ("problem", auto_power_problem({"id": "constant", "value": 5.0}), "problem.R"),
         ("tsks", ["check"], "tsks"),
     ])
     def test_rejected_with_exit_two(self, tmp_path, capsys, path, value, fld):
@@ -168,11 +191,19 @@ class TestRun:
         assert set(report.keys()) == {"config", "hypotheses", "bounds", "curves",
                                       "solution", "probe", "meta"}
 
-    def test_unknown_catalog_id(self):
-        doc = smoke_doc()
-        doc["problem"]["weight"] = {"id": "mystery"}
-        with pytest.raises(ConfigError):
-            run(parse_config(doc))
+    def test_unknown_catalog_id(self, tmp_path, capsys):
+        for section in ("weight", "nonlinearity"):
+            doc = smoke_doc()
+            doc["problem"][section] = {"id": "mystery"}
+            with pytest.raises(ConfigError) as exc:
+                run(parse_config(doc))
+            assert exc.value.field == f"problem.{section}.id"
+            cfg_path = tmp_path / "cfg.json"
+            out_path = tmp_path / "report.json"
+            cfg_path.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 2
+            assert f"(field: problem.{section}.id)" in capsys.readouterr().err
+            assert not out_path.exists()
 
     def test_failing_check_exits_one(self):
         doc = smoke_doc()
@@ -185,7 +216,8 @@ class TestRun:
     def test_auto_power_error_fails_every_task(self):
         # the radius cannot be resolved, so no task runs
         doc = smoke_doc()
-        doc["problem"]["R"] = {"mode": "auto-power", "lambda": 0.5}
+        doc["problem"]["nonlinearity"] = {"id": "phi-example", "lambda": 0.5}
+        doc["problem"]["R"] = "auto-power"
         doc["numerics"]["quad_tol"] = 1e-300
         code, report = run(parse_config(doc))
         assert code == 1
@@ -197,11 +229,27 @@ class TestRun:
         # M1 + M2 = 0 for a zero weight, so minimal_R_power raises ValueError
         doc = smoke_doc()
         doc["problem"]["weight"] = {"id": "constant", "value": 0}
-        doc["problem"]["R"] = {"mode": "auto-power", "lambda": 0.5}
+        doc["problem"]["nonlinearity"] = {"id": "phi-example", "lambda": 0.5}
+        doc["problem"]["R"] = "auto-power"
         code, report = run(parse_config(doc))
         assert code == 1
         assert report["bounds"]["type"] == "ValueError"
         assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
+
+    def test_solver_stall_is_reported(self, monkeypatch):
+        # f = 1 - 1.4 u: the probe of the zero target needs more than one
+        # Frank-Wolfe step
+        doc = smoke_doc(tasks=["probe"])
+        doc["problem"]["nonlinearity"] = {"id": "polynomial", "coeffs": [1.0, -1.4]}
+        doc["problem"]["R"] = 10.0
+        doc["numerics"]["probe_samples"] = 3
+        assert run(parse_config(doc))[0] == 0
+        monkeypatch.setattr(bvpkit.hypotheses, "FW_MAX_ITER", 1)
+        code, report = run(parse_config(doc))
+        assert code == 1
+        assert set(report["probe"]) == {"error", "type"}
+        assert report["probe"]["type"] == "SolverStall"
+        assert report["meta"]["tasks_passed"] == {"probe": False}
 
     def test_probe_without_solve_uses_zero(self):
         doc = smoke_doc(tasks=["probe"])

@@ -53,6 +53,13 @@ class TestEstimateHR:
         assert r.sup == pytest.approx(2.5)
         assert not r.uniformity_flag
         assert r.source == "sampled"
+        # an empty grid, given or left by a t_min past every node, is named as such
+        for call in (lambda: estimate_HR(spec, t_grid=[]),
+                     lambda: certify_hypotheses(spec, t_min=1.5),
+                     lambda: equicontinuity_check(spec, GridFunction.zero(spec.nodes),
+                                                  t_min=1.5)):
+            with pytest.raises(ValueError, match="nonempty t grid"):
+                call()
 
     def test_square(self):
         f = Nonlinearity(eval=lambda t, u: np.asarray(u, float) ** 2)
@@ -61,6 +68,19 @@ class TestEstimateHR:
         r = estimate_HR(spec)
         assert r.sup == pytest.approx(4.0)  # extremes at u = +/- R
         assert not r.uniformity_flag
+
+    @pytest.mark.parametrize("grid_size, flagged", [(33, True), (8, False), (3, False)])
+    def test_uniformity_flag_toward_t_one(self, grid_size, flagged):
+        # H_R = 1 + t climbs toward t = 1; below grid_size 9 the profile has
+        # fewer than 8 points, too few for the heuristic
+        f = Nonlinearity(eval=lambda t, u: 1.0 + t + 0.0 * u,
+                         local_bound=lambda t, r: 1.0 + t)
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                           radius=1.0, grid_size=grid_size)
+        r = estimate_HR(spec)
+        assert r.source == "local_bound"
+        assert r.profile.size == grid_size - 1
+        assert r.uniformity_flag is flagged
 
     def test_local_bound_short_circuits(self):
         spec = poly_spec()
