@@ -152,6 +152,8 @@ class TestStrictNumbers:
         # f = 5 has no lambda for the premise max(2,R)**lambda
         ("problem", auto_power_problem({"id": "constant", "value": 5.0}), "problem.R"),
         ("tsks", ["check"], "tsks"),
+        # the object form is rejected whole: a bad lambda in it names problem.R
+        ("problem.R", {"mode": "auto-power", "lambda": "0.3"}, "problem.R"),
     ])
     def test_rejected_with_exit_two(self, tmp_path, capsys, path, value, fld):
         cfg_path = tmp_path / "cfg.json"
