@@ -6,7 +6,11 @@ The kernel is k(t,s) = left(min(t,s)) right(max(t,s)) / Gamma (kernel.py), so
 int k(t,.) h and int dk/dt(t,.) h are closed forms in L(t) = int_0^t left*h
 and R(t) = int_t^1 right*h.  One adaptive pass integrates both over all panels
 between grid nodes, with every detected crossing of a declared discontinuity
-curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.
+curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.  Its
+first round reads the points, g, both factors and the Hermite basis of the
+panels no crossing splits from ProblemSpec.plan, which depends on the nodes,
+the BC factors and the weight, not on R, f or the tolerances, and is built by
+the first application of T to the spec; T brings in u, f and the products.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
-from .model import GridFunction, ProblemSpec, find_crossings, grid_value, norm_c1
+from .model import GridFunction, ProblemSpec, find_crossings, hermite_value, norm_c1
 from .quadrature import BLOCK, integrate_groups
 
 
@@ -46,14 +50,13 @@ def crossing_breakpoints(spec: ProblemSpec, u: GridFunction):
     return sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
 
 
-def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
+def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None):
     """L[i] = int_{e_0}^{e_i} left*h and R[i] = int_{e_i}^{e_m} right*h at the
     edges e_0 < ... < e_m (default: the grid nodes).
 
-    One quadrature call integrates (left*h, right*h), h once per point, over
-    every panel [e_i, e_{i+1}]; h gets the points as rows of one quadrature
-    block each, so each row lies inside one panel and apply_T evaluates u once
-    per block.  breaks are breakpoints, and a singular
+    One quadrature call integrates both(s) = (left*h, right*h), or both(s,
+    *sample) given plan = spec.plan, over every panel [e_i, e_{i+1}], its
+    points in blocks of one panel each.  breaks are breakpoints, and a singular
     weight's sqrt substitution on a panel starting at 0, each panel to
     quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.
     Node values and derivatives combine L and R with coefficients of total
@@ -66,14 +69,8 @@ def _running_integrals(spec: ProblemSpec, h, breaks=(), edges=None):
     edges = spec.nodes if edges is None else np.asarray(edges, dtype=float)
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
-
-    def both(s):
-        s = s.reshape(-1, BLOCK)
-        hs = h(s)
-        return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
-
     left, right = integrate_groups(both, edges, breaks,
-                                   spec.weight.singular_left and edges[0] == 0.0, tol)
+                                   spec.weight.singular_left and edges[0] == 0.0, tol, plan)
     return (np.concatenate(([0.0], np.cumsum(left))),
             np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 
@@ -93,15 +90,20 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     and raises BallViolation otherwise; u must live on spec.nodes, since the
     quadrature panels between them are where u is evaluated once per block.
     """
-    if not np.array_equal(u.nodes, spec.nodes):
+    if u.nodes is not spec.nodes and not np.array_equal(u.nodes, spec.nodes):
         raise ValueError("u does not live on spec.nodes")
     if not in_ball(spec, u):
         raise BallViolation(
             f"||u|| = {norm_c1(u):.6g} exceeds the ball radius R = {spec.radius:.6g}")
 
-    g, f = spec.weight.eval, spec.nonlinearity.eval
-    left, right = _running_integrals(spec, lambda s: g(s) * f(s, grid_value(u, s)),
-                                     tuple(crossing_breakpoints(spec, u)))
+    f = spec.nonlinearity.eval
+
+    def both(s, g, left, right, *basis):
+        hs = g * f(s.reshape(-1, BLOCK), hermite_value(u, *basis))
+        return np.stack((left * hs, right * hs))
+
+    left, right = _running_integrals(spec, both, tuple(crossing_breakpoints(spec, u)),
+                                     plan=spec.plan)
     return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right))
 
 
@@ -130,7 +132,9 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     p = spec.params
 
     def abs_g(s):
-        return np.abs(spec.weight.eval(s))
+        s = s.reshape(-1, BLOCK)
+        h = np.abs(spec.weight.eval(s))
+        return np.stack((left_factor(p, s) * h, right_factor(p, s) * h))
 
     nodes = spec.nodes
     left, right = _running_integrals(spec, abs_g)

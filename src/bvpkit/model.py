@@ -11,20 +11,22 @@ A candidate solution is carried as node values plus node derivative values
 on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
 Hermite interpolation, which is exact on cubics and matches the C1 setting
 the integral operator works in.  grid_value takes its points in rows that
-each lie in one node panel and looks the panel up once per row: apply_T
-evaluates u once per quadrature block, the other callers one point per row.
+each lie in one node panel and looks the panel up once per row: it is
+hermite_basis, of the points alone, then hermite_value, which brings in u.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import DomainError
-from .kernel import BoundaryParams
+from .kernel import BoundaryParams, left_factor, right_factor
+from .quadrature import make_plan
 
 SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
 
@@ -123,9 +125,13 @@ class Nonlinearity:
         _vectorize_fields(self, "eval", "local_bound")
 
 
+_CHECKED_GRIDS = weakref.WeakValueDictionary()  # read-only grids that passed, by id
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Node values and node derivative values on a grid t0=0 < ... < tN=1."""
+    """Node values and node derivative values on a grid t0=0 < ... < tN=1;
+    the values are read-only copies, and a read-only grid is checked once."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -133,19 +139,27 @@ class GridFunction:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        derivs = np.asarray(self.derivatives, dtype=float)
+        values = np.array(self.values, dtype=float)
+        derivs = np.array(self.derivatives, dtype=float)
+        values.flags.writeable = derivs.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "derivatives", derivs)
         if not (nodes.shape == values.shape == derivs.shape) or nodes.ndim != 1:
             raise ValueError("nodes, values, derivatives must be 1-d and equal length")
-        if nodes.size < 2 or nodes[0] != 0.0 or nodes[-1] != 1.0:
-            raise ValueError("grid must start at 0 and end at 1")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(derivs))):
+        if nodes.flags.writeable or _CHECKED_GRIDS.get(id(nodes)) is not nodes:
+            if nodes.size < 2 or nodes[0] != 0.0 or nodes[-1] != 1.0:
+                raise ValueError("grid must start at 0 and end at 1")
+            if np.any(np.diff(nodes) <= 0):
+                raise ValueError("grid nodes must be strictly increasing")
+            if not nodes.flags.writeable:
+                _CHECKED_GRIDS[id(nodes)] = nodes
+        if not (np.isfinite(values).all() and np.isfinite(derivs).all()):
             raise ValueError("grid function entries must be finite")
+
+    @functools.cached_property
+    def norm(self) -> float:  # norm_c1(self), computed once
+        return c1_norm_of(self.values, self.derivatives)
 
     @classmethod
     def from_callable(cls, fn, dfn, nodes):
@@ -180,16 +194,30 @@ def _hermite(h, x, u0, u1, m0, m1):
             + u1 * (-2 * x3 + 3 * x2) + h * m1 * (x3 - x2))
 
 
-def _panels(u: GridFunction, rows):
-    """Node panel data of each row of points as (P, 1) columns: width h, the
-    rows' local coordinates x, and end values and derivatives.  A row's panel
-    is the one its middle point falls in (the last one from t = 1 on)."""
-    i = np.searchsorted(u.nodes, rows[:, rows.shape[1] // 2], side="right") - 1
-    i = np.clip(i, 0, u.nodes.size - 2)[:, None]
-    t0 = u.nodes[i]
-    h = u.nodes[i + 1] - t0
-    return (h, (rows - t0) / h, u.values[i], u.values[i + 1],
-            u.derivatives[i], u.derivatives[i + 1])
+def _locate(nodes, rows):
+    """Node panel index i and width h of each row of points, as (P, 1)
+    columns, and the rows' local coordinates x.  A row's panel is the one its
+    middle point falls in (the last one from t = 1 on)."""
+    i = np.searchsorted(nodes, rows[:, rows.shape[1] // 2], side="right") - 1
+    i = np.clip(i, 0, nodes.size - 2)[:, None]
+    t0 = nodes[i]
+    h = nodes[i + 1] - t0
+    return i, h, (rows - t0) / h
+
+
+def hermite_basis(nodes, rows):
+    """Each row's node panel index i and width h, and the four basis
+    polynomials of _hermite, by its operations, at its points."""
+    i, h, x = _locate(nodes, rows)
+    x2 = x * x
+    x3 = x2 * x
+    return i, h, 2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2
+
+
+def hermite_value(u: GridFunction, i, h, b0, b1, b2, b3):
+    """u from hermite_basis on u.nodes, summed as _hermite sums."""
+    return (u.values[i] * b0 + h * u.derivatives[i] * b1
+            + u.values[i + 1] * b2 + h * u.derivatives[i + 1] * b3)
 
 
 def grid_value(u: GridFunction, s):
@@ -197,7 +225,8 @@ def grid_value(u: GridFunction, s):
     s each row must lie in one node panel (its ends included), and a 1-d s is
     one point per row.  Same bits as grid_eval(u, s)[0]."""
     s = np.asarray(s, dtype=float)
-    return _hermite(*_panels(u, s[:, None] if s.ndim == 1 else s)).reshape(s.shape)
+    return hermite_value(u, *hermite_basis(u.nodes, s[:, None] if s.ndim == 1 else s)
+                         ).reshape(s.shape)
 
 
 def grid_eval(u: GridFunction, t):
@@ -206,7 +235,8 @@ def grid_eval(u: GridFunction, t):
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise DomainError("t must lie in [0, 1]")
-    h, x, u0, u1, m0, m1 = _panels(u, t_arr.reshape(-1, 1))
+    i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
+    u0, u1, m0, m1 = u.values[i], u.values[i + 1], u.derivatives[i], u.derivatives[i + 1]
     x2 = x * x
     val = _hermite(h, x, u0, u1, m0, m1).reshape(t_arr.shape)
     der = ((u0 * (6 * x2 - 6 * x) + h * m0 * (3 * x2 - 4 * x + 1)
@@ -223,7 +253,7 @@ def c1_norm_of(values, derivatives) -> float:
 
 def norm_c1(u: GridFunction) -> float:
     """Discrete proxy of sup|u| + sup|u'|, taken over the nodes."""
-    return c1_norm_of(u.values, u.derivatives)
+    return u.norm
 
 
 @dataclass(frozen=True)
@@ -251,6 +281,18 @@ class ProblemSpec:
         nodes = uniform_grid(self.grid_size)
         nodes.flags.writeable = False
         return nodes
+
+    @functools.cached_property
+    def plan(self):
+        """The quadrature plan of T's integrand apart from u and f (g, both kernel
+        factors and hermite_basis), built on first use from the nodes, the BC
+        and the weight alone."""
+        return make_plan(functools.partial(_sample, self.params, self.weight.eval, self.nodes),
+                         self.nodes, self.weight.singular_left)
+
+
+def _sample(params, g, nodes, s):
+    return g(s), left_factor(params, s), right_factor(params, s), *hermite_basis(nodes, s)
 
 
 def find_crossings(u: GridFunction, curves):

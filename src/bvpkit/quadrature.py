@@ -19,6 +19,13 @@ The points come in consecutive blocks of BLOCK, one block per subpanel (its
 16 Gauss-Legendre points, then its 8), and each block lies inside one group,
 so an integrand may look up anything that depends on the group once per
 block (s.reshape(-1, BLOCK) gives one row per block).
+
+An integrand called again and again on the same groups can be given a plan
+(make_plan): the points of round 1 of every group and sample(s), the
+integrand's inputs that depend on the points alone, taken there once.  For T
+(ProblemSpec.plan) those are g, both kernel factors and the Hermite basis.
+Round 1 then samples only the subpanels of split groups, later rounds sample
+all theirs, and the loop, its checks and its budget are the same.
 """
 
 from dataclasses import dataclass, field
@@ -74,26 +81,55 @@ def _subpanels(edges, breakpoints):
     return pts[:-1].copy(), pts[1:].copy(), np.searchsorted(edges, pts[:-1], side="right") - 1
 
 
+def _first_round(edges, breakpoints, singular_left):
+    """Round 1's subpanels (lo, hi, group, substituted), s0 and width; the
+    substituted segment is integrated in tau over [0, 1]."""
+    lo, hi, grp = _subpanels(edges, breakpoints)
+    s0, width = edges[0], hi[0] - lo[0]
+    sq = np.zeros(lo.size, dtype=bool)
+    if singular_left:
+        sq[0], lo[0], hi[0] = True, 0.0, 1.0
+    return (lo, hi, grp, sq), s0, width
+
+
+def _gauss(lo, hi):
+    return (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
+
+
+def _sampled(lo, hi, sq, s0, width, sample):
+    """(s,), or (s, *sample(s)) given sample: the points of the subpanels
+    [lo, hi], one row of BLOCK each, substituted ones mapped to s."""
+    x = _gauss(lo, hi)
+    s = np.where(sq[:, None], s0 + width * x * x, x) if sq.any() else x
+    return (s,) if sample is None else (s, *sample(s))
+
+
+def make_plan(sample, edges, singular_left=False):
+    """integrate_groups's plan on edges: sample and (s, *sample(s)) at the
+    round-1 points of every group [edges[i], edges[i+1]] left whole."""
+    (lo, hi, _, sq), s0, width = _first_round(np.asarray(edges, dtype=float), (),
+                                              singular_left)
+    return sample, _sampled(lo, hi, sq, s0, width, sample)
+
+
 def _interval(lo, hi, sq, s0, width):
     """A subpanel's range in s (a substituted one is kept in tau)."""
     return f"[{s0 + width * lo * lo}, {s0 + width * hi * hi}]" if sq else f"[{lo}, {hi}]"
 
 
-def _rule(fn, lo, hi, sq, s0, width):
+def _rule(fn, lo, hi, sq, s0, width, sample, rows=None):
     """(I16, error estimate, rounding floor), each of shape (k, P), for the P
-    subpanels [lo, hi] from one call of fn on all their Gauss points."""
-    half = 0.5 * (hi - lo)
-    x = (0.5 * (hi + lo))[:, None] + half[:, None] * _NODES
-    substituted = sq.any()
-    s = np.where(sq[:, None], s0 + width * x * x, x) if substituted else x
-    f = np.asarray(fn(s.ravel()), dtype=float).reshape(-1, *x.shape)
-    if substituted:
-        f = f * np.where(sq[:, None], 2.0 * width * x, 1.0)
-    finite = np.isfinite(f).all(axis=(0, 2))
-    if not finite.all():
-        i = int(np.argmin(finite))
+    subpanels [lo, hi] from one call of fn on all their Gauss points; rows
+    are _sampled there, unless given."""
+    s, *sampled = _sampled(lo, hi, sq, s0, width, sample) if rows is None else rows
+    f = np.asarray(fn(s.ravel(), *sampled), dtype=float).reshape(-1, *s.shape)
+    if sq.any():
+        f = f * np.where(sq[:, None], 2.0 * width * _gauss(lo, hi), 1.0)
+    if not np.isfinite(f).all():
+        i = int(np.argmin(np.isfinite(f).all(axis=(0, 2))))
         raise NonFiniteIntegrand(
             f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
+    half = 0.5 * (hi - lo)
     i16 = half * (f[..., :16] @ _WEIGHTS16)
     floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
     return i16, np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0), floor
@@ -103,7 +139,8 @@ def _group_sums(grp, rows, m):
     return np.stack([np.bincount(grp, row, minlength=m) for row in rows])
 
 
-def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
+def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
+                     plan=None):
     """Integrals of fn over each group [edges[i], edges[i+1]], shape (k, m)
     for a k-component integrand (k = 1 when fn returns one flat array), each
     component of each group to absolute tolerance tol.
@@ -112,17 +149,21 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
     group; each component's values may come in any shape with one value per
     point, such as (P, BLOCK) from points taken as rows.  A jump of fn must
     be an edge or a breakpoint: across an undeclared one the result can miss
-    tol unreported (a unit step at 1/3 comes out 3.7e-8 off at tol 1e-8)."""
+    tol unreported (a unit step at 1/3 comes out 3.7e-8 off at tol 1e-8).
+
+    Given plan = make_plan(sample, edges, singular_left), fn is called as
+    fn(s, *sample(s)), and round 1 reads the plan's rows for unsplit groups."""
     edges = np.asarray(edges, dtype=float)
     m = edges.size - 1
-    lo, hi, grp = _subpanels(edges, breakpoints)
-    # the substituted segment is integrated in tau over [0, 1]
-    s0, width = edges[0], hi[0] - lo[0]
-    sq = np.zeros(lo.size, dtype=bool)
-    if singular_left:
-        sq[0], lo[0], hi[0] = True, 0.0, 1.0
-    panels = (lo, hi, grp, sq)
-    estimates = _rule(fn, lo, hi, sq, s0, width)
+    panels, s0, width = _first_round(edges, breakpoints, singular_left)
+    lo, hi, grp, sq = panels
+    sample, rows = plan if plan is not None else (None, None)
+    if plan is not None and lo.size > m:  # a split group's rows are its own subpanels'
+        cut = np.bincount(grp, minlength=m)[grp] > 1
+        rows = tuple(a.take(grp, axis=0) for a in rows)
+        for a, new in zip(rows, _sampled(lo[cut], hi[cut], sq[cut], s0, width, sample)):
+            a[cut] = new
+    estimates = _rule(fn, lo, hi, sq, s0, width, sample, rows)
     first = sampled = lo.size
     out = np.zeros((estimates[0].shape[0], m))
     floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
@@ -136,7 +177,9 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
                 f"no depth up to {MAX_DEPTH} bisection levels can meet it")
         err_sum = _group_sums(grp, err, m)
         done = np.all(err_sum <= tol, axis=0)
-        out[:, done] += _group_sums(grp, val, m)[:, done]
+        # each group's sum lands once: 0.0 is added to its 0.0 before it is done,
+        # and afterwards it has no subpanels, so 0.0 is all it adds
+        out += np.where(done, _group_sums(grp, val, m), 0.0)
         live = ~done[grp]
         if not live.any():
             return out
@@ -159,8 +202,8 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10):
                   np.concatenate((mid[split], hi[split])),
                   *(np.tile(a[split], 2) for a in (grp, sq)))
         panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
-        estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in
-                          zip(estimates, _rule(fn, halves[0], halves[1], halves[3], s0, width)))
+        estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in zip(
+            estimates, _rule(fn, halves[0], halves[1], halves[3], s0, width, sample)))
 
 
 def integrate(spec: IntegrandSpec, a: float, b: float) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BallViolation
 from .hammerstein import apply_T, in_ball
 from .kernel import BoundaryParams
-from .model import GridFunction, ProblemSpec, find_crossings, norm_c1
+from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, norm_c1
 
 MIN_RELAX = 1.0 / 16.0
 
@@ -72,12 +72,12 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
 
     update_norms = []
     best_u, best_res = u, np.inf
-    r_prev = GridFunction.zero(u.nodes)  # none yet: the first product is 0
+    r_prev = (np.zeros_like(u.values), np.zeros_like(u.derivatives))  # none yet: 0 product
     alternations = 0
     for iterations in range(1, max_iter + 1):
         tu = apply_T(spec, u)
-        r = tu - u
-        res = norm_c1(r)
+        r = (tu.values - u.values, tu.derivatives - u.derivatives)
+        res = c1_norm_of(*r)
         converged = res <= tol * (1.0 + norm_c1(u))
         if converged or res < best_res:
             best_u, best_res = u, res
@@ -89,7 +89,7 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
                 f"iterate {iterations} left the ball: ||u|| = {norm_c1(u_next):.6g} "
                 f"> R = {spec.radius:.6g}")
         update_norms.append(relax * res)
-        if r.values @ r_prev.values + r.derivatives @ r_prev.derivatives < 0.0:
+        if r[0] @ r_prev[0] + r[1] @ r_prev[1] < 0.0:
             alternations += 1
             if alternations >= 3 and relax > MIN_RELAX:
                 relax = max(relax / 2.0, MIN_RELAX)

@@ -8,8 +8,10 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_repor
                     check_h1, equicontinuity_check, grid_eval, norm_c1, residual,
                     solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.hammerstein import crossing_breakpoints
-from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
+from bvpkit.hammerstein import _closed_forms, crossing_breakpoints
+from bvpkit.kernel import left_factor, right_factor
+from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight, grid_value
+from bvpkit.quadrature import BLOCK, integrate_groups
 
 from conftest import Counted, const_nonlinearity, const_weight, random_ball_function, smoke_spec
 
@@ -316,6 +318,125 @@ class TestWorkCounts:
                        nonlinearity=Nonlinearity(eval=f, local_bound=lambda t, r: np.exp(3.0 * r)))
         apply_T(spec, random_ball_function(spec, np.random.default_rng(4)))
         assert f.calls > 1 and sizes == []
+
+
+def reference_T(spec, u, integrate=integrate_groups):
+    """Node values and derivatives of Tu with every quadrature round sampled:
+    g, both kernel factors and u from grid_value at each point."""
+    p = spec.params
+    g, f = spec.weight.eval, spec.nonlinearity.eval
+
+    def both(s):
+        s = s.reshape(-1, BLOCK)
+        hs = g(s) * f(s, grid_value(u, s))
+        return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
+
+    tol = spec.quad_tol * p.gamma_const / (
+        (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
+    left, right = integrate(both, spec.nodes, crossing_breakpoints(spec, u),
+                            spec.weight.singular_left, tol)
+    return _closed_forms(spec, spec.nodes, np.concatenate(([0.0], np.cumsum(left))),
+                         np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
+
+
+def catalog_spec(nl_id, params, radius, grid_size, weight=None):
+    return ProblemSpec(params=DIRICHLET,
+                       weight=weight or make_weight_from_id("constant", {"value": 1.0}),
+                       nonlinearity=make_nonlinearity_from_id(nl_id, params),
+                       radius=radius, quad_tol=1e-9, grid_size=grid_size)
+
+
+class TestSweepPlan:
+    """apply_T reads its first quadrature round over unsplit node panels from
+    spec.plan; the result has the bits of the path that samples everything."""
+
+    @staticmethod
+    def assert_bitwise(monkeypatch, spec, u):
+        """apply_T, building the plan and then reading it, gets reference_T's
+        integrand values in every quadrature round and its node data."""
+        import bvpkit.hammerstein
+        rounds = []
+
+        def recording(fn, *args):
+            def recorded(*fn_args):
+                out = fn(*fn_args)
+                rounds.append(np.asarray(out).tobytes())
+                return out
+            return integrate_groups(recorded, *args)
+
+        values, derivatives = reference_T(spec, u, recording)
+        expected = list(rounds)
+        monkeypatch.setattr(bvpkit.hammerstein, "integrate_groups", recording)
+        for _ in range(2):
+            rounds.clear()
+            tu = apply_T(spec, u)
+            assert rounds == expected
+            assert tu.values.tobytes() == values.tobytes()
+            assert tu.derivatives.tobytes() == derivatives.tobytes()
+        monkeypatch.undo()
+        return len(expected)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smooth_polynomial(self, monkeypatch, seed):
+        # 200 panels: h is no power of 2, so the order of h*m*b matters
+        spec = catalog_spec("polynomial", {"coeffs": [1.0, -1.4, 0.3]}, 10.0, 201,
+                            weight=Weight(eval=lambda t: 1.0 + t * (2.0 - t)))
+        u = random_ball_function(spec, np.random.default_rng(seed), 0.3)
+        assert self.assert_bitwise(monkeypatch, spec, u) == 1
+
+    def test_step_with_split_panels(self, monkeypatch):
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
+        u = solve_picard(spec, tol=1e-8).u
+        assert len(crossing_breakpoints(spec, u)) == 2
+        assert self.assert_bitwise(monkeypatch, spec, u) == 1
+
+    def test_singular_weight(self, monkeypatch, divisor_spec, divisor_solution):
+        assert divisor_spec.weight.singular_left
+        for u in (divisor_solution.u, GridFunction.zero(divisor_spec.nodes)):
+            assert self.assert_bitwise(monkeypatch, divisor_spec, u) == 1
+
+    def test_refined_rounds(self, monkeypatch):
+        spec = replace(smoke_spec(grid_size=5, quad_tol=1e-12, radius=2.0),
+                       nonlinearity=Nonlinearity(eval=lambda t, u: u ** 20,
+                                                 local_bound=lambda t, r: r ** 20))
+        u = random_ball_function(spec, np.random.default_rng(5), 0.9)
+        assert self.assert_bitwise(monkeypatch, spec, u) > 1  # round 1 missed tol
+
+    def test_a_solve_samples_the_weight_once(self):
+        g = Counted(lambda t: np.ones_like(t))
+        spec = catalog_spec("polynomial", {"coeffs": [1.0, -1.4]}, 10.0, 257,
+                            weight=Weight(eval=g))
+        assert "plan" not in vars(spec)  # built on first use, not with the spec
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged and sol.iterations > 10
+        assert (g.calls, g.points) == (1, 256 * BLOCK)
+
+    def test_specs_with_different_weights_never_share_a_plan(self, monkeypatch):
+        spec = smoke_spec()
+        u = random_ball_function(spec, np.random.default_rng(6), 0.5)
+        apply_T(spec, u)
+        other = replace(spec, weight=const_weight(2.0))
+        assert other.plan is not spec.plan
+        self.assert_bitwise(monkeypatch, other, u)
+        assert np.allclose(apply_T(other, u).values, 2.0 * apply_T(spec, u).values,
+                           rtol=0.0, atol=1e-12)
+
+    def test_a_pipeline_builds_one_plan(self, monkeypatch):
+        # auto-power makes a second spec for the chosen radius; solve and probe
+        # share its plan, and bounds_report needs none
+        import json
+        from pathlib import Path
+
+        import bvpkit.model
+        from bvpkit import cli
+        path = Path(__file__).parent.parent / "demos" / "configs" / "divisor_example.json"
+        cfg = cli.parse_config(json.loads(path.read_text()))
+        cfg = replace(cfg, tasks=(*cfg.tasks, "probe"))
+        assert cfg.radius == "auto-power" and "solve" in cfg.tasks
+        plans = Counted(bvpkit.model.make_plan)
+        monkeypatch.setattr(bvpkit.model, "make_plan", plans)
+        code, _ = cli.run(cfg)
+        assert code == 0 and plans.calls == 1
 
 
 class TestEquicontinuity:

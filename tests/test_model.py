@@ -136,6 +136,12 @@ class TestGridValue:
         t = np.concatenate((u.nodes, np.random.default_rng(7).uniform(0.0, 1.0, 200)))
         assert grid_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
 
+    def test_widths_that_are_no_power_of_two(self):
+        # h = 1/29 is rounded, so h*m*b in another order would change the bits
+        u = self.random_u(8, n=30)
+        t = np.concatenate((u.nodes, np.random.default_rng(8).uniform(0.0, 1.0, 5000)))
+        assert grid_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
+
 
 class TestNormC1:
     def test_zero(self):
@@ -176,6 +182,39 @@ class TestGridFunctionInvariants:
         nodes = uniform_grid(3)
         with pytest.raises(ValueError):
             GridFunction(nodes, np.array([0.0, np.nan, 0.0]), np.zeros(3))
+
+    def test_read_only_grids_are_checked(self):
+        # a read-only grid is checked once it passes, but a bad one never
+        # passes, and one made writeable again is checked anew
+        bad = np.array([0.0, 0.5, 0.4, 1.0])
+        bad.flags.writeable = False
+        for _ in range(2):
+            with pytest.raises(ValueError, match="increasing"):
+                GridFunction(bad, np.zeros(4), np.zeros(4))
+        nodes = uniform_grid(5)
+        nodes.flags.writeable = False
+        GridFunction.zero(nodes)
+        nodes.flags.writeable = True
+        nodes[2] = 0.9
+        with pytest.raises(ValueError, match="increasing"):
+            GridFunction.zero(nodes)
+
+    def test_replace_is_checked(self):
+        from dataclasses import replace
+        u = GridFunction.zero(smoke_spec(grid_size=5).nodes)
+        with pytest.raises(ValueError, match="finite"):
+            replace(u, values=np.array([0.0, np.inf, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="equal length"):
+            replace(u, derivatives=np.zeros(4))
+
+    def test_entries_are_read_only_copies(self):
+        values = np.linspace(-1.0, 2.0, 5)
+        u = GridFunction(uniform_grid(5), values, np.zeros(5))
+        assert norm_c1(u) == 2.0
+        values[-1] = 7.0
+        assert u.values[-1] == 2.0 and norm_c1(u) == 2.0
+        with pytest.raises(ValueError):
+            u.values[0] = 1.0
 
     def test_subtraction_needs_same_grid(self):
         a = GridFunction.zero(uniform_grid(5))

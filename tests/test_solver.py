@@ -227,3 +227,50 @@ class TestDivisorExampleSolve:
                 gv = curve.value(spec.nodes[1:])
                 close_nodes = np.abs(sol.u.values[1:] - gv) < h
                 assert int(close_nodes.sum()) <= 3
+
+
+def _step_spec(theta):
+    """g = 1, Dirichlet, f = 1 below theta and 2 above: u'' = -f(u)."""
+    from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+    return ProblemSpec(params=DIRICHLET, weight=make_weight_from_id("constant", {"value": 1.0}),
+                       nonlinearity=make_nonlinearity_from_id(
+                           "step", {"low": 1.0, "high": 2.0, "threshold": theta}),
+                       radius=4.0, quad_tol=1e-9, grid_size=129)
+
+
+def _step_closed_form(theta, t):
+    """The solution that crosses theta at t1 = (1 - sqrt(1 - 6 theta))/3 and
+    1 - t1: -s^2/2 + (1 - t1) s below theta, theta + (1/2 - t1)^2 - (s - 1/2)^2
+    above, in s = min(t, 1 - t), and its derivative."""
+    t1 = (1.0 - np.sqrt(1.0 - 6.0 * theta)) / 3.0
+    s = np.minimum(t, 1.0 - t)
+    below = s < t1
+    u = np.where(below, -s ** 2 / 2 + (1.0 - t1) * s, theta + (0.5 - t1) ** 2 - (s - 0.5) ** 2)
+    du = np.where(below, 1.0 - t1 - s, 1.0 - 2.0 * s)
+    return u, np.where(t <= 0.5, du, -du)
+
+
+class TestStepClosedForm:
+    """The step problem's solutions in closed form, against the solve from 0."""
+
+    @pytest.mark.parametrize("theta", np.linspace(0.005, 0.124, 12).tolist())
+    def test_crossing_solution(self, theta):
+        sol = solve_picard(_step_spec(theta), tol=1e-8)
+        assert sol.converged
+        assert sol.curve_crossings == [("step-threshold", 2)]
+        u, du = _step_closed_form(theta, sol.u.nodes)
+        assert np.max(np.abs(sol.u.values - u)) <= 5e-7
+        assert np.max(np.abs(sol.u.derivatives - du)) <= 5e-6
+
+    @pytest.mark.parametrize("theta", [0.13, 0.15, 0.16])
+    def test_above_one_eighth_the_solve_finds_the_solution_below_theta(self, theta):
+        # t(1-t)/2 peaks at 1/8 < theta, so f = 1 along it and it solves the
+        # problem too; T maps 0 to it and it to itself
+        sol = solve_picard(_step_spec(theta), tol=1e-8)
+        t = sol.u.nodes
+        assert sol.converged and sol.iterations == 2 and sol.residual == 0.0
+        assert sol.curve_crossings == [("step-threshold", 0)]
+        assert np.max(np.abs(sol.u.values - t * (1 - t) / 2)) <= 1e-9
+        assert np.max(np.abs(sol.u.derivatives - (1 - 2 * t) / 2)) <= 1e-9
+        if theta == 0.15:
+            assert np.max(np.abs(sol.u.values - _step_closed_form(theta, t)[0])) > 0.09
