@@ -90,6 +90,13 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     and raises BallViolation otherwise; u must live on spec.nodes, since the
     quadrature panels between them are where u is evaluated once per block.
     """
+    return _apply_T(spec, u)[0]
+
+
+def _apply_T(spec: ProblemSpec, u: GridFunction):
+    """apply_T(spec, u), and find_crossings(u, curves) of the declared
+    curves, whose abscissae split its panels; solve_picard keeps the latter
+    for the iterate it returns."""
     if u.nodes is not spec.nodes and not np.array_equal(u.nodes, spec.nodes):
         raise ValueError("u does not live on spec.nodes")
     if not in_ball(spec, u):
@@ -102,9 +109,10 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
         hs = g * f(s.reshape(-1, BLOCK), hermite_value(u, *basis))
         return np.stack((left * hs, right * hs))
 
-    left, right = _running_integrals(spec, both, tuple(crossing_breakpoints(spec, u)),
-                                     plan=spec.plan)
-    return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right))
+    crossings = find_crossings(u, spec.nonlinearity.curves)
+    breaks = tuple(sorted(x for xs in crossings for x in xs))
+    left, right = _running_integrals(spec, both, breaks, plan=spec.plan)
+    return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right)), crossings
 
 
 def residual(spec: ProblemSpec, u: GridFunction) -> float:

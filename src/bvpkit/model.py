@@ -18,6 +18,7 @@ hermite_basis, of the points alone, then hermite_value, which brings in u.
 from __future__ import annotations
 
 import functools
+import math
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
@@ -29,6 +30,7 @@ from .kernel import BoundaryParams, left_factor, right_factor
 from .quadrature import make_plan
 
 SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
+CROSSING_TOL = 1e-12  # find_crossings: bracket width of a crossing; 10x merges
 
 
 def vectorized(fn):
@@ -295,6 +297,29 @@ def _sample(params, g, nodes, s):
     return g(s), left_factor(params, s), right_factor(params, s), *hermite_basis(nodes, s)
 
 
+def _itp_point(a, b, ga, gb, j, n_max, k1):
+    """The ITP point of the bracket [a, b], whose gaps ga and gb have opposite
+    signs, at step j of n_max: the regula-falsi point, truncated toward the
+    midpoint by k1*(b - a)**2 and projected into the bisection radius
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  A regula-falsi point
+    outside [a, b] (rounding at an end, or underflow in the gaps' products)
+    is replaced by the midpoint, so every point lies in the bracket and the
+    bracket shrinks as the radius says."""
+    mid, w = 0.5 * (a + b), b - a
+    xf = (gb * a - ga * b) / (gb - ga)
+    if not a <= xf <= b:
+        xf = mid
+    s = 1.0 if mid > xf else -1.0 if mid < xf else 0.0
+    d = k1 * w * w
+    xt = xf + s * d if d <= abs(mid - xf) else mid
+    r = 0.5 * CROSSING_TOL * 2.0 ** (n_max - j) - 0.5 * w
+    return xt if abs(xt - mid) <= r else mid - s * r
+
+
+def _not_finite(curve, t):
+    return DomainError(f"u - value of curve {curve.label!r} is not finite at t = {t!r}")
+
+
 def find_crossings(u: GridFunction, curves):
     """Locate the points where u crosses each curve: one sorted list of
     crossing abscissae inside the curve's domain per curve.
@@ -302,26 +327,40 @@ def find_crossings(u: GridFunction, curves):
     u(s) - curve.value(s) is scanned on SCAN_PER_PANEL * (N - 1) equal cells of
     the curve's domain, whatever its width, for u on N nodes, with u evaluated
     once per distinct domain; zeros and sign changes of all curves' gaps are
-    found in one array pass, and all sign-change cells are bisected in
-    lockstep to width 1e-12, one curve.value call per step for each curve
-    with live cells and u in floats (numpy's per-call cost dominates on a
-    few cells).  Crossings closer than 1e-11 are merged.  Double crossings
-    inside one scan cell are not resolved.
+    found in one array pass.  All sign-change cells are then refined in
+    lockstep by ITP steps, one curve.value call per step for each curve with
+    live cells and u in floats (numpy's per-call cost dominates on a few
+    cells).  ITP keeps the sign-change bracket of bisection and its worst
+    case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1 steps to a
+    bracket of width <= 1e-12, whose midpoint is returned, and converges
+    superlinearly on a simple root.  Crossings closer than 1e-11 are merged.
+    Double crossings inside one scan cell are not resolved.  A non-finite gap,
+    at a scan point or a step, raises DomainError naming the curve and t.
     """
-    tol = 1e-12
+    tol = CROSSING_TOL
     spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
-    cells = [[] for _ in curves]  # [a, b, gap at a]; b = a where the gap is 0
+    # [a, b, gap at a, gap at b, steps taken, step budget, kappa1]; b = a where the gap is 0
+    cells = [[] for _ in curves]
     if live:
         n_scan = SCAN_PER_PANEL * (u.nodes.size - 1)
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
         levels = {d: grid_value(u, ts) for d, ts in grids.items()}
         gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])
+        if not np.isfinite(gap).all():
+            r, i = np.argwhere(~np.isfinite(gap))[0]
+            raise _not_finite(curves[live[r]], float(grids[spans[live[r]]][i]))
         hit = gap == 0.0
         hit[:, :-1] |= gap[:, :-1] * gap[:, 1:] < 0.0
         for r, i in zip(*np.nonzero(hit)):
             ts, g = grids[spans[live[r]]], float(gap[r, i])
-            cells[live[r]].append([float(ts[i]), float(ts[i if g == 0.0 else i + 1]), g])
+            a = float(ts[i])
+            if g == 0.0:
+                cells[live[r]].append([a, a, g, g, 0, 0, 0.0])
+            else:
+                b = float(ts[i + 1])
+                cells[live[r]].append([a, b, g, float(gap[r, i + 1]), 0,
+                                       math.ceil(math.log2((b - a) / tol)) + 1, 0.2 / (b - a)])
     if not any(cells):
         return cells
 
@@ -332,27 +371,30 @@ def find_crossings(u: GridFunction, curves):
         h = nodes[i + 1] - nodes[i]
         return _hermite(h, (s - nodes[i]) / h, vals[i], vals[i + 1], ders[i], ders[i + 1])
 
-    run = [(c.value, cs) for c, cs in zip(curves, cells)]
-    while run:  # one bisection step of every curve's live cells
+    run = list(zip(curves, cells))
+    while run:  # one ITP step of every curve's live cells
         step, run = run, []
-        for level, cs in step:
+        for curve, cs in step:
             cs = [c for c in cs if c[1] - c[0] > tol]
             if not cs:
                 continue
-            run.append((level, cs))
-            mids = [0.5 * (a + b) for a, b, _ in cs]
-            for c, mid, lv in zip(cs, mids, level(np.array(mids)).tolist()):
-                fm = value(mid) - lv
-                if fm == 0.0:
-                    c[0] = c[1] = mid
-                elif c[2] * fm < 0.0:
-                    c[1] = mid
+            run.append((curve, cs))
+            xs = [_itp_point(*c) for c in cs]
+            for c, x, lv in zip(cs, xs, curve.value(np.array(xs)).tolist()):
+                fx = value(x) - lv
+                if not math.isfinite(fx):
+                    raise _not_finite(curve, x)
+                c[4] += 1
+                if fx == 0.0:
+                    c[0] = c[1] = x
+                elif c[2] * fx < 0.0:
+                    c[1], c[3] = x, fx
                 else:
-                    c[0], c[2] = mid, fm
+                    c[0], c[2] = x, fx
 
     out = [[] for _ in curves]
     for xs, cs in zip(out, cells):
-        for x in (0.5 * (a + b) for a, b, _ in cs):
+        for x in (0.5 * (c[0] + c[1]) for c in cs):
             if not xs or x - xs[-1] > 10 * tol:
                 xs.append(x)
     return out

@@ -14,9 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BallViolation
-from .hammerstein import apply_T, in_ball
+from .hammerstein import _apply_T, in_ball
 from .kernel import BoundaryParams
-from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, norm_c1
+from .model import GridFunction, ProblemSpec, c1_norm_of, norm_c1
 
 MIN_RELAX = 1.0 / 16.0
 
@@ -60,9 +60,11 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     residual is returned with converged false.  Three consecutive
     sign-alternating residuals Tu - u, the directions of the updates, halve
     the relaxation (chattering across an inviable curve is the usual cause);
-    update_norms holds relax*||Tu - u||.  Raises BallViolation if u0 (in
-    apply_T) or an iterate fails in_ball, so every candidate final iterate
-    has passed that test and inside_ball is true whenever a Solution returns.
+    update_norms holds relax*||Tu - u||.  curve_crossings counts, per curve,
+    the crossings that the sweep of the returned iterate split its panels at.
+    Raises BallViolation if u0 (in apply_T) or an iterate fails in_ball, so
+    every candidate final iterate has passed that test and inside_ball is
+    true whenever a Solution returns.
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
@@ -71,16 +73,16 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     u = u0 if u0 is not None else GridFunction.zero(spec.nodes)
 
     update_norms = []
-    best_u, best_res = u, np.inf
+    best_u, best_res, best_crossings = u, np.inf, None
     r_prev = (np.zeros_like(u.values), np.zeros_like(u.derivatives))  # none yet: 0 product
     alternations = 0
     for iterations in range(1, max_iter + 1):
-        tu = apply_T(spec, u)
+        tu, crossings = _apply_T(spec, u)
         r = (tu.values - u.values, tu.derivatives - u.derivatives)
         res = c1_norm_of(*r)
         converged = res <= tol * (1.0 + norm_c1(u))
         if converged or res < best_res:
-            best_u, best_res = u, res
+            best_u, best_res, best_crossings = u, res, crossings
         if converged:
             break
         u_next = _blend(u, tu, relax)
@@ -100,10 +102,10 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
         u = u_next
 
     left, right = bc_residual(spec.params, best_u)
-    curves = spec.nonlinearity.curves
-    crossings = [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(best_u, curves))]
+    curve_crossings = [(c.label, len(xs))
+                       for c, xs in zip(spec.nonlinearity.curves, best_crossings)]
     return Solution(u=best_u, residual=best_res, iterations=iterations,
                     bc_residual_left=left, bc_residual_right=right,
                     inside_ball=in_ball(spec, best_u),
-                    converged=converged, curve_crossings=crossings,
+                    converged=converged, curve_crossings=curve_crossings,
                     update_norms=update_norms, relax_final=relax)

@@ -1,5 +1,9 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import (DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1,
                     uniform_grid)
@@ -7,7 +11,7 @@ from bvpkit.errors import MaxDepthExceeded
 from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value
 from bvpkit.quadrature import BLOCK, integrate_groups
 
-from conftest import smoke_spec
+from conftest import Counted, smoke_spec
 
 
 def sampled(fn, dfn, n=33):
@@ -273,8 +277,10 @@ class TestCurveCrossings:
 
 
 def crossings_per_cell(u, curve, tol=1e-12):
-    """find_curve_crossings as a loop over scan cells with scalar bisection,
-    kept as the reference for the lockstep version."""
+    """find_curve_crossings as a loop over scan cells, each refined alone by
+    scalar ITP steps (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / w0, kappa2 = 2 and n0 = 1, kept as the reference for the
+    lockstep version."""
     lo, hi = max(curve.a, 0.0), min(curve.b, 1.0)
     if hi - lo <= tol:
         return []
@@ -294,18 +300,32 @@ def crossings_per_cell(u, curve, tol=1e-12):
             crossings.append(ts[i])
             continue
         if g0 * g1 < 0.0:
-            a, b = ts[i], ts[i + 1]
-            fa = g0
+            a, b = float(ts[i]), float(ts[i + 1])
+            fa, fb = float(g0), float(g1)
+            n_max = math.ceil(math.log2((b - a) / tol)) + 1
+            kappa1 = 0.2 / (b - a)
+            j = 0
             while b - a > tol:
-                mid = 0.5 * (a + b)
-                fm = d(mid)
-                if fm == 0.0:
-                    a = b = mid
+                half, w = 0.5 * (a + b), b - a
+                falsi = (fb * a - fa * b) / (fb - fa)
+                if not a <= falsi <= b:
+                    falsi = half
+                sigma = np.sign(half - falsi)
+                delta = kappa1 * w * w
+                # truncate toward the midpoint, then project into the bisection radius
+                x = falsi + sigma * delta if delta <= abs(half - falsi) else half
+                radius = tol / 2 * 2.0 ** (n_max - j) - w / 2
+                if abs(x - half) > radius:
+                    x = half - sigma * radius
+                fx = d(x)
+                j += 1
+                if fx == 0.0:
+                    a = b = x
                     break
-                if fa * fm < 0.0:
-                    b = mid
+                if fa * fx < 0.0:
+                    b, fb = x, fx
                 else:
-                    a, fa = mid, fm
+                    a, fa = x, fx
             crossings.append(0.5 * (a + b))
     if gap[-1] == 0.0:
         crossings.append(ts[-1])
@@ -318,7 +338,7 @@ def crossings_per_cell(u, curve, tol=1e-12):
 
 
 class TestLockstepCrossings:
-    """The lockstep bisection returns bitwise the abscissae of the per-cell loop."""
+    """The lockstep ITP steps return bitwise the abscissae of the per-cell loop."""
 
     @staticmethod
     def check(u, curve):
@@ -343,7 +363,8 @@ class TestLockstepCrossings:
             == [0.25, 0.75]
         # a zero at the last scan point
         assert self.check(sampled(lambda t: t - 1.0, lambda t: 1 + 0 * t), line) == [1.0]
-        # the first bisection midpoint of the cell [1/8, 1/4] is an exact zero
+        # the first ITP point of the cell [1/8, 1/4], its midpoint and its
+        # regula-falsi point alike, is an exact zero
         u = GridFunction.from_callable(lambda t: t - 0.1875, lambda t: 1 + 0 * t,
                                        uniform_grid(3))
         assert self.check(u, line) == [0.1875]
@@ -409,3 +430,119 @@ class TestBatchedCrossings:
         assert len(divisor_spec.nonlinearity.curves) == 16
         assert crossing_breakpoints(divisor_spec, divisor_solution.u) == []
         assert sizes == [4 * 128 + 1]
+
+
+def line(c0, c1=0.0):
+    return DiscontinuityCurve(a=0.0, b=1.0, value=lambda t: c0 + c1 * np.asarray(t, float),
+                              second_derivative=lambda t: np.zeros_like(np.asarray(t, float)),
+                              label="line")
+
+
+class TestCrossingsAgainstExactRoots:
+    """An oracle that shares no code with find_crossings: on each node panel
+    u - gamma is a cubic for a line gamma, and numpy.roots gives its roots."""
+
+    @staticmethod
+    def exact_roots(u, c0, c1):
+        """(t, u'(t) - c1) at each root in [0, 1] of a panel's cubic whose
+        imaginary part is at most 1e-6 (a near-double pair counts, at its
+        real part), sorted, a root at a node counted once; None where u - gamma
+        vanishes on a whole panel."""
+        roots = []
+        for i in range(u.nodes.size - 1):
+            t0, h = u.nodes[i], u.nodes[i + 1] - u.nodes[i]
+            u0, u1 = u.values[i], u.values[i + 1]
+            m0, m1 = h * u.derivatives[i], h * u.derivatives[i + 1]
+            # the Hermite cubic minus the line, in x = (t - t0) / h
+            p = np.array([2 * u0 + m0 - 2 * u1 + m1, -3 * u0 - 2 * m0 + 3 * u1 - m1,
+                          m0 - c1 * h, u0 - c0 - c1 * t0])
+            if not p.any():
+                return None
+            for z in np.roots(p):
+                if abs(z.imag) <= 1e-6 and -1e-9 <= z.real <= 1.0 + 1e-9:
+                    x = z.real
+                    roots.append((t0 + h * x, np.polyval(np.polyder(p), x) / h))
+        roots.sort()
+        return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > 1e-9]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 17), data=st.data(),
+           c0=st.floats(-0.5, 0.5, allow_subnormal=False),
+           c1=st.floats(-1.0, 1.0, allow_subnormal=False))
+    def test_steep_roots_are_the_crossings(self, n, data, c0, c1):
+        # node data on a grid of 1/64 (values) and 1/16 (derivatives): a
+        # panel's cubic has no coefficient so small that numpy.roots loses it
+        values = data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
+        derivs = data.draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n))
+        u = GridFunction(uniform_grid(n), np.array(values) / 64, np.array(derivs) / 16)
+        roots = self.exact_roots(u, c0, c1)
+        assume(roots is not None)
+        ts = np.array([t for t, _ in roots])
+        # the roots the scan can see: each steep, and no two in one scan cell
+        assume(all(abs(slope) >= 1e-3 for _, slope in roots))
+        assume(np.all(np.diff(ts) > 1.0 / (SCAN_PER_PANEL * (n - 1))))
+        got = np.array(find_crossings(u, (line(c0, c1),))[0])
+        assert got.size == ts.size
+        assert np.all(np.abs(got - ts) <= 1e-11)
+
+
+class TestCrossingSteps:
+    """ITP keeps bisection's worst case and beats it on a simple root."""
+
+    @staticmethod
+    def refinement_calls(u, curve):
+        value = Counted(curve.value)
+        xs = find_crossings(u, (replace(curve, value=value),))[0]
+        return value.calls - 1, xs  # the first call is the scan
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_no_cell_takes_more_than_one_step_beyond_bisection(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        u = GridFunction(uniform_grid(n), 0.5 * rng.standard_normal(n),
+                         3.0 * rng.standard_normal(n))
+        a, b = rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0)
+        w = rng.uniform(2.0, 40.0)
+        curve = DiscontinuityCurve(a=a, b=b, value=lambda t: 0.2 * np.sin(w * t),
+                                   second_derivative=lambda t: -0.2 * w * w * np.sin(w * t))
+        calls, xs = self.refinement_calls(u, curve)
+        assert xs
+        # one lockstep call per step, so calls is the step count of the slowest cell
+        width = (b - a) / (SCAN_PER_PANEL * (n - 1))
+        assert calls <= math.ceil(math.log2(width / 1e-12)) + 1
+
+    def test_step_crossing_solution(self):
+        from bvpkit import DIRICHLET, ProblemSpec, solve_picard
+        from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+        nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
+        spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
+                           weight=make_weight_from_id("constant", {"value": 1.0}))
+        calls, xs = self.refinement_calls(solve_picard(spec, tol=1e-8).u, nl.curves[0])
+        assert len(xs) == 2
+        assert calls <= 10  # bisection takes 31 from width 1/512 to 1e-12
+
+
+class TestNonFiniteGap:
+    """A NaN of u - curve.value is an error naming the curve and t, not a
+    sign test that fails and drops the crossing."""
+
+    @staticmethod
+    def curve(nan_where):
+        return DiscontinuityCurve(
+            a=0.0, b=1.0, value=lambda t: np.where(nan_where(t), np.nan, 0.0),
+            second_derivative=lambda t: np.zeros_like(np.asarray(t, float)), label="holed")
+
+    def test_at_a_scan_point(self):
+        u = sampled(lambda t: t - 0.3123, lambda t: 1 + 0 * t, n=17)
+        with pytest.raises(DomainError, match=r"holed.*t = 0\.703125"):
+            find_crossings(u, (line(0.0), self.curve(lambda t: t > 0.7)))
+
+    def test_at_a_refinement_step(self):
+        # NaN strictly inside the scan cell [19/64, 20/64] that holds the
+        # crossing: the scan is finite, the first step is not
+        u = sampled(lambda t: t - 0.3123, lambda t: 1 + 0 * t, n=17)
+        holed = self.curve(lambda t: (t > 19 / 64) & (t < 20 / 64))
+        with pytest.raises(DomainError, match=r"holed.*t = 0\.3") as err:
+            find_crossings(u, (holed,))
+        t = float(str(err.value).rsplit("t = ", 1)[1])
+        assert 19 / 64 < t < 20 / 64

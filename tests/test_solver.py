@@ -3,9 +3,9 @@ import pytest
 
 import bvpkit.hammerstein
 import bvpkit.solver
-from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, norm_c1,
+from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, find_crossings, norm_c1,
                     solve_picard, validate_params)
-from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
+from bvpkit.model import DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec, Weight
 
 from conftest import const_nonlinearity, const_weight, smoke_spec
 
@@ -125,13 +125,14 @@ class TestOneStopTest:
         spec = request.getfixturevalue("divisor_spec") if spec_name == "divisor" \
             else smoke_spec()
         calls = []
+        apply = bvpkit.hammerstein._apply_T  # apply_T, with the crossings of u
 
         def counted(spec, u):
             calls.append(u)
-            return apply_T(spec, u)
+            return apply(spec, u)
 
-        monkeypatch.setattr(bvpkit.hammerstein, "apply_T", counted)
-        monkeypatch.setattr(bvpkit.solver, "apply_T", counted)
+        monkeypatch.setattr(bvpkit.hammerstein, "_apply_T", counted)
+        monkeypatch.setattr(bvpkit.solver, "_apply_T", counted)
         sol = solve_picard(spec, tol=1e-8)
         assert sol.converged
         assert len(calls) == sol.iterations
@@ -274,3 +275,39 @@ class TestStepClosedForm:
         assert np.max(np.abs(sol.u.derivatives - (1 - 2 * t) / 2)) <= 1e-9
         if theta == 0.15:
             assert np.max(np.abs(sol.u.values - _step_closed_form(theta, t)[0])) > 0.09
+
+
+class TestCurveCrossingsOfTheReturnedIterate:
+    """Solution.curve_crossings comes from the sweep of the returned iterate,
+    with no scan of its own, and counts what a scan of sol.u finds."""
+
+    @staticmethod
+    def scanned(spec, u):
+        curves = spec.nonlinearity.curves
+        return [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(u, curves))]
+
+    @pytest.mark.parametrize("theta, max_iter", [(0.05, 50), (0.15, 50), (0.05, 3), (0.06, 5)])
+    def test_step(self, theta, max_iter):
+        spec = _step_spec(theta)
+        sol = solve_picard(spec, tol=1e-8, max_iter=max_iter)
+        assert sol.converged == (max_iter == 50)
+        assert sol.curve_crossings == self.scanned(spec, sol.u)
+
+    def test_divisor(self, divisor_spec, divisor_solution):
+        assert divisor_solution.curve_crossings == self.scanned(divisor_spec,
+                                                                divisor_solution.u)
+
+    def test_least_residual_iterate_not_the_last(self):
+        # 20/pi**2 > 1: the sweeps diverge, so the start 0 has the least
+        # residual; it stays below the line 0.01, which the second iterate
+        # T0 = t(1-t)/2 crosses
+        level = DiscontinuityCurve(a=0.0, b=1.0, value=lambda t: np.full_like(t, 0.01),
+                                   second_derivative=np.zeros_like, label="level")
+        f = Nonlinearity(eval=lambda t, u: 1.0 - 20.0 * np.asarray(u, float),
+                         curves=(level,), local_bound=lambda t, r: 20.0 * r + 1.0)
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                           radius=50.0, quad_tol=1e-10, grid_size=33)
+        sol = solve_picard(spec, max_iter=2)
+        assert not sol.converged and norm_c1(sol.u) == 0.0
+        assert sol.curve_crossings == self.scanned(spec, sol.u) == [("level", 0)]
+        assert self.scanned(spec, apply_T(spec, sol.u)) == [("level", 2)]
