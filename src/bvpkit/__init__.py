@@ -19,8 +19,7 @@ from .errors import (BallViolation, BvpError, ConfigError, DegenerateGamma,
 from .kernel import DIRICHLET, BoundaryParams, dk_dt, dk_dt_bound, k_eval, validate_params
 from .quadrature import IntegrandSpec, integrate
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
-                    Weight, find_crossings, find_curve_crossings, grid_eval, norm_c1,
-                    uniform_grid)
+                    Weight, find_crossings, find_curve_crossings, grid_eval, norm_c1)
 from .hammerstein import BoundsReport, apply_T, bounds_report, residual
 from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
                          ClassificationResult, EquicontinuityReport, HypothesisReport,

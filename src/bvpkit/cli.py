@@ -9,9 +9,9 @@ The tasks check and classify-curves are served by one certify_hypotheses
 call.  Exit codes: 0 when every requested task passes, 1 when a task ran and
 failed, 2 on configuration errors.  A toolkit, value or arithmetic error
 inside a task fails that task and lands in its report section as
-{"error", "type"}; an error in the certification fails every requested
-certification task, in each of their sections.  A report is written either
-way.  Reports are deterministic apart from the timestamp field.
+{"error", "type"}; a certification error fails each requested certification
+task in its section.  A report is written either way: strict JSON, with a
+non-finite number as null, deterministic apart from the timestamp field.
 """
 
 import argparse
@@ -172,13 +172,22 @@ def config_echo(cfg: RunConfig) -> dict:
 _RENAMES = {"passed": "pass", "epsilon_used": "epsilon", "t_min_clip": "t_min"}
 
 
+def _strict(val):
+    """A result value as strict JSON (RFC 8259 has no Infinity or NaN): arrays
+    as lists, and a non-finite float, in a list or tuple too, as None."""
+    if isinstance(val, np.ndarray):
+        return val.tolist() if np.isfinite(val).all() else _strict(val.tolist())
+    if isinstance(val, (list, tuple)):
+        return type(val)(map(_strict, val))
+    return None if isinstance(val, float) and not np.isfinite(val) else val
+
+
 def _section(result, drop=(), **extra) -> dict:
     """A result dataclass as a report section: its fields in declaration
-    order, renamed and without those in drop, then extra; arrays as lists."""
+    order, renamed and without those in drop, then extra; values _strict."""
     items = [(_RENAMES.get(f.name, f.name), getattr(result, f.name))
              for f in fields(result) if f.name not in drop]
-    return {key: val.tolist() if isinstance(val, np.ndarray) else val
-            for key, val in items + list(extra.items())}
+    return {key: _strict(val) for key, val in items + list(extra.items())}
 
 
 @contextmanager

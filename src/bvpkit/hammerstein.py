@@ -45,11 +45,6 @@ def in_ball(spec: ProblemSpec, u: GridFunction, margin: float = 0.0) -> bool:
     return norm_c1(u) + margin <= spec.radius + 10.0 * spec.quad_tol + 1e-12
 
 
-def crossing_breakpoints(spec: ProblemSpec, u: GridFunction):
-    """All abscissae where u crosses a declared discontinuity curve."""
-    return sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
-
-
 def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None):
     """L[i] = int_{e_0}^{e_i} left*h and R[i] = int_{e_i}^{e_m} right*h at the
     edges e_0 < ... < e_m (default: the grid nodes).

@@ -83,6 +83,7 @@ def right_factor(p: BoundaryParams, s):
     return p.gamma + p.delta - p.gamma * s
 
 
+# kept for the benchmark's kernel layer (bench/layers.py), which times it
 def k_eval(p: BoundaryParams, t, s):
     """Kernel value k(t, s).  Accepts scalars or numpy arrays (broadcast)."""
     t, s = _unit_args(t, s)
@@ -91,6 +92,7 @@ def k_eval(p: BoundaryParams, t, s):
     return out if out.ndim else float(out)
 
 
+# kept for the benchmark's kernel layer (bench/layers.py), which times it
 def dk_dt(p: BoundaryParams, t, s):
     """Partial derivative of the kernel in t.
 
@@ -103,6 +105,7 @@ def dk_dt(p: BoundaryParams, t, s):
     return out if out.ndim else float(out)
 
 
+# kept for demo 01, which prints it, and acceptance criterion 4, which checks it
 def dk_dt_bound(p: BoundaryParams) -> float:
     """Essential bound on |dk/dt| over the unit square."""
     return max(p.gamma * left_factor(p, 1.0),

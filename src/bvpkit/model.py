@@ -181,19 +181,12 @@ class GridFunction:
                        derivatives=self.derivatives - other.derivatives)
 
 
-def uniform_grid(n: int) -> np.ndarray:
-    if n < 3:
-        raise ValueError("need at least 3 nodes")
-    return np.linspace(0.0, 1.0, n)
-
-
-def _hermite(h, x, u0, u1, m0, m1):
-    """Cubic Hermite value at local coordinate x on a panel of width h, with
-    the same operations on arrays and on floats, so the same bits."""
+def _basis(x):
+    """The four cubic Hermite basis polynomials at local coordinate x, with the
+    same operations on floats and on arrays, so the same bits."""
     x2 = x * x
     x3 = x2 * x
-    return (u0 * (2 * x3 - 3 * x2 + 1) + h * m0 * (x3 - 2 * x2 + x)
-            + u1 * (-2 * x3 + 3 * x2) + h * m1 * (x3 - x2))
+    return 2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2
 
 
 def _locate(nodes, rows):
@@ -208,16 +201,14 @@ def _locate(nodes, rows):
 
 
 def hermite_basis(nodes, rows):
-    """Each row's node panel index i and width h, and the four basis
-    polynomials of _hermite, by its operations, at its points."""
+    """Each row's node panel index i and width h, and _basis at its points."""
     i, h, x = _locate(nodes, rows)
-    x2 = x * x
-    x3 = x2 * x
-    return i, h, 2 * x3 - 3 * x2 + 1, x3 - 2 * x2 + x, -2 * x3 + 3 * x2, x3 - x2
+    return i, h, *_basis(x)
 
 
 def hermite_value(u: GridFunction, i, h, b0, b1, b2, b3):
-    """u from hermite_basis on u.nodes, summed as _hermite sums."""
+    """u from hermite_basis on u.nodes: v[i]*b0 + h*d[i]*b1 + v[i+1]*b2 +
+    h*d[i+1]*b3, summed in that order wherever u is evaluated."""
     return (u.values[i] * b0 + h * u.derivatives[i] * b1
             + u.values[i + 1] * b2 + h * u.derivatives[i + 1] * b3)
 
@@ -238,11 +229,10 @@ def grid_eval(u: GridFunction, t):
     if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
         raise DomainError("t must lie in [0, 1]")
     i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
-    u0, u1, m0, m1 = u.values[i], u.values[i + 1], u.derivatives[i], u.derivatives[i + 1]
     x2 = x * x
-    val = _hermite(h, x, u0, u1, m0, m1).reshape(t_arr.shape)
-    der = ((u0 * (6 * x2 - 6 * x) + h * m0 * (3 * x2 - 4 * x + 1)
-            + u1 * (-6 * x2 + 6 * x) + h * m1 * (3 * x2 - 2 * x)) / h).reshape(t_arr.shape)
+    val = hermite_value(u, i, h, *_basis(x)).reshape(t_arr.shape)
+    der = (hermite_value(u, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
+                         3 * x2 - 2 * x) / h).reshape(t_arr.shape)
     if val.ndim == 0:
         return float(val), float(der)
     return val, der
@@ -280,7 +270,7 @@ class ProblemSpec:
     @functools.cached_property
     def nodes(self) -> np.ndarray:
         """The uniform grid, built once per spec and read-only."""
-        nodes = uniform_grid(self.grid_size)
+        nodes = np.linspace(0.0, 1.0, self.grid_size)
         nodes.flags.writeable = False
         return nodes
 
@@ -327,15 +317,15 @@ def find_crossings(u: GridFunction, curves):
     u(s) - curve.value(s) is scanned on SCAN_PER_PANEL * (N - 1) equal cells of
     the curve's domain, whatever its width, for u on N nodes, with u evaluated
     once per distinct domain; zeros and sign changes of all curves' gaps are
-    found in one array pass.  All sign-change cells are then refined in
-    lockstep by ITP steps, one curve.value call per step for each curve with
-    live cells and u in floats (numpy's per-call cost dominates on a few
-    cells).  ITP keeps the sign-change bracket of bisection and its worst
-    case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1 steps to a
-    bracket of width <= 1e-12, whose midpoint is returned, and converges
-    superlinearly on a simple root.  Crossings closer than 1e-11 are merged.
-    Double crossings inside one scan cell are not resolved.  A non-finite gap,
-    at a scan point or a step, raises DomainError naming the curve and t.
+    found in one array pass.  Each curve's sign-change cells are then refined
+    together by ITP steps, one curve.value call per step on its live cells,
+    with u in floats (numpy's per-call cost dominates on a few cells).  ITP
+    keeps the sign-change bracket of bisection and its worst case: a cell of
+    width w takes at most ceil(log2(w / 1e-12)) + 1 steps to a bracket of
+    width <= 1e-12, whose midpoint is returned, and converges superlinearly
+    on a simple root.  Crossings closer than 1e-11 are merged.  Double
+    crossings inside one scan cell are not resolved.  A non-finite gap, at a
+    scan point or a step, raises DomainError naming the curve and t.
     """
     tol = CROSSING_TOL
     spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
@@ -369,18 +359,15 @@ def find_crossings(u: GridFunction, curves):
     def value(s):  # grid_value(u, s) for a float s
         i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
         h = nodes[i + 1] - nodes[i]
-        return _hermite(h, (s - nodes[i]) / h, vals[i], vals[i + 1], ders[i], ders[i + 1])
+        b0, b1, b2, b3 = _basis((s - nodes[i]) / h)
+        return vals[i] * b0 + h * ders[i] * b1 + vals[i + 1] * b2 + h * ders[i + 1] * b3
 
-    run = list(zip(curves, cells))
-    while run:  # one ITP step of every curve's live cells
-        step, run = run, []
-        for curve, cs in step:
-            cs = [c for c in cs if c[1] - c[0] > tol]
-            if not cs:
-                continue
-            run.append((curve, cs))
-            xs = [_itp_point(*c) for c in cs]
-            for c, x, lv in zip(cs, xs, curve.value(np.array(xs)).tolist()):
+    out = []
+    for curve, cs in zip(curves, cells):
+        steps = cs
+        while steps := [c for c in steps if c[1] - c[0] > tol]:  # one ITP step of each
+            xs = [_itp_point(*c) for c in steps]
+            for c, x, lv in zip(steps, xs, curve.value(np.array(xs)).tolist()):
                 fx = value(x) - lv
                 if not math.isfinite(fx):
                     raise _not_finite(curve, x)
@@ -391,12 +378,11 @@ def find_crossings(u: GridFunction, curves):
                     c[1], c[3] = x, fx
                 else:
                     c[0], c[2] = x, fx
-
-    out = [[] for _ in curves]
-    for xs, cs in zip(out, cells):
+        merged = []
         for x in (0.5 * (c[0] + c[1]) for c in cs):
-            if not xs or x - xs[-1] > 10 * tol:
-                xs.append(x)
+            if not merged or x - merged[-1] > 10 * tol:
+                merged.append(x)
+        out.append(merged)
     return out
 
 

@@ -158,7 +158,10 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     panels, s0, width = _first_round(edges, breakpoints, singular_left)
     lo, hi, grp, sq = panels
     sample, rows = plan if plan is not None else (None, None)
-    if plan is not None and lo.size > m:  # a split group's rows are its own subpanels'
+    # a split group's rows are its own subpanels', merged into the plan's so that g is
+    # sampled there alone: with a scalar-only g (looped by vectorized), a step-crossing
+    # solve (N = 129) took 8-9 ms with the merge, 25-28 ms without it (2-core Xeon)
+    if plan is not None and lo.size > m:
         cut = np.bincount(grp, minlength=m)[grp] > 1
         rows = tuple(a.take(grp, axis=0) for a in rows)
         for a, new in zip(rows, _sampled(lo[cut], hi[cut], sq[cut], s0, width, sample)):
@@ -172,6 +175,10 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
         val, err, floor = estimates
         rounding = floor_done + floor.sum(axis=1)
         if np.any(rounding > m * tol):
+            if not np.isfinite(rounding).all():  # a sum of |f| overflowed
+                i = int(np.argmax(floor.max(axis=0)))
+                where = _interval(lo[i], hi[i], sq[i], s0, width)
+                raise NonFiniteIntegrand(f"integral of |integrand| overflows on {where}")
             raise MaxDepthExceeded(
                 f"rounding floor {rounding.max():.3e} above the total tol {m * tol:.3e}: "
                 f"no depth up to {MAX_DEPTH} bisection levels can meet it")

@@ -442,6 +442,31 @@ class TestMain:
             assert report[section]["type"] == "MaxDepthExceeded"
             assert "bisection levels" in report[section]["error"]
 
+    def test_overflow_is_named_and_the_report_is_strict_json(self, tmp_path):
+        # f = 1e308 + 1e308 u: H_R and H3's product are inf, and T's panel
+        # integrals overflow; each is a failed task in a strict JSON report
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        doc = {"problem": {"bc": [1, 0, 1, 0], "weight": {"id": "constant", "value": 1},
+                           "nonlinearity": {"id": "polynomial", "coeffs": [1e308, 1e308]},
+                           "R": 10},
+               "numerics": {"grid_size": 17}, "tasks": ["check", "solve"]}
+        cfg_path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["run", "--config", str(cfg_path), "--out", str(out_path)])
+        assert code == 1
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(out_path.read_text(), parse_constant=reject)
+        assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
+        assert report["hypotheses"]["h2"]["sup"] is None
+        assert report["hypotheses"]["h3"]["product"] is None
+        assert report["hypotheses"]["h3"]["hr_sup"] is None
+        assert report["solution"]["type"] == "NonFiniteIntegrand"
+        assert "overflows on [0.0, 0.0625]" in report["solution"]["error"]
+
     def test_malformed_json_exits_two(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text("{not json")

@@ -10,8 +10,7 @@ import pytest
 import bvpkit
 
 from bvpkit import (DomainError, PhiExample, build_problem, classify_curve,
-                    measurable_decomposition, phi, region_index, uniform_grid,
-                    validate_params)
+                    measurable_decomposition, phi, region_index, validate_params)
 from bvpkit.example_phi import (_MAX_REGION, _phi_pow, _phi_table, make_curves,
                                 make_nonlinearity, make_weight)
 from bvpkit.model import GridFunction
@@ -259,7 +258,7 @@ class TestBuildProblem:
 
 class TestMeasurableDecomposition:
     def grid_const(self, c, n=33):
-        nodes = uniform_grid(n)
+        nodes = np.linspace(0.0, 1.0, n)
         return GridFunction(nodes, np.full(n, float(c)), np.zeros(n))
 
     def test_positive_constant(self):
@@ -277,7 +276,7 @@ class TestMeasurableDecomposition:
 
     def test_partition_is_exhaustive_and_matches_region_map(self):
         rng = np.random.default_rng(43)
-        nodes = uniform_grid(65)
+        nodes = np.linspace(0.0, 1.0, 65)
         u = GridFunction(nodes, rng.uniform(-2, 2, 65), rng.uniform(-1, 1, 65))
         t_grid = rng.uniform(1e-3, 1.0, size=200)
         rep = measurable_decomposition(u, t_grid)

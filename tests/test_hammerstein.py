@@ -8,9 +8,10 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_repor
                     check_h1, equicontinuity_check, grid_eval, norm_c1, residual,
                     solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.hammerstein import _closed_forms, crossing_breakpoints
+from bvpkit.hammerstein import _closed_forms
 from bvpkit.kernel import left_factor, right_factor
-from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight, grid_value
+from bvpkit.model import (GridFunction, Nonlinearity, ProblemSpec, Weight, find_crossings,
+                          grid_value)
 from bvpkit.quadrature import BLOCK, integrate_groups
 
 from conftest import Counted, const_nonlinearity, const_weight, random_ball_function, smoke_spec
@@ -298,7 +299,7 @@ class TestWorkCounts:
     def test_step_crossing_apply_T_calls_f_at_most_three_times(self):
         spec, u, _, f = self.counted("step", {"low": 1.0, "high": 2.0, "threshold": 0.05},
                                      4.0, 129)
-        assert len(crossing_breakpoints(spec, u)) == 2
+        assert [len(xs) for xs in find_crossings(u, spec.nonlinearity.curves)] == [2]
         apply_T(spec, u)
         assert 1 <= f.calls <= 3
 
@@ -333,8 +334,8 @@ def reference_T(spec, u, integrate=integrate_groups):
 
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
-    left, right = integrate(both, spec.nodes, crossing_breakpoints(spec, u),
-                            spec.weight.singular_left, tol)
+    breaks = sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
+    left, right = integrate(both, spec.nodes, breaks, spec.weight.singular_left, tol)
     return _closed_forms(spec, spec.nodes, np.concatenate(([0.0], np.cumsum(left))),
                          np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 
@@ -387,7 +388,7 @@ class TestSweepPlan:
     def test_step_with_split_panels(self, monkeypatch):
         spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
         u = solve_picard(spec, tol=1e-8).u
-        assert len(crossing_breakpoints(spec, u)) == 2
+        assert [len(xs) for xs in find_crossings(u, spec.nonlinearity.curves)] == [2]
         assert self.assert_bitwise(monkeypatch, spec, u) == 1
 
     def test_singular_weight(self, monkeypatch, divisor_spec, divisor_solution):
@@ -410,6 +411,19 @@ class TestSweepPlan:
         sol = solve_picard(spec, tol=1e-8)
         assert sol.converged and sol.iterations > 10
         assert (g.calls, g.points) == (1, 256 * BLOCK)
+
+    def test_split_sweeps_sample_the_weight_on_split_panels_alone(self):
+        # the solution crosses the threshold in 2 node panels: after the plan's
+        # 128 panels, each sweep that splits them samples g on their 4 subpanels
+        g = Counted(lambda t: np.ones_like(t))
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129,
+                            weight=Weight(eval=g))
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged and sol.iterations == 9
+        assert (g.calls, g.points) == (9, 128 * BLOCK + 8 * 4 * BLOCK)
+        g.calls = g.points = 0
+        apply_T(spec, sol.u)
+        assert (g.calls, g.points) == (1, 4 * BLOCK)
 
     def test_specs_with_different_weights_never_share_a_plan(self, monkeypatch):
         spec = smoke_spec()

@@ -13,7 +13,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
 from bvpkit.catalog import make_nonlinearity_from_id
 from bvpkit.hypotheses import HR_U_SAMPLES, _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
-                          ProblemSpec, Weight, uniform_grid)
+                          ProblemSpec, Weight)
 
 from conftest import Counted, const_weight, random_ball_function, smoke_spec
 
@@ -609,7 +609,7 @@ class TestProbeMatchesReference:
         assert np.array_equal(r.witness_coeffs, witness)
 
     def test_bump_lives_on_its_dyadic_window(self):
-        nodes = uniform_grid(257)
+        nodes = np.linspace(0.0, 1.0, 257)
         for j in range(1, 32):
             level = int(np.floor(np.log2(j)))
             a, b = (j - 2 ** level) / 2 ** level, (j - 2 ** level + 1) / 2 ** level

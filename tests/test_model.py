@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvpkit import (DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1,
-                    uniform_grid)
+from bvpkit import DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
 from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value
 from bvpkit.quadrature import BLOCK, integrate_groups
@@ -15,13 +14,13 @@ from conftest import Counted, smoke_spec
 
 
 def sampled(fn, dfn, n=33):
-    return GridFunction.from_callable(fn, dfn, uniform_grid(n))
+    return GridFunction.from_callable(fn, dfn, np.linspace(0.0, 1.0, n))
 
 
 class TestGridEval:
     def test_nodes_reproduced_exactly(self):
         rng = np.random.default_rng(0)
-        nodes = uniform_grid(17)
+        nodes = np.linspace(0.0, 1.0, 17)
         u = GridFunction(nodes, rng.standard_normal(17), rng.standard_normal(17))
         for i, t in enumerate(nodes):
             v, d = grid_eval(u, t)
@@ -54,7 +53,7 @@ class TestGridEval:
 
     def test_linear_in_data(self):
         rng = np.random.default_rng(5)
-        nodes = uniform_grid(9)
+        nodes = np.linspace(0.0, 1.0, 9)
         a = GridFunction(nodes, rng.standard_normal(9), rng.standard_normal(9))
         b = GridFunction(nodes, rng.standard_normal(9), rng.standard_normal(9))
         comb = GridFunction(nodes, 2 * a.values - 3 * b.values,
@@ -99,7 +98,8 @@ class TestGridValue:
     @staticmethod
     def random_u(seed, n=33):
         rng = np.random.default_rng(seed)
-        return GridFunction(uniform_grid(n), rng.standard_normal(n), rng.standard_normal(n))
+        return GridFunction(np.linspace(0.0, 1.0, n), rng.standard_normal(n),
+                            rng.standard_normal(n))
 
     def check(self, u, rows):
         got = grid_value(u, rows)
@@ -149,7 +149,7 @@ class TestGridValue:
 
 class TestNormC1:
     def test_zero(self):
-        assert norm_c1(GridFunction.zero(uniform_grid(9))) == 0.0
+        assert norm_c1(GridFunction.zero(np.linspace(0.0, 1.0, 9))) == 0.0
 
     def test_identity_function(self):
         assert norm_c1(sampled(lambda t: t, lambda t: 1 + 0 * t)) == pytest.approx(2.0)
@@ -160,7 +160,7 @@ class TestNormC1:
 
     def test_norm_axioms(self):
         rng = np.random.default_rng(9)
-        nodes = uniform_grid(9)
+        nodes = np.linspace(0.0, 1.0, 9)
         for _ in range(100):
             a = GridFunction(nodes, rng.standard_normal(9), rng.standard_normal(9))
             b = GridFunction(nodes, rng.standard_normal(9), rng.standard_normal(9))
@@ -183,7 +183,7 @@ class TestGridFunctionInvariants:
             GridFunction(nodes, np.zeros(4), np.zeros(4))
 
     def test_rejects_non_finite(self):
-        nodes = uniform_grid(3)
+        nodes = np.linspace(0.0, 1.0, 3)
         with pytest.raises(ValueError):
             GridFunction(nodes, np.array([0.0, np.nan, 0.0]), np.zeros(3))
 
@@ -195,7 +195,7 @@ class TestGridFunctionInvariants:
         for _ in range(2):
             with pytest.raises(ValueError, match="increasing"):
                 GridFunction(bad, np.zeros(4), np.zeros(4))
-        nodes = uniform_grid(5)
+        nodes = np.linspace(0.0, 1.0, 5)
         nodes.flags.writeable = False
         GridFunction.zero(nodes)
         nodes.flags.writeable = True
@@ -213,7 +213,7 @@ class TestGridFunctionInvariants:
 
     def test_entries_are_read_only_copies(self):
         values = np.linspace(-1.0, 2.0, 5)
-        u = GridFunction(uniform_grid(5), values, np.zeros(5))
+        u = GridFunction(np.linspace(0.0, 1.0, 5), values, np.zeros(5))
         assert norm_c1(u) == 2.0
         values[-1] = 7.0
         assert u.values[-1] == 2.0 and norm_c1(u) == 2.0
@@ -221,8 +221,8 @@ class TestGridFunctionInvariants:
             u.values[0] = 1.0
 
     def test_subtraction_needs_same_grid(self):
-        a = GridFunction.zero(uniform_grid(5))
-        b = GridFunction.zero(uniform_grid(9))
+        a = GridFunction.zero(np.linspace(0.0, 1.0, 5))
+        b = GridFunction.zero(np.linspace(0.0, 1.0, 9))
         with pytest.raises(ValueError):
             a - b
 
@@ -366,13 +366,13 @@ class TestLockstepCrossings:
         # the first ITP point of the cell [1/8, 1/4], its midpoint and its
         # regula-falsi point alike, is an exact zero
         u = GridFunction.from_callable(lambda t: t - 0.1875, lambda t: 1 + 0 * t,
-                                       uniform_grid(3))
+                                       np.linspace(0.0, 1.0, 3))
         assert self.check(u, line) == [0.1875]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_hermite_against_a_sine(self, seed):
         rng = np.random.default_rng(seed)
-        nodes = uniform_grid(9)
+        nodes = np.linspace(0.0, 1.0, 9)
         u = GridFunction(nodes, 0.5 * rng.standard_normal(9), 3.0 * rng.standard_normal(9))
         curve = DiscontinuityCurve(a=rng.uniform(0.0, 0.2), b=rng.uniform(0.8, 1.0),
                                    value=lambda t: 0.3 * np.sin(5.0 * t),
@@ -406,20 +406,19 @@ class TestBatchedCrossings:
     def test_random_curve_sets_match_the_per_curve_loop(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(9, 33))
-        u = GridFunction(uniform_grid(n), 0.5 * rng.standard_normal(n),
+        u = GridFunction(np.linspace(0.0, 1.0, n), 0.5 * rng.standard_normal(n),
                          3.0 * rng.standard_normal(n))
         curves = self.random_curves(rng, int(rng.integers(4, 12)))
         got = find_crossings(u, curves)
         assert got == [crossings_per_cell(u, c) for c in curves]
         assert got[0] == []
-        assert sum(bool(xs) for xs in got) >= 2  # the lockstep runs over several curves
+        assert sum(bool(xs) for xs in got) >= 2  # several curves have crossings
 
     def test_no_curves(self):
         assert find_crossings(sampled(np.sin, np.cos), ()) == []
 
     def test_one_scan_per_shared_domain(self, monkeypatch, divisor_spec, divisor_solution):
         import bvpkit.model
-        from bvpkit.hammerstein import crossing_breakpoints
         sizes = []
 
         def counted(u, t):
@@ -428,7 +427,7 @@ class TestBatchedCrossings:
 
         monkeypatch.setattr(bvpkit.model, "grid_value", counted)
         assert len(divisor_spec.nonlinearity.curves) == 16
-        assert crossing_breakpoints(divisor_spec, divisor_solution.u) == []
+        assert find_crossings(divisor_solution.u, divisor_spec.nonlinearity.curves) == [[]] * 16
         assert sizes == [4 * 128 + 1]
 
 
@@ -474,16 +473,27 @@ class TestCrossingsAgainstExactRoots:
         # panel's cubic has no coefficient so small that numpy.roots loses it
         values = data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
         derivs = data.draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n))
-        u = GridFunction(uniform_grid(n), np.array(values) / 64, np.array(derivs) / 16)
+        u = GridFunction(np.linspace(0.0, 1.0, n), np.array(values) / 64, np.array(derivs) / 16)
         roots = self.exact_roots(u, c0, c1)
         assume(roots is not None)
         ts = np.array([t for t, _ in roots])
         # the roots the scan can see: each steep, and no two in one scan cell
         assume(all(abs(slope) >= 1e-3 for _, slope in roots))
         assume(np.all(np.diff(ts) > 1.0 / (SCAN_PER_PANEL * (n - 1))))
+        # nor a root within the oracle's 1e-9 of an end, which may lie outside
+        # [0, 1], unless u - gamma is 0 at that end (a scan point sees it)
+        for end, gap in ((0.0, u.values[0] - c0), (1.0, u.values[-1] - (c0 + c1))):
+            assume(gap == 0.0 or np.all(np.abs(ts - end) > 1e-9))
         got = np.array(find_crossings(u, (line(c0, c1),))[0])
         assert got.size == ts.size
         assert np.all(np.abs(got - ts) <= 1e-11)
+
+    def test_a_root_just_past_the_right_end_is_no_crossing(self):
+        # u - gamma falls through 0 at t = 1 + 9.7e-263, outside the domain;
+        # numpy.roots puts it at 1 - 1.1e-16
+        u = GridFunction(np.linspace(0.0, 1.0, 8), np.array([1, 1, 1, 1, 1, 1, 1, 0]) / 64,
+                         np.array([0, 0, 0, 0, 0, 0, 0, -1]) / 16)
+        assert find_crossings(u, (line(0.0, -6.032212003637185e-264),)) == [[]]
 
 
 class TestCrossingSteps:
@@ -499,7 +509,7 @@ class TestCrossingSteps:
     def test_no_cell_takes_more_than_one_step_beyond_bisection(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 40))
-        u = GridFunction(uniform_grid(n), 0.5 * rng.standard_normal(n),
+        u = GridFunction(np.linspace(0.0, 1.0, n), 0.5 * rng.standard_normal(n),
                          3.0 * rng.standard_normal(n))
         a, b = rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0)
         w = rng.uniform(2.0, 40.0)

@@ -194,6 +194,17 @@ class TestGroups:
         with pytest.raises(NonFiniteIntegrand, match=re.escape(f"[{edges[3]}, {edges[4]}]")):
             integrate_groups(fn, edges)
 
+    def test_an_overflowing_sum_names_its_subinterval(self):
+        # finite values whose weighted sum overflows on the fourth group only
+        edges = np.linspace(0.0, 1.0, 6)
+
+        def fn(s):
+            return np.where((s > 0.6) & (s < 0.8), 1e308, s)
+
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonFiniteIntegrand, match=re.escape(f"overflows on [{edges[3]}, {edges[4]}]")):
+            integrate_groups(fn, edges)
+
 
 @pytest.mark.parametrize("fn, singular", [(lambda s: 1.0 / s, True),
                                           (lambda s: 1.0 / np.sqrt(s), False)],
