@@ -75,7 +75,9 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             return out
 
         def bound(t, r, _c=tuple(coeffs)):
-            return np.full_like(t, sum(abs(cj) * r ** j for j, cj in enumerate(_c)))
+            # an overflow is an inf bound, which H2 and H3 report as null
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.full_like(t, sum(abs(cj) * r ** j for j, cj in enumerate(_c)))
 
         return Nonlinearity(eval=f, local_bound=bound)
     if nl_id == "step":

@@ -124,8 +124,12 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     / Gamma and M1'' = -|g| <= 0 (kernel.py): its sup lies within one node of
     the best node.  Each round evaluates M1 and the monotone M1' at up to 32
     equispaced points of that bracket from one quadrature call and keeps the
-    cell where M1' changes sign, until the bracket is 1e-7 wide; M1 is the
-    largest value the node pass and the search evaluated.
+    cell where M1' changes sign, until the bracket is 1e-7 wide.  Where M1'
+    changes sign over the bracket, the call also takes the root of the
+    chord of M1' and the points 4e-8 either side of it, those inside the
+    equispaced points' span: M1' is linear where g is constant, so one round
+    then closes the bracket.  M1 is the largest value the node pass and the
+    search evaluated.
 
     M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
     - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,
@@ -141,21 +145,28 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
 
     nodes = spec.nodes
     left, right = _running_integrals(spec, abs_g)
-    m1_nodes, _ = _closed_forms(spec, nodes, left, right)
+    m1_nodes, slopes = _closed_forms(spec, nodes, left, right)
     i = int(np.argmax(m1_nodes))
-    j = max(i - 1, 0)
+    j, jb = max(i - 1, 0), min(i + 1, nodes.size - 1)
     t1, m1 = nodes[i], m1_nodes[i]
 
-    a, b = nodes[j], nodes[min(i + 1, nodes.size - 1)]
+    a, b, s_a, s_b = nodes[j], nodes[jb], slopes[j], slopes[jb]
     while b - a > 1e-7:
         # M1, M1' at up to 32 equispaced points of [a, b] from one quadrature call,
         # carrying L and R on from node j; keep the best M1 and the M1' sign change
         ts = np.linspace(a, b, min(33, int(np.ceil((b - a) / 1e-7))) + 1)[1:-1]
+        if s_a > 0.0 >= s_b:
+            # M1' is linear where g is constant: its chord's root, and a point
+            # either side of it, close the bracket within the same call
+            x = a + s_a * (b - a) / (s_a - s_b)
+            chord = np.array((x - 4e-8, x, x + 4e-8))
+            ts = np.sort(np.concatenate((ts, chord[(chord > ts[0]) & (chord < ts[-1])])))
         dl, dr = _running_integrals(spec, abs_g, edges=(nodes[j], *ts))
         vals, slope = _closed_forms(spec, ts, left[j] + dl[1:], right[j] - (dr[0] - dr[1:]))
         t1, m1 = max((t1, m1), *zip(ts, vals), key=lambda tm: tm[1])
         k = int(np.argmax(np.append(slope <= 0.0, True)))
-        a, b = (ts[k - 1] if k else a), (ts[k] if k < ts.size else b)
+        a, s_a = (ts[k - 1], slope[k - 1]) if k else (a, s_a)
+        b, s_b = (ts[k], slope[k]) if k < ts.size else (b, s_b)
 
     m2_0, m2_1 = p.alpha * right[0] / p.gamma_const, p.gamma * left[-1] / p.gamma_const
     t2, m2 = (0.0, m2_0) if m2_0 >= m2_1 else (1.0, m2_1)

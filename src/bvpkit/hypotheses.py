@@ -148,8 +148,9 @@ def _uniformity_flag(profile: np.ndarray) -> bool:
         return False
     k = min(5, profile.size // 4)
     left, right = profile[:k], profile[-k:]
-    return bool((np.all(np.diff(left) <= 0) and left[0] > left[-1])
-                or (np.all(np.diff(right) >= 0) and right[-1] > right[0]))
+    with np.errstate(invalid="ignore"):  # an overflowed profile's inf - inf: nan, no climb
+        return bool((np.all(np.diff(left) <= 0) and left[0] > left[-1])
+                    or (np.all(np.diff(right) >= 0) and right[-1] > right[0]))
 
 
 @dataclass(frozen=True)

@@ -130,9 +130,13 @@ def _rule(fn, lo, hi, sq, s0, width, sample, rows=None):
         raise NonFiniteIntegrand(
             f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
     half = 0.5 * (hi - lo)
-    i16 = half * (f[..., :16] @ _WEIGHTS16)
-    floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
-    return i16, np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0), floor
+    # finite values may still sum past the float range: the inf floor this
+    # leaves is raised as NonFiniteIntegrand by integrate_groups
+    with np.errstate(over="ignore", invalid="ignore"):
+        i16 = half * (f[..., :16] @ _WEIGHTS16)
+        floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
+        err = np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0)
+    return i16, err, floor
 
 
 def _group_sums(grp, rows, m):

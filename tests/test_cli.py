@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -452,7 +453,8 @@ class TestMain:
                            "R": 10},
                "numerics": {"grid_size": 17}, "tasks": ["check", "solve"]}
         cfg_path.write_text(json.dumps(doc))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 1
 

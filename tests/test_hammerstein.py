@@ -1,4 +1,7 @@
+import math
+import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_repor
                     check_h1, equicontinuity_check, grid_eval, norm_c1, residual,
                     solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.hammerstein import _closed_forms
+from bvpkit.hammerstein import _closed_forms, _running_integrals
 from bvpkit.kernel import left_factor, right_factor
 from bvpkit.model import (GridFunction, Nonlinearity, ProblemSpec, Weight, find_crossings,
                           grid_value)
@@ -140,7 +143,8 @@ class TestBounds:
         calls = Counted(bvpkit.hammerstein.integrate_groups)
         monkeypatch.setattr(bvpkit.hammerstein, "integrate_groups", calls)
         bounds_report(spec)
-        assert 1 <= calls.calls <= 6
+        # the node pass, then M1's refinement: one call where g is constant
+        assert calls.calls == {"smoke": 2, "divisor": 3}[which]
 
     def test_divisor_example_against_scipy(self, divisor_spec):
         from scipy.integrate import quad
@@ -203,6 +207,42 @@ class TestBounds:
         direct = check_h1(w, tol=spec.quad_tol)
         assert direct.passed
         assert abs(bounds_report(spec).l1_norm - direct.l1_norm) <= spec.quad_tol
+
+    def test_l1_norm_with_a_near_zero_alpha(self):
+        # a chord point of M1' next to the singular end at 0 would make the
+        # refinement's first panel far narrower than its sqrt substitution needs
+        spec = ProblemSpec(params=validate_params(1.5021489067885546e-57, 1.0, 1.0, 1.0),
+                           weight=make_weight_from_id("inv-sqrt", {"scale": 1.0}),
+                           nonlinearity=const_nonlinearity(), radius=1.0,
+                           quad_tol=1e-10, grid_size=3)
+        direct = check_h1(spec.weight, tol=spec.quad_tol)
+        assert abs(bounds_report(spec).l1_norm - direct.l1_norm) <= spec.quad_tol
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(coeffs=st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+           n=st.integers(3, 300), weight=st.sampled_from(["constant", "inv-sqrt"]),
+           c=st.floats(-3.0, 3.0))
+    def test_m1_refinement_makes_no_more_rounds_than_equispaced_search(
+            self, coeffs, n, weight, c):
+        # each equispaced round cuts the bracket, two node cells at most, 33x
+        # down to 1e-7; the chord points of M1' only ever narrow it further
+        import bvpkit.hammerstein
+        a, b, g, d = coeffs
+        assume(g * b + a * g + a * d > 1e-3)
+        w = make_weight_from_id(weight, {"value" if weight == "constant" else "scale": c})
+        spec = ProblemSpec(params=validate_params(a, b, g, d), weight=w,
+                           nonlinearity=const_nonlinearity(), radius=1.0,
+                           quad_tol=1e-10, grid_size=n)
+        calls = Counted(bvpkit.hammerstein.integrate_groups)
+        with mock.patch.object(bvpkit.hammerstein, "integrate_groups", calls), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = bounds_report(spec)
+        assert calls.calls <= 1 + math.ceil(math.log(2 / ((n - 1) * 1e-7), 33))
+        p = spec.params
+        left, right = _running_integrals(
+            spec, lambda s: np.stack((left_factor(p, s), right_factor(p, s))) * np.abs(w.eval(s)))
+        assert rep.m1 >= np.max(_closed_forms(spec, spec.nodes, left, right)[0])
 
 
 class TestFactoredKernelOracles:
