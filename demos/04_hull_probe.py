@@ -10,8 +10,8 @@ least squares (Frank-Wolfe with away steps).
 
 import numpy as np
 
-from bvpkit import (DIRICHLET, apply_T, convexification_probe, norm_c1,
-                    simplex_least_squares, solve_picard)
+from bvpkit import (DIRICHLET, convexification_probe, residual, simplex_least_squares,
+                    solve_picard)
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
 print("== the projection subroutine on a textbook instance ==")
@@ -35,7 +35,7 @@ print(f"per-enrichment history: {[f'{d:.2e}' for d in probe.history]}")
 
 print("\n== away from the fixed point the distance measures the defect ==")
 zero = GridFunction.zero(spec.nodes)
-gap = norm_c1(zero - apply_T(spec, zero))
+gap = residual(spec, zero)
 for eps in (1e-2, 1e-3, 1e-4):
     probe = convexification_probe(spec, zero, eps=eps, n_samples=5)
     print(f"eps = {eps:7.0e}: hull distance {probe.hull_distance:.8f} "

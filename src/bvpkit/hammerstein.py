@@ -11,6 +11,8 @@ first round reads the points, g, both factors and the Hermite basis of the
 panels no crossing splits from ProblemSpec.plan, which depends on the nodes,
 the BC factors and the weight, not on R, f or the tolerances, and is built by
 the first application of T to the spec; T brings in u, f and the products.
+A solve samples g once on the plan's points (3072 at N = 129), then only on
+split subpanels and in refinement rounds (96 per split sweep, step example).
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
-from .model import GridFunction, ProblemSpec, find_crossings, hermite_value, norm_c1
+from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, hermite_value, norm_c1
 from .quadrature import BLOCK, integrate_groups
 
 
@@ -112,7 +114,8 @@ def _apply_T(spec: ProblemSpec, u: GridFunction):
 
 def residual(spec: ProblemSpec, u: GridFunction) -> float:
     """Fixed-point defect ||u - Tu|| in the discrete C1 norm."""
-    return norm_c1(u - apply_T(spec, u))
+    tu = apply_T(spec, u)
+    return c1_norm_of(u.values - tu.values, u.derivatives - tu.derivatives)
 
 
 def bounds_report(spec: ProblemSpec) -> BoundsReport:
@@ -128,8 +131,8 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     changes sign over the bracket, the call also takes the root of the
     chord of M1' and the points 4e-8 either side of it, those inside the
     equispaced points' span: M1' is linear where g is constant, so one round
-    then closes the bracket.  M1 is the largest value the node pass and the
-    search evaluated.
+    then closes the bracket (on the divisor example's 1/sqrt(s) weight it takes
+    two).  M1 is the largest value the node pass and the search evaluated.
 
     M2 = (gamma L + alpha R) / Gamma has M2' = |g|(gamma beta - alpha gamma
     - alpha delta + 2 alpha gamma t) / Gamma, which changes sign at most once,

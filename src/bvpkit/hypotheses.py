@@ -219,6 +219,8 @@ def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
     return classify_curves(spec, (curve,), t_min, n_t, n_y)[0]
 
 
+# an overflowing g*f is an inf defect and margin, which the report writes as null
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 200,
                     n_y: int = 30) -> list:
     """classify_curve for each curve, with one viability pass per distinct

@@ -13,6 +13,10 @@ asked for), a group still open after MAX_DEPTH rounds, or a round that would
 take the call past MAX_GROWTH times its first round's subpanels plus
 2*MAX_DEPTH raise MaxDepthExceeded: the integrand is called at most
 MAX_DEPTH + 1 times, and its work and memory stay within that subpanel budget.
+A sample that is not finite, or a subpanel whose summed |f| overflows with
+every value finite, raises NonFiniteIntegrand naming the subpanel.  numpy's
+floating-point warnings are off for the whole call (its sampling, integrand
+and sums), so such a value reaches the caller as that error alone.
 
 Integrands map a flat array of points to one row of values per component.
 The points come in consecutive blocks of BLOCK, one block per subpanel (its
@@ -104,6 +108,7 @@ def _sampled(lo, hi, sq, s0, width, sample):
     return (s,) if sample is None else (s, *sample(s))
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def make_plan(sample, edges, singular_left=False):
     """integrate_groups's plan on edges: sample and (s, *sample(s)) at the
     round-1 points of every group [edges[i], edges[i+1]] left whole."""
@@ -130,12 +135,9 @@ def _rule(fn, lo, hi, sq, s0, width, sample, rows=None):
         raise NonFiniteIntegrand(
             f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
     half = 0.5 * (hi - lo)
-    # finite values may still sum past the float range: the inf floor this
-    # leaves is raised as NonFiniteIntegrand by integrate_groups
-    with np.errstate(over="ignore", invalid="ignore"):
-        i16 = half * (f[..., :16] @ _WEIGHTS16)
-        floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
-        err = np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0)
+    i16 = half * (f[..., :16] @ _WEIGHTS16)
+    floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
+    err = np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0)
     return i16, err, floor
 
 
@@ -143,6 +145,7 @@ def _group_sums(grp, rows, m):
     return np.stack([np.bincount(grp, row, minlength=m) for row in rows])
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
                      plan=None):
     """Integrals of fn over each group [edges[i], edges[i+1]], shape (k, m)

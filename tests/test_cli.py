@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -11,6 +14,23 @@ from bvpkit import (PhiExample, ProblemSpec, bounds_report, certify_hypotheses,
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.cli import NUMERICS, RunConfig, config_echo, main, parse_config, run
 from bvpkit.errors import ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+def demo_doc(name, **numerics):
+    """demos/configs/<name>.json with the given numerics entries set."""
+    doc = json.loads((CONFIGS / f"{name}.json").read_text())
+    doc["numerics"].update(numerics)
+    return doc
+
+
+def read_report(path):
+    """The report at path, read by a parser that rejects Infinity and NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 def smoke_doc(**overrides):
@@ -106,6 +126,13 @@ class TestParse:
         cfg = parse_config(divisor_doc())
         again = parse_config(config_echo(cfg))
         assert again == cfg
+
+
+def _get(doc, path):
+    """The entry of doc at a dotted path (an int part indexes a list)."""
+    for key in path.split("."):
+        doc = doc[int(key) if key.isdigit() else key]
+    return doc
 
 
 def _set(doc, path, value):
@@ -431,9 +458,7 @@ class TestMain:
         # and the report is still written
         cfg_path = tmp_path / "cfg.json"
         out_path = tmp_path / "report.json"
-        doc = json.loads((Path(__file__).resolve().parent.parent / "demos" / "configs"
-                          / "dirichlet_smoke.json").read_text())
-        doc["numerics"]["quad_tol"] = 1e-300
+        doc = demo_doc("dirichlet_smoke", quad_tol=1e-300)
         cfg_path.write_text(json.dumps(doc))
         code = main(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 1
@@ -443,31 +468,89 @@ class TestMain:
             assert report[section]["type"] == "MaxDepthExceeded"
             assert "bisection levels" in report[section]["error"]
 
-    def test_overflow_is_named_and_the_report_is_strict_json(self, tmp_path):
+    @pytest.mark.parametrize("problem, tasks, fields", [
         # f = 1e308 + 1e308 u: H_R and H3's product are inf, and T's panel
-        # integrals overflow; each is a failed task in a strict JSON report
+        # integrals overflow
+        pytest.param({"weight": {"id": "constant", "value": 1},
+                      "nonlinearity": {"id": "polynomial", "coeffs": [1e308, 1e308]}, "R": 10},
+                     ["check", "solve"],
+                     {"hypotheses.h2.sup": None, "hypotheses.h3.product": None,
+                      "hypotheses.h3.hr_sup": None, "solution.type": "NonFiniteIntegrand",
+                      "solution.error": "integral of |integrand| overflows on [0.0, 0.0625]"},
+                     id="integral"),
+        # g * f overflows in T's integrand
+        pytest.param({"weight": {"id": "inv-sqrt", "scale": 1e200},
+                      "nonlinearity": {"id": "polynomial", "coeffs": [1e200, 1e200]}, "R": 4},
+                     ["solve"],
+                     {"solution.type": "NonFiniteIntegrand",
+                      "solution.error": "integrand not finite on [0.0, 0.0625]"},
+                     id="integrand"),
+        # g overflows near 0, where the sweep plan and M1/M2's integrand sample it
+        pytest.param({"weight": {"id": "inv-sqrt", "scale": 1e307},
+                      "nonlinearity": {"id": "constant", "value": 1}, "R": 4},
+                     ["check", "solve"],
+                     {"hypotheses.type": "NonFiniteIntegrand",
+                      "hypotheses.error": "integrand not finite on [0.0, 0.0625]",
+                      "solution.type": "NonFiniteIntegrand",
+                      "solution.error": "integrand not finite on [0.0, 0.0625]"},
+                     id="weight"),
+        # g * f overflows along the curve and over its tube
+        pytest.param({"weight": {"id": "constant", "value": 2},
+                      "nonlinearity": {"id": "step", "low": 1e308, "high": -1e308,
+                                       "threshold": 0.5}, "R": 4},
+                     ["check", "classify-curves"],
+                     {"curves.0.verdict": "indeterminate", "curves.0.psi_margin": None},
+                     id="classifier"),
+    ])
+    def test_overflow_is_named_and_the_report_is_strict_json(self, tmp_path, capsys, problem,
+                                                             tasks, fields):
+        # each overflow is a failed task, or a null, in a strict JSON report,
+        # and no numpy warning is raised on the way
         cfg_path = tmp_path / "cfg.json"
         out_path = tmp_path / "report.json"
-        doc = {"problem": {"bc": [1, 0, 1, 0], "weight": {"id": "constant", "value": 1},
-                           "nonlinearity": {"id": "polynomial", "coeffs": [1e308, 1e308]},
-                           "R": 10},
-               "numerics": {"grid_size": 17}, "tasks": ["check", "solve"]}
+        doc = {"problem": {"bc": [1, 0, 1, 0], **problem}, "numerics": {"grid_size": 17},
+               "tasks": tasks}
         cfg_path.write_text(json.dumps(doc))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["run", "--config", str(cfg_path), "--out", str(out_path)])
         assert code == 1
+        assert capsys.readouterr().err == ""
+        report = read_report(out_path)
+        assert report["meta"]["tasks_passed"] == dict.fromkeys(tasks, False)
+        assert {path: _get(report, path) for path in fields} == fields
 
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
+    @pytest.mark.parametrize("doc, crossed", [
+        (demo_doc("dirichlet_smoke"), {}),
+        (demo_doc("divisor_example"), {}),
+        # any grid_size >= 3 runs, an even one too
+        (demo_doc("dirichlet_smoke", grid_size=128), {}),
+        # step f with threshold 0.05: the solution crosses it twice, so the
+        # crossing search and the split panels run inside bvp run
+        ({"problem": {"bc": [1, 0, 1, 0], "weight": {"id": "constant", "value": 1.0},
+                      "nonlinearity": {"id": "step", "low": 1.0, "high": 2.0,
+                                       "threshold": 0.05},
+                      "R": 4},
+          "numerics": {"grid_size": 129, "probe_samples": 5},
+          "tasks": ["check", "classify-curves", "solve", "probe"]},
+         {"step-threshold": 2}),
+    ], ids=["dirichlet_smoke", "divisor_example", "dirichlet_smoke-128-nodes", "step-crossing"])
+    def test_config_passes_with_a_strict_json_report(self, tmp_path, doc, crossed):
+        cfg_path = tmp_path / "cfg.json"
+        out_path = tmp_path / "report.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_path)]) == 0
+        report = read_report(out_path)
+        assert {name: n for name, n in report["solution"]["curve_crossings"] if n} == crossed
 
-        report = json.loads(out_path.read_text(), parse_constant=reject)
-        assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
-        assert report["hypotheses"]["h2"]["sup"] is None
-        assert report["hypotheses"]["h3"]["product"] is None
-        assert report["hypotheses"]["h3"]["hr_sup"] is None
-        assert report["solution"]["type"] == "NonFiniteIntegrand"
-        assert "overflows on [0.0, 0.0625]" in report["solution"]["error"]
+    def test_importing_the_package_loads_numpy_alone(self):
+        # a fresh interpreter: the test run itself has scipy, sympy and friends loaded
+        script = ("import sys; import bvpkit, bvpkit.cli, bvpkit.catalog; "
+                  "print(sorted({'scipy', 'sympy', 'hypothesis', 'pytest'} & set(sys.modules)))")
+        src = str(Path(bvpkit.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "[]\n"
 
     def test_malformed_json_exits_two(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -90,8 +90,8 @@ class TestApplyT:
 class TestResidual:
     def test_exact_fixed_point(self):
         spec = smoke_spec()
-        u = GridFunction.from_callable(lambda t: t * (1 - t) / 2,
-                                       lambda t: (1 - 2 * t) / 2, spec.nodes)
+        t = spec.nodes
+        u = GridFunction(t, t * (1 - t) / 2, (1 - 2 * t) / 2)
         assert residual(spec, u) <= 2 * spec.quad_tol
 
     def test_zero_function_defect(self):
@@ -543,8 +543,7 @@ class TestEquicontinuity:
         spec = ProblemSpec(params=validate_params(a, b, g, d), weight=const_weight(),
                            nonlinearity=f, radius=2.0, quad_tol=1e-10, grid_size=65)
         nodes = spec.nodes
-        u = GridFunction.from_callable(lambda t: np.sin(2 * t) / 2,
-                                       lambda t: np.cos(2 * t), nodes)
+        u = GridFunction(nodes, np.sin(2 * nodes) / 2, np.cos(2 * nodes))
         tu = apply_T(spec, u)
         h = nodes[1] - nodes[0]
         d2 = (tu.values[2:] - 2 * tu.values[1:-1] + tu.values[:-2]) / h ** 2
