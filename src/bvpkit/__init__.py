@@ -25,8 +25,7 @@ from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
                          ClassificationResult, EquicontinuityReport, HypothesisReport,
                          ProbeResult, certify_hypotheses, check_h1, check_h3, classify_curve,
                          classify_curves, convexification_probe, equicontinuity_check,
-                         estimate_HR, minimal_R_power, perturbation_family,
-                         simplex_least_squares)
+                         estimate_HR, minimal_R_power, simplex_least_squares)
 from .solver import Solution, bc_residual, solve_picard
 from .example_phi import (PhiExample, build_problem, measurable_decomposition,
                           phi, region_index)

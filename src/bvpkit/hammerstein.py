@@ -6,13 +6,15 @@ The kernel is k(t,s) = left(min(t,s)) right(max(t,s)) / Gamma (kernel.py), so
 int k(t,.) h and int dk/dt(t,.) h are closed forms in L(t) = int_0^t left*h
 and R(t) = int_t^1 right*h.  One adaptive pass integrates both over all panels
 between grid nodes, with every detected crossing of a declared discontinuity
-curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth.  Its
-first round reads the points, g, both factors and the Hermite basis of the
-panels no crossing splits from ProblemSpec.plan, which depends on the nodes,
-the BC factors and the weight, not on R, f or the tolerances, and is built by
-the first application of T to the spec; T brings in u, f and the products.
-A solve samples g once on the plan's points (3072 at N = 129), then only on
-split subpanels and in refinement rounds (96 per split sweep, step example).
+curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth (for a
+weight singular at 0, in x = sqrt(s) on every panel, where crossings within
+1e-14 in x merge).  Its first round reads the points, g, both factors and the
+Hermite basis of the panels no crossing splits from ProblemSpec.plan, which
+depends on the nodes, the BC factors and the weight, not on R, f or the
+tolerances, and is built by the first application of T to the spec; T brings
+in u, f and the products.  A solve samples g once on the plan's points (3072
+at N = 129), then only on split subpanels and in refinement rounds (96 per
+split sweep, step example).
 """
 
 from dataclasses import dataclass
@@ -53,9 +55,10 @@ def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None
 
     One quadrature call integrates both(s) = (left*h, right*h), or both(s,
     *sample) given plan = spec.plan, over every panel [e_i, e_{i+1}], its
-    points in blocks of one panel each.  breaks are breakpoints, and a singular
-    weight's sqrt substitution on a panel starting at 0, each panel to
-    quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.
+    points in blocks of one panel each, breaks as breakpoints, each panel to
+    quad_tol * Gamma / ((alpha+beta+gamma+delta) * (N-1)) for N grid nodes.  A
+    singular weight is taken in x = sqrt(s - e_0) on every panel (harmless from
+    e_0 > 0, where g is smooth), and breakpoints within 1e-14 in x merge.
     Node values and derivatives combine L and R with coefficients of total
     size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most N-1
     panels, so each meets quad_tol, as one node integral over [0, 1] would,
@@ -63,11 +66,10 @@ def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None
     floors, scaled the same way) raises MaxDepthExceeded.
     """
     p = spec.params
-    edges = spec.nodes if edges is None else np.asarray(edges, dtype=float)
+    edges = spec.nodes if edges is None else edges
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
-    left, right = integrate_groups(both, edges, breaks,
-                                   spec.weight.singular_left and edges[0] == 0.0, tol, plan)
+    left, right = integrate_groups(both, edges, breaks, spec.weight.singular_left, tol, plan)
     return (np.concatenate(([0.0], np.cumsum(left))),
             np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 

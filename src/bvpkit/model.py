@@ -266,8 +266,8 @@ class ProblemSpec:
     @functools.cached_property
     def plan(self):
         """The quadrature plan of T's integrand apart from u and f (g, both kernel
-        factors and hermite_basis), built on first use from the nodes, the BC
-        and the weight alone."""
+        factors and hermite_basis; in x = sqrt(s) for a singular weight, where T's
+        crossings within 1e-14 in x merge), built from nodes, BC and weight alone."""
         return make_plan(functools.partial(_sample, self.params, self.weight.eval, self.nodes),
                          self.nodes, self.weight.singular_left)
 

@@ -2,21 +2,23 @@
 
 integrate_groups integrates a k-component integrand over every group
 [e_0, e_1], ..., [e_{m-1}, e_m] at once; integrate() is its one-group case.
-Breakpoints split groups into subpanels up front; s = e_0 + w*tau**2 removes
-an inverse-square-root singularity at e_0.  A subpanel's error estimate is
-the excess of |I16 - I8| (16-point rule, 8-point reference) over its rounding
-floor, eps times the integral of |f|.  Each round is one integrand call on
-every new subpanel: a group is done once each component's summed estimate is
-<= tol; in the others every subpanel above tol / (its group's subpanel count)
-is bisected.  Floors that sum past m*tol (rounding alone uses up the total
-asked for), a group still open after MAX_DEPTH rounds, or a round that would
-take the call past MAX_GROWTH times its first round's subpanels plus
-2*MAX_DEPTH raise MaxDepthExceeded: the integrand is called at most
-MAX_DEPTH + 1 times, and its work and memory stay within that subpanel budget.
-A sample that is not finite, or a subpanel whose summed |f| overflows with
-every value finite, raises NonFiniteIntegrand naming the subpanel.  numpy's
-floating-point warnings are off for the whole call (its sampling, integrand
-and sums), so such a value reaches the caller as that error alone.
+It integrates in x = s or, given singular_left, in x = sqrt(s - e_0) on every
+group, fn(e_0 + x**2) * 2x: s**(k - 1/2) becomes 2x**(2k).  Breakpoints, in x
+too, split groups into subpanels up front (cuts within 1e-14 merged).  A
+subpanel's error estimate is the excess of |I16 - I8| (16-point rule, 8-point
+reference) over its rounding floor, eps times the integral of |f|.  Each round
+is one integrand call on every new subpanel: a group is done once each
+component's summed estimate is <= tol; in the others every subpanel above
+tol / (its group's subpanel count) is bisected in x.  Floors that sum past
+m*tol (rounding alone uses up the total asked for), a group still open after
+MAX_DEPTH rounds, or a round that would take the call past MAX_GROWTH times
+its first round's subpanels plus 2*MAX_DEPTH raise MaxDepthExceeded: the
+integrand is called at most MAX_DEPTH + 1 times, and its work and memory stay
+within that subpanel budget.  A sample that is not finite, or a subpanel
+whose summed |f| overflows with every value finite, raises NonFiniteIntegrand
+naming the subpanel.  numpy's floating-point warnings are off for the whole
+call (its sampling, integrand and sums), so such a value reaches the caller
+as that error alone.
 
 Integrands map a flat array of points to one row of values per component.
 The points come in consecutive blocks of BLOCK, one block per subpanel (its
@@ -56,8 +58,8 @@ class IntegrandSpec:
     """An integrand together with what the quadrature needs to know about it.
 
     breakpoints outside the integration range are ignored at integrate()
-    time; duplicates are merged.  tol is the absolute error target for the
-    whole integral.
+    time; duplicates (with singular_left, those within 1e-14 in x = sqrt(s - a))
+    are merged.  tol is the absolute error target for the whole integral.
     """
 
     integrand: callable
@@ -72,8 +74,8 @@ class IntegrandSpec:
 
 def _subpanels(edges, breakpoints):
     """Subpanel ends and group index after splitting each group at the
-    breakpoints inside it; one within 1e-14 of the previous cut or of the
-    group's right end is dropped."""
+    breakpoints inside it (all in x); one within 1e-14 of the previous cut or
+    of the group's right end is dropped."""
     m = edges.size - 1
     cuts, last = [], {}
     for x in sorted({float(x) for x in breakpoints}):
@@ -85,26 +87,28 @@ def _subpanels(edges, breakpoints):
     return pts[:-1].copy(), pts[1:].copy(), np.searchsorted(edges, pts[:-1], side="right") - 1
 
 
-def _first_round(edges, breakpoints, singular_left):
-    """Round 1's subpanels (lo, hi, group, substituted), s0 and width; the
-    substituted segment is integrated in tau over [0, 1]."""
-    lo, hi, grp = _subpanels(edges, breakpoints)
-    s0, width = edges[0], hi[0] - lo[0]
-    sq = np.zeros(lo.size, dtype=bool)
-    if singular_left:
-        sq[0], lo[0], hi[0] = True, 0.0, 1.0
-    return (lo, hi, grp, sq), s0, width
+def _variable(edges, breakpoints, singular_left):
+    """edges and breakpoints in x, and e_0: x = sqrt(s - e_0) given
+    singular_left, else x = s and e_0 is None."""
+    x = np.asarray(edges, dtype=float)
+    if not singular_left:
+        return x, breakpoints, None
+    e0 = x[0]
+    return np.sqrt(x - e0), np.sqrt(np.clip(np.asarray(breakpoints) - e0, 0.0, None)), e0
+
+
+def _s(x, e0):
+    return x if e0 is None else e0 + x * x
 
 
 def _gauss(lo, hi):
     return (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
 
 
-def _sampled(lo, hi, sq, s0, width, sample):
+def _sampled(lo, hi, e0, sample):
     """(s,), or (s, *sample(s)) given sample: the points of the subpanels
-    [lo, hi], one row of BLOCK each, substituted ones mapped to s."""
-    x = _gauss(lo, hi)
-    s = np.where(sq[:, None], s0 + width * x * x, x) if sq.any() else x
+    [lo, hi] in x, one row of BLOCK each, mapped to s."""
+    s = _s(_gauss(lo, hi), e0)
     return (s,) if sample is None else (s, *sample(s))
 
 
@@ -112,28 +116,25 @@ def _sampled(lo, hi, sq, s0, width, sample):
 def make_plan(sample, edges, singular_left=False):
     """integrate_groups's plan on edges: sample and (s, *sample(s)) at the
     round-1 points of every group [edges[i], edges[i+1]] left whole."""
-    (lo, hi, _, sq), s0, width = _first_round(np.asarray(edges, dtype=float), (),
-                                              singular_left)
-    return sample, _sampled(lo, hi, sq, s0, width, sample)
+    x, _, e0 = _variable(edges, (), singular_left)
+    return sample, _sampled(x[:-1], x[1:], e0, sample)
 
 
-def _interval(lo, hi, sq, s0, width):
-    """A subpanel's range in s (a substituted one is kept in tau)."""
-    return f"[{s0 + width * lo * lo}, {s0 + width * hi * hi}]" if sq else f"[{lo}, {hi}]"
+def _interval(lo, hi, e0):
+    """A subpanel's range in s."""
+    return f"[{_s(lo, e0)}, {_s(hi, e0)}]"
 
 
-def _rule(fn, lo, hi, sq, s0, width, sample, rows=None):
+def _rule(fn, lo, hi, e0, sample, rows=None):
     """(I16, error estimate, rounding floor), each of shape (k, P), for the P
-    subpanels [lo, hi] from one call of fn on all their Gauss points; rows
-    are _sampled there, unless given."""
-    s, *sampled = _sampled(lo, hi, sq, s0, width, sample) if rows is None else rows
+    subpanels [lo, hi] in x from one call of fn on all their Gauss points;
+    rows are _sampled there, unless given."""
+    s, *sampled = _sampled(lo, hi, e0, sample) if rows is None else rows
     f = np.asarray(fn(s.ravel(), *sampled), dtype=float).reshape(-1, *s.shape)
-    if sq.any():
-        f = f * np.where(sq[:, None], 2.0 * width * _gauss(lo, hi), 1.0)
+    f = f if e0 is None else f * (2.0 * _gauss(lo, hi))
     if not np.isfinite(f).all():
         i = int(np.argmin(np.isfinite(f).all(axis=(0, 2))))
-        raise NonFiniteIntegrand(
-            f"integrand not finite on {_interval(lo[i], hi[i], sq[i], s0, width)}")
+        raise NonFiniteIntegrand(f"integrand not finite on {_interval(lo[i], hi[i], e0)}")
     half = 0.5 * (hi - lo)
     i16 = half * (f[..., :16] @ _WEIGHTS16)
     floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
@@ -160,10 +161,9 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
 
     Given plan = make_plan(sample, edges, singular_left), fn is called as
     fn(s, *sample(s)), and round 1 reads the plan's rows for unsplit groups."""
-    edges = np.asarray(edges, dtype=float)
+    edges, breakpoints, e0 = _variable(edges, breakpoints, singular_left)
     m = edges.size - 1
-    panels, s0, width = _first_round(edges, breakpoints, singular_left)
-    lo, hi, grp, sq = panels
+    panels = lo, hi, grp = _subpanels(edges, breakpoints)
     sample, rows = plan if plan is not None else (None, None)
     # a split group's rows are its own subpanels', merged into the plan's so that g is
     # sampled there alone: with a scalar-only g (looped by vectorized), a step-crossing
@@ -171,21 +171,21 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     if plan is not None and lo.size > m:
         cut = np.bincount(grp, minlength=m)[grp] > 1
         rows = tuple(a.take(grp, axis=0) for a in rows)
-        for a, new in zip(rows, _sampled(lo[cut], hi[cut], sq[cut], s0, width, sample)):
+        for a, new in zip(rows, _sampled(lo[cut], hi[cut], e0, sample)):
             a[cut] = new
-    estimates = _rule(fn, lo, hi, sq, s0, width, sample, rows)
+    estimates = _rule(fn, lo, hi, e0, sample, rows)
     first = sampled = lo.size
     out = np.zeros((estimates[0].shape[0], m))
     floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
     for level in range(MAX_DEPTH + 1):
-        lo, hi, grp, sq = panels
+        lo, hi, grp = panels
         val, err, floor = estimates
         rounding = floor_done + floor.sum(axis=1)
         if np.any(rounding > m * tol):
             if not np.isfinite(rounding).all():  # a sum of |f| overflowed
                 i = int(np.argmax(floor.max(axis=0)))
-                where = _interval(lo[i], hi[i], sq[i], s0, width)
-                raise NonFiniteIntegrand(f"integral of |integrand| overflows on {where}")
+                raise NonFiniteIntegrand(
+                    f"integral of |integrand| overflows on {_interval(lo[i], hi[i], e0)}")
             raise MaxDepthExceeded(
                 f"rounding floor {rounding.max():.3e} above the total tol {m * tol:.3e}: "
                 f"no depth up to {MAX_DEPTH} bisection levels can meet it")
@@ -207,17 +207,16 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
             raise MaxDepthExceeded(
                 f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
                 f"after {level} bisection levels near "
-                f"{_interval(lo[i], hi[i], sq[i], s0, width)}{budget}")
+                f"{_interval(lo[i], hi[i], e0)}{budget}")
 
         floor_done += floor[:, ~live].sum(axis=1)
         keep = live & ~split
         mid = 0.5 * (lo + hi)
         halves = (np.concatenate((lo[split], mid[split])),
-                  np.concatenate((mid[split], hi[split])),
-                  *(np.tile(a[split], 2) for a in (grp, sq)))
+                  np.concatenate((mid[split], hi[split])), np.tile(grp[split], 2))
         panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
         estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in zip(
-            estimates, _rule(fn, halves[0], halves[1], halves[3], s0, width, sample)))
+            estimates, _rule(fn, halves[0], halves[1], e0, sample)))
 
 
 def integrate(spec: IntegrandSpec, a: float, b: float) -> float:

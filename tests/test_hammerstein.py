@@ -360,6 +360,14 @@ class TestWorkCounts:
         apply_T(spec, random_ball_function(spec, np.random.default_rng(4)))
         assert f.calls > 1 and sizes == []
 
+    def test_divisor_apply_T_at_a_tight_tol_calls_f_once(self, divisor_spec, divisor_solution):
+        # in x = sqrt(s) on every panel g*2x is the constant 2, so one round meets 1e-12
+        f = Counted(divisor_spec.nonlinearity.eval)
+        spec = replace(divisor_spec, quad_tol=1e-12,
+                       nonlinearity=replace(divisor_spec.nonlinearity, eval=f))
+        apply_T(spec, divisor_solution.u)
+        assert (f.calls, f.points) == (1, 128 * BLOCK)
+
 
 def reference_T(spec, u, integrate=integrate_groups):
     """Node values and derivatives of Tu with every quadrature round sampled:

@@ -8,10 +8,10 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     VIABLE, BallViolation, apply_T, bounds_report,
                     certify_hypotheses, check_h1, check_h3, classify_curve,
                     classify_curves, convexification_probe, equicontinuity_check,
-                    estimate_HR, minimal_R_power, norm_c1, perturbation_family,
-                    residual, simplex_least_squares, solve_picard)
+                    estimate_HR, minimal_R_power, norm_c1, residual,
+                    simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import HR_U_SAMPLES, _bump
+from bvpkit.hypotheses import HR_U_SAMPLES, _bump, perturbation_family
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bvpkit import (DIRICHLET, BvpError, GridFunction, IntegrandSpec, MaxDepthExceeded,
                     NonFiniteIntegrand, apply_T, dk_dt, integrate)
@@ -58,6 +59,36 @@ def test_polynomial_exactness_single_panel():
     spec = IntegrandSpec(lambda s: sum(c * s ** j for j, c in enumerate(coeffs)),
                          tol=1e-6)
     assert integrate(spec, 0, 1) == pytest.approx(exact, abs=5e-15)
+
+
+def test_inverse_sqrt_beside_a_tiny_group_takes_one_call():
+    # in x = sqrt(s) the integrand 2x / x is the constant 2 on both groups
+    fn = Counted(lambda s: 1.0 / np.sqrt(s))
+    got = integrate_groups(fn, (0.0, 1e-6, 1.0), singular_left=True, tol=1e-12)
+    assert fn.calls == 1
+    assert np.max(np.abs(got[0] - (2e-3, 2.0 - 2e-3))) <= 1e-12
+
+
+def test_inverse_sqrt_step_cut_at_its_breakpoint_in_x():
+    # 2 and 4 in x, on either side of the breakpoint mapped to x = sqrt(0.3)
+    fn = Counted(lambda s: np.where(s < 0.3, 1.0, 2.0) / np.sqrt(s))
+    spec = IntegrandSpec(fn, breakpoints=(0.3,), singular_left=True, tol=1e-12)
+    exact = 2.0 * np.sqrt(0.3) + 4.0 * (1.0 - np.sqrt(0.3))
+    assert integrate(spec, 0, 1) == pytest.approx(exact, abs=1e-12)
+    assert fn.calls == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(ends=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8, unique=True),
+       breaks=st.lists(st.floats(0.0, 1.0), max_size=6), k=st.integers(0, 7))
+def test_inverse_sqrt_moments_are_exact_in_x(ends, breaks, k):
+    # s**(k - 1/2) is 2x**(2k) in x = sqrt(s): degree <= 14, exact for both rules
+    edges = np.concatenate(([0.0], np.sort(ends)))
+    fn = Counted(lambda s: s ** (k - 0.5))
+    tol = 1e-12
+    got = integrate_groups(fn, edges, tuple(breaks), singular_left=True, tol=tol)
+    assert fn.calls == 1
+    assert np.max(np.abs(got[0] - np.diff(edges ** (k + 0.5)) / (k + 0.5))) <= tol
 
 
 def test_singular_tolerance_without_depth_failure():
@@ -154,10 +185,13 @@ class TestGroups:
     def test_inv_sqrt_moments_on_the_first_group(self):
         edges = np.array([0.0, 0.05, 0.3, 0.55, 1.0])
         ks = np.arange(4)[:, None]
-        tol = 1e-12
-        got = integrate_groups(lambda s: s ** (ks - 0.5), edges, singular_left=True, tol=tol)
         exact = np.diff(edges ** (ks + 0.5), axis=1) / (ks + 0.5)
-        assert np.max(np.abs(got - exact)) <= tol
+        for tol in (1e-12, 1e-13):
+            fn = Counted(lambda s: s ** (ks - 0.5))
+            got = integrate_groups(fn, edges, singular_left=True, tol=tol)
+            assert np.max(np.abs(got - exact)) <= tol
+        # in x = sqrt(s) on every group the moments are the polynomials 2x**(2k)
+        assert fn.calls == 1
 
     def test_components_match_separate_runs(self):
         edges = np.linspace(0.0, 1.0, 6)
