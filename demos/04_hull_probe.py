@@ -4,8 +4,8 @@ Discontinuous operators are handled through a convexified set-valued
 relaxation: u survives if it lies in the closed convex hull of operator
 images of arbitrarily close functions.  The probe is a finite shadow of
 that test: perturb u inside an eps-ball, apply T to each sample, and
-measure the distance from u to the hull of the images by simplex-constrained
-least squares (Frank-Wolfe with away steps).
+bound the distance from u to the hull of the images from above, at the
+hull's nearest point in L2 (Wolfe's finite nearest-point algorithm).
 """
 
 import numpy as np

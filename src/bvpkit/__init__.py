@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 
 from .errors import (BallViolation, BvpError, ConfigError, DegenerateGamma,
                      DomainError, MaxDepthExceeded, NegativeCoefficient,
-                     NonFiniteIntegrand, QuadratureError, SolverStall)
+                     NonFiniteIntegrand, QuadratureError)
 from .kernel import DIRICHLET, BoundaryParams, dk_dt, dk_dt_bound, k_eval, validate_params
 from .quadrature import IntegrandSpec, integrate
 from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,

@@ -33,10 +33,6 @@ class BallViolation(BvpError):
     """A grid function left the ball ||u|| <= R it was required to stay in."""
 
 
-class SolverStall(BvpError):
-    """The simplex least-squares solve failed to reach its gap tolerance."""
-
-
 class ConfigError(BvpError):
     """A run configuration failed to parse or validate."""
 

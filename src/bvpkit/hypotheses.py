@@ -5,8 +5,8 @@ ball condition come from one quadrature pass (the sup-integrals M1, M2 and
 int |g| = M2(0) + M2(1)), the pointwise bound on f from sampling, and each
 declared discontinuity curve is classified as viable (it solves the ODE) or
 inviable (a uniform margin pushes nearby solutions away).  A finite-sample
-convex-hull probe gives evidence for or against membership of u in the
-convexified operator image.
+convex-hull probe bounds the distance from u to the convexified operator image
+from above.
 """
 
 import math
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BallViolation, QuadratureError, SolverStall
+from .errors import BallViolation, QuadratureError
 from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
 from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
                     grid_value, norm_c1)
@@ -24,8 +24,6 @@ VIABLE = "viable"
 INVIABLE_UPPER = "inviable_upper"
 INVIABLE_LOWER = "inviable_lower"
 INDETERMINATE = "indeterminate"
-FW_MAX_ITER = 20000  # Frank-Wolfe iterations before simplex_least_squares stalls
-FW_GAP_TOL = 1e-10  # the Frank-Wolfe duality gap at which simplex_least_squares stops
 HR_U_SAMPLES = 201  # evenly spaced u in [-R, R] at which estimate_HR samples |f|
 
 
@@ -275,68 +273,70 @@ def _tube_verdict(f, ts, g, gamma, neg_curv, eps, n_y):
 
 def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
                           coeffs0: np.ndarray | None = None):
-    """min_lam ||vertices @ lam - target||_2 over the probability simplex,
-    by Frank-Wolfe with away steps and exact line search.
-
-    vertices has one column per hull point.  Returns (coeffs, distance).
-    Raises SolverStall if the duality gap fails to reach FW_GAP_TOL within
-    FW_MAX_ITER iterations.
-    """
+    """min_lam ||vertices @ lam - target||_2 over the probability simplex, by
+    Wolfe's finite nearest-point algorithm (Math. Programming 11, 1976) on
+    p = vertices - target.  A major step adds the point most opposed to
+    x = p @ lam; minor steps move lam to the affine minimiser of its support
+    (the bordered Gram system), dropping weights that turn non-positive.  It
+    stops when no point improves on x by more than eps times the Gram trace,
+    or when a major step does not lower ||x||.  coeffs0 warm-starts from an
+    earlier result on a prefix of the columns, zero-padded (all zeros: a cold
+    start, from the first point).  Returns (coeffs, distance)."""
     v = np.asarray(vertices, dtype=float)
     y = np.asarray(target, dtype=float)
     if v.ndim != 2 or v.shape[0] != y.size:
         raise ValueError("vertices must be (dim, m) with dim == target size")
-    m = v.shape[1]
-    if coeffs0 is not None:
-        lam = np.clip(np.asarray(coeffs0, dtype=float), 0.0, None)
-        lam = lam / lam.sum() if lam.sum() > 0 else None
+    p = v - y[:, None]
+    tol = math.ulp(1.0) * np.vdot(p, p)  # eps times the Gram trace
+    if coeffs0 is None or not np.count_nonzero(coeffs0):
+        lam = np.zeros(p.shape[1])
+        lam[0] = 1.0
     else:
-        lam = None
-    if lam is None:
-        start = int(np.argmin(np.linalg.norm(v - y[:, None], axis=0)))
-        lam = np.zeros(m)
-        lam[start] = 1.0
-
-    resid = v @ lam - y
-    for _ in range(FW_MAX_ITER):
-        grad = v.T @ resid
-        s = int(np.argmin(grad))
-        support = np.flatnonzero(lam > 0)
-        a = int(support[np.argmax(grad[support])])
-        fw_gap = float(grad @ lam - grad[s])
-        if fw_gap <= FW_GAP_TOL:
-            return lam, float(np.linalg.norm(resid))
-        away_gap = float(grad[a] - grad @ lam)
-        if fw_gap >= away_gap:
-            direction = -lam.copy()
-            direction[s] += 1.0
-            gamma_max = 1.0
-        else:
-            direction = lam.copy()
-            direction[a] -= 1.0
-            gamma_max = lam[a] / (1.0 - lam[a]) if lam[a] < 1.0 else np.inf
-        dv = v @ direction
-        denom = float(dv @ dv)
-        if denom <= 0.0:
-            gamma = gamma_max if np.isfinite(gamma_max) else 1.0
-        else:
-            gamma = min(max(-float(resid @ dv) / denom, 0.0), gamma_max)
-        if gamma <= 0.0:
-            return lam, float(np.linalg.norm(resid))
-        lam = lam + gamma * direction
-        np.clip(lam, 0.0, None, out=lam)
-        lam /= lam.sum()
-        resid = v @ lam - y
-    raise SolverStall(f"Frank-Wolfe gap {fw_gap:.3e} > {FW_GAP_TOL:.3e} "
-                      f"after {FW_MAX_ITER} iterations")
+        lam = np.array(coeffs0, dtype=float)
+    x = p @ lam
+    g = x @ p  # p_j . x for every point
+    x2 = x @ x
+    while g.min() < x2 - tol:
+        s = np.append(np.flatnonzero(lam), g.argmin())
+        w = lam[s]
+        while True:
+            ps = p[:, s]
+            kkt = np.ones((s.size + 1, s.size + 1))
+            kkt[:-1, :-1] = ps.T @ ps
+            kkt[-1, -1] = 0.0
+            try:  # the last row of the symmetric inverse solves kkt @ z = (0, ..., 0, 1)
+                alpha = np.linalg.inv(kkt)[-1, :-1]
+            except np.linalg.LinAlgError:  # the new point is in aff(support), to rounding
+                return lam, math.sqrt(x2)
+            if alpha.min() >= 0:
+                break
+            neg = np.flatnonzero(alpha < 0)
+            ratios = w[neg] / (w[neg] - alpha[neg])
+            w = w + ratios.min() * (alpha - w)
+            w[neg[ratios.argmin()]] = 0.0
+            s, w = s[w > 0], w[w > 0]
+        x = ps @ alpha
+        if x @ x >= x2:  # the major step did not lower ||x||
+            break
+        lam = np.zeros_like(lam)
+        lam[s] = alpha
+        g, x2 = x @ p, x @ x
+    return lam, math.sqrt(x2)
 
 
 def _bump(nodes: np.ndarray, j: int):
     """Cosine bump on the j-th dyadic window, normalized to discrete C1 norm 1:
-    j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on."""
+    j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on.  Samples 2j
+    and 2j+1 of the family need bump j; a window with no node inside by more
+    than the nodes' rounding raises ValueError, since its bump would be noise."""
     level = j.bit_length() - 1
     w = 0.5 ** level
-    xi = np.clip((nodes - (j - 2 ** level) * w) / w, 0.0, 1.0)
+    a = (j - 2 ** level) * w
+    margin = nodes.size * math.ulp(1.0)
+    if not np.any((nodes > a + margin) & (nodes < a + w - margin)):
+        raise ValueError(f"bump {j} has no node inside its dyadic window on "
+                         f"{nodes.size} nodes: n_samples must be <= {2 * j - 1}")
+    xi = np.clip((nodes - a) / w, 0.0, 1.0)
     vals = 0.5 * (1.0 - np.cos(2.0 * np.pi * xi))
     ders = (np.pi / w) * np.sin(2.0 * np.pi * xi)
     scale = c1_norm_of(vals, ders)
@@ -357,7 +357,7 @@ def perturbation_family(u: GridFunction, eps: float, n_samples: int):
 
 @dataclass(frozen=True)
 class ProbeResult:
-    hull_distance: float
+    hull_distance: float  # an upper bound on the C1 distance to the hull of the images
     witness_coeffs: np.ndarray
     history: list
     eps: float
@@ -369,15 +369,16 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     """Finite-sample shadow of the convexified-operator membership test.
 
     Perturbs u inside an eps-ball, applies the operator to every sample, and
-    measures how close u is to the convex hull of the images (discrete C1
-    distance).  A small distance is evidence that u survives convexification;
-    a distance bounded away from zero is evidence it does not.  The family is
+    bounds the discrete C1 distance from u to the convex hull of the images
+    from above, by the C1 gap at the hull's L2-nearest point or at a vertex.
+    A small bound is evidence that u survives convexification.  The family is
     nested, and enrichment m (the first m images) keeps the best distance so
     far, so history is non-increasing.  Each enrichment warm-starts the
     simplex solve from the previous coefficients and measures only its
     coefficients and the newest vertex: every vertex is measured once, when
     it joins.  Requires in_ball(spec, u, margin=eps), so apply_T accepts
-    every sample.
+    every sample, and a grid fine enough for n_samples bumps (a ValueError
+    names the largest usable n_samples).
     """
     if eps <= 0 or n_samples < 1:
         raise ValueError("need eps > 0 and n_samples >= 1")

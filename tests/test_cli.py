@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import bvpkit.hypotheses
+import bvpkit
 from bvpkit import (PhiExample, ProblemSpec, bounds_report, certify_hypotheses,
                     validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
@@ -266,19 +266,18 @@ class TestRun:
         assert report["bounds"]["type"] == "ValueError"
         assert report["meta"]["tasks_passed"] == {"check": False, "solve": False}
 
-    def test_solver_stall_is_reported(self, monkeypatch):
-        # f = 1 - 1.4 u: the probe of the zero target needs more than one
-        # Frank-Wolfe step
+    def test_probe_past_the_grid_is_reported(self):
+        # at 17 nodes bump 16's window [0, 1/16] holds no node inside, so the
+        # probe takes at most 31 samples rather than perturb by rounding error
         doc = smoke_doc(tasks=["probe"])
-        doc["problem"]["nonlinearity"] = {"id": "polynomial", "coeffs": [1.0, -1.4]}
-        doc["problem"]["R"] = 10.0
-        doc["numerics"]["probe_samples"] = 3
+        doc["numerics"].update(grid_size=17, probe_samples=31)
         assert run(parse_config(doc))[0] == 0
-        monkeypatch.setattr(bvpkit.hypotheses, "FW_MAX_ITER", 1)
+        doc["numerics"]["probe_samples"] = 300
         code, report = run(parse_config(doc))
         assert code == 1
         assert set(report["probe"]) == {"error", "type"}
-        assert report["probe"]["type"] == "SolverStall"
+        assert report["probe"]["type"] == "ValueError"
+        assert "n_samples must be <= 31" in report["probe"]["error"]
         assert report["meta"]["tasks_passed"] == {"probe": False}
 
     def test_probe_without_solve_uses_zero(self):

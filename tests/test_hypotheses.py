@@ -420,17 +420,31 @@ class TestSimplexLeastSquares:
         from scipy.optimize import minimize
 
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            dim, m = 5, 4
-            v = rng.normal(size=(dim, m))
-            y = rng.normal(size=dim)
+        cases = [(rng.normal(size=(5, 4)), rng.normal(size=5)) for _ in range(10)]
+        cases += [
+            (np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.zeros(2)),  # repeated vertex
+            (np.array([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]]), np.array([2.0, 0.0])),  # collinear
+            (np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.0, 0.3])),  # inside
+            _step_probe_points(),  # numerically rank-deficient
+            # points 1e-21 apart: their bordered Gram system is singular
+            (np.array([[1.8418738307527256e-08, 1.8418738307511318e-08,
+                        1.841873830749787e-08]]), np.array([-2.047607434600122e-08])),
+        ]
+        for v, y in cases:
+            m = v.shape[1]
             lam, dist = simplex_least_squares(v, y)
-            ref = minimize(lambda x: np.linalg.norm(v @ x - y) ** 2,
-                           np.full(m, 1 / m), method="SLSQP",
+            # SLSQP's ftol is absolute: its objective is scaled to order 1, its
+            # gradient is exact, and it stops on the step, not on ftol
+            p = v - y[:, None]
+            scale = np.max(np.sum(p ** 2, axis=0))
+            ref = minimize(lambda x: np.sum((p @ x) ** 2) / scale, np.full(m, 1 / m),
+                           jac=lambda x: 2.0 * p.T @ (p @ x) / scale, method="SLSQP",
                            bounds=[(0, 1)] * m,
                            constraints={"type": "eq", "fun": lambda x: x.sum() - 1},
-                           options={"ftol": 1e-14, "maxiter": 500})
-            assert dist == pytest.approx(np.sqrt(ref.fun), abs=1e-6)
+                           options={"ftol": 1e-20, "maxiter": 500})
+            ref_dist = np.sqrt(ref.fun * scale)
+            assert dist == pytest.approx(ref_dist, abs=1e-9)
+            assert dist <= ref_dist + 1e-12
 
     def test_nested_enrichment_monotone(self):
         rng = np.random.default_rng(23)
@@ -459,6 +473,36 @@ class TestConvexificationProbe:
         r = convexification_probe(spec, u, eps=0.01, n_samples=1)
         assert r.hull_distance == 0.0
         assert np.allclose(r.witness_coeffs, [1.0])
+
+    def test_step_solution_leaves_the_first_vertex(self):
+        # the first vertex's gap is ||u - Tu||, the residual; the nearest
+        # point of the images' hull lies far closer to u
+        spec = _crossing_step_spec()
+        sol = solve_picard(spec)
+        r = convexification_probe(spec, sol.u, eps=1e-3, n_samples=5)
+        assert r.hull_distance <= 1e-2 * sol.residual
+        assert r.witness_coeffs[0] < 1.0
+
+    def test_bumps_need_a_node_inside_their_window(self):
+        # at 5 nodes the quarter windows [k/4, (k+1)/4] hold no node inside, so
+        # bump 4 would be rounding error normalized to norm 1
+        spec = replace(smoke_spec(), grid_size=5)
+        u = GridFunction.zero(spec.nodes)
+        for j in range(1, 10):
+            if j < 4:
+                _bump(spec.nodes, j)
+            else:
+                with pytest.raises(ValueError, match=f"n_samples must be <= {2 * j - 1}"):
+                    _bump(spec.nodes, j)
+        assert len(convexification_probe(spec, u, eps=1e-2, n_samples=7).history) == 7
+        with pytest.raises(ValueError, match="n_samples must be <= 7"):
+            convexification_probe(spec, u, eps=1e-2, n_samples=8)
+        # linspace puts node 49 of 99, which is 1/2 exactly, an ulp inside
+        # bump 191's window [63/128, 1/2]
+        nodes = np.linspace(0.0, 1.0, 99)
+        assert 0.0 < 0.5 - nodes[49] <= np.spacing(0.5)
+        with pytest.raises(ValueError):
+            _bump(nodes, 191)
 
     def test_converged_solution_distance_at_residual_level(self):
         spec = poly_spec()
@@ -556,6 +600,25 @@ def _step_spec():
                        nonlinearity=make_nonlinearity_from_id(
                            "step", {"low": 2.0, "high": -1.0, "threshold": 0.1}),
                        radius=4.0, quad_tol=1e-9, grid_size=129)
+
+
+def _crossing_step_spec():
+    """Dirichlet, g = 1, f steps from 1 up to 2 at u = 0.05: Picard converges,
+    and its solution crosses the threshold twice."""
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                       nonlinearity=make_nonlinearity_from_id(
+                           "step", {"low": 1.0, "high": 2.0, "threshold": 0.05}),
+                       radius=4.0, quad_tol=1e-9, grid_size=129)
+
+
+def _step_probe_points():
+    """(vertices, target) of the probe at _crossing_step_spec's solution, eps
+    1e-3 and 5 samples: the images' singular values run from 15 down to 2e-10."""
+    spec = _crossing_step_spec()
+    u = solve_picard(spec).u
+    images = [apply_T(spec, w) for w in perturbation_family(u, 1e-3, 5)]
+    return (np.stack([np.concatenate([im.values, im.derivatives]) for im in images], axis=1),
+            np.concatenate([u.values, u.derivatives]))
 
 
 def _linear_spec():
