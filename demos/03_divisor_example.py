@@ -67,4 +67,3 @@ print("\n== measurability decomposition along the solution ==")
 dec = measurable_decomposition(sol.u, np.linspace(0.01, 1.0, 100))
 print(f"set membership counts: {dec.counts()}  (all K: the solution stays "
       "below u = -t)")
-print(f"partition consistent with the region map: {dec.consistent}")

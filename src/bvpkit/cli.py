@@ -27,8 +27,7 @@ from . import __version__
 from .catalog import make_nonlinearity_from_id, make_weight_from_id, number, phi_example
 from .errors import BvpError, ConfigError, DegenerateGamma, NegativeCoefficient
 from .hammerstein import bounds_report
-from .hypotheses import (INDETERMINATE, certify_hypotheses, convexification_probe,
-                         minimal_R_power)
+from .hypotheses import certify_hypotheses, convexification_probe, minimal_R_power
 from .kernel import validate_params
 from .model import GridFunction, ProblemSpec, norm_c1
 from .solver import solve_picard
@@ -86,7 +85,8 @@ def _accepted(fld, fn, *args, what=""):
 
 
 def parse_config(doc: dict) -> RunConfig:
-    """Validate a config document; raises ConfigError naming the bad field."""
+    """Validate a config document; raises ConfigError naming the bad field.
+    run() rejects the unknown catalog ids and bad catalog parameters it passes."""
     _require(isinstance(doc, dict), "config must be a JSON object", "")
     _known(doc, "", ("problem", "numerics", "tasks", "output"))
     problem = doc.get("problem")
@@ -260,11 +260,10 @@ def run(cfg: RunConfig):
                     "h3": _section(hyp.h3, drop={"m1", "m2"}, hr_source=hr_source),
                     "h4": hyp.h4,
                 }
-                passed["check"] = hyp.h1.passed and hyp.h2.passed and hyp.h3.passed
+                passed["check"] = hyp.checks_passed
             if "classify-curves" in certify:
                 report["curves"] = [_section(c) for c in hyp.h5]
-                passed["classify-curves"] = all(c.verdict != INDETERMINATE
-                                                for c in hyp.h5)
+                passed["classify-curves"] = hyp.curves_passed
                 if "check" in certify:
                     report["hypotheses"]["overall"] = hyp.overall
 

@@ -166,12 +166,10 @@ class DecompositionReport:
     """Assignment of each sampled t to exactly one preimage set.
 
     kinds: "I" for u(t) in [(n-1)sqrt(t), n sqrt(t)), "J" for the wedge
-    -t <= u(t) < 0, "K" for u(t) < -t.  consistent records that the
-    partition index agrees with the region map at every sample.
+    -t <= u(t) < 0, "K" for u(t) < -t.
     """
 
     entries: list  # (t, kind, n)
-    consistent: bool
 
     def counts(self):
         out = {"I": 0, "J": 0, "K": 0}
@@ -181,8 +179,8 @@ class DecompositionReport:
 
 
 def measurable_decomposition(u: GridFunction, t_grid) -> DecompositionReport:
-    """Partition the sampled times by which preimage set they fall in,
-    checking agreement with the region map."""
+    """Partition the sampled times by which preimage set they fall in, each
+    with its region index n."""
     ts = np.asarray(t_grid, dtype=float)
     if np.any(ts <= 0.0) or np.any(ts > 1.0):
         raise DomainError("decomposition needs 0 < t <= 1")
@@ -190,5 +188,4 @@ def measurable_decomposition(u: GridFunction, t_grid) -> DecompositionReport:
     n = _region_array(ts, uv)
     kinds = np.where(uv >= 0.0, "I", np.where(uv < -ts, "K", "J"))
     entries = [(float(t), str(kind), int(m)) for t, kind, m in zip(ts, kinds, n)]
-    return DecompositionReport(entries=entries,
-                               consistent=bool(np.all(n[kinds == "K"] == 1)))
+    return DecompositionReport(entries=entries)

@@ -76,9 +76,16 @@ class HypothesisReport:
     h5: list = field(default_factory=list)
 
     @property
+    def checks_passed(self) -> bool:  # H1, H2 and H3 all pass
+        return self.h1.passed and self.h2.passed and self.h3.passed
+
+    @property
+    def curves_passed(self) -> bool:  # no curve is indeterminate
+        return all(c.verdict != INDETERMINATE for c in self.h5)
+
+    @property
     def overall(self) -> bool:
-        curves_ok = all(c.verdict != INDETERMINATE for c in self.h5)
-        return self.h1.passed and self.h2.passed and self.h3.passed and curves_ok
+        return self.checks_passed and self.curves_passed
 
 
 def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
@@ -94,6 +101,11 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     return H1Result(passed=True, l1_norm=float(val[0, 0]))
 
 
+def _hr_nodes(spec: ProblemSpec, t_min: float = 0.0) -> np.ndarray:
+    """The H_R grid: the nodes t > 0 (f may be undefined at 0) with t >= t_min."""
+    return spec.nodes[(spec.nodes >= t_min) & (spec.nodes > 0.0)]
+
+
 def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     """Pointwise bound H_R(t) on |f(t, u)| over |u| <= R = spec.radius.
 
@@ -106,9 +118,7 @@ def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     sup may not be a uniform essential bound).
     """
     r = spec.radius
-    if t_grid is None:
-        t_grid = spec.nodes[1:]  # drop t=0: f may be undefined there
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = np.asarray(_hr_nodes(spec) if t_grid is None else t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("estimate_HR needs a nonempty t grid")
 
@@ -170,8 +180,7 @@ def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
     |g(t)| (|f(t, u(t))| - H_R(t)), with H_R from estimate_HR, and the check
     passes when no excess is positive.
     """
-    nodes = spec.nodes
-    t = nodes[(nodes >= t_min) & (nodes > 0.0)]
+    t = _hr_nodes(spec, t_min)
     hr = estimate_HR(spec, t).profile  # a ValueError if t_min excludes every node
     fu = spec.nonlinearity.eval(t, grid_value(u, t))
     excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - hr)
@@ -190,13 +199,14 @@ def check_h3(spec: ProblemSpec, bounds: BoundsReport, hr_sup: float) -> H3Result
 
 def minimal_R_power(m_total: float, lam: float) -> int:
     """Smallest integer R >= 2 with R**(1-lam) >= m_total (the radius-selection
-    recipe for nonlinearities bounded by max(2, R)**lam)."""
+    recipe for nonlinearities bounded by max(2, R)**lam); OverflowError past 2**53."""
     if m_total <= 0:
         raise ValueError("m_total must be > 0")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
-    guess = m_total ** (1.0 / (1.0 - lam))
-    if not np.isfinite(guess):
+    with np.errstate(over="ignore"):  # an overflow is inf
+        guess = np.float64(m_total) ** (1.0 / (1.0 - lam))
+    if not guess < 2.0 ** 53:  # floats skip integers there, and the scan would not end
         raise OverflowError("no representable radius satisfies the bound")
     r = max(2, math.floor(guess) - 2)
     while r ** (1.0 - lam) < m_total:
@@ -421,8 +431,7 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
     """
     b = bounds if bounds is not None else bounds_report(spec)
     h1 = H1Result(passed=True, l1_norm=b.l1_norm)
-    nodes = spec.nodes
-    h2 = estimate_HR(spec, t_grid=nodes[(nodes >= t_min) & (nodes > 0.0)])
+    h2 = estimate_HR(spec, t_grid=_hr_nodes(spec, t_min))
     h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
     h5 = classify_curves(spec, spec.nonlinearity.curves, t_min=t_min)
     return HypothesisReport(h1=h1, h2=h2, h3=h3, h4=spec.nonlinearity.measurability,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -127,13 +126,10 @@ class Nonlinearity:
         _vectorize_fields(self, "eval", "local_bound")
 
 
-_CHECKED_GRIDS = weakref.WeakValueDictionary()  # read-only grids that passed, by id
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Node values and node derivative values on a grid t0=0 < ... < tN=1;
-    the values are read-only copies, and a read-only grid is checked once."""
+    the values are read-only copies, and the grid is checked on every build."""
 
     nodes: np.ndarray
     values: np.ndarray
@@ -149,13 +145,9 @@ class GridFunction:
         object.__setattr__(self, "derivatives", derivs)
         if not (nodes.shape == values.shape == derivs.shape) or nodes.ndim != 1:
             raise ValueError("nodes, values, derivatives must be 1-d and equal length")
-        if nodes.flags.writeable or _CHECKED_GRIDS.get(id(nodes)) is not nodes:
-            if nodes.size < 2 or nodes[0] != 0.0 or nodes[-1] != 1.0:
-                raise ValueError("grid must start at 0 and end at 1")
-            if np.any(np.diff(nodes) <= 0):
-                raise ValueError("grid nodes must be strictly increasing")
-            if not nodes.flags.writeable:
-                _CHECKED_GRIDS[id(nodes)] = nodes
+        if not (nodes.size >= 2 and nodes[0] == 0.0 and nodes[-1] == 1.0
+                and (nodes[1:] > nodes[:-1]).all()):
+            raise ValueError("grid nodes must be strictly increasing from 0 to 1")
         if not (np.isfinite(values).all() and np.isfinite(derivs).all()):
             raise ValueError("grid function entries must be finite")
 
@@ -276,7 +268,7 @@ def _sample(params, g, nodes, s):
     return g(s), left_factor(params, s), right_factor(params, s), *hermite_basis(nodes, s)
 
 
-def _itp_point(a, b, ga, gb, j, n_max, k1):
+def _itp_point(j, a, b, ga, gb, n_max, k1):
     """The ITP point of the bracket [a, b], whose gaps ga and gb have opposite
     signs, at step j of n_max: the regula-falsi point, truncated toward the
     midpoint by k1*(b - a)**2 and projected into the bisection radius
@@ -320,7 +312,7 @@ def find_crossings(u: GridFunction, curves):
     tol = CROSSING_TOL
     spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
-    # [a, b, gap at a, gap at b, steps taken, step budget, kappa1]; b = a where the gap is 0
+    # [a, b, gap at a, gap at b, step budget, kappa1]; b = a where the gap is 0
     cells = [[] for _ in curves]
     if live:
         n_scan = SCAN_PER_PANEL * (u.nodes.size - 1)
@@ -336,10 +328,10 @@ def find_crossings(u: GridFunction, curves):
             ts, g = grids[spans[live[r]]], float(gap[r, i])
             a = float(ts[i])
             if g == 0.0:
-                cells[live[r]].append([a, a, g, g, 0, 0, 0.0])
+                cells[live[r]].append([a, a, g, g, 0, 0.0])
             else:
                 b = float(ts[i + 1])
-                cells[live[r]].append([a, b, g, float(gap[r, i + 1]), 0,
+                cells[live[r]].append([a, b, g, float(gap[r, i + 1]),
                                        math.ceil(math.log2((b - a) / tol)) + 1, 0.2 / (b - a)])
     if not any(cells):
         return cells
@@ -354,14 +346,14 @@ def find_crossings(u: GridFunction, curves):
 
     out = []
     for curve, cs in zip(curves, cells):
-        steps = cs
+        steps, j = cs, 0  # live cells step in lockstep: each has taken j steps
         while steps := [c for c in steps if c[1] - c[0] > tol]:  # one ITP step of each
-            xs = [_itp_point(*c) for c in steps]
+            xs = [_itp_point(j, *c) for c in steps]
+            j += 1
             for c, x, lv in zip(steps, xs, curve.value(np.array(xs)).tolist()):
                 fx = value(x) - lv
                 if not math.isfinite(fx):
                     raise _not_finite(curve, x)
-                c[4] += 1
                 if fx == 0.0:
                     c[0] = c[1] = x
                 elif c[2] * fx < 0.0:

@@ -255,6 +255,10 @@ class TestBuildProblem:
         with pytest.raises(ValueError):
             PhiExample(lam=1.0)
 
+    def test_no_curves_rejected(self):
+        with pytest.raises(ValueError, match="curve_count"):
+            PhiExample(curve_count=0)
+
 
 class TestMeasurableDecomposition:
     def grid_const(self, c, n=33):
@@ -264,7 +268,6 @@ class TestMeasurableDecomposition:
     def test_positive_constant(self):
         rep = measurable_decomposition(self.grid_const(0.6), [0.25])
         assert rep.entries == [(0.25, "I", 2)]
-        assert rep.consistent
 
     def test_below_everything(self):
         rep = measurable_decomposition(self.grid_const(-1.0), [0.25])
@@ -280,7 +283,6 @@ class TestMeasurableDecomposition:
         u = GridFunction(nodes, rng.uniform(-2, 2, 65), rng.uniform(-1, 1, 65))
         t_grid = rng.uniform(1e-3, 1.0, size=200)
         rep = measurable_decomposition(u, t_grid)
-        assert rep.consistent
         assert len(rep.entries) == 200
         counts = rep.counts()
         assert sum(counts.values()) == 200

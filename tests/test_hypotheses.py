@@ -171,12 +171,40 @@ class TestMinimalRPower:
         with pytest.raises(ValueError):
             minimal_R_power(1.0, 1.0)
 
+    @pytest.mark.parametrize("m_total, lam", [(1e300, 0.99), (np.float64(1e300), 0.99),
+                                              (233.7, 0.9), (1e20, 1 / 3)],
+                             ids=["float", "float64", "past-2**53", "past-2**53-small-lam"])
+    def test_overflow_is_named(self, m_total, lam):
+        # 1e300 ** 100 overflows a float, and an np.float64 power warns first;
+        # past 2**53 a float skips integers, and a scan by one would not end
+        with pytest.raises(OverflowError, match="no representable radius"):
+            minimal_R_power(m_total, lam)
+
 
 def _const_curve(c, eps=0.1):
     return DiscontinuityCurve(a=0.0, b=1.0,
                               value=lambda t, _c=c: np.full_like(np.asarray(t, float), _c),
                               second_derivative=lambda t: np.zeros_like(np.asarray(t, float)),
                               epsilon=eps)
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda: check_h1(const_weight(), tol=0.0), "tol must be > 0",
+                 id="check_h1-tol"),
+    pytest.param(lambda: classify_curves(smoke_spec(), (), n_t=1), "n_t, n_y >= 2",
+                 id="classify_curves-n_t"),
+    pytest.param(lambda: simplex_least_squares(np.eye(3), np.zeros(2)), "dim == target size",
+                 id="simplex-shapes"),
+    pytest.param(lambda: simplex_least_squares(np.ones(3), np.zeros(3)), "dim == target size",
+                 id="simplex-1d-vertices"),
+    pytest.param(lambda: convexification_probe(smoke_spec(), GridFunction.zero(
+        smoke_spec().nodes), eps=0.0, n_samples=3), "eps > 0", id="probe-eps"),
+    pytest.param(lambda: convexification_probe(smoke_spec(), GridFunction.zero(
+        smoke_spec().nodes), eps=1e-3, n_samples=0), "n_samples >= 1", id="probe-n_samples"),
+])
+def test_bad_arguments_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestClassifyCurve:

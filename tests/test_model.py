@@ -189,8 +189,8 @@ class TestGridFunctionInvariants:
             GridFunction(nodes, np.array([0.0, np.nan, 0.0]), np.zeros(3))
 
     def test_read_only_grids_are_checked(self):
-        # a read-only grid is checked once it passes, but a bad one never
-        # passes, and one made writeable again is checked anew
+        # a read-only grid is checked on every construction, like any other:
+        # a bad one never passes, nor does one that went bad after passing
         bad = np.array([0.0, 0.5, 0.4, 1.0])
         bad.flags.writeable = False
         for _ in range(2):
@@ -201,6 +201,23 @@ class TestGridFunctionInvariants:
         GridFunction.zero(nodes)
         nodes.flags.writeable = True
         nodes[2] = 0.9
+        with pytest.raises(ValueError, match="increasing"):
+            GridFunction.zero(nodes)
+        # a read-only view that passed, its base then written; and a read-only
+        # grid that passed, made writeable, written and made read-only again
+        base = np.linspace(0.0, 1.0, 5)
+        view = base.view()
+        view.flags.writeable = False
+        GridFunction.zero(view)
+        base[2] = 5.0
+        with pytest.raises(ValueError, match="increasing"):
+            GridFunction.zero(view)
+        nodes = np.linspace(0.0, 1.0, 5)
+        nodes.flags.writeable = False
+        GridFunction.zero(nodes)
+        nodes.flags.writeable = True
+        nodes[2] = 0.9
+        nodes.flags.writeable = False
         with pytest.raises(ValueError, match="increasing"):
             GridFunction.zero(nodes)
 
@@ -227,6 +244,12 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             smoke_spec(radius=-1.0)
 
+    @pytest.mark.parametrize("knob, match", [({"quad_tol": 0.0}, "quad_tol"),
+                                             ({"grid_size": 2}, "grid_size")])
+    def test_bad_numerics_rejected(self, knob, match):
+        with pytest.raises(ValueError, match=match):
+            smoke_spec(**knob)
+
     def test_half_is_a_node(self):
         spec = smoke_spec(grid_size=129)
         assert 0.5 in spec.nodes
@@ -236,6 +259,16 @@ class TestProblemSpec:
         assert spec.nodes is spec.nodes
         with pytest.raises(ValueError):
             spec.nodes[1] = 0.5
+
+
+class TestDiscontinuityCurve:
+    @pytest.mark.parametrize("a, b, epsilon, match", [(0.5, 0.5, 0.05, "domain"),
+                                                      (0.6, 0.4, 0.05, "domain"),
+                                                      (0.0, 1.0, 0.0, "epsilon")])
+    def test_rejected(self, a, b, epsilon, match):
+        with pytest.raises(ValueError, match=match):
+            DiscontinuityCurve(a=a, b=b, value=np.zeros_like,
+                               second_derivative=np.zeros_like, epsilon=epsilon)
 
 
 class TestCurveCrossings:
