@@ -13,9 +13,8 @@ u = -t, where the nonlinearity freezes at its region-1 value.
 import numpy as np
 
 from bvpkit import (PhiExample, bounds_report, build_problem, check_h1,
-                    classify_curve, estimate_HR, measurable_decomposition,
-                    minimal_R_power, norm_c1, phi, region_index, solve_picard,
-                    validate_params)
+                    classify_curve, estimate_HR, minimal_R_power, norm_c1, phi,
+                    region_index, solve_picard, validate_params)
 
 LAM = 1.0 / 3.0
 
@@ -62,8 +61,3 @@ print(f"u(0) = {sol.u.values[0]:.6f}, u(1/2) = {sol.u.values[64]:.6f}, "
       f"u(1) = {sol.u.values[-1]:.6f}  (everywhere below -t)")
 crossed = [c for c in sol.curve_crossings if c[1] > 0]
 print(f"curves crossed by the solution: {crossed if crossed else 'none'}")
-
-print("\n== measurability decomposition along the solution ==")
-dec = measurable_decomposition(sol.u, np.linspace(0.01, 1.0, 100))
-print(f"set membership counts: {dec.counts()}  (all K: the solution stays "
-      "below u = -t)")

@@ -27,5 +27,4 @@ from .hypotheses import (INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER, VIABLE,
                          classify_curves, convexification_probe, equicontinuity_check,
                          estimate_HR, minimal_R_power, simplex_least_squares)
 from .solver import Solution, bc_residual, solve_picard
-from .example_phi import (PhiExample, build_problem, measurable_decomposition,
-                          phi, region_index)
+from .example_phi import PhiExample, build_problem, phi, region_index

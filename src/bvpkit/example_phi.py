@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .kernel import BoundaryParams
-from .model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec,
-                    Weight, grid_value)
+from .model import DiscontinuityCurve, Nonlinearity, ProblemSpec, Weight
 
 # region indices past this raise DomainError instead of being trial-divided.
 # The regions accumulate at u -> 0- (n = floor(t/-u)), and sampling does get
@@ -159,33 +158,3 @@ def build_problem(ex: PhiExample, params: BoundaryParams, radius: float,
     return ProblemSpec(params=params, weight=make_weight(),
                        nonlinearity=make_nonlinearity(ex), radius=radius,
                        quad_tol=quad_tol, grid_size=grid_size)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Assignment of each sampled t to exactly one preimage set.
-
-    kinds: "I" for u(t) in [(n-1)sqrt(t), n sqrt(t)), "J" for the wedge
-    -t <= u(t) < 0, "K" for u(t) < -t.
-    """
-
-    entries: list  # (t, kind, n)
-
-    def counts(self):
-        out = {"I": 0, "J": 0, "K": 0}
-        for _, kind, _ in self.entries:
-            out[kind] += 1
-        return out
-
-
-def measurable_decomposition(u: GridFunction, t_grid) -> DecompositionReport:
-    """Partition the sampled times by which preimage set they fall in, each
-    with its region index n."""
-    ts = np.asarray(t_grid, dtype=float)
-    if np.any(ts <= 0.0) or np.any(ts > 1.0):
-        raise DomainError("decomposition needs 0 < t <= 1")
-    uv = grid_value(u, ts)
-    n = _region_array(ts, uv)
-    kinds = np.where(uv >= 0.0, "I", np.where(uv < -ts, "K", "J"))
-    entries = [(float(t), str(kind), int(m)) for t, kind, m in zip(ts, kinds, n)]
-    return DecompositionReport(entries=entries)

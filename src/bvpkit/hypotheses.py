@@ -10,6 +10,7 @@ from above.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,7 +92,7 @@ class HypothesisReport:
 def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     """Integrability of the weight on its own: int_0^1 |g| to tol, or the
     divergence.  certify_hypotheses reads the integral off bounds_report."""
-    if tol <= 0:
+    if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be > 0, got {tol}")
     try:
         val = integrate_groups(lambda s: np.abs(weight.eval(s)), (0.0, 1.0),
@@ -200,18 +201,18 @@ def check_h3(spec: ProblemSpec, bounds: BoundsReport, hr_sup: float) -> H3Result
 def minimal_R_power(m_total: float, lam: float) -> int:
     """Smallest integer R >= 2 with R**(1-lam) >= m_total (the radius-selection
     recipe for nonlinearities bounded by max(2, R)**lam); OverflowError past 2**53."""
-    if m_total <= 0:
+    if not m_total > 0:  # NaN fails too
         raise ValueError("m_total must be > 0")
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must lie in (0, 1)")
     with np.errstate(over="ignore"):  # an overflow is inf
         guess = np.float64(m_total) ** (1.0 / (1.0 - lam))
-    if not guess < 2.0 ** 53:  # floats skip integers there, and the scan would not end
+    if not guess < 2.0 ** 53:  # floats skip integers there
         raise OverflowError("no representable radius satisfies the bound")
-    r = max(2, math.floor(guess) - 2)
-    while r ** (1.0 - lam) < m_total:
-        r += 1
-    return r
+    hi = math.ceil(guess) + 2  # the guess's rounding can miss R either way, by
+    while hi ** (1.0 - lam) < m_total:  # hundreds as 1 - lam nears 0
+        hi *= 2
+    return bisect_left(range(hi + 1), m_total, lo=2, key=lambda r: r ** (1.0 - lam))
 
 
 def classify_curve(spec: ProblemSpec, curve: DiscontinuityCurve,
@@ -287,11 +288,13 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
     Wolfe's finite nearest-point algorithm (Math. Programming 11, 1976) on
     p = vertices - target.  A major step adds the point most opposed to
     x = p @ lam; minor steps move lam to the affine minimiser of its support
-    (the bordered Gram system), dropping weights that turn non-positive.  It
-    stops when no point improves on x by more than eps times the Gram trace,
-    or when a major step does not lower ||x||.  coeffs0 warm-starts from an
-    earlier result on a prefix of the columns, zero-padded (all zeros: a cold
-    start, from the first point).  Returns (coeffs, distance)."""
+    (the bordered Gram system), dropping weights that turn non-positive; an
+    exact line search toward the added point replaces them where rounding
+    makes that system singular or its step not lower ||x|| (as points 1e-9
+    apart can).  It stops when no point improves on x by more than eps times
+    the Gram trace, or when a step did not lower ||x||.  coeffs0 warm-starts
+    from an earlier result on a prefix of the columns, zero-padded (all
+    zeros: a cold start, from the first point).  Returns (coeffs, distance)."""
     v = np.asarray(vertices, dtype=float)
     y = np.asarray(target, dtype=float)
     if v.ndim != 2 or v.shape[0] != y.size:
@@ -305,9 +308,10 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
         lam = np.array(coeffs0, dtype=float)
     x = p @ lam
     g = x @ p  # p_j . x for every point
-    x2 = x @ x
-    while g.min() < x2 - tol:
-        s = np.append(np.flatnonzero(lam), g.argmin())
+    x2, x2_prev = x @ x, math.inf
+    while x2 < x2_prev and g.min() < x2 - tol:
+        j = g.argmin()
+        s = np.append(np.flatnonzero(lam), j)
         w = lam[s]
         while True:
             ps = p[:, s]
@@ -317,7 +321,8 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
             try:  # the last row of the symmetric inverse solves kkt @ z = (0, ..., 0, 1)
                 alpha = np.linalg.inv(kkt)[-1, :-1]
             except np.linalg.LinAlgError:  # the new point is in aff(support), to rounding
-                return lam, math.sqrt(x2)
+                alpha = w  # stay at the last minor step
+                break
             if alpha.min() >= 0:
                 break
             neg = np.flatnonzero(alpha < 0)
@@ -325,11 +330,15 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
             w = w + ratios.min() * (alpha - w)
             w[neg[ratios.argmin()]] = 0.0
             s, w = s[w > 0], w[w > 0]
-        x = ps @ alpha
-        if x @ x >= x2:  # the major step did not lower ||x||
-            break
-        lam = np.zeros_like(lam)
-        lam[s] = alpha
+        x_new = ps @ alpha
+        if x_new @ x_new < x2:
+            lam = np.zeros_like(lam)
+            lam[s] = alpha
+        else:  # the line search: min over (1 - theta) lam + theta e_j, theta in [0, 1]
+            theta = min(1.0, (x2 - g[j]) / np.sum((p[:, j] - x) ** 2))
+            lam = (1.0 - theta) * lam + theta * np.eye(lam.size)[j]
+            x_new = (1.0 - theta) * x + theta * p[:, j]
+        x, x2_prev = x_new, x2
         g, x2 = x @ p, x @ x
     return lam, math.sqrt(x2)
 
@@ -390,7 +399,7 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     every sample, and a grid fine enough for n_samples bumps (a ValueError
     names the largest usable n_samples).
     """
-    if eps <= 0 or n_samples < 1:
+    if not eps > 0 or n_samples < 1:  # NaN fails too
         raise ValueError("need eps > 0 and n_samples >= 1")
     if not in_ball(spec, u, margin=eps):
         raise BallViolation(

@@ -68,7 +68,7 @@ def _unit_args(t, s):
     """t and s as float arrays, both checked to lie in [0, 1]."""
     t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
     for name, x in (("t", t), ("s", s)):
-        if np.any(x < 0) or np.any(x > 1):
+        if not ((0 <= x) & (x <= 1)).all():  # NaN fails too
             raise DomainError(f"{name} must lie in [0, 1]")
     return t, s
 

@@ -102,7 +102,7 @@ class DiscontinuityCurve:
     def __post_init__(self):
         if not 0.0 <= self.a < self.b <= 1.0:
             raise ValueError(f"curve domain [{self.a}, {self.b}] invalid")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
         _vectorize_fields(self, "value", "second_derivative")
 
@@ -118,8 +118,8 @@ class Nonlinearity:
     eval: callable
     curves: tuple = field(default_factory=tuple)
     local_bound: callable | None = None
-    # how the measurability requirement is discharged: catalog entries are
-    # "asserted"; the divisor example documents an explicit decomposition
+    # how measurability is discharged: "asserted" (catalog entries), or the divisor
+    # example's region map n(t, u) (example_phi._region_array), bounded by its curves
     measurability: str = "asserted"
 
     def __post_init__(self):
@@ -157,9 +157,8 @@ class GridFunction:
 
     @classmethod
     def zero(cls, nodes):
-        nodes = np.asarray(nodes, dtype=float)
-        z = np.zeros_like(nodes)
-        return cls(nodes, z, z.copy())
+        z = np.zeros(np.shape(nodes))
+        return cls(nodes, z, z)  # __post_init__ copies each
 
 
 def _basis(x):
@@ -207,7 +206,7 @@ def grid_eval(u: GridFunction, t):
     """Cubic Hermite value and derivative at t (scalar or array); exact at
     nodes and on sampled cubics."""
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0) or np.any(t_arr > 1.0):
+    if not ((0.0 <= t_arr) & (t_arr <= 1.0)).all():  # NaN fails too
         raise DomainError("t must lie in [0, 1]")
     i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
     x2 = x * x
@@ -241,11 +240,11 @@ class ProblemSpec:
     grid_size: int = 129
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not self.radius > 0:  # NaN fails too
             raise ValueError("radius must be > 0")
-        if self.quad_tol <= 0:
+        if not self.quad_tol > 0:
             raise ValueError("quad_tol must be > 0")
-        if self.grid_size < 3:
+        if not self.grid_size >= 3:
             raise ValueError("grid_size must be >= 3")
 
     @functools.cached_property
@@ -310,7 +309,7 @@ def find_crossings(u: GridFunction, curves):
     scan point or a step, raises DomainError naming the curve and t.
     """
     tol = CROSSING_TOL
-    spans = [(max(c.a, 0.0), min(c.b, 1.0)) for c in curves]
+    spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
     # [a, b, gap at a, gap at b, step budget, kappa1]; b = a where the gap is 0
     cells = [[] for _ in curves]

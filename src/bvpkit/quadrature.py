@@ -68,7 +68,7 @@ class IntegrandSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN fails too
             raise ValueError(f"tol must be > 0, got {self.tol}")
 
 

@@ -10,10 +10,9 @@ import pytest
 import bvpkit
 
 from bvpkit import (DomainError, PhiExample, build_problem, classify_curve,
-                    measurable_decomposition, phi, region_index, validate_params)
+                    phi, region_index, validate_params)
 from bvpkit.example_phi import (_MAX_REGION, _phi_pow, _phi_table, make_curves,
                                 make_nonlinearity, make_weight)
-from bvpkit.model import GridFunction
 
 LAM = 1.0 / 3.0
 
@@ -258,43 +257,3 @@ class TestBuildProblem:
     def test_no_curves_rejected(self):
         with pytest.raises(ValueError, match="curve_count"):
             PhiExample(curve_count=0)
-
-
-class TestMeasurableDecomposition:
-    def grid_const(self, c, n=33):
-        nodes = np.linspace(0.0, 1.0, n)
-        return GridFunction(nodes, np.full(n, float(c)), np.zeros(n))
-
-    def test_positive_constant(self):
-        rep = measurable_decomposition(self.grid_const(0.6), [0.25])
-        assert rep.entries == [(0.25, "I", 2)]
-
-    def test_below_everything(self):
-        rep = measurable_decomposition(self.grid_const(-1.0), [0.25])
-        assert rep.entries == [(0.25, "K", 1)]
-
-    def test_wedge_member(self):
-        rep = measurable_decomposition(self.grid_const(-0.2), [0.25])
-        assert rep.entries == [(0.25, "J", 1)]
-
-    def test_partition_is_exhaustive_and_matches_region_map(self):
-        rng = np.random.default_rng(43)
-        nodes = np.linspace(0.0, 1.0, 65)
-        u = GridFunction(nodes, rng.uniform(-2, 2, 65), rng.uniform(-1, 1, 65))
-        t_grid = rng.uniform(1e-3, 1.0, size=200)
-        rep = measurable_decomposition(u, t_grid)
-        assert len(rep.entries) == 200
-        counts = rep.counts()
-        assert sum(counts.values()) == 200
-        from bvpkit import grid_eval
-        for t, kind, n in rep.entries[:50]:
-            uv, _ = grid_eval(u, t)
-            assert n == region_index(t, uv)
-
-    def test_rejects_zero_time(self):
-        with pytest.raises(DomainError):
-            measurable_decomposition(self.grid_const(1.0), [0.0])
-
-    def test_rejects_time_past_one(self):
-        with pytest.raises(DomainError):
-            measurable_decomposition(self.grid_const(1.0), [0.5, 1.0 + 1e-12])

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -165,6 +166,17 @@ class TestMinimalRPower:
             assert minimal_R_power(m, lam) <= minimal_R_power(m * 1.5, lam)
             assert minimal_R_power(m, lam) <= minimal_R_power(m, lam + 0.1)
 
+    def test_smallest_radius_over_a_seeded_sweep(self):
+        # the float guess m_total**(1/(1-lam)) can miss R on either side, by
+        # hundreds when 1 - lam is small: lam = 0.99872 once gave 655 too many
+        rng = random.Random(5)
+        for _ in range(3000):
+            lam = rng.uniform(0.05, 0.999)
+            m = (2 ** rng.uniform(1, 53)) ** (1 - lam)
+            r = minimal_R_power(m, lam)
+            assert r ** (1 - lam) >= m
+            assert r == 2 or (r - 1) ** (1 - lam) < m
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             minimal_R_power(0.0, 0.5)
@@ -191,6 +203,10 @@ def _const_curve(c, eps=0.1):
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda: check_h1(const_weight(), tol=0.0), "tol must be > 0",
                  id="check_h1-tol"),
+    pytest.param(lambda: check_h1(const_weight(), tol=np.nan), "tol must be > 0",
+                 id="check_h1-tol-nan"),
+    pytest.param(lambda: minimal_R_power(np.nan, 0.5), "m_total must be > 0",
+                 id="minimal_R_power-nan"),
     pytest.param(lambda: classify_curves(smoke_spec(), (), n_t=1), "n_t, n_y >= 2",
                  id="classify_curves-n_t"),
     pytest.param(lambda: simplex_least_squares(np.eye(3), np.zeros(2)), "dim == target size",
@@ -201,6 +217,8 @@ def _const_curve(c, eps=0.1):
         smoke_spec().nodes), eps=0.0, n_samples=3), "eps > 0", id="probe-eps"),
     pytest.param(lambda: convexification_probe(smoke_spec(), GridFunction.zero(
         smoke_spec().nodes), eps=1e-3, n_samples=0), "n_samples >= 1", id="probe-n_samples"),
+    pytest.param(lambda: convexification_probe(smoke_spec(), GridFunction.zero(
+        smoke_spec().nodes), eps=np.nan, n_samples=3), "eps > 0", id="probe-eps-nan"),
 ])
 def test_bad_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -473,6 +491,23 @@ class TestSimplexLeastSquares:
             ref_dist = np.sqrt(ref.fun * scale)
             assert dist == pytest.approx(ref_dist, abs=1e-9)
             assert dist <= ref_dist + 1e-12
+
+    def test_near_equal_points_no_farther_than_a_vertex(self):
+        # points 1e-9 apart: rounding in the bordered Gram system keeps the
+        # major step from lowering ||x|| (the first draw does this), and the
+        # line search toward the added point takes over.  SLSQP does not
+        # resolve 1e-9 here, so the oracle is the nearest vertex
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            dim, m = rng.integers(2, 6), rng.integers(2, 8)
+            v = rng.normal(size=(dim, 1)) + 1e-9 * rng.normal(size=(dim, m))
+            y = rng.normal(size=dim)
+            lam, dist = simplex_least_squares(v, y)
+            p = v - y[:, None]
+            assert lam.min() >= 0.0 and lam.sum() == pytest.approx(1.0, abs=1e-12)
+            # to the stopping rule's eps times the Gram trace
+            slack = 2 * np.finfo(float).eps * np.vdot(p, p)
+            assert dist ** 2 <= np.min(np.sum(p ** 2, axis=0)) + slack
 
     def test_nested_enrichment_monotone(self):
         rng = np.random.default_rng(23)

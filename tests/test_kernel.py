@@ -67,6 +67,10 @@ class TestKernelValues:
             k_eval(DIRICHLET, 1.5, 0.5)
         with pytest.raises(DomainError):
             dk_dt(DIRICHLET, 0.5, -0.1)
+        with pytest.raises(DomainError, match="t must"):
+            k_eval(DIRICHLET, np.nan, 0.5)
+        with pytest.raises(DomainError, match="s must"):
+            dk_dt(DIRICHLET, 0.5, np.nan)
 
 
 class TestKernelDerivative:

@@ -51,6 +51,8 @@ class TestGridEval:
         u = sampled(lambda t: t, lambda t: 1 + 0 * t)
         with pytest.raises(DomainError):
             grid_eval(u, 1.0001)
+        with pytest.raises(DomainError):
+            grid_eval(u, np.array([0.5, np.nan]))
 
     def test_linear_in_data(self):
         rng = np.random.default_rng(5)
@@ -245,7 +247,10 @@ class TestProblemSpec:
             smoke_spec(radius=-1.0)
 
     @pytest.mark.parametrize("knob, match", [({"quad_tol": 0.0}, "quad_tol"),
-                                             ({"grid_size": 2}, "grid_size")])
+                                             ({"grid_size": 2}, "grid_size"),
+                                             ({"quad_tol": np.nan}, "quad_tol"),
+                                             ({"radius": np.nan}, "radius"),
+                                             ({"grid_size": np.nan}, "grid_size")])
     def test_bad_numerics_rejected(self, knob, match):
         with pytest.raises(ValueError, match=match):
             smoke_spec(**knob)
@@ -264,7 +269,8 @@ class TestProblemSpec:
 class TestDiscontinuityCurve:
     @pytest.mark.parametrize("a, b, epsilon, match", [(0.5, 0.5, 0.05, "domain"),
                                                       (0.6, 0.4, 0.05, "domain"),
-                                                      (0.0, 1.0, 0.0, "epsilon")])
+                                                      (0.0, 1.0, 0.0, "epsilon"),
+                                                      (0.0, 1.0, np.nan, "epsilon")])
     def test_rejected(self, a, b, epsilon, match):
         with pytest.raises(ValueError, match=match):
             DiscontinuityCurve(a=a, b=b, value=np.zeros_like,

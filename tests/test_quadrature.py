@@ -133,6 +133,8 @@ def test_bad_bounds_rejected():
 def test_bad_tol_rejected():
     with pytest.raises(ValueError):
         IntegrandSpec(lambda s: s, tol=0.0)
+    with pytest.raises(ValueError):
+        IntegrandSpec(lambda s: s, tol=np.nan)
 
 
 def test_matches_scipy_on_piecewise_integrand():
