@@ -49,12 +49,12 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
         _only(params, "value")
         c = number(params.get("value", 1.0))
         return Weight(eval=lambda t, _c=c: np.full_like(t, _c),
-                      singular_left=False, l1_bound_hint=abs(c))
+                      singular_left=False, l1_bound_hint=abs(c), power=0.0)
     if weight_id == "inv-sqrt":
         _only(params, "scale")
         scale = number(params.get("scale", 1.0))
         return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t),
-                      singular_left=True, l1_bound_hint=2.0 * abs(scale))
+                      singular_left=True, l1_bound_hint=2.0 * abs(scale), power=-0.5)
     raise ConfigError(f"unknown weight id {weight_id!r}", field="problem.weight.id")
 
 
@@ -63,7 +63,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
         _only(params, "value")
         c = number(params.get("value", 1.0))
         return Nonlinearity(eval=lambda t, u, _c=c: np.full_like(t, _c),
-                            local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)))
+                            local_bound=lambda t, r, _c=c: np.full_like(t, abs(_c)), degree=0)
     if nl_id == "polynomial":
         _only(params, "coeffs")
         coeffs = [number(c) for c in params.get("coeffs", [1.0])]
@@ -79,7 +79,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             with np.errstate(over="ignore", invalid="ignore"):
                 return np.full_like(t, sum(abs(cj) * r ** j for j, cj in enumerate(_c)))
 
-        return Nonlinearity(eval=f, local_bound=bound)
+        return Nonlinearity(eval=f, local_bound=bound, degree=max(len(coeffs) - 1, 0))
     if nl_id == "step":
         _only(params, "low", "high", "threshold", "epsilon")
         low = number(params.get("low", 1.0))
@@ -96,7 +96,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             second_derivative=np.zeros_like,
             epsilon=eps, label="step-threshold")
         bound = max(abs(low), abs(high))
-        return Nonlinearity(eval=f, curves=(curve,),
+        return Nonlinearity(eval=f, curves=(curve,), degree=0,
                             local_bound=lambda t, r: np.full_like(t, bound))
     if nl_id == "phi-example":
         return make_nonlinearity(phi_example(params))

@@ -56,7 +56,7 @@ def _region_array(t, u):
     applies.  A NaN u counts as in the wedge, so it makes a NaN index that
     the one bound scan rejects along with inf and indices past _MAX_REGION."""
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):  # NaN fails too
         raise DomainError("region index needs t > 0")
     u = np.asarray(u, dtype=float)
     up = u >= 0.0
@@ -120,7 +120,8 @@ class PhiExample:
 
 
 def make_weight() -> Weight:
-    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, l1_bound_hint=2.0)
+    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, l1_bound_hint=2.0,
+                  power=-0.5)
 
 
 def make_curves(ex: PhiExample):

@@ -4,17 +4,19 @@ that certify the ball self-mapping estimate.
 
 The kernel is k(t,s) = left(min(t,s)) right(max(t,s)) / Gamma (kernel.py), so
 int k(t,.) h and int dk/dt(t,.) h are closed forms in L(t) = int_0^t left*h
-and R(t) = int_t^1 right*h.  One adaptive pass integrates both over all panels
-between grid nodes, with every detected crossing of a declared discontinuity
-curve as a breakpoint, so f(., u(.)) is integrated piecewise-smooth (for a
-weight singular at 0, in x = sqrt(s) on every panel, where crossings within
-1e-14 in x merge).  Its first round reads the points, g, both factors and the
-Hermite basis of the panels no crossing splits from ProblemSpec.plan, which
-depends on the nodes, the BC factors and the weight, not on R, f or the
-tolerances, and is built by the first application of T to the spec; T brings
-in u, f and the products.  A solve samples g once on the plan's points (3072
-at N = 129), then only on split subpanels and in refinement rounds (96 per
-split sweep, step example).
+and R(t) = int_t^1 right*h.  One pass integrates both over all panels between
+grid nodes, with every detected crossing of a declared discontinuity curve as
+a breakpoint, so f(., u(.)) is integrated piecewise-smooth (for a weight
+singular at 0, in x = sqrt(s) on every panel, where crossings within 1e-14 in
+x merge): one round of the smallest exact Gauss rule where the weight's power
+and f's degree are declared (ProblemSpec.exact_points), else the adaptive
+pair.  Its first round reads the points, g, both factors and the Hermite basis
+of the panels no crossing splits from ProblemSpec.plan, built by the first
+application of T to the spec from the nodes, the BC factors, the weight and
+the rule alone; T brings in u, f and the products.  A solve samples g once on
+the plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
+N = 129 for the pair), then only on split subpanels (4 points per split sweep
+on the step example, 96 with the pair) and in the pair's refinement rounds.
 """
 
 from dataclasses import dataclass
@@ -105,8 +107,8 @@ def _apply_T(spec: ProblemSpec, u: GridFunction):
     f = spec.nonlinearity.eval
 
     def both(s, g, left, right, *basis):
-        hs = g * f(s.reshape(-1, BLOCK), hermite_value(u, *basis))
-        return np.stack((left * hs, right * hs))
+        hs = g * f(s.reshape(g.shape), hermite_value(u, *basis))
+        return np.array((left * hs, right * hs))
 
     crossings = find_crossings(u, spec.nonlinearity.curves)
     breaks = tuple(sorted(x for xs in crossings for x in xs))

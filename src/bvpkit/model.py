@@ -80,6 +80,7 @@ class Weight:
     eval: callable
     singular_left: bool = False
     l1_bound_hint: float | None = None
+    power: float | None = None  # when given, declares g(t) = c * t**power
 
     def __post_init__(self):
         _vectorize_fields(self, "eval")
@@ -118,6 +119,7 @@ class Nonlinearity:
     eval: callable
     curves: tuple = field(default_factory=tuple)
     local_bound: callable | None = None
+    degree: int | None = None  # when given, f(t, u) has total degree <= this between curves
     # how measurability is discharged: "asserted" (catalog entries), or the divisor
     # example's region map n(t, u) (example_phi._region_array), bounded by its curves
     measurability: str = "asserted"
@@ -254,13 +256,25 @@ class ProblemSpec:
         nodes.flags.writeable = False
         return nodes
 
+    @property
+    def exact_points(self) -> int | None:
+        """Points of the smallest Gauss rule exact on T's integrand, or None (the
+        adaptive pair) where the weight's power or f's degree d is not declared.
+        Between curves, a kernel factor * g * f(., u), u a Hermite cubic, is a
+        polynomial of degree 1 + 3d in s for g = c, and in x = sqrt(s) of degree
+        2 + 6d for g = c/sqrt(s) or 3 + 6d for g = c."""
+        p, d, sq = self.weight.power, self.nonlinearity.degree, self.weight.singular_left
+        if d is None or p not in ((0.0, -0.5) if sq else (0.0,)):
+            return None
+        return 3 * d + 2 if sq else (3 * d + 3) // 2
+
     @functools.cached_property
     def plan(self):
         """The quadrature plan of T's integrand apart from u and f (g, both kernel
         factors and hermite_basis; in x = sqrt(s) for a singular weight, where T's
-        crossings within 1e-14 in x merge), built from nodes, BC and weight alone."""
+        crossings within 1e-14 in x merge), from nodes, BC, weight and exact_points alone."""
         return make_plan(functools.partial(_sample, self.params, self.weight.eval, self.nodes),
-                         self.nodes, self.weight.singular_left)
+                         self.nodes, self.weight.singular_left, self.exact_points)
 
 
 def _sample(params, g, nodes, s):

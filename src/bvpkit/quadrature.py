@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre integration on subintervals of [0, 1].
+"""Adaptive, or declared-exact, Gauss-Legendre integration on subintervals of [0, 1].
 
 integrate_groups integrates a k-component integrand over every group
 [e_0, e_1], ..., [e_{m-1}, e_m] at once; integrate() is its one-group case.
@@ -31,10 +31,15 @@ An integrand called again and again on the same groups can be given a plan
 integrand's inputs that depend on the points alone, taken there once.  For T
 (ProblemSpec.plan) those are g, both kernel factors and the Hermite basis.
 Round 1 then samples only the subpanels of split groups, later rounds sample
-all theirs, and the loop, its checks and its budget are the same.
+all theirs, and the loop, its checks and its budget are the same.  A plan
+may name an n-point Gauss rule, exact to degree 2n - 1, in place of the
+pair: blocks of n points, error 0, one round (the checks on non-finite
+values and the rounding floor stay), exact where fn is a polynomial of
+degree < 2n in x between breakpoints (Davis & Rabinowitz 1984).
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +48,7 @@ from .errors import MaxDepthExceeded, NonFiniteIntegrand
 _NODES8, _WEIGHTS8 = np.polynomial.legendre.leggauss(8)
 _NODES16, _WEIGHTS16 = np.polynomial.legendre.leggauss(16)
 _NODES = np.concatenate((_NODES16, _NODES8))
-BLOCK = _NODES.size  # integrand points per subpanel
+BLOCK = _NODES.size  # integrand points per subpanel of the adaptive pair
 
 MAX_DEPTH = 40
 # subpanels one call may sample, per subpanel of its first round; the
@@ -83,6 +88,8 @@ def _subpanels(edges, breakpoints):
         if 0 <= i < m and x - last.get(i, edges[i]) > 1e-14 and edges[i + 1] - x > 1e-14:
             cuts.append(x)
             last[i] = x
+    if not cuts:
+        return edges[:-1], edges[1:], np.arange(m)
     pts = np.sort(np.concatenate((edges, cuts)))
     return pts[:-1].copy(), pts[1:].copy(), np.searchsorted(edges, pts[:-1], side="right") - 1
 
@@ -101,23 +108,31 @@ def _s(x, e0):
     return x if e0 is None else e0 + x * x
 
 
-def _gauss(lo, hi):
-    return (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * _NODES
+@lru_cache(maxsize=None)
+def _gauss_rule(points):
+    """Nodes and weights of the points-point Gauss rule, exact to degree
+    2*points - 1; for None, the 16-point rule's, the 8-point nodes appended."""
+    return (_NODES, _WEIGHTS16) if points is None else np.polynomial.legendre.leggauss(points)
 
 
-def _sampled(lo, hi, e0, sample):
+def _gauss(lo, hi, points):
+    return (0.5 * (hi + lo))[:, None] + (0.5 * (hi - lo))[:, None] * _gauss_rule(points)[0]
+
+
+def _sampled(lo, hi, e0, sample, points):
     """(s,), or (s, *sample(s)) given sample: the points of the subpanels
-    [lo, hi] in x, one row of BLOCK each, mapped to s."""
-    s = _s(_gauss(lo, hi), e0)
+    [lo, hi] in x, one row per subpanel, mapped to s."""
+    s = _s(_gauss(lo, hi, points), e0)
     return (s,) if sample is None else (s, *sample(s))
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def make_plan(sample, edges, singular_left=False):
-    """integrate_groups's plan on edges: sample and (s, *sample(s)) at the
-    round-1 points of every group [edges[i], edges[i+1]] left whole."""
+def make_plan(sample, edges, singular_left=False, points=None):
+    """integrate_groups's plan on edges: sample, (s, *sample(s)) at the round-1
+    points of every group [edges[i], edges[i+1]] left whole, and points, the
+    size of an exact rule (None: the adaptive pair)."""
     x, _, e0 = _variable(edges, (), singular_left)
-    return sample, _sampled(x[:-1], x[1:], e0, sample)
+    return sample, _sampled(x[:-1], x[1:], e0, sample, points), points
 
 
 def _interval(lo, hi, e0):
@@ -125,25 +140,29 @@ def _interval(lo, hi, e0):
     return f"[{_s(lo, e0)}, {_s(hi, e0)}]"
 
 
-def _rule(fn, lo, hi, e0, sample, rows=None):
-    """(I16, error estimate, rounding floor), each of shape (k, P), for the P
-    subpanels [lo, hi] in x from one call of fn on all their Gauss points;
-    rows are _sampled there, unless given."""
-    s, *sampled = _sampled(lo, hi, e0, sample) if rows is None else rows
+def _rule(fn, lo, hi, e0, sample, points, rows=None):
+    """(integral, error estimate, rounding floor), each of shape (k, P), for
+    the P subpanels [lo, hi] in x from one call of fn on all their Gauss points
+    (rows are _sampled there, unless given): the 16-point rule and its excess
+    over the 8-point one, or the exact points-point rule and None."""
+    s, *sampled = _sampled(lo, hi, e0, sample, points) if rows is None else rows
     f = np.asarray(fn(s.ravel(), *sampled), dtype=float).reshape(-1, *s.shape)
-    f = f if e0 is None else f * (2.0 * _gauss(lo, hi))
+    f = f if e0 is None else f * (2.0 * _gauss(lo, hi, points))
     if not np.isfinite(f).all():
         i = int(np.argmin(np.isfinite(f).all(axis=(0, 2))))
         raise NonFiniteIntegrand(f"integrand not finite on {_interval(lo[i], hi[i], e0)}")
     half = 0.5 * (hi - lo)
-    i16 = half * (f[..., :16] @ _WEIGHTS16)
-    floor = _EPS * half * (np.abs(f[..., :16]) @ _WEIGHTS16)
-    err = np.maximum(np.abs(i16 - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0)
-    return i16, err, floor
+    weights = _gauss_rule(points)[1]
+    val = half * (f[..., :weights.size] @ weights)
+    floor = _EPS * half * (np.abs(f[..., :weights.size]) @ weights)
+    if points is not None:
+        return val, None, floor
+    err = np.maximum(np.abs(val - half * (f[..., 16:] @ _WEIGHTS8)) - floor, 0.0)
+    return val, err, floor
 
 
 def _group_sums(grp, rows, m):
-    return np.stack([np.bincount(grp, row, minlength=m) for row in rows])
+    return np.array([np.bincount(grp, row, minlength=m) for row in rows])
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -159,21 +178,23 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     be an edge or a breakpoint: across an undeclared one the result can miss
     tol unreported (a unit step at 1/3 comes out 3.7e-8 off at tol 1e-8).
 
-    Given plan = make_plan(sample, edges, singular_left), fn is called as
-    fn(s, *sample(s)), and round 1 reads the plan's rows for unsplit groups."""
+    Given plan = make_plan(sample, edges, singular_left, points), fn is called
+    as fn(s, *sample(s)) (fn(s) for sample None) and round 1 reads the plan's
+    rows for unsplit groups; a plan's points replace BLOCK and the pair by the
+    points-point Gauss rule, whose one round has error 0."""
     edges, breakpoints, e0 = _variable(edges, breakpoints, singular_left)
     m = edges.size - 1
     panels = lo, hi, grp = _subpanels(edges, breakpoints)
-    sample, rows = plan if plan is not None else (None, None)
+    sample, rows, points = plan if plan is not None else (None, None, None)
     # a split group's rows are its own subpanels', merged into the plan's so that g is
     # sampled there alone: with a scalar-only g (looped by vectorized), a step-crossing
     # solve (N = 129) took 8-9 ms with the merge, 25-28 ms without it (2-core Xeon)
     if plan is not None and lo.size > m:
         cut = np.bincount(grp, minlength=m)[grp] > 1
         rows = tuple(a.take(grp, axis=0) for a in rows)
-        for a, new in zip(rows, _sampled(lo[cut], hi[cut], e0, sample)):
+        for a, new in zip(rows, _sampled(lo[cut], hi[cut], e0, sample, points)):
             a[cut] = new
-    estimates = _rule(fn, lo, hi, e0, sample, rows)
+    estimates = _rule(fn, lo, hi, e0, sample, points, rows)
     first = sampled = lo.size
     out = np.zeros((estimates[0].shape[0], m))
     floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
@@ -181,7 +202,7 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
         lo, hi, grp = panels
         val, err, floor = estimates
         rounding = floor_done + floor.sum(axis=1)
-        if np.any(rounding > m * tol):
+        if (rounding > m * tol).any():
             if not np.isfinite(rounding).all():  # a sum of |f| overflowed
                 i = int(np.argmax(floor.max(axis=0)))
                 raise NonFiniteIntegrand(
@@ -189,8 +210,10 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
             raise MaxDepthExceeded(
                 f"rounding floor {rounding.max():.3e} above the total tol {m * tol:.3e}: "
                 f"no depth up to {MAX_DEPTH} bisection levels can meet it")
+        if points is not None:  # an exact rule's one round has error 0
+            return val if grp.size == m else _group_sums(grp, val, m)
         err_sum = _group_sums(grp, err, m)
-        done = np.all(err_sum <= tol, axis=0)
+        done = (err_sum <= tol).all(axis=0)
         # each group's sum lands once: 0.0 is added to its 0.0 before it is done,
         # and afterwards it has no subpanels, so 0.0 is all it adds
         out += np.where(done, _group_sums(grp, val, m), 0.0)
@@ -216,7 +239,7 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
                   np.concatenate((mid[split], hi[split])), np.tile(grp[split], 2))
         panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
         estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in zip(
-            estimates, _rule(fn, halves[0], halves[1], e0, sample)))
+            estimates, _rule(fn, halves[0], halves[1], e0, sample, points)))
 
 
 def integrate(spec: IntegrandSpec, a: float, b: float) -> float:

@@ -118,8 +118,13 @@ class TestRegionIndex:
         with pytest.raises(DomainError):
             region_index(0.0, 0.5)
 
+    @pytest.mark.parametrize("t, u", [(np.nan, 0.3), (np.nan, -0.3)])
+    def test_nan_time_rejected(self, t, u):
+        with pytest.raises(DomainError, match="region index needs t > 0"):
+            region_index(t, u)
+
     @pytest.mark.parametrize("t, u", [(0.5, -1e-14), (0.5, np.nan), (0.5, np.inf),
-                                      (np.nan, 0.3), (np.nan, -0.3), (np.inf, -0.3)])
+                                      (np.inf, -0.3)])
     def test_overflowing_or_non_finite_index_rejected(self, t, u):
         with pytest.raises(DomainError, match="region index overflow near u = 0-"):
             region_index(t, u)

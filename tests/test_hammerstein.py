@@ -15,7 +15,7 @@ from bvpkit.hammerstein import _closed_forms, _running_integrals
 from bvpkit.kernel import left_factor, right_factor
 from bvpkit.model import (GridFunction, Nonlinearity, ProblemSpec, Weight, find_crossings,
                           grid_value)
-from bvpkit.quadrature import BLOCK, integrate_groups
+from bvpkit.quadrature import BLOCK, integrate_groups, make_plan
 
 from conftest import Counted, const_nonlinearity, const_weight, random_ball_function, smoke_spec
 
@@ -331,10 +331,12 @@ class TestWorkCounts:
                        nonlinearity=replace(spec.nonlinearity, eval=f)), u, g, f
 
     def test_picard_apply_T_calls_g_and_f_once(self):
+        # g = 1 and f of degree 1 are declared: the 3-point rule, one round
         spec, u, g, f = self.counted("polynomial", {"coeffs": [1.0, -1.4]}, 10.0, 257)
         apply_T(spec, u)
-        assert (g.calls, g.points) == (1, 256 * 24)
-        assert (f.calls, f.points) == (1, 256 * 24)
+        assert spec.exact_points == 3
+        assert (g.calls, g.points) == (1, 256 * 3)
+        assert (f.calls, f.points) == (1, 256 * 3)
 
     def test_step_crossing_apply_T_calls_f_at_most_three_times(self):
         spec, u, _, f = self.counted("step", {"low": 1.0, "high": 2.0, "threshold": 0.05},
@@ -371,19 +373,22 @@ class TestWorkCounts:
 
 def reference_T(spec, u, integrate=integrate_groups):
     """Node values and derivatives of Tu with every quadrature round sampled:
-    g, both kernel factors and u from grid_value at each point."""
+    g, both kernel factors and u from grid_value at each point, by T's rule
+    (an exact rule's plan holds its points alone)."""
     p = spec.params
     g, f = spec.weight.eval, spec.nonlinearity.eval
+    n = spec.exact_points
+    plan = None if n is None else make_plan(None, spec.nodes, spec.weight.singular_left, n)
 
     def both(s):
-        s = s.reshape(-1, BLOCK)
+        s = s.reshape(-1, n or BLOCK)
         hs = g(s) * f(s, grid_value(u, s))
         return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
 
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
     breaks = sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
-    left, right = integrate(both, spec.nodes, breaks, spec.weight.singular_left, tol)
+    left, right = integrate(both, spec.nodes, breaks, spec.weight.singular_left, tol, plan)
     return _closed_forms(spec, spec.nodes, np.concatenate(([0.0], np.cumsum(left))),
                          np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
 
@@ -437,6 +442,13 @@ class TestSweepPlan:
         spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
         u = solve_picard(spec, tol=1e-8).u
         assert [len(xs) for xs in find_crossings(u, spec.nonlinearity.curves)] == [2]
+        assert spec.exact_points == 1
+        assert self.assert_bitwise(monkeypatch, spec, u) == 1
+
+    def test_step_with_split_panels_by_the_adaptive_pair(self, monkeypatch):
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
+        u = solve_picard(spec, tol=1e-8).u
+        spec = replace(spec, nonlinearity=replace(spec.nonlinearity, degree=None))
         assert self.assert_bitwise(monkeypatch, spec, u) == 1
 
     def test_singular_weight(self, monkeypatch, divisor_spec, divisor_solution):
