@@ -12,9 +12,11 @@ x merge): one round of the smallest exact Gauss rule where the weight's power
 and f's degree are declared (ProblemSpec.exact_points), else the adaptive
 pair.  Its first round reads the points, g, both factors and the Hermite basis
 of the panels no crossing splits from ProblemSpec.plan, built by the first
-application of T to the spec from the nodes, the BC factors, the weight and
-the rule alone; T brings in u, f and the products.  A solve samples g once on
-the plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
+application of T to the spec from the nodes, the BC factors, the weight and the
+rule alone; T brings in u, as one (2, N) array of node values and derivatives,
+f and the products.  apply_T and residual check u and pass that array;
+solve_picard carries one through its sweeps.  A solve samples g once on the
+plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
 N = 129 for the pair), then only on split subpanels (4 points per split sweep
 on the step example, 96 with the pair) and in the pair's refinement rounds.
 """
@@ -45,10 +47,19 @@ class BoundsReport:
         return self.m1 + self.m2
 
 
-def in_ball(spec: ProblemSpec, u: GridFunction, margin: float = 0.0) -> bool:
-    """The one C1-ball test: norm_c1(u) + margin <= R, up to the slack
+def in_ball(spec: ProblemSpec, norm: float, margin: float = 0.0) -> bool:
+    """The one C1-ball test on a C1 norm: norm + margin <= R, up to the slack
     10*quad_tol + 1e-12 that separates ball violations from quadrature noise."""
-    return norm_c1(u) + margin <= spec.radius + 10.0 * spec.quad_tol + 1e-12
+    return norm + margin <= spec.radius + 10.0 * spec.quad_tol + 1e-12
+
+
+def _node_data(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
+    """u's node data (values, derivatives) as one (2, N) array, once checked."""
+    if u.nodes is not spec.nodes and not np.array_equal(u.nodes, spec.nodes):
+        raise ValueError("u does not live on spec.nodes")
+    if not in_ball(spec, norm := norm_c1(u)):
+        raise BallViolation(f"||u|| = {norm:.6g} exceeds the ball radius R = {spec.radius:.6g}")
+    return np.array((u.values, u.derivatives))
 
 
 def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None):
@@ -87,39 +98,36 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
     """One application of the integral operator: node values and derivatives
     from the running integrals of g*f(., u) against both kernel factors.
 
-    Requires in_ball(spec, u) so the pointwise bound on f applies along u,
+    Requires in_ball of ||u|| so the pointwise bound on f applies along u,
     and raises BallViolation otherwise; u must live on spec.nodes, since the
     quadrature panels between them are where u is evaluated once per block.
     """
-    return _apply_T(spec, u)[0]
+    return GridFunction(spec.nodes, *_apply_T(spec, _node_data(spec, u))[0])
 
 
-def _apply_T(spec: ProblemSpec, u: GridFunction):
-    """apply_T(spec, u), and find_crossings(u, curves) of the declared
-    curves, whose abscissae split its panels; solve_picard keeps the latter
-    for the iterate it returns."""
-    if u.nodes is not spec.nodes and not np.array_equal(u.nodes, spec.nodes):
-        raise ValueError("u does not live on spec.nodes")
-    if not in_ball(spec, u):
-        raise BallViolation(
-            f"||u|| = {norm_c1(u):.6g} exceeds the ball radius R = {spec.radius:.6g}")
-
+def _apply_T(spec: ProblemSpec, y: np.ndarray):
+    """T's node data from node data y that passed _node_data or the solver's
+    ball test, and the crossings of the declared curves, which split its
+    panels and which solve_picard keeps; a non-finite image raises ValueError."""
     f = spec.nonlinearity.eval
 
     def both(s, g, left, right, *basis):
-        hs = g * f(s.reshape(g.shape), hermite_value(u, *basis))
+        hs = g * f(s.reshape(g.shape), hermite_value(y, *basis))
         return np.array((left * hs, right * hs))
 
-    crossings = find_crossings(u, spec.nonlinearity.curves)
+    crossings = find_crossings(spec.nodes, y, spec.nonlinearity.curves)
     breaks = tuple(sorted(x for xs in crossings for x in xs))
     left, right = _running_integrals(spec, both, breaks, plan=spec.plan)
-    return GridFunction(spec.nodes, *_closed_forms(spec, spec.nodes, left, right)), crossings
+    ty = np.array(_closed_forms(spec, spec.nodes, left, right))
+    if not np.isfinite(ty).all():
+        raise ValueError("grid function entries must be finite")
+    return ty, crossings
 
 
 def residual(spec: ProblemSpec, u: GridFunction) -> float:
     """Fixed-point defect ||u - Tu|| in the discrete C1 norm."""
-    tu = apply_T(spec, u)
-    return c1_norm_of(u.values - tu.values, u.derivatives - tu.derivatives)
+    y = _node_data(spec, u)
+    return c1_norm_of(*(y - _apply_T(spec, y)[0]))
 
 
 def bounds_report(spec: ProblemSpec) -> BoundsReport:

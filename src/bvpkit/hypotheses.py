@@ -395,15 +395,14 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     far, so history is non-increasing.  Each enrichment warm-starts the
     simplex solve from the previous coefficients and measures only its
     coefficients and the newest vertex: every vertex is measured once, when
-    it joins.  Requires in_ball(spec, u, margin=eps), so apply_T accepts
+    it joins.  Requires in_ball of ||u|| with margin eps, so apply_T accepts
     every sample, and a grid fine enough for n_samples bumps (a ValueError
     names the largest usable n_samples).
     """
     if not eps > 0 or n_samples < 1:  # NaN fails too
         raise ValueError("need eps > 0 and n_samples >= 1")
-    if not in_ball(spec, u, margin=eps):
-        raise BallViolation(
-            f"||u|| + eps = {norm_c1(u) + eps:.6g} exceeds R = {spec.radius:.6g}")
+    if not in_ball(spec, norm := norm_c1(u), margin=eps):
+        raise BallViolation(f"||u|| + eps = {norm + eps:.6g} exceeds R = {spec.radius:.6g}")
 
     samples = perturbation_family(u, eps, n_samples)
     images = [apply_T(spec, w) for w in samples]

@@ -12,7 +12,7 @@ on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
 Hermite interpolation, which is exact on cubics and matches the C1 setting
 the integral operator works in.  grid_value takes its points in rows that
 each lie in one node panel and looks the panel up once per row: it is
-hermite_basis, of the points alone, then hermite_value, which brings in u.
+hermite_basis, of the points alone, then hermite_value of u's node data.
 """
 
 from __future__ import annotations
@@ -153,10 +153,6 @@ class GridFunction:
         if not (np.isfinite(values).all() and np.isfinite(derivs).all()):
             raise ValueError("grid function entries must be finite")
 
-    @functools.cached_property
-    def norm(self) -> float:  # norm_c1(self), computed once
-        return c1_norm_of(self.values, self.derivatives)
-
     @classmethod
     def zero(cls, nodes):
         z = np.zeros(np.shape(nodes))
@@ -188,11 +184,11 @@ def hermite_basis(nodes, rows):
     return i, h, *_basis(x)
 
 
-def hermite_value(u: GridFunction, i, h, b0, b1, b2, b3):
-    """u from hermite_basis on u.nodes: v[i]*b0 + h*d[i]*b1 + v[i+1]*b2 +
-    h*d[i+1]*b3, summed in that order wherever u is evaluated."""
-    return (u.values[i] * b0 + h * u.derivatives[i] * b1
-            + u.values[i + 1] * b2 + h * u.derivatives[i + 1] * b3)
+def hermite_value(y, i, h, b0, b1, b2, b3):
+    """u of node data y = (v, d) from hermite_basis: v[i]*b0 + h*d[i]*b1 +
+    v[i+1]*b2 + h*d[i+1]*b3, summed in that order wherever u is evaluated."""
+    v, d = y
+    return v[i] * b0 + h * d[i] * b1 + v[i + 1] * b2 + h * d[i + 1] * b3
 
 
 def grid_value(u: GridFunction, s):
@@ -200,7 +196,8 @@ def grid_value(u: GridFunction, s):
     s each row must lie in one node panel (its ends included), and a 1-d s is
     one point per row.  Same bits as grid_eval(u, s)[0]."""
     s = np.asarray(s, dtype=float)
-    return hermite_value(u, *hermite_basis(u.nodes, s[:, None] if s.ndim == 1 else s)
+    return hermite_value((u.values, u.derivatives),
+                         *hermite_basis(u.nodes, s[:, None] if s.ndim == 1 else s)
                          ).reshape(s.shape)
 
 
@@ -211,9 +208,9 @@ def grid_eval(u: GridFunction, t):
     if not ((0.0 <= t_arr) & (t_arr <= 1.0)).all():  # NaN fails too
         raise DomainError("t must lie in [0, 1]")
     i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
-    x2 = x * x
-    val = hermite_value(u, i, h, *_basis(x)).reshape(t_arr.shape)
-    der = (hermite_value(u, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
+    x2, y = x * x, (u.values, u.derivatives)
+    val = hermite_value(y, i, h, *_basis(x)).reshape(t_arr.shape)
+    der = (hermite_value(y, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
                          3 * x2 - 2 * x) / h).reshape(t_arr.shape)
     if val.ndim == 0:
         return float(val), float(der)
@@ -227,7 +224,7 @@ def c1_norm_of(values, derivatives) -> float:
 
 def norm_c1(u: GridFunction) -> float:
     """Discrete proxy of sup|u| + sup|u'|, taken over the nodes."""
-    return u.norm
+    return c1_norm_of(u.values, u.derivatives)
 
 
 @dataclass(frozen=True)
@@ -304,9 +301,9 @@ def _not_finite(curve, t):
     return DomainError(f"u - value of curve {curve.label!r} is not finite at t = {t!r}")
 
 
-def find_crossings(u: GridFunction, curves):
-    """Locate the points where u crosses each curve: one sorted list of
-    crossing abscissae inside the curve's domain per curve.
+def find_crossings(nodes, y, curves):
+    """Locate where u, of node data y on nodes, crosses each curve: one sorted
+    list of crossing abscissae strictly inside the curve's domain per curve.
 
     u(s) - curve.value(s) is scanned on SCAN_PER_PANEL * (N - 1) equal cells of
     the curve's domain, whatever its width, for u on N nodes, with u evaluated
@@ -328,14 +325,15 @@ def find_crossings(u: GridFunction, curves):
     # [a, b, gap at a, gap at b, step budget, kappa1]; b = a where the gap is 0
     cells = [[] for _ in curves]
     if live:
-        n_scan = SCAN_PER_PANEL * (u.nodes.size - 1)
+        n_scan = SCAN_PER_PANEL * (nodes.size - 1)
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
-        levels = {d: grid_value(u, ts) for d, ts in grids.items()}
-        gap = np.array([levels[spans[k]] - curves[k].value(grids[spans[k]]) for k in live])
+        levels = {d: hermite_value(y, *hermite_basis(nodes, grids[d][:, None])) for d in grids}
+        gap = np.array([levels[spans[k]][:, 0] - curves[k].value(grids[spans[k]]) for k in live])
         if not np.isfinite(gap).all():
             r, i = np.argwhere(~np.isfinite(gap))[0]
             raise _not_finite(curves[live[r]], float(grids[spans[live[r]]][i]))
         hit = gap == 0.0
+        hit[:, 0] = hit[:, -1] = False
         hit[:, :-1] |= gap[:, :-1] * gap[:, 1:] < 0.0
         for r, i in zip(*np.nonzero(hit)):
             ts, g = grids[spans[live[r]]], float(gap[r, i])
@@ -349,7 +347,7 @@ def find_crossings(u: GridFunction, curves):
     if not any(cells):
         return cells
 
-    nodes, vals, ders = u.nodes.tolist(), u.values.tolist(), u.derivatives.tolist()
+    nodes, vals, ders = nodes.tolist(), y[0].tolist(), y[1].tolist()
 
     def value(s):  # grid_value(u, s) for a float s
         i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
@@ -384,4 +382,4 @@ def find_crossings(u: GridFunction, curves):
 def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve):
     """find_crossings for one curve: its sorted list of crossing abscissae.
     Double crossings inside one scan cell are not resolved."""
-    return find_crossings(u, (curve,))[0]
+    return find_crossings(u.nodes, (u.values, u.derivatives), (curve,))[0]

@@ -4,17 +4,18 @@ f may jump, so derivative-based methods are unjustified; the sweep
 u <- (1-relax)*u + relax*Tu with oscillation-triggered damping is the
 constructive search used here.  One test both stops the iteration and
 certifies its result: the fixed-point defect ||u - Tu|| of an iterate whose
-image the sweep has computed.  That defect r = Tu - u is the only difference
-a sweep forms: the update is relax*r, its norm relax*||r||.  A non-converged
-run returns its least-defect iterate as a diagnostic rather than raising.
+image the sweep has computed.  A sweep forms one difference, r = Tu - u, on
+(2, N) arrays of node values and derivatives: the update is relax*r, its norm
+relax*||r||.  A non-converged run returns its least-defect iterate as a
+diagnostic rather than raising; Solution.u is the one GridFunction built.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BallViolation
-from .hammerstein import _apply_T, in_ball
+from .hammerstein import _apply_T, _node_data, in_ball
 from .kernel import BoundaryParams
 from .model import GridFunction, ProblemSpec, c1_norm_of, norm_c1
 
@@ -42,12 +43,6 @@ def bc_residual(params: BoundaryParams, u: GridFunction):
     return float(left), float(right)
 
 
-def _blend(u: GridFunction, tu: GridFunction, relax: float) -> GridFunction:
-    return replace(u,
-                   values=(1.0 - relax) * u.values + relax * tu.values,
-                   derivatives=(1.0 - relax) * u.derivatives + relax * tu.derivatives)
-
-
 def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
                  relax: float = 1.0, tol: float = 1e-8,
                  max_iter: int = 50) -> Solution:
@@ -62,34 +57,34 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     the relaxation (chattering across an inviable curve is the usual cause);
     update_norms holds relax*||Tu - u||.  curve_crossings counts, per curve,
     the crossings that the sweep of the returned iterate split its panels at.
-    Raises BallViolation if u0 (in apply_T) or an iterate fails in_ball, so
-    every candidate final iterate has passed that test and inside_ball is
-    true whenever a Solution returns.
+    Raises BallViolation if u0 or an iterate fails in_ball, so every
+    candidate final iterate has passed that test and inside_ball is true
+    whenever a Solution returns.
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    u = u0 if u0 is not None else GridFunction.zero(spec.nodes)
+    y = _node_data(spec, u0) if u0 is not None else np.zeros((2, spec.grid_size))
 
     update_norms = []
-    best_u, best_res, best_crossings = u, np.inf, None
-    r_prev = (np.zeros_like(u.values), np.zeros_like(u.derivatives))  # none yet: 0 product
+    norm = c1_norm_of(*y)
+    best_y, best_res, best_crossings = y, np.inf, None
+    r_prev = np.zeros_like(y)  # none yet: 0 product
     alternations = 0
     for iterations in range(1, max_iter + 1):
-        tu, crossings = _apply_T(spec, u)
-        r = (tu.values - u.values, tu.derivatives - u.derivatives)
+        ty, crossings = _apply_T(spec, y)
+        r = ty - y
         res = c1_norm_of(*r)
-        converged = res <= tol * (1.0 + norm_c1(u))
+        converged = res <= tol * (1.0 + norm)
         if converged or res < best_res:
-            best_u, best_res, best_crossings = u, res, crossings
+            best_y, best_res, best_crossings = y, res, crossings
         if converged:
             break
-        u_next = _blend(u, tu, relax)
-        if not in_ball(spec, u_next):
-            raise BallViolation(
-                f"iterate {iterations} left the ball: ||u|| = {norm_c1(u_next):.6g} "
-                f"> R = {spec.radius:.6g}")
+        y = (1.0 - relax) * y + relax * ty
+        if not in_ball(spec, norm := c1_norm_of(*y)):
+            raise BallViolation(f"iterate {iterations} left the ball: ||u|| = {norm:.6g} "
+                                f"> R = {spec.radius:.6g}")
         update_norms.append(relax * res)
         if r[0] @ r_prev[0] + r[1] @ r_prev[1] < 0.0:
             alternations += 1
@@ -99,13 +94,13 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
         else:
             alternations = 0
         r_prev = r
-        u = u_next
 
+    best_u = GridFunction(spec.nodes, *best_y)
     left, right = bc_residual(spec.params, best_u)
     curve_crossings = [(c.label, len(xs))
                        for c, xs in zip(spec.nonlinearity.curves, best_crossings)]
     return Solution(u=best_u, residual=best_res, iterations=iterations,
                     bc_residual_left=left, bc_residual_right=right,
-                    inside_ball=in_ball(spec, best_u),
+                    inside_ball=in_ball(spec, norm_c1(best_u)),
                     converged=converged, curve_crossings=curve_crossings,
                     update_norms=update_norms, relax_final=relax)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bvpkit import DIRICHLET, PhiExample, build_problem, norm_c1, validate_params
+from bvpkit import DIRICHLET, PhiExample, build_problem, find_crossings, norm_c1, validate_params
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
 
@@ -28,6 +28,11 @@ def random_ball_function(spec, rng, fill=0.9):
     raw = GridFunction(spec.nodes, rng.standard_normal(n), rng.standard_normal(n))
     c = fill * spec.radius / norm_c1(raw)
     return GridFunction(spec.nodes, c * raw.values, c * raw.derivatives)
+
+
+def crossings_of(u, curves):
+    """find_crossings of a GridFunction's node data."""
+    return find_crossings(u.nodes, (u.values, u.derivatives), curves)
 
 
 @pytest.fixture(scope="session")

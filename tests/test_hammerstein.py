@@ -13,11 +13,11 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_repor
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.hammerstein import _closed_forms, _running_integrals
 from bvpkit.kernel import left_factor, right_factor
-from bvpkit.model import (GridFunction, Nonlinearity, ProblemSpec, Weight, find_crossings,
-                          grid_value)
+from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight, grid_value
 from bvpkit.quadrature import BLOCK, integrate_groups, make_plan
 
-from conftest import Counted, const_nonlinearity, const_weight, random_ball_function, smoke_spec
+from conftest import (Counted, const_nonlinearity, const_weight, crossings_of,
+                      random_ball_function, smoke_spec)
 
 
 def sin_forcing_spec(quad_tol=1e-10):
@@ -341,7 +341,7 @@ class TestWorkCounts:
     def test_step_crossing_apply_T_calls_f_at_most_three_times(self):
         spec, u, _, f = self.counted("step", {"low": 1.0, "high": 2.0, "threshold": 0.05},
                                      4.0, 129)
-        assert [len(xs) for xs in find_crossings(u, spec.nonlinearity.curves)] == [2]
+        assert [len(xs) for xs in crossings_of(u, spec.nonlinearity.curves)] == [2]
         apply_T(spec, u)
         assert 1 <= f.calls <= 3
 
@@ -387,7 +387,7 @@ def reference_T(spec, u, integrate=integrate_groups):
 
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
-    breaks = sorted(x for xs in find_crossings(u, spec.nonlinearity.curves) for x in xs)
+    breaks = sorted(x for xs in crossings_of(u, spec.nonlinearity.curves) for x in xs)
     left, right = integrate(both, spec.nodes, breaks, spec.weight.singular_left, tol, plan)
     return _closed_forms(spec, spec.nodes, np.concatenate(([0.0], np.cumsum(left))),
                          np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
@@ -441,7 +441,7 @@ class TestSweepPlan:
     def test_step_with_split_panels(self, monkeypatch):
         spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
         u = solve_picard(spec, tol=1e-8).u
-        assert [len(xs) for xs in find_crossings(u, spec.nonlinearity.curves)] == [2]
+        assert [len(xs) for xs in crossings_of(u, spec.nonlinearity.curves)] == [2]
         assert spec.exact_points == 1
         assert self.assert_bitwise(monkeypatch, spec, u) == 1
 

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvpkit import DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1
+from bvpkit import DomainError, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
-from bvpkit.model import SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value
+from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value,
+                          hermite_basis)
 from bvpkit.quadrature import BLOCK, integrate_groups
 
-from conftest import Counted, smoke_spec
+from conftest import Counted, crossings_of, smoke_spec
 
 
 def sampled(fn, dfn, n=33):
@@ -331,7 +332,8 @@ def crossings_per_cell(u, curve, tol=1e-12):
     for i in range(n_scan):
         g0, g1 = gap[i], gap[i + 1]
         if g0 == 0.0:
-            crossings.append(ts[i])
+            if i:  # a zero at either end of the domain is none (ts[-1] is never g0)
+                crossings.append(ts[i])
             continue
         if g0 * g1 < 0.0:
             a, b = float(ts[i]), float(ts[i + 1])
@@ -361,8 +363,6 @@ def crossings_per_cell(u, curve, tol=1e-12):
                 else:
                     a, fa = x, fx
             crossings.append(0.5 * (a + b))
-    if gap[-1] == 0.0:
-        crossings.append(ts[-1])
 
     out = []
     for c in crossings:
@@ -395,8 +395,10 @@ class TestLockstepCrossings:
         assert self.check(sampled(lambda t: (t - 0.25) ** 2 * (t - 0.75),
                                   lambda t: (t - 0.25) * (3 * t - 1.75), n=17), line) \
             == [0.25, 0.75]
-        # a zero at the last scan point
-        assert self.check(sampled(lambda t: t - 1.0, lambda t: 1 + 0 * t), line) == [1.0]
+        # a zero at the first or the last scan point, an end of the domain, is none
+        assert self.check(sampled(lambda t: t - 1.0, lambda t: 1 + 0 * t), line) == []
+        assert self.check(sampled(lambda t: t, lambda t: 1 + 0 * t), line) == []
+        assert self.check(sampled(lambda t: t * (t - 0.5), lambda t: 2 * t - 0.5), line) == [0.5]
         # the first ITP point of the cell [1/8, 1/4], its midpoint and its
         # regula-falsi point alike, is an exact zero
         u = sampled(lambda t: t - 0.1875, lambda t: 1 + 0 * t, n=3)
@@ -442,25 +444,31 @@ class TestBatchedCrossings:
         u = GridFunction(np.linspace(0.0, 1.0, n), 0.5 * rng.standard_normal(n),
                          3.0 * rng.standard_normal(n))
         curves = self.random_curves(rng, int(rng.integers(4, 12)))
-        got = find_crossings(u, curves)
+        got = crossings_of(u, curves)
         assert got == [crossings_per_cell(u, c) for c in curves]
         assert got[0] == []
         assert sum(bool(xs) for xs in got) >= 2  # several curves have crossings
 
+    def test_a_zero_where_every_domain_starts_is_no_crossing(self, divisor_spec):
+        # u(0) = 0 meets each of the 16 divisor curves at t = 0, its domain's start
+        t = divisor_spec.nodes
+        u = GridFunction(t, 0.2 * np.sin(np.pi * t), 0.2 * np.pi * np.cos(np.pi * t))
+        assert crossings_of(u, divisor_spec.nonlinearity.curves) == [[]] * 16
+
     def test_no_curves(self):
-        assert find_crossings(sampled(np.sin, np.cos), ()) == []
+        assert crossings_of(sampled(np.sin, np.cos), ()) == []
 
     def test_one_scan_per_shared_domain(self, monkeypatch, divisor_spec, divisor_solution):
         import bvpkit.model
         sizes = []
 
-        def counted(u, t):
-            sizes.append(np.size(t))
-            return grid_value(u, t)
+        def counted(nodes, rows):
+            sizes.append(np.size(rows))
+            return hermite_basis(nodes, rows)
 
-        monkeypatch.setattr(bvpkit.model, "grid_value", counted)
+        monkeypatch.setattr(bvpkit.model, "hermite_basis", counted)
         assert len(divisor_spec.nonlinearity.curves) == 16
-        assert find_crossings(divisor_solution.u, divisor_spec.nonlinearity.curves) == [[]] * 16
+        assert crossings_of(divisor_solution.u, divisor_spec.nonlinearity.curves) == [[]] * 16
         assert sizes == [4 * 128 + 1]
 
 
@@ -517,7 +525,7 @@ class TestCrossingsAgainstExactRoots:
         # [0, 1], unless u - gamma is 0 at that end (a scan point sees it)
         for end, gap in ((0.0, u.values[0] - c0), (1.0, u.values[-1] - (c0 + c1))):
             assume(gap == 0.0 or np.all(np.abs(ts - end) > 1e-9))
-        got = np.array(find_crossings(u, (line(c0, c1),))[0])
+        got = np.array(crossings_of(u, (line(c0, c1),))[0])
         assert got.size == ts.size
         assert np.all(np.abs(got - ts) <= 1e-11)
 
@@ -526,7 +534,7 @@ class TestCrossingsAgainstExactRoots:
         # numpy.roots puts it at 1 - 1.1e-16
         u = GridFunction(np.linspace(0.0, 1.0, 8), np.array([1, 1, 1, 1, 1, 1, 1, 0]) / 64,
                          np.array([0, 0, 0, 0, 0, 0, 0, -1]) / 16)
-        assert find_crossings(u, (line(0.0, -6.032212003637185e-264),)) == [[]]
+        assert crossings_of(u, (line(0.0, -6.032212003637185e-264),)) == [[]]
 
 
 class TestCrossingSteps:
@@ -535,7 +543,7 @@ class TestCrossingSteps:
     @staticmethod
     def refinement_calls(u, curve):
         value = Counted(curve.value)
-        xs = find_crossings(u, (replace(curve, value=value),))[0]
+        xs = crossings_of(u, (replace(curve, value=value),))[0]
         return value.calls - 1, xs  # the first call is the scan
 
     @pytest.mark.parametrize("seed", range(12))
@@ -578,7 +586,7 @@ class TestNonFiniteGap:
     def test_at_a_scan_point(self):
         u = sampled(lambda t: t - 0.3123, lambda t: 1 + 0 * t, n=17)
         with pytest.raises(DomainError, match=r"holed.*t = 0\.703125"):
-            find_crossings(u, (line(0.0), self.curve(lambda t: t > 0.7)))
+            crossings_of(u, (line(0.0), self.curve(lambda t: t > 0.7)))
 
     def test_at_a_refinement_step(self):
         # NaN strictly inside the scan cell [19/64, 20/64] that holds the
@@ -586,6 +594,6 @@ class TestNonFiniteGap:
         u = sampled(lambda t: t - 0.3123, lambda t: 1 + 0 * t, n=17)
         holed = self.curve(lambda t: (t > 19 / 64) & (t < 20 / 64))
         with pytest.raises(DomainError, match=r"holed.*t = 0\.3") as err:
-            find_crossings(u, (holed,))
+            crossings_of(u, (holed,))
         t = float(str(err.value).rsplit("t = ", 1)[1])
         assert 19 / 64 < t < 20 / 64

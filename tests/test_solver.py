@@ -3,11 +3,11 @@ import pytest
 
 import bvpkit.hammerstein
 import bvpkit.solver
-from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, find_crossings, norm_c1,
-                    residual, solve_picard, validate_params)
+from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, norm_c1, residual,
+                    solve_picard, validate_params)
 from bvpkit.model import DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec, Weight
 
-from conftest import const_nonlinearity, const_weight, smoke_spec
+from conftest import const_nonlinearity, const_weight, crossings_of, smoke_spec
 
 
 class TestBcResidual:
@@ -103,9 +103,41 @@ class TestSolvePicard:
         with pytest.raises(BallViolation, match="iterate 1 left the ball"):
             solve_picard(spec)
 
+    def test_initial_iterate_on_another_grid(self):
+        with pytest.raises(ValueError, match="spec.nodes"):
+            solve_picard(smoke_spec(), u0=GridFunction.zero(np.linspace(0.0, 1.0, 65)))
+
+    def test_non_finite_image(self, monkeypatch):
+        # an image that is not finite is a ValueError, not a ball violation
+        closed_forms = bvpkit.hammerstein._closed_forms
+        monkeypatch.setattr(bvpkit.hammerstein, "_closed_forms",
+                            lambda *args: np.add(closed_forms(*args), np.nan))
+        with pytest.raises(ValueError, match="entries must be finite"):
+            solve_picard(smoke_spec())
+
     def test_relax_validation(self):
         with pytest.raises(ValueError):
             solve_picard(smoke_spec(), relax=0.0)
+
+    def test_grid_function_builds_do_not_grow_with_the_sweeps(self, monkeypatch):
+        # the picard bench problem for c = -1.4: 16 or 17 sweeps, one halving
+        f = Nonlinearity(eval=lambda t, u: 1.0 - 1.4 * np.asarray(u, float),
+                         local_bound=lambda t, r: 1.4 * r + 1.0, degree=1)
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                           radius=10.0, grid_size=257)
+        built, post_init = [], GridFunction.__post_init__
+
+        def counted(u):
+            built.append(u)
+            post_init(u)
+
+        monkeypatch.setattr(GridFunction, "__post_init__", counted)
+        assert solve_picard(spec, max_iter=1).iterations == 1
+        one_sweep = len(built)
+        built.clear()
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged and 16 <= sol.iterations <= 17
+        assert len(built) == one_sweep
 
 
 def _contractive_spec():
@@ -284,7 +316,7 @@ class TestCurveCrossingsOfTheReturnedIterate:
     @staticmethod
     def scanned(spec, u):
         curves = spec.nonlinearity.curves
-        return [(c.label, len(xs)) for c, xs in zip(curves, find_crossings(u, curves))]
+        return [(c.label, len(xs)) for c, xs in zip(curves, crossings_of(u, curves))]
 
     @pytest.mark.parametrize("theta, max_iter", [(0.05, 50), (0.15, 50), (0.05, 3), (0.06, 5)])
     def test_step(self, theta, max_iter):
