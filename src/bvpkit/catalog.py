@@ -48,13 +48,13 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
     if weight_id == "constant":
         _only(params, "value")
         c = number(params.get("value", 1.0))
-        return Weight(eval=lambda t, _c=c: np.full_like(t, _c),
-                      singular_left=False, l1_bound_hint=abs(c), power=0.0)
+        return Weight(eval=lambda t, _c=c: np.full_like(t, _c), singular_left=False,
+                      power=0.0)
     if weight_id == "inv-sqrt":
         _only(params, "scale")
         scale = number(params.get("scale", 1.0))
-        return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t),
-                      singular_left=True, l1_bound_hint=2.0 * abs(scale), power=-0.5)
+        return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t), singular_left=True,
+                      power=-0.5)
     raise ConfigError(f"unknown weight id {weight_id!r}", field="problem.weight.id")
 
 

@@ -255,7 +255,7 @@ def run(cfg: RunConfig):
                                             resolved_radius=spec.radius)
                 hr_source = "power-bound" if hr_sup is not None else hyp.h2.source
                 report["hypotheses"] = {
-                    "h1": _section(hyp.h1, l1_bound_hint=weight.l1_bound_hint),
+                    "h1": _section(hyp.h1),
                     "h2": _section(hyp.h2, drop={"profile", "t_grid"}),
                     "h3": _section(hyp.h3, drop={"m1", "m2"}, hr_source=hr_source),
                     "h4": hyp.h4,

@@ -120,8 +120,7 @@ class PhiExample:
 
 
 def make_weight() -> Weight:
-    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, l1_bound_hint=2.0,
-                  power=-0.5)
+    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, power=-0.5)
 
 
 def make_curves(ex: PhiExample):

@@ -14,9 +14,9 @@ pair.  Its first round reads the points, g, both factors and the Hermite basis
 of the panels no crossing splits from ProblemSpec.plan, built by the first
 application of T to the spec from the nodes, the BC factors, the weight and the
 rule alone; T brings in u, as one (2, N) array of node values and derivatives,
-f and the products.  apply_T and residual check u and pass that array;
-solve_picard carries one through its sweeps.  A solve samples g once on the
-plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
+f and the products.  apply_T, residual and the probe check u and pass that
+array; solve_picard carries one through its sweeps.  A solve samples g once on
+the plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
 N = 129 for the pair), then only on split subpanels (4 points per split sweep
 on the step example, 96 with the pair) and in the pair's refinement rounds.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
 from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, hermite_value, norm_c1
-from .quadrature import BLOCK, integrate_groups
+from .quadrature import integrate_groups
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,14 @@ def in_ball(spec: ProblemSpec, norm: float, margin: float = 0.0) -> bool:
     return norm + margin <= spec.radius + 10.0 * spec.quad_tol + 1e-12
 
 
-def _node_data(spec: ProblemSpec, u: GridFunction) -> np.ndarray:
-    """u's node data (values, derivatives) as one (2, N) array, once checked."""
+def _node_data(spec: ProblemSpec, u: GridFunction, margin: float = 0.0) -> np.ndarray:
+    """u's node data (values, derivatives) as one (2, N) array, once checked:
+    u lives on spec.nodes and passes in_ball with the margin."""
     if u.nodes is not spec.nodes and not np.array_equal(u.nodes, spec.nodes):
         raise ValueError("u does not live on spec.nodes")
-    if not in_ball(spec, norm := norm_c1(u)):
-        raise BallViolation(f"||u|| = {norm:.6g} exceeds the ball radius R = {spec.radius:.6g}")
+    if not in_ball(spec, norm := norm_c1(u), margin):
+        raise BallViolation(f"||u||{f' + {margin:.6g}' if margin else ''} = {norm + margin:.6g}"
+                            f" exceeds the ball radius R = {spec.radius:.6g}")
     return np.array((u.values, u.derivatives))
 
 
@@ -154,7 +156,6 @@ def bounds_report(spec: ProblemSpec) -> BoundsReport:
     p = spec.params
 
     def abs_g(s):
-        s = s.reshape(-1, BLOCK)
         h = np.abs(spec.weight.eval(s))
         return np.stack((left_factor(p, s) * h, right_factor(p, s) * h))
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BallViolation, QuadratureError
-from .hammerstein import BoundsReport, apply_T, bounds_report, in_ball
-from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of,
-                    grid_value, norm_c1)
+from .errors import QuadratureError
+from .hammerstein import BoundsReport, _apply_T, _node_data, bounds_report
+from .model import DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of
 from .quadrature import integrate_groups
 
 VIABLE = "viable"
@@ -102,9 +101,9 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     return H1Result(passed=True, l1_norm=float(val[0, 0]))
 
 
-def _hr_nodes(spec: ProblemSpec, t_min: float = 0.0) -> np.ndarray:
-    """The H_R grid: the nodes t > 0 (f may be undefined at 0) with t >= t_min."""
-    return spec.nodes[(spec.nodes >= t_min) & (spec.nodes > 0.0)]
+def _hr_mask(spec: ProblemSpec, t_min: float = 0.0) -> np.ndarray:
+    """The H_R grid as a node mask: t > 0 (f may be undefined at 0), t >= t_min."""
+    return (spec.nodes >= t_min) & (spec.nodes > 0.0)
 
 
 def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
@@ -119,7 +118,7 @@ def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     sup may not be a uniform essential bound).
     """
     r = spec.radius
-    t_grid = np.asarray(_hr_nodes(spec) if t_grid is None else t_grid, dtype=float)
+    t_grid = np.asarray(spec.nodes[_hr_mask(spec)] if t_grid is None else t_grid, dtype=float)
     if t_grid.size == 0:
         raise ValueError("estimate_HR needs a nonempty t grid")
 
@@ -174,16 +173,18 @@ class EquicontinuityReport:
 
 def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
                          t_min: float = 0.0) -> EquicontinuityReport:
-    """The bound |(Tu)''| <= |g| H_R behind compactness of T, for u in the ball.
+    """The bound |(Tu)''| <= |g| H_R behind compactness of T, for u on
+    spec.nodes in the ball (ValueError and BallViolation otherwise, as apply_T).
 
     (Tu)'' = -g f(., u) exactly (kernel.py), so no T is applied: at the nodes
     t > 0, t >= t_min (the H_R grid of certify_hypotheses) the excess is
-    |g(t)| (|f(t, u(t))| - H_R(t)), with H_R from estimate_HR, and the check
-    passes when no excess is positive.
+    |g(t)| (|f(t, u(t))| - H_R(t)), with H_R from estimate_HR and u(t) u's
+    node values, and the check passes when no excess is positive.
     """
-    t = _hr_nodes(spec, t_min)
+    mask = _hr_mask(spec, t_min)
+    t, u_t = spec.nodes[mask], _node_data(spec, u)[0][mask]
     hr = estimate_HR(spec, t).profile  # a ValueError if t_min excludes every node
-    fu = spec.nonlinearity.eval(t, grid_value(u, t))
+    fu = spec.nonlinearity.eval(t, u_t)
     excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - hr)
     i = int(np.argmax(excess))
     return EquicontinuityReport(max_excess=float(excess[i]), worst_t=float(t[i]),
@@ -236,6 +237,8 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
     clipped domain: the curves sharing a domain share its t grid, one weight
     call and one f call on their stacked centre lines.  Each non-viable
     curve's epsilon-tube is then one f call of its own."""
+    if not 0.0 <= t_min < 1.0:  # NaN fails too
+        raise ValueError(f"t_min must lie in [0, 1), got {t_min}")
     if n_t < 2 or n_y < 2:
         raise ValueError("need n_t, n_y >= 2")
     domains = {}
@@ -343,11 +346,11 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
     return lam, math.sqrt(x2)
 
 
-def _bump(nodes: np.ndarray, j: int):
-    """Cosine bump on the j-th dyadic window, normalized to discrete C1 norm 1:
-    j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on.  Samples 2j
-    and 2j+1 of the family need bump j; a window with no node inside by more
-    than the nodes' rounding raises ValueError, since its bump would be noise."""
+def _bump(nodes: np.ndarray, j: int) -> np.ndarray:
+    """Cosine bump on the j-th dyadic window as (2, N) node data of discrete C1
+    norm 1: j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on.
+    Probe samples 2j and 2j+1 need bump j; a window with no node inside by
+    more than the nodes' rounding raises ValueError (its bump would be noise)."""
     level = j.bit_length() - 1
     w = 0.5 ** level
     a = (j - 2 ** level) * w
@@ -359,19 +362,7 @@ def _bump(nodes: np.ndarray, j: int):
     vals = 0.5 * (1.0 - np.cos(2.0 * np.pi * xi))
     ders = (np.pi / w) * np.sin(2.0 * np.pi * xi)
     scale = c1_norm_of(vals, ders)
-    return vals / scale, ders / scale
-
-
-def perturbation_family(u: GridFunction, eps: float, n_samples: int):
-    """u itself followed by u +/- eps * (bump_1), u +/- eps * (bump_2), ...
-    A deterministic family: prefixes are nested as n_samples grows."""
-    out = [u]
-    for i in range(n_samples - 1):
-        bv, bd = _bump(u.nodes, i // 2 + 1)
-        sign = -1 if i % 2 else +1
-        out.append(GridFunction(u.nodes, u.values + sign * eps * bv,
-                                u.derivatives + sign * eps * bd))
-    return out
+    return np.array((vals / scale, ders / scale))
 
 
 @dataclass(frozen=True)
@@ -387,28 +378,27 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
                           n_samples: int) -> ProbeResult:
     """Finite-sample shadow of the convexified-operator membership test.
 
-    Perturbs u inside an eps-ball, applies the operator to every sample, and
-    bounds the discrete C1 distance from u to the convex hull of the images
-    from above, by the C1 gap at the hull's L2-nearest point or at a vertex.
-    A small bound is evidence that u survives convexification.  The family is
-    nested, and enrichment m (the first m images) keeps the best distance so
-    far, so history is non-increasing.  Each enrichment warm-starts the
+    Perturbs u inside an eps-ball (u, then u +/- eps * bump_1, u +/- eps *
+    bump_2, ...), applies the operator to every sample, and bounds the
+    discrete C1 distance from u to the convex hull of the images from above,
+    by the C1 gap at the hull's L2-nearest point or at a vertex.  A small
+    bound is evidence that u survives convexification.  The samples for n
+    are a prefix of those for n + 1, and enrichment m (the first m images)
+    keeps the best distance so far, so history is non-increasing.  Each enrichment warm-starts the
     simplex solve from the previous coefficients and measures only its
     coefficients and the newest vertex: every vertex is measured once, when
-    it joins.  Requires in_ball of ||u|| with margin eps, so apply_T accepts
-    every sample, and a grid fine enough for n_samples bumps (a ValueError
-    names the largest usable n_samples).
+    it joins.  u must live on spec.nodes (ValueError) and pass in_ball with
+    margin eps (BallViolation), which puts every sample in the ball, and the
+    grid must be fine enough for n_samples bumps (a ValueError names the
+    largest usable n_samples).
     """
     if not eps > 0 or n_samples < 1:  # NaN fails too
         raise ValueError("need eps > 0 and n_samples >= 1")
-    if not in_ball(spec, norm := norm_c1(u), margin=eps):
-        raise BallViolation(f"||u|| + eps = {norm + eps:.6g} exceeds R = {spec.radius:.6g}")
-
-    samples = perturbation_family(u, eps, n_samples)
-    images = [apply_T(spec, w) for w in samples]
-    cols = np.stack([np.concatenate([im.values, im.derivatives]) for im in images],
-                    axis=1)
-    y = np.concatenate([u.values, u.derivatives])
+    y = _node_data(spec, u, margin=eps)
+    samples = [y] + [y + (-1 if i % 2 else +1) * eps * _bump(spec.nodes, i // 2 + 1)
+                     for i in range(n_samples - 1)]
+    cols = np.stack([_apply_T(spec, w)[0].ravel() for w in samples], axis=1)
+    y = y.ravel()
 
     best, witness, history = np.inf, None, []
     coeffs = np.zeros(0)
@@ -437,9 +427,11 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
     makes bounds_report raise MaxDepthExceeded.  hr_sup is the H_R premise
     of the ball check H3; None means the sampled sup of H_R.
     """
+    if not 0.0 <= t_min < 1.0:  # NaN fails too
+        raise ValueError(f"t_min must lie in [0, 1), got {t_min}")
     b = bounds if bounds is not None else bounds_report(spec)
     h1 = H1Result(passed=True, l1_norm=b.l1_norm)
-    h2 = estimate_HR(spec, t_grid=_hr_nodes(spec, t_min))
+    h2 = estimate_HR(spec, t_grid=spec.nodes[_hr_mask(spec, t_min)])
     h3 = check_h3(spec, b, h2.sup if hr_sup is None else hr_sup)
     h5 = classify_curves(spec, spec.nonlinearity.curves, t_min=t_min)
     return HypothesisReport(h1=h1, h2=h2, h3=h3, h4=spec.nonlinearity.measurability,

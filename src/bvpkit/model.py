@@ -10,9 +10,8 @@ scalar-only one is looped over the batch by that wrapper and nowhere else.
 A candidate solution is carried as node values plus node derivative values
 on a uniform grid over [0, 1]; between nodes it is evaluated by cubic
 Hermite interpolation, which is exact on cubics and matches the C1 setting
-the integral operator works in.  grid_value takes its points in rows that
-each lie in one node panel and looks the panel up once per row: it is
-hermite_basis, of the points alone, then hermite_value of u's node data.
+the integral operator works in.  T reads u on rows of points, one node panel
+per row: hermite_basis of the points alone, then hermite_value of node data.
 """
 
 from __future__ import annotations
@@ -79,7 +78,6 @@ class Weight:
 
     eval: callable
     singular_left: bool = False
-    l1_bound_hint: float | None = None
     power: float | None = None  # when given, declares g(t) = c * t**power
 
     def __post_init__(self):
@@ -189,16 +187,6 @@ def hermite_value(y, i, h, b0, b1, b2, b3):
     v[i+1]*b2 + h*d[i+1]*b3, summed in that order wherever u is evaluated."""
     v, d = y
     return v[i] * b0 + h * d[i] * b1 + v[i + 1] * b2 + h * d[i + 1] * b3
-
-
-def grid_value(u: GridFunction, s):
-    """Cubic Hermite value of u at the points s, with no range check: for 2-d
-    s each row must lie in one node panel (its ends included), and a 1-d s is
-    one point per row.  Same bits as grid_eval(u, s)[0]."""
-    s = np.asarray(s, dtype=float)
-    return hermite_value((u.values, u.derivatives),
-                         *hermite_basis(u.nodes, s[:, None] if s.ndim == 1 else s)
-                         ).reshape(s.shape)
 
 
 def grid_eval(u: GridFunction, t):
@@ -349,7 +337,7 @@ def find_crossings(nodes, y, curves):
 
     nodes, vals, ders = nodes.tolist(), y[0].tolist(), y[1].tolist()
 
-    def value(s):  # grid_value(u, s) for a float s
+    def value(s):  # hermite_value at a float s
         i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
         h = nodes[i + 1] - nodes[i]
         b0, b1, b2, b3 = _basis((s - nodes[i]) / h)

@@ -7,7 +7,7 @@ from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 
 def const_weight(c=1.0):
     return Weight(eval=lambda t, _c=c: np.full_like(np.asarray(t, dtype=float), _c),
-                  singular_left=False, l1_bound_hint=abs(c))
+                  singular_left=False)
 
 
 def const_nonlinearity(c=1.0):

@@ -17,7 +17,7 @@ from bvpkit import (DIRICHLET, MaxDepthExceeded, NonFiniteIntegrand, apply_T, no
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.example_phi import make_weight
 from bvpkit.kernel import left_factor, right_factor
-from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, c1_norm_of, grid_value
+from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, c1_norm_of, grid_eval
 from bvpkit.quadrature import BLOCK, integrate_groups, make_plan
 
 from conftest import Counted, random_ball_function
@@ -122,7 +122,7 @@ class TestDeclarations:
         def integrals(points):
             def both(s):
                 s = s.reshape(-1, points or BLOCK)
-                hs = g(s) * f(s, grid_value(u, s))
+                hs = g(s) * f(s, grid_eval(u, s)[0])
                 return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
             plan = None if points is None else make_plan(None, spec.nodes, sq, points)
             return integrate_groups(both, spec.nodes, (), sq, 1e-13, plan)

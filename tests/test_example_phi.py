@@ -250,7 +250,7 @@ class TestBuildProblem:
         spec = build_problem(PhiExample(lam=LAM, curve_count=4),
                              validate_params(1, 1, 1, 1), radius=4.0)
         assert spec.weight.singular_left
-        assert spec.weight.l1_bound_hint == 2.0
+        assert spec.weight.power == -0.5
         assert len(spec.nonlinearity.curves) == 8
         assert spec.nonlinearity.local_bound is None
         assert spec.nonlinearity.measurability == "checked_by_decomposition"

@@ -13,7 +13,7 @@ from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_repor
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.hammerstein import _closed_forms, _running_integrals
 from bvpkit.kernel import left_factor, right_factor
-from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight, grid_value
+from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 from bvpkit.quadrature import BLOCK, integrate_groups, make_plan
 
 from conftest import (Counted, const_nonlinearity, const_weight, crossings_of,
@@ -373,7 +373,7 @@ class TestWorkCounts:
 
 def reference_T(spec, u, integrate=integrate_groups):
     """Node values and derivatives of Tu with every quadrature round sampled:
-    g, both kernel factors and u from grid_value at each point, by T's rule
+    g, both kernel factors and u from grid_eval at each point, by T's rule
     (an exact rule's plan holds its points alone)."""
     p = spec.params
     g, f = spec.weight.eval, spec.nonlinearity.eval
@@ -382,7 +382,7 @@ def reference_T(spec, u, integrate=integrate_groups):
 
     def both(s):
         s = s.reshape(-1, n or BLOCK)
-        hs = g(s) * f(s, grid_value(u, s))
+        hs = g(s) * f(s, grid_eval(u, s)[0])
         return np.stack((left_factor(p, s) * hs, right_factor(p, s) * hs))
 
     tol = spec.quad_tol * p.gamma_const / (

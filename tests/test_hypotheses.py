@@ -12,7 +12,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     estimate_HR, minimal_R_power, norm_c1, residual,
                     simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import HR_U_SAMPLES, _bump, perturbation_family
+from bvpkit.hypotheses import HR_U_SAMPLES, _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 
@@ -33,8 +33,7 @@ class TestH1:
         assert r.passed and r.l1_norm == pytest.approx(1.0, abs=1e-9)
 
     def test_inverse_sqrt(self):
-        w = Weight(eval=lambda t: 1 / np.sqrt(np.asarray(t, float)),
-                   singular_left=True, l1_bound_hint=2.0)
+        w = Weight(eval=lambda t: 1 / np.sqrt(np.asarray(t, float)), singular_left=True)
         r = check_h1(w)
         assert r.passed and r.l1_norm == pytest.approx(2.0, abs=1e-9)
 
@@ -55,8 +54,8 @@ class TestEstimateHR:
         assert not r.uniformity_flag
         assert r.source == "sampled"
         # an empty grid, given or left by a t_min past every node, is named as such
+        # (certify_hypotheses rejects such a t_min itself)
         for call in (lambda: estimate_HR(spec, t_grid=[]),
-                     lambda: certify_hypotheses(spec, t_min=1.5),
                      lambda: equicontinuity_check(spec, GridFunction.zero(spec.nodes),
                                                   t_min=1.5)):
             with pytest.raises(ValueError, match="nonempty t grid"):
@@ -223,6 +222,18 @@ def _const_curve(c, eps=0.1):
 def test_bad_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+@pytest.mark.parametrize("t_min", [np.nan, -1e-6, 1.0, 1.5])
+def test_t_min_outside_the_unit_interval_rejected(t_min):
+    # a NaN t_min used to clip nothing (classify_curves reported t_min_clip nan)
+    # or leave an empty H_R grid (certify_hypotheses)
+    spec = _crossing_step_spec()
+    for call in (lambda: classify_curves(spec, spec.nonlinearity.curves, t_min=t_min),
+                 lambda: classify_curve(spec, spec.nonlinearity.curves[0], t_min=t_min),
+                 lambda: certify_hypotheses(spec, t_min=t_min)):
+        with pytest.raises(ValueError, match="t_min must lie in"):
+            call()
 
 
 class TestClassifyCurve:
@@ -527,6 +538,14 @@ class TestSimplexLeastSquares:
                 prev = dist
 
 
+# u for smoke_spec(grid_size=65), whose R is 1: on 33 nodes, and u = 5
+REJECTED_U = [
+    pytest.param(GridFunction.zero(np.linspace(0.0, 1.0, 33)), ValueError, "spec.nodes",
+                 id="off-grid"),
+    pytest.param(GridFunction(np.linspace(0.0, 1.0, 65), np.full(65, 5.0), np.zeros(65)),
+                 BallViolation, "exceeds the ball radius", id="outside-ball")]
+
+
 class TestConvexificationProbe:
     def test_single_sample_fixed_point(self):
         # u = T(anything) for constant f is the fixed point; its own image
@@ -613,15 +632,19 @@ class TestConvexificationProbe:
         with pytest.raises(BallViolation):
             convexification_probe(spec, self.constant_u(spec, 2.0), eps=0.5, n_samples=3)
 
-    def test_family_is_nested_and_in_ball(self):
-        spec = smoke_spec()
+    def test_history_is_nested(self):
+        # the samples for 3 are the first 3 for 5, so the distances are too
+        spec = poly_spec()
         u = GridFunction.zero(spec.nodes)
-        fam5 = perturbation_family(u, 0.05, 5)
-        fam3 = perturbation_family(u, 0.05, 3)
-        for a, b in zip(fam3, fam5):
-            assert np.array_equal(a.values, b.values)
-        for w in fam5:
-            assert norm_c1(w) <= 0.05 + 1e-12
+        r3 = convexification_probe(spec, u, eps=0.05, n_samples=3)
+        r5 = convexification_probe(spec, u, eps=0.05, n_samples=5)
+        assert r5.history[:3] == r3.history
+        assert r5.history[-1] < r5.history[0]
+
+    @pytest.mark.parametrize("u, error, match", REJECTED_U)
+    def test_u_off_the_grid_or_outside_the_ball_is_rejected(self, u, error, match):
+        with pytest.raises(error, match=match):
+            convexification_probe(smoke_spec(grid_size=65), u, eps=1e-3, n_samples=3)
 
 
 def reference_probe(spec, u, eps, n_samples, solve=simplex_least_squares):
@@ -679,7 +702,12 @@ def _step_probe_points():
     1e-3 and 5 samples: the images' singular values run from 15 down to 2e-10."""
     spec = _crossing_step_spec()
     u = solve_picard(spec).u
-    images = [apply_T(spec, w) for w in perturbation_family(u, 1e-3, 5)]
+    family = [u]
+    for j in (1, 2):
+        bv, bd = _bump(u.nodes, j)
+        family += [GridFunction(u.nodes, u.values + sign * 1e-3 * bv,
+                                u.derivatives + sign * 1e-3 * bd) for sign in (+1, -1)]
+    images = [apply_T(spec, w) for w in family]
     return (np.stack([np.concatenate([im.values, im.derivatives]) for im in images], axis=1),
             np.concatenate([u.values, u.derivatives]))
 
@@ -759,6 +787,26 @@ class TestEquicontinuityCheck:
         assert rep.n_checked == 128
         assert rep.passed is passed
         assert (rep.max_excess <= 0.0) is passed
+
+    @pytest.mark.parametrize("u, error, match", REJECTED_U)
+    def test_u_off_the_grid_or_outside_the_ball_is_rejected(self, u, error, match):
+        # H_R bounds f on the ball alone, and u is read at spec's nodes: both
+        # cases used to report passed
+        with pytest.raises(error, match=match):
+            equicontinuity_check(smoke_spec(grid_size=65), u)
+
+    def test_reads_u_at_its_nodes(self):
+        # u's node values, not an interpolant: f = u makes the excess |u| - R
+        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                           nonlinearity=Nonlinearity(eval=lambda t, u: u + 0.0 * t,
+                                                     local_bound=lambda t, r: r + 0.0 * t),
+                           radius=2.0, grid_size=17)
+        u = random_ball_function(spec, np.random.default_rng(5), 0.9)
+        rep = equicontinuity_check(spec, u, t_min=0.25)
+        assert rep.n_checked == 13
+        i = int(np.argmax(np.abs(u.values[4:])))
+        assert rep.max_excess == np.abs(u.values[4:])[i] - 2.0
+        assert rep.worst_t == spec.nodes[4 + i]
 
 
 class TestCertifyPipeline:

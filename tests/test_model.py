@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import DomainError, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
-from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, grid_value,
-                          hermite_basis)
+from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, hermite_basis,
+                          hermite_value)
 from bvpkit.quadrature import BLOCK, integrate_groups
 
 from conftest import Counted, crossings_of, smoke_spec
@@ -81,9 +81,19 @@ class TestGridEval:
         assert 12 < ratio < 20  # cubic Hermite: error ~ h**4
 
 
+def row_value(u, rows):
+    """u on rows of points, each in one node panel, as T reads it: one
+    node-panel lookup per row (a 1-d t is one point per row)."""
+    rows = np.asarray(rows, dtype=float)
+    return hermite_value((u.values, u.derivatives),
+                         *hermite_basis(u.nodes, rows.reshape(rows.shape[0], -1))
+                         ).reshape(rows.shape)
+
+
 class TestGridValue:
-    """grid_value on rows of quadrature points, one node-panel lookup per
-    row, has the bits of grid_eval's per-point lookup and formula."""
+    """u on rows of quadrature points, hermite_value of hermite_basis with one
+    node-panel lookup per row, has the bits of grid_eval's per-point lookup
+    and formula."""
 
     @staticmethod
     def quadrature_rows(fn, nodes, **kw):
@@ -106,7 +116,7 @@ class TestGridValue:
                             rng.standard_normal(n))
 
     def check(self, u, rows):
-        got = grid_value(u, rows)
+        got = row_value(u, rows)
         assert got.shape == rows.shape
         assert got.tobytes() == grid_eval(u, rows.ravel())[0].reshape(rows.shape).tobytes()
 
@@ -142,13 +152,13 @@ class TestGridValue:
     def test_one_point_per_row(self):
         u = self.random_u(7)
         t = np.concatenate((u.nodes, np.random.default_rng(7).uniform(0.0, 1.0, 200)))
-        assert grid_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
+        assert row_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
 
     def test_widths_that_are_no_power_of_two(self):
         # h = 1/29 is rounded, so h*m*b in another order would change the bits
         u = self.random_u(8, n=30)
         t = np.concatenate((u.nodes, np.random.default_rng(8).uniform(0.0, 1.0, 5000)))
-        assert grid_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
+        assert row_value(u, t).tobytes() == grid_eval(u, t)[0].tobytes()
 
 
 class TestNormC1:

@@ -148,7 +148,7 @@ class TestVectorized:
         s, _ = specs
         nl, curve = s.nonlinearity, s.nonlinearity.curves[0]
         assert vectorized(s.weight.eval) is s.weight.eval
-        assert replace(s.weight, l1_bound_hint=1.0).eval is s.weight.eval
+        assert replace(s.weight, power=1.0).eval is s.weight.eval
         nl2 = replace(nl, measurability="n")
         assert nl2.eval is nl.eval and nl2.local_bound is nl.local_bound
         curve2 = replace(curve, epsilon=0.02)
