@@ -50,7 +50,7 @@ sol_poly = solve_picard(spec_poly, tol=1e-12)
 print(f"  iterations {sol_poly.iterations}, residual {sol_poly.residual:.3e}, "
       f"norm {norm_c1(sol_poly.u):.6f}")
 rates = [b / a for a, b in zip(sol_poly.update_norms[:-2], sol_poly.update_norms[1:-1])]
-print(f"  update contraction rates: {np.round(rates, 4)}")
+print(f"  step shrink ratios (steps mixed from the second sweep on): {np.round(rates, 4)}")
 
 print("\nSecond-derivative bound |(Tu)''| <= |g| H_R (compactness in action):")
 rep = equicontinuity_check(spec, sol.u)

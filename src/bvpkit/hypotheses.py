@@ -101,6 +101,12 @@ def check_h1(weight: Weight, tol: float = 1e-9) -> H1Result:
     return H1Result(passed=True, l1_norm=float(val[0, 0]))
 
 
+def _check_t_min(t_min: float) -> None:
+    """The one check of the t_min that clips the H_R grid and curve domains."""
+    if not 0.0 <= t_min < 1.0:  # NaN fails too
+        raise ValueError(f"t_min must lie in [0, 1), got {t_min}")
+
+
 def _hr_mask(spec: ProblemSpec, t_min: float = 0.0) -> np.ndarray:
     """The H_R grid as a node mask: t > 0 (f may be undefined at 0), t >= t_min."""
     return (spec.nodes >= t_min) & (spec.nodes > 0.0)
@@ -174,16 +180,18 @@ class EquicontinuityReport:
 def equicontinuity_check(spec: ProblemSpec, u: GridFunction,
                          t_min: float = 0.0) -> EquicontinuityReport:
     """The bound |(Tu)''| <= |g| H_R behind compactness of T, for u on
-    spec.nodes in the ball (ValueError and BallViolation otherwise, as apply_T).
+    spec.nodes in the ball (ValueError and BallViolation otherwise, as apply_T)
+    and 0 <= t_min < 1 (ValueError otherwise, as certify_hypotheses).
 
     (Tu)'' = -g f(., u) exactly (kernel.py), so no T is applied: at the nodes
     t > 0, t >= t_min (the H_R grid of certify_hypotheses) the excess is
     |g(t)| (|f(t, u(t))| - H_R(t)), with H_R from estimate_HR and u(t) u's
     node values, and the check passes when no excess is positive.
     """
+    _check_t_min(t_min)
     mask = _hr_mask(spec, t_min)
     t, u_t = spec.nodes[mask], _node_data(spec, u)[0][mask]
-    hr = estimate_HR(spec, t).profile  # a ValueError if t_min excludes every node
+    hr = estimate_HR(spec, t).profile
     fu = spec.nonlinearity.eval(t, u_t)
     excess = np.abs(spec.weight.eval(t)) * (np.abs(fu) - hr)
     i = int(np.argmax(excess))
@@ -237,8 +245,7 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
     clipped domain: the curves sharing a domain share its t grid, one weight
     call and one f call on their stacked centre lines.  Each non-viable
     curve's epsilon-tube is then one f call of its own."""
-    if not 0.0 <= t_min < 1.0:  # NaN fails too
-        raise ValueError(f"t_min must lie in [0, 1), got {t_min}")
+    _check_t_min(t_min)
     if n_t < 2 or n_y < 2:
         raise ValueError("need n_t, n_y >= 2")
     domains = {}
@@ -427,8 +434,7 @@ def certify_hypotheses(spec: ProblemSpec, t_min: float = 1e-6,
     makes bounds_report raise MaxDepthExceeded.  hr_sup is the H_R premise
     of the ball check H3; None means the sampled sup of H_R.
     """
-    if not 0.0 <= t_min < 1.0:  # NaN fails too
-        raise ValueError(f"t_min must lie in [0, 1), got {t_min}")
+    _check_t_min(t_min)
     b = bounds if bounds is not None else bounds_report(spec)
     h1 = H1Result(passed=True, l1_norm=b.l1_norm)
     h2 = estimate_HR(spec, t_grid=spec.nodes[_hr_mask(spec, t_min)])

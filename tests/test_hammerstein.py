@@ -469,7 +469,7 @@ class TestSweepPlan:
                             weight=Weight(eval=g))
         assert "plan" not in vars(spec)  # built on first use, not with the spec
         sol = solve_picard(spec, tol=1e-8)
-        assert sol.converged and sol.iterations > 10
+        assert sol.converged and sol.iterations >= 5
         assert (g.calls, g.points) == (1, 256 * BLOCK)
 
     def test_split_sweeps_sample_the_weight_on_split_panels_alone(self):
@@ -479,8 +479,8 @@ class TestSweepPlan:
         spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129,
                             weight=Weight(eval=g))
         sol = solve_picard(spec, tol=1e-8)
-        assert sol.converged and sol.iterations == 9
-        assert (g.calls, g.points) == (9, 128 * BLOCK + 8 * 4 * BLOCK)
+        assert sol.converged and sol.iterations == 7
+        assert (g.calls, g.points) == (7, 128 * BLOCK + 6 * 4 * BLOCK)
         g.calls = g.points = 0
         apply_T(spec, sol.u)
         assert (g.calls, g.points) == (1, 4 * BLOCK)

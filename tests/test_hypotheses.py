@@ -53,13 +53,12 @@ class TestEstimateHR:
         assert r.sup == pytest.approx(2.5)
         assert not r.uniformity_flag
         assert r.source == "sampled"
-        # an empty grid, given or left by a t_min past every node, is named as such
-        # (certify_hypotheses rejects such a t_min itself)
-        for call in (lambda: estimate_HR(spec, t_grid=[]),
-                     lambda: equicontinuity_check(spec, GridFunction.zero(spec.nodes),
-                                                  t_min=1.5)):
-            with pytest.raises(ValueError, match="nonempty t grid"):
-                call()
+        # an empty grid is named as such; a t_min past every node is rejected
+        # before any grid is built, as certify_hypotheses rejects it
+        with pytest.raises(ValueError, match="nonempty t grid"):
+            estimate_HR(spec, t_grid=[])
+        with pytest.raises(ValueError, match="t_min must lie in"):
+            equicontinuity_check(spec, GridFunction.zero(spec.nodes), t_min=1.5)
 
     def test_square(self):
         f = Nonlinearity(eval=lambda t, u: np.asarray(u, float) ** 2)
@@ -234,6 +233,15 @@ def test_t_min_outside_the_unit_interval_rejected(t_min):
                  lambda: certify_hypotheses(spec, t_min=t_min)):
         with pytest.raises(ValueError, match="t_min must lie in"):
             call()
+
+
+@pytest.mark.parametrize("t_min", [np.nan, 1.0, -5.0])
+def test_equicontinuity_check_takes_the_same_t_min_check(t_min):
+    # NaN used to fail as "estimate_HR needs a nonempty t grid"; 1.0 (one
+    # node) and -5.0 (every node) passed silently
+    spec = smoke_spec(grid_size=33)
+    with pytest.raises(ValueError, match=r"t_min must lie in \[0, 1\)"):
+        equicontinuity_check(spec, GridFunction.zero(spec.nodes), t_min=t_min)
 
 
 class TestClassifyCurve:

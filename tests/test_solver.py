@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bvpkit.hammerstein
 import bvpkit.solver
 from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, norm_c1, residual,
                     solve_picard, validate_params)
-from bvpkit.model import DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec, Weight
+from bvpkit.catalog import make_nonlinearity_from_id
+from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity, ProblemSpec, Weight,
+                          c1_norm_of)
+from bvpkit.solver import MIN_RELAX
 
 from conftest import const_nonlinearity, const_weight, crossings_of, smoke_spec
 
@@ -60,7 +64,8 @@ class TestSolvePicard:
         assert np.max(np.abs(sol.u.values - np.sin(np.pi * t))) <= 1e-8
 
     def test_contractive_geometric_decay(self):
-        # Lipschitz(f) * (M1 + M2) = 0.1 * 0.625: updates shrink geometrically
+        # Lipschitz(f) * (M1 + M2) = 0.1 * 0.625: T contracts, and the steps,
+        # mixed from the second sweep on, shrink at least fivefold each
         f = Nonlinearity(eval=lambda t, u: 0.1 * np.asarray(u, float) + 1.0,
                          local_bound=lambda t, r: 0.1 * r + 1.0)
         spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
@@ -120,7 +125,7 @@ class TestSolvePicard:
             solve_picard(smoke_spec(), relax=0.0)
 
     def test_grid_function_builds_do_not_grow_with_the_sweeps(self, monkeypatch):
-        # the picard bench problem for c = -1.4: 16 or 17 sweeps, one halving
+        # the picard bench problem for c = -1.4: 5 sweeps, mixed from the second
         f = Nonlinearity(eval=lambda t, u: 1.0 - 1.4 * np.asarray(u, float),
                          local_bound=lambda t, r: 1.4 * r + 1.0, degree=1)
         spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
@@ -136,7 +141,7 @@ class TestSolvePicard:
         one_sweep = len(built)
         built.clear()
         sol = solve_picard(spec, tol=1e-8)
-        assert sol.converged and 16 <= sol.iterations <= 17
+        assert sol.converged and sol.iterations == 5
         assert len(built) == one_sweep
 
 
@@ -180,17 +185,17 @@ class TestOneStopTest:
         assert sol.residual == residual(spec, sol.u)
         assert sol.converged == (sol.residual <= tol * (1 + norm_c1(sol.u)))
 
-    def test_non_converged_run_returns_least_residual_iterate(self):
-        # 20/pi**2 > 1: the sweeps diverge, so the start 0 has the least residual
-        f = Nonlinearity(eval=lambda t, u: 1.0 - 20.0 * np.asarray(u, float),
-                         local_bound=lambda t, r: 20.0 * r + 1.0)
-        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
-                           radius=50.0, quad_tol=1e-10, grid_size=33)
-        sol = solve_picard(spec, max_iter=3)
-        assert not sol.converged
-        assert sol.update_norms[0] < sol.update_norms[1] < sol.update_norms[2]
-        assert not np.any(sol.u.values) and not np.any(sol.u.derivatives)
-        assert sol.residual == norm_c1(apply_T(spec, sol.u))
+    def test_non_converged_run_returns_least_residual_iterate(self, monkeypatch):
+        # the sweeps chatter across the threshold until max_iter, and the
+        # last iterate is not the one of least residual
+        spec = _chattering_spec()
+        sol, sweeps, _ = _traced_solve(monkeypatch, spec, tol=1e-8)
+        res = [c1_norm_of(*(ty - y)) for y, ty, _ in sweeps]
+        best = int(np.argmin(res))
+        assert not sol.converged and sol.iterations == len(sweeps) == 50
+        assert best < len(sweeps) - 1
+        assert np.array_equal([sol.u.values, sol.u.derivatives], sweeps[best][0])
+        assert sol.residual == res[best] == residual(spec, sol.u)
 
     def test_max_iter_validation(self):
         with pytest.raises(ValueError):
@@ -198,18 +203,197 @@ class TestOneStopTest:
 
 
 class TestHalving:
-    """Three sign-alternating residuals Tu - u in a row halve the relaxation."""
+    """Three sign-alternating residuals Tu - u in a row of plain steps halve
+    the relaxation; an alternation across a mixed step is no chattering."""
 
-    @pytest.mark.parametrize("c, iterations, relax_final", [(-5.0, 16, 0.5),
-                                                            (-10.0, 21, 0.25)])
+    def test_chattering_plain_steps_halve_to_the_floor(self):
+        sol = solve_picard(_chattering_spec(), tol=1e-8)
+        assert not sol.converged and sol.relax_final == MIN_RELAX == 1.0 / 16.0
+
+    @pytest.mark.parametrize("c, iterations, relax_final", [(-5.0, 6, 1.0),
+                                                            (-10.0, 8, 1.0)])
     def test_halving_decisions(self, c, iterations, relax_final):
-        f = Nonlinearity(eval=lambda t, u: 1.0 + c * np.asarray(u, float),
-                         local_bound=lambda t, r: 1.0 + abs(c) * r)
-        spec = ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
-                           radius=100.0, grid_size=65)
-        sol = solve_picard(spec, tol=1e-8)
+        sol = solve_picard(_linear_spec(c), tol=1e-8)
         assert sol.converged
         assert (sol.iterations, sol.relax_final) == (iterations, relax_final)
+
+
+def _linear_spec(c, grid_size=65, radius=100.0, quad_tol=1e-9):
+    """Dirichlet, g = 1, f = 1 + c*u, with no declared degree."""
+    f = Nonlinearity(eval=lambda t, u: 1.0 + c * np.asarray(u, float),
+                     local_bound=lambda t, r: 1.0 + abs(c) * r)
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                       radius=radius, quad_tol=quad_tol, grid_size=grid_size)
+
+
+def _linear_closed_form(c, t):
+    """u'' + 1 + c*u = 0, u(0) = u(1) = 0, and u'.  With S(x) = sinh(kx)/k and
+    C(x) = cosh(kx) for c = -k**2 (sin and cos for c = k**2; x and 1 for
+    c = 0), u = 2 S(t/2) S((1-t)/2) / C(1/2), which does not cancel near 0."""
+    k = np.sqrt(abs(c))
+    if c < 0:
+        S, C = (lambda x: np.sinh(k * x) / k), (lambda x: np.cosh(k * x))
+    elif c > 0:
+        S, C = (lambda x: np.sin(k * x) / k), (lambda x: np.cos(k * x))
+    else:
+        S, C = (lambda x: x), (lambda x: np.ones_like(x))
+    a, b = t / 2.0, (1.0 - t) / 2.0
+    return 2.0 * S(a) * S(b) / C(0.5), (C(a) * S(b) - S(a) * C(b)) / C(0.5)
+
+
+def _chattering_spec():
+    """Dirichlet, g = 1, f steps from 2 down to -1 at u = 0.1: the iterates
+    cross the threshold twice, and plain sweeps chatter across it."""
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                       nonlinearity=make_nonlinearity_from_id(
+                           "step", {"low": 2.0, "high": -1.0, "threshold": 0.1}),
+                       radius=4.0, quad_tol=1e-9, grid_size=129)
+
+
+def _traced_solve(monkeypatch, spec, **kwargs):
+    """solve_picard, with the (iterate, image, crossing counts) of each sweep
+    and each step that _mixed returned."""
+    sweeps, mixes = [], []
+    apply, mixed = bvpkit.solver._apply_T, bvpkit.solver._mixed
+
+    def traced_apply(spec, y):
+        ty, crossings = apply(spec, y)
+        sweeps.append((y, ty, [len(xs) for xs in crossings]))
+        return ty, crossings
+
+    def traced_mixed(history, relax):
+        mixes.append(mixed(history, relax))
+        return mixes[-1]
+
+    monkeypatch.setattr(bvpkit.solver, "_apply_T", traced_apply)
+    monkeypatch.setattr(bvpkit.solver, "_mixed", traced_mixed)
+    return solve_picard(spec, **kwargs), sweeps, mixes
+
+
+class TestMixingSafeguards:
+    """Each way a mix falls back.  On the plain path (damped steps from u0) a
+    mix outside the ball gives way to the plain step; off it, a failed mix
+    sends the run back to the path's last iterate, and from there the run is
+    plain damped Picard's."""
+
+    @staticmethod
+    def falls_back(monkeypatch, spec):
+        """Solve spec traced, and with no mix.  The mixed run leaves the plain
+        path after sweep j, mixes every step up to sweep k, and then takes the
+        plain run's steps from sweep j's iterate: its sweeps are the plain
+        run's, bit for bit, but for k - j mixed ones in between.  Returns the
+        mixed solution, k, and the residual and crossing counts per sweep."""
+        with monkeypatch.context() as m:
+            m.setattr(bvpkit.solver, "_mixed", lambda history, relax: None)
+            plain, plain_sweeps, _ = _traced_solve(m, spec, tol=1e-8)
+        sol, sweeps, mixes = _traced_solve(monkeypatch, spec, tol=1e-8)
+        taken = [i for i, (y, _, _) in enumerate(sweeps) if any(y is x for x in mixes)]
+        j, k = taken[0] - 1, taken[-1]
+        assert taken == list(range(j + 1, k + 1))
+        assert len(sweeps) == sol.iterations == plain.iterations + k - j
+        for (y, ty, _), (py, pty, _) in zip(sweeps[:j + 1] + sweeps[k + 1:], plain_sweeps):
+            assert np.array_equal(y, py) and np.array_equal(ty, pty)
+        assert (sol.converged, sol.relax_final) == (plain.converged, plain.relax_final)
+        return sol, k, [c1_norm_of(*(ty - y)) for y, ty, _ in sweeps], [c for *_, c in sweeps]
+
+    def test_a_change_in_crossing_counts_rejects_the_mixed_step(self, monkeypatch):
+        # test_crossing_solution[0.124] is the regression for the mix -> T ->
+        # plain 3-cycle that mixing on after this rejection fell into
+        sol, k, res, counts = self.falls_back(monkeypatch, _step_spec(0.124))
+        assert res[k] <= res[k - 1] and counts[k] != counts[k - 1]
+        assert sol.converged
+
+    def test_a_raised_residual_rejects_the_mixed_step(self, monkeypatch):
+        # a draw of the polynomial box: undamped plain steps from the rejected
+        # mix's predecessor grow 1.6 -> 4.7 -> 19 -> 156 and leave the ball at
+        # the seventh iterate, while plain damped Picard from 0 certifies in
+        # 18 sweeps with relax 0.5, and the mixed run, back on its path, in 20
+        params = validate_params(0.80894567, 1.52680433, 1.75811869, 1.92445886)
+        f = make_nonlinearity_from_id("polynomial",
+                                      {"coeffs": [-1.0371164, 2.3504211, 0.3897411]})
+        spec = ProblemSpec(params=params, weight=const_weight(), nonlinearity=f,
+                           radius=50.0, quad_tol=1e-9, grid_size=33)
+        sol, k, res, _ = self.falls_back(monkeypatch, spec)
+        assert res[k] > res[k - 1] and k == 3
+        assert sol.converged and sol.inside_ball
+        assert (sol.iterations, sol.relax_final) == (20, 0.5)
+
+    def test_a_mix_outside_the_ball_on_the_plain_path_gives_the_plain_step(self, monkeypatch):
+        # every candidate is scaled out of the ball, so the run is plain
+        # damped Picard's: 16 sweeps and one halving on c = -5
+        mixed, candidates = bvpkit.solver._mixed, []
+
+        def far(history, relax):
+            candidates.append(1e3 * mixed(history, relax))
+            return candidates[-1]
+
+        monkeypatch.setattr(bvpkit.solver, "_mixed", far)
+        sol = solve_picard(_linear_spec(-5.0), tol=1e-8)
+        assert sol.converged and (sol.iterations, sol.relax_final) == (16, 0.5)
+        assert len(candidates) == sol.iterations - 2  # a try on every sweep but two
+        assert min(c1_norm_of(*c) for c in candidates) > 100.0
+
+    def test_a_mix_outside_the_ball_off_the_plain_path_sends_the_run_back(self, monkeypatch):
+        # the first mix is taken, and the second is scaled out of the ball:
+        # the run goes back to the iterate the first mix left, one sweep
+        # behind plain damped Picard's 16
+        mixed, candidates = bvpkit.solver._mixed, []
+
+        def far_after_one(history, relax):
+            candidates.append((1e3 if candidates else 1.0) * mixed(history, relax))
+            return candidates[-1]
+
+        monkeypatch.setattr(bvpkit.solver, "_mixed", far_after_one)
+        sol, k, res, _ = self.falls_back(monkeypatch, _linear_spec(-5.0))
+        assert len(candidates) == 2 and c1_norm_of(*candidates[1]) > 100.0
+        assert k == 2 and res[k] <= res[k - 1]
+        assert sol.converged and (sol.iterations, sol.relax_final) == (17, 0.5)
+
+    def test_a_singular_gram_system_falls_back_to_lstsq(self, monkeypatch):
+        lstsq, calls = np.linalg.lstsq, []
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *args, **kw: calls.append(args) or lstsq(*args, **kw))
+        y0, y1, y2 = np.random.default_rng(3).standard_normal((3, 2, 9))
+        d = np.zeros((2, 9))
+        d[0, [1, 4]], d[1, [0, 7]] = 2.0, -2.0
+        # one difference with dR = 0: no direction to mix in, so the plain step
+        assert np.array_equal(bvpkit.solver._mixed([(y0, d), (y1, d)], 0.5), y1 + 0.5 * d)
+        # two differences d and 2d with |d|**2 = 16, so elimination meets a 0
+        # pivot exactly; the least-norm gamma is (1, 2) * (d . 3d) / (5 |d|**2)
+        got = bvpkit.solver._mixed([(y0, 0.0 * d), (y1, d), (y2, 3.0 * d)], 1.0)
+        assert len(calls) == 2
+        gamma = np.array([1.0, 2.0]) * np.sum(3.0 * d * d) / (5.0 * np.sum(d * d))
+        expected = y2 + 3.0 * d - gamma[0] * (y1 - y0 + d) - gamma[1] * (y2 - y1 + 2.0 * d)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
+
+    def test_a_problem_undamped_sweeps_cannot_solve(self):
+        # 20/pi**2 > 1, so undamped plain sweeps from 0 diverge.  Bounds set
+        # before the run: the cubic Hermite error h**4/384 * max|u^(4)| is
+        # 5e-8 at h = 1/32; T multiplies it by at most 20 * (1/8) in values
+        # and 20 * (1/2) in derivatives, and (I + 20K)^-1 by at most 1
+        spec = _linear_spec(-20.0, grid_size=33, radius=50.0, quad_tol=1e-10)
+        sol = solve_picard(spec)
+        assert sol.converged and sol.inside_ball and sol.relax_final == 1.0
+        u, du = _linear_closed_form(-20.0, sol.u.nodes)
+        assert np.max(np.abs(sol.u.values - u)) <= 1e-6
+        assert np.max(np.abs(sol.u.derivatives - du)) <= 5e-6
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(c=st.floats(-30.0, 5.0), grid_size=st.sampled_from([33, 65, 129]))
+def test_linear_problems_certify_at_their_closed_form(c, grid_size):
+    # bound set before the run: the cubic Hermite error h**4/384 * |c| *
+    # max|1 + c*u| <= 7.5e-8 at h = 1/32; T multiplies it by at most |c|/8
+    # <= 3.75, and (I - cK)^-1 by at most 1 for c <= 0 and 1/(1 - 5/8) else
+    spec = ProblemSpec(params=DIRICHLET, weight=const_weight(),
+                       nonlinearity=make_nonlinearity_from_id("polynomial",
+                                                              {"coeffs": [1.0, c]}),
+                       radius=10.0, grid_size=grid_size)
+    sol = solve_picard(spec, tol=1e-8)
+    assert sol.converged and sol.inside_ball
+    assert sol.residual <= 1e-8 * (1.0 + norm_c1(sol.u))
+    u, _ = _linear_closed_form(c, sol.u.nodes)
+    assert np.max(np.abs(sol.u.values - u)) <= 1e-6
 
 
 class TestDivisorExampleSolve:
