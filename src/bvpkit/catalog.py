@@ -94,7 +94,7 @@ def make_nonlinearity_from_id(nl_id: str, params: dict) -> Nonlinearity:
             a=0.0, b=1.0,
             value=lambda t, _thr=thr: np.full_like(t, _thr),
             second_derivative=np.zeros_like,
-            epsilon=eps, label="step-threshold")
+            epsilon=eps, label="step-threshold", poly=(thr,))
         bound = max(abs(low), abs(high))
         return Nonlinearity(eval=f, curves=(curve,), degree=0,
                             local_bound=lambda t, r: np.full_like(t, bound))

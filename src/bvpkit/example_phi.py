@@ -127,7 +127,9 @@ def make_curves(ex: PhiExample):
     """The first curve_count members of each jump family.
 
     The sqrt-fan curvature blows up at 0, so those curves open at t = 0;
-    classification clips them at its t_min anyway.
+    classification clips them at its t_min anyway.  The wedge lines declare
+    their coefficients (poly), so find_crossings takes them from the Bernstein
+    form of u - poly; the fan lines are scanned.
     """
     curves = []
     for k in range(1, ex.curve_count + 1):
@@ -138,7 +140,7 @@ def make_curves(ex: PhiExample):
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: -t / (_k + 1.0),
             second_derivative=np.zeros_like,
-            epsilon=ex.epsilon, label=f"gamma_hat_{k}"))
+            epsilon=ex.epsilon, label=f"gamma_hat_{k}", poly=(0.0, -1.0 / (k + 1.0))))
     return tuple(curves)
 
 

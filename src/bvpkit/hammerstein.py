@@ -8,15 +8,19 @@ and R(t) = int_t^1 right*h.  One pass integrates both over all panels between
 grid nodes, with every detected crossing of a declared discontinuity curve as
 a breakpoint, so f(., u(.)) is integrated piecewise-smooth (for a weight
 singular at 0, in x = sqrt(s) on every panel, where crossings within 1e-14 in
-x merge): one round of the smallest exact Gauss rule where the weight's power
-and f's degree are declared (ProblemSpec.exact_points), else the adaptive
-pair.  Its first round reads the points, g, both factors and the Hermite basis
-of the panels no crossing splits from ProblemSpec.plan, built by the first
-application of T to the spec from the nodes, the BC factors, the weight and the
-rule alone; T brings in u, as one (2, N) array of node values and derivatives,
-f and the products.  apply_T, residual and the probe check u and pass that
-array; solve_picard carries one through its sweeps.  A solve samples g once on
-the plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
+x merge).  model.find_crossings detects every crossing of a curve that
+declares its polynomial (DiscontinuityCurve.poly), from the Bernstein form of
+u - poly; other curves are scanned, and two crossings in one scan cell are
+missed, which the exact rule below would not notice.  T takes one round of
+the smallest exact Gauss rule where the weight's power and f's degree are
+declared (ProblemSpec.exact_points), else the adaptive pair.  Its first round
+reads the points, g, both factors and the Hermite basis of the panels no
+crossing splits from ProblemSpec.plan, built by the first application of T to
+the spec from the nodes, the BC factors, the weight and the rule alone; T
+brings in u, as one (2, N) array of node values and derivatives, f and the
+products.  apply_T, residual and the probe check u and pass that array;
+solve_picard carries one through its sweeps.  A solve samples g once on the
+plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
 N = 129 for the pair), then only on split subpanels (4 points per split sweep
 on the step example, 96 with the pair) and in the pair's refinement rounds.
 """

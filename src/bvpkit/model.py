@@ -88,7 +88,9 @@ class Weight:
 class DiscontinuityCurve:
     """A curve y = value(t) on [a, b] along which f(t, .) may jump.
 
-    epsilon is the half-width of the tube sampled by the classifier.
+    epsilon is the half-width of the tube sampled by the classifier.  poly,
+    when given, declares value(t) = poly[0] + poly[1]*t + ... + poly[k]*t**k
+    with k <= 3; find_crossings then reads the curve from poly alone.
     """
 
     a: float
@@ -97,12 +99,18 @@ class DiscontinuityCurve:
     second_derivative: callable
     epsilon: float = 0.05
     label: str = "curve"
+    poly: tuple | None = None  # power-basis coefficients in t, degree <= 3
 
     def __post_init__(self):
         if not 0.0 <= self.a < self.b <= 1.0:
             raise ValueError(f"curve domain [{self.a}, {self.b}] invalid")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
+        if self.poly is not None:
+            poly = tuple(float(c) for c in self.poly)
+            if not (1 <= len(poly) <= 4 and all(map(math.isfinite, poly))):
+                raise ValueError(f"poly must hold 1 to 4 finite coefficients, got {self.poly!r}")
+            object.__setattr__(self, "poly", poly)
         _vectorize_fields(self, "value", "second_derivative")
 
 
@@ -195,13 +203,19 @@ def grid_eval(u: GridFunction, t):
     t_arr = np.asarray(t, dtype=float)
     if not ((0.0 <= t_arr) & (t_arr <= 1.0)).all():  # NaN fails too
         raise DomainError("t must lie in [0, 1]")
-    i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
-    x2, y = x * x, (u.values, u.derivatives)
-    val = hermite_value(y, i, h, *_basis(x)).reshape(t_arr.shape)
-    der = (hermite_value(y, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
-                         3 * x2 - 2 * x) / h).reshape(t_arr.shape)
+    val, der = _value_and_slope(u.nodes, (u.values, u.derivatives), t_arr)
     if val.ndim == 0:
         return float(val), float(der)
+    return val, der
+
+
+def _value_and_slope(nodes, y, t):
+    """The Hermite interpolant of node data y and its derivative at the array t."""
+    i, h, x = _locate(nodes, t.reshape(-1, 1))
+    x2 = x * x
+    val = hermite_value(y, i, h, *_basis(x)).reshape(t.shape)
+    der = (hermite_value(y, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
+                         3 * x2 - 2 * x) / h).reshape(t.shape)
     return val, der
 
 
@@ -289,29 +303,141 @@ def _not_finite(curve, t):
     return DomainError(f"u - value of curve {curve.label!r} is not finite at t = {t!r}")
 
 
+@functools.lru_cache(maxsize=32)
+def _knot_frame(node_bytes, curves):
+    """What _bernstein_cells needs of the nodes (as bytes) and the declared
+    curves' (a, b, poly) alone, read-only.  Per curve, a row of knots (the
+    nodes clipped to its domain), the index of those off the nodes, and poly
+    and poly' at the knots (Horner's rule); flat over the rows, which knots
+    lie inside their domain, and a third of the width of the panel from each
+    knot but the last, 0 from a row's last knot to the next row's first.  A
+    solve asks for the same frame on every sweep."""
+    nodes = np.frombuffer(node_bytes)
+    ends = np.array([(a, b) for a, b, _ in curves])
+    knots = np.minimum(np.maximum(nodes, ends[:, :1]), ends[:, 1:])
+    deg = max(len(poly) for _, _, poly in curves)
+    q = np.array([poly + (0.0,) * (deg - len(poly)) for _, _, poly in curves]).T[..., None]
+    gam, slope = np.zeros_like(knots) + q[-1], np.zeros_like(knots)
+    for qk in q[-2::-1]:
+        slope = slope * knots + gam
+        gam = gam * knots + qk
+    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:])).ravel()
+    h3 = np.diff(knots, append=knots[:, -1:]).ravel()[:-1] / 3.0
+    off = np.nonzero(knots != nodes)
+    for a in (knots, *off, gam, slope, inner, h3):
+        a.flags.writeable = False
+    return knots, off, gam, slope, inner, h3
+
+
+def _bernstein_cells(nodes, y, curves):
+    """Refinement cells of declared curves (poly given), one sorted list each.
+
+    On each panel between knots (the nodes clipped to the curve's domain, with
+    u's Hermite data at an end inside a node panel) the gap u - poly is a
+    cubic, exactly, with Bernstein coefficients (g_i, g_i + h g'_i/3, g_{i+1} -
+    h g'_{i+1}/3, g_{i+1}); their sign changes bound its roots there (Lane &
+    Riesenfeld, BIT 21, 1981).  One array pass, over all curves' knots laid
+    end to end, skips every panel whose coefficients show no strict sign
+    change.  A piece with one change and nonzero ends is an ITP cell that
+    carries (left knot, width, coefficients); one with more, or with one and
+    a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
+    until it has at most one, or is CROSSING_TOL wide and counts as one
+    crossing at its midpoint.  An exact zero at an interior knot or at a split
+    point is a crossing there.
+    """
+    tol, n = CROSSING_TOL, nodes.size
+    knots, off, gam, slope, inner, h3 = _knot_frame(
+        np.ascontiguousarray(nodes, dtype=float).tobytes(), tuple((c.a, c.b, c.poly) for c in curves))
+    val, der = y
+    if off[0].size:
+        val, der = np.repeat(np.asarray(y)[:, None], len(curves), axis=1)
+        val[off], der[off] = _value_and_slope(nodes, y, knots[off])
+    g, d = (val - gam).ravel(), (der - slope).ravel()
+    b = np.array((g[:-1], g[:-1] + h3 * d[:-1], g[1:] - h3 * d[1:], g[1:]))
+    if not np.isfinite(b).all():
+        k, p = np.argwhere(~np.isfinite(b))[0]
+        r, i = divmod(int(p) + (k >= 2), n)
+        raise _not_finite(curves[r], float(knots[r, i]))
+    cells = [[] for _ in curves]
+    if not g.all():  # an exact zero at an interior knot is a crossing there
+        for p in np.nonzero((g == 0.0) & inner)[0].tolist():
+            r, i = divmod(p, n)
+            x = float(knots[r, i])
+            cells[r].append([x, x, 0.0, 0.0, 0, 0.0])
+    ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
+    for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
+        r, i = divmod(p, n)
+        if i == n - 1:  # from one curve's last knot to the next one's first
+            continue
+        lo, hi = float(knots[r, i]), float(knots[r, i + 1])
+        panel, out = (lo, hi - lo, *coef), cells[r]
+        pieces = [(lo, hi, coef)]
+        while pieces:
+            lo, hi, (c0, c1, c2, c3) = pieces.pop()
+            signs = [c > 0.0 for c in (c0, c1, c2, c3) if c != 0.0]
+            changes = sum(s != t for s, t in zip(signs, signs[1:]))
+            if not changes:
+                continue
+            w = hi - lo
+            if changes == 1 and c0 != 0.0 and c3 != 0.0:
+                out.append([lo, hi, c0, c3, math.ceil(math.log2(w / tol)) + 1, 0.2 / w, panel])
+                continue
+            mid = 0.5 * (lo + hi)
+            if w <= tol:
+                out.append([mid, mid, 0.0, 0.0, 0, 0.0])
+                continue
+            c01, c12, c23 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c3)
+            c012, c123 = 0.5 * (c01 + c12), 0.5 * (c12 + c23)
+            cm = 0.5 * (c012 + c123)
+            if cm == 0.0:
+                out.append([mid, mid, 0.0, 0.0, 0, 0.0])
+            pieces += [(mid, hi, (cm, c123, c23, c3)), (lo, mid, (c0, c01, c012, cm))]
+    for out in cells:
+        out.sort(key=lambda c: c[0])
+    return cells
+
+
+def _panel_gap(panel, s):
+    """A declared cell's gap cubic at s, from its Bernstein coefficients."""
+    lo, w, c0, c1, c2, c3 = panel
+    x = (s - lo) / w
+    z = 1.0 - x
+    return z * z * (z * c0 + 3.0 * x * c1) + x * x * (3.0 * z * c2 + x * c3)
+
+
 def find_crossings(nodes, y, curves):
     """Locate where u, of node data y on nodes, crosses each curve: one sorted
     list of crossing abscissae strictly inside the curve's domain per curve.
 
-    u(s) - curve.value(s) is scanned on SCAN_PER_PANEL * (N - 1) equal cells of
-    the curve's domain, whatever its width, for u on N nodes, with u evaluated
-    once per distinct domain; zeros and sign changes of all curves' gaps are
-    found in one array pass.  Each curve's sign-change cells are then refined
-    together by ITP steps, one curve.value call per step on its live cells,
-    with u in floats (numpy's per-call cost dominates on a few cells).  ITP
-    keeps the sign-change bracket of bisection and its worst case: a cell of
-    width w takes at most ceil(log2(w / 1e-12)) + 1 steps to a bracket of
-    width <= 1e-12, whose midpoint is returned, and converges superlinearly
-    on a simple root (the step example's two crossings take 8 steps, where
-    bisection took 31).  Crossings closer than 1e-11 are merged.  Double
-    crossings inside one scan cell are not resolved.  A non-finite gap, at a
-    scan point or a step, raises DomainError naming the curve and t.
+    A declared curve (DiscontinuityCurve.poly) takes its cells from the
+    Bernstein form of u - poly (_bernstein_cells) and never calls curve.value:
+    every crossing is isolated, and a near-double pair that no piece
+    CROSSING_TOL wide separates counts as one.  The others are scanned:
+    u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of the
+    curve's domain, u evaluated once per distinct domain, all gaps in one
+    array pass; two crossings inside one scan cell are not seen.
+
+    Each curve's cells are then refined together by ITP steps, with u in
+    floats: a scanned curve's live cells take one curve.value call per step, a
+    declared cell evaluates its own cubic, and a declared step that lands on
+    an end of its bracket bisects instead.  ITP keeps bisection's bracket and
+    worst case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1
+    steps to a bracket <= 1e-12 wide, whose midpoint is returned, and
+    converges superlinearly on a simple root (the step example's crossings
+    take 8 or 9 steps, where bisection took 31).  Crossings closer than 1e-11
+    are merged.  A non-finite gap, at a scan point, a knot or a step, raises
+    DomainError naming the curve and t.
     """
     tol = CROSSING_TOL
-    spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
-    live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol]
-    # [a, b, gap at a, gap at b, step budget, kappa1]; b = a where the gap is 0
+    # [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's panel
+    # for _panel_gap; b = a where the gap is 0
     cells = [[] for _ in curves]
+    declared = [k for k, c in enumerate(curves) if c.poly is not None]
+    if declared:
+        for k, cs in zip(declared, _bernstein_cells(nodes, y, [curves[k] for k in declared])):
+            cells[k] = cs
+    spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
+    live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol and curves[k].poly is None]
     if live:
         n_scan = SCAN_PER_PANEL * (nodes.size - 1)
         grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
@@ -335,22 +461,27 @@ def find_crossings(nodes, y, curves):
     if not any(cells):
         return cells
 
-    nodes, vals, ders = nodes.tolist(), y[0].tolist(), y[1].tolist()
+    if any(cells[k] for k in live):
+        nodes, vals, ders = nodes.tolist(), y[0].tolist(), y[1].tolist()
 
-    def value(s):  # hermite_value at a float s
-        i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
-        h = nodes[i + 1] - nodes[i]
-        b0, b1, b2, b3 = _basis((s - nodes[i]) / h)
-        return vals[i] * b0 + h * ders[i] * b1 + vals[i + 1] * b2 + h * ders[i + 1] * b3
+        def value(s):  # hermite_value at a float s
+            i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
+            h = nodes[i + 1] - nodes[i]
+            b0, b1, b2, b3 = _basis((s - nodes[i]) / h)
+            return vals[i] * b0 + h * ders[i] * b1 + vals[i + 1] * b2 + h * ders[i + 1] * b3
 
     out = []
     for curve, cs in zip(curves, cells):
         steps, j = cs, 0  # live cells step in lockstep: each has taken j steps
         while steps := [c for c in steps if c[1] - c[0] > tol]:  # one ITP step of each
-            xs = [_itp_point(j, *c) for c in steps]
+            xs = [_itp_point(j, *c[:6]) for c in steps]
             j += 1
-            for c, x, lv in zip(steps, xs, curve.value(np.array(xs)).tolist()):
-                fx = value(x) - lv
+            if curve.poly is None:
+                gaps = [value(x) - lv for x, lv in zip(xs, curve.value(np.array(xs)).tolist())]
+            else:  # a point on its bracket's end (regula falsi within rounding of it) bisects
+                xs = [x if c[0] < x < c[1] else 0.5 * (c[0] + c[1]) for c, x in zip(steps, xs)]
+                gaps = [_panel_gap(c[6], x) for c, x in zip(steps, xs)]
+            for c, x, fx in zip(steps, xs, gaps):
                 if not math.isfinite(fx):
                     raise _not_finite(curve, x)
                 if fx == 0.0:
@@ -369,5 +500,6 @@ def find_crossings(nodes, y, curves):
 
 def find_curve_crossings(u: GridFunction, curve: DiscontinuityCurve):
     """find_crossings for one curve: its sorted list of crossing abscissae.
-    Double crossings inside one scan cell are not resolved."""
+    Double crossings inside one scan cell of an undeclared curve are not
+    resolved."""
     return find_crossings(u.nodes, (u.values, u.derivatives), (curve,))[0]

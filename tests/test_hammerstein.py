@@ -87,6 +87,63 @@ class TestApplyT:
             assert norm_c1(apply_T(spec, u)) <= spec.radius + 10 * spec.quad_tol
 
 
+class TestPlantedDoubleCrossing:
+    """u - 0.05 = 100 (t - 0.5043)(t - 0.50508) dips 1.5e-5 below the step curve
+    inside one scan cell.  The declared curve's crossings split T's panels at
+    both roots; a reference split there by scipy.integrate.quad, one call per
+    piece, agrees within quad_tol."""
+
+    R1, R2 = 0.5043, 0.50508
+
+    @classmethod
+    def spec_and_u(cls):
+        nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
+        spec = ProblemSpec(params=DIRICHLET, weight=make_weight_from_id("constant", {}),
+                           nonlinearity=nl, radius=200.0, grid_size=129)
+        t = spec.nodes
+        u = GridFunction(t, 0.05 + 100 * (t - cls.R1) * (t - cls.R2),
+                         100 * (2 * t - cls.R1 - cls.R2))
+        return spec, u
+
+    @classmethod
+    def reference(cls, nodes):
+        """Tu and (Tu)' at the nodes: f = 1 between the roots and 2 outside them,
+        against the Dirichlet kernel s(1 - t) for s < t and t(1 - s) for s > t."""
+        from scipy.integrate import quad
+
+        def f(s):
+            return 1.0 if cls.R1 < s < cls.R2 else 2.0
+
+        vals, ders = [], []
+        for t in nodes:
+            cuts = sorted({0.0, cls.R1, cls.R2, float(t), 1.0})
+            v = d = 0.0
+            for lo, hi in zip(cuts, cuts[1:]):
+                left = hi <= t  # s < t on this piece
+                mid = 0.5 * (lo + hi)
+                v += quad(lambda s: (s * (1 - t) if left else t * (1 - s)) * f(mid),
+                          lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+                d += quad(lambda s: (-s if left else 1 - s) * f(mid),
+                          lo, hi, epsabs=1e-14, epsrel=1e-14)[0]
+            vals.append(v)
+            ders.append(d)
+        return np.array(vals), np.array(ders)
+
+    def test_T_splits_at_both_roots(self):
+        spec, u = self.spec_and_u()
+        ref_v, ref_d = self.reference(spec.nodes)
+        tu = apply_T(spec, u)
+        assert np.max(np.abs(tu.values - ref_v)) + np.max(np.abs(tu.derivatives - ref_d)) \
+            <= spec.quad_tol
+        # the scanned twin of the curve misses both roots: T is then off by about 4e-4
+        curve = spec.nonlinearity.curves[0]
+        twin = replace(spec, nonlinearity=replace(spec.nonlinearity,
+                                                  curves=(replace(curve, poly=None),)))
+        missed = apply_T(twin, u)
+        assert np.max(np.abs(missed.values - ref_v)) + np.max(np.abs(missed.derivatives - ref_d)) \
+            > 1e4 * spec.quad_tol
+
+
 class TestResidual:
     def test_exact_fixed_point(self):
         spec = smoke_spec()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvpkit import DomainError, find_curve_crossings, grid_eval, norm_c1
+from bvpkit import DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
 from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, hermite_basis,
                           hermite_value)
@@ -287,6 +287,21 @@ class TestDiscontinuityCurve:
             DiscontinuityCurve(a=a, b=b, value=np.zeros_like,
                                second_derivative=np.zeros_like, epsilon=epsilon)
 
+    @pytest.mark.parametrize("poly", [(1.0, 2.0, 3.0, 4.0, 5.0), (), (np.nan,), (0.0, np.inf),
+                                      (0.1, -np.inf, 0.0), (0.0, 0.0, 0.0, np.nan)],
+                             ids=["degree-4", "empty", "nan", "inf", "minus-inf", "nan-cubic"])
+    def test_poly_rejected(self, poly):
+        with pytest.raises(ValueError, match="poly"):
+            DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
+                               second_derivative=np.zeros_like, poly=poly)
+
+    def test_poly_kept_as_float_coefficients(self):
+        curve = DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
+                                   second_derivative=np.zeros_like, poly=[1, 0, -2, 0.5])
+        assert curve.poly == (1.0, 0.0, -2.0, 0.5)
+        assert all(type(c) is float for c in curve.poly)
+        assert replace(curve, poly=None).poly is None
+
 
 class TestCurveCrossings:
     def line_curve(self, c):
@@ -397,7 +412,14 @@ class TestLockstepCrossings:
         spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
                            weight=make_weight_from_id("constant", {"value": 1.0}))
         u = solve_picard(spec, tol=1e-8).u
-        assert len(self.check(u, nl.curves[0])) == 2
+        curve = nl.curves[0]
+        assert curve.poly == (0.05,)
+        # the undeclared twin is scanned and refined bit for bit as the per-cell loop;
+        # the declared curve's crossings from its Bernstein cells agree within 1e-12
+        scanned = self.check(u, replace(curve, poly=None))
+        declared = find_curve_crossings(u, curve)
+        assert len(scanned) == len(declared) == 2
+        assert np.max(np.abs(np.subtract(declared, scanned))) <= 1e-12
 
     def test_exact_zeros_at_scan_points_and_midpoints(self):
         line = TestCurveCrossings().line_curve(0.0)
@@ -547,6 +569,176 @@ class TestCrossingsAgainstExactRoots:
         assert crossings_of(u, (line(0.0, -6.032212003637185e-264),)) == [[]]
 
 
+def declared(poly, a=0.0, b=1.0):
+    """A curve that declares its power-basis coefficients, with value from them."""
+    poly = tuple(poly)
+    pp = np.polynomial.polynomial
+    return DiscontinuityCurve(a=a, b=b, value=lambda t: pp.polyval(t, poly),
+                              second_derivative=lambda t: pp.polyval(t, pp.polyder(poly, 2)),
+                              label="declared", poly=poly)
+
+
+class TestDeclaredCrossingsAgainstExactRoots:
+    """The twin of TestCrossingsAgainstExactRoots for declared curves of degree
+    <= 3 on random domains: numpy.roots of u - poly on each node panel, with
+    no assumption on slopes or on how close the roots lie."""
+
+    @staticmethod
+    def exact_roots(u, poly):
+        """(t, |u'(t) - poly'(t)|) at each root in [0, 1] of a panel's cubic
+        whose imaginary part is at most 1e-6 (a complex pair counts once, at
+        its real part), sorted, roots within 1e-12 counted once; None where
+        u - poly vanishes on a whole panel."""
+        P = np.polynomial.Polynomial
+        roots = []
+        for i in range(u.nodes.size - 1):
+            t0, h = u.nodes[i], u.nodes[i + 1] - u.nodes[i]
+            u0, u1 = u.values[i], u.values[i + 1]
+            m0, m1 = h * u.derivatives[i], h * u.derivatives[i + 1]
+            # the Hermite cubic minus poly(t0 + h x), in x = (t - t0) / h
+            gap = P([u0, m0, -3 * u0 - 2 * m0 + 3 * u1 - m1, 2 * u0 + m0 - 2 * u1 + m1]) \
+                - P(poly)(P([t0, h]))
+            if not gap.coef.any():
+                return None
+            for z in np.roots(gap.coef[::-1]):
+                if abs(z.imag) <= 1e-6 and -1e-9 <= z.real <= 1.0 + 1e-9:
+                    roots.append((t0 + h * z.real, abs(gap.deriv()(z.real)) / h))
+        roots.sort()
+        return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > 1e-12]
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 17), data=st.data(),
+           poly=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=4),
+           a=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+           b=st.one_of(st.just(1.0), st.floats(0.6, 1.0)))
+    def test_roots_are_the_crossings(self, n, data, poly, a, b):
+        values = data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
+        derivs = data.draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n))
+        u = GridFunction(np.linspace(0.0, 1.0, n), np.array(values) / 64, np.array(derivs) / 16)
+        roots = self.exact_roots(u, poly)
+        assume(roots is not None)
+        # a root within the oracle's 1e-9 of a domain end may lie on either side
+        assume(all(abs(t - end) > 1e-9 for t, _ in roots for end in (a, b)))
+        roots = [(t, slope) for t, slope in roots if a < t < b]
+        got = np.array(crossings_of(u, (declared(poly, a, b),))[0])
+        # clusters of roots within 1e-6: a steep lone root is found once, within
+        # 1e-11; a near-double pair or a touch comes back at most once per root
+        clusters = []
+        for t, slope in roots:
+            if clusters and t - clusters[-1][-1][0] <= 1e-6:
+                clusters[-1].append((t, slope))
+            else:
+                clusters.append([(t, slope)])
+        seen = 0
+        for cl in clusters:
+            near = got[(got >= cl[0][0] - 1e-6) & (got <= cl[-1][0] + 1e-6)]
+            seen += near.size
+            if len(cl) == 1 and cl[0][1] >= 1e-3:
+                assert near.size == 1 and abs(near[0] - cl[0][0]) <= 1e-11
+            else:
+                assert near.size <= len(cl)
+        assert seen == got.size  # no crossing away from a root
+        assert np.all(np.diff(got) > 1e-11) and np.all((got > a) & (got < b))
+
+
+class TestDeclaredCrossings:
+    """Crossings of declared curves from the Bernstein form of u - poly."""
+
+    @staticmethod
+    def planted():
+        """u - 0.05 = 100 (t - 0.5043)(t - 0.50508) on 129 nodes: both roots in
+        one scan cell of width 1/512, a dip of 1.5e-5 below the step curve."""
+        r1, r2 = 0.5043, 0.50508
+        return sampled(lambda t: 0.05 + 100 * (t - r1) * (t - r2),
+                       lambda t: 100 * (2 * t - r1 - r2), n=129), (r1, r2)
+
+    def test_double_crossing_in_one_scan_cell(self):
+        from bvpkit.catalog import make_nonlinearity_from_id
+        curve = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0,
+                                                   "threshold": 0.05}).curves[0]
+        u, roots = self.planted()
+        xs = find_curve_crossings(u, curve)
+        assert len(xs) == 2 and np.max(np.abs(np.subtract(xs, roots))) <= 1e-12
+        assert find_curve_crossings(u, replace(curve, poly=None)) == []  # the scan misses both
+
+    @pytest.mark.parametrize("fn, dfn, n, expected", [
+        # a touch and a crossing at interior knots
+        (lambda t: (t - 0.25) ** 2 * (t - 0.75), lambda t: (t - 0.25) * (3 * t - 1.75), 17,
+         [0.25, 0.75]),
+        # a zero at either end of the domain is none; one at an interior knot is one
+        (lambda t: t - 1.0, lambda t: 1 + 0 * t, 33, []),
+        (lambda t: t, lambda t: 1 + 0 * t, 33, []),
+        (lambda t: t * (t - 0.5), lambda t: 2 * t - 0.5, 33, [0.5]),
+        # a simple root inside the panel [0, 1/2], refined by ITP steps
+        (lambda t: t - 0.1875, lambda t: 1 + 0 * t, 3, [0.1875]),
+        # a cubic with three roots in one panel
+        (lambda t: 1000 * (t - 0.3) * (t - 0.31) * (t - 0.33),
+         lambda t: 1000 * ((t - 0.31) * (t - 0.33) + (t - 0.3) * (t - 0.33)
+                           + (t - 0.3) * (t - 0.31)), 9, [0.3, 0.31, 0.33]),
+    ])
+    def test_roots_at_knots_domain_ends_and_inside_panels(self, fn, dfn, n, expected):
+        xs = crossings_of(sampled(fn, dfn, n), (declared((0.0,)),))[0]
+        assert len(xs) == len(expected)
+        assert np.all(np.abs(np.subtract(xs, expected)) <= 1e-12)
+
+    def test_exact_zeros_at_split_points(self):
+        # on the panel [0, 1/8], u = 96 (x - 1/2)(x - 3/4) in x = 8t, whose Bernstein
+        # coefficients (36, -4, -12, 12) change sign twice: de Casteljau's value at the
+        # split point 1/16 is an exact 0, and at 3/32, the split point of the right half
+        values, derivs = np.full(9, 12.0), np.zeros(9)
+        values[0], derivs[:2] = 36.0, (-960.0, 576.0)
+        u = GridFunction(np.linspace(0.0, 1.0, 9), values, derivs)
+        assert crossings_of(u, (declared((0.0,)),)) == [[1 / 16, 3 / 32]]
+
+    def test_domain_ends_inside_node_panels(self):
+        # u = t - 0.65 on 17 nodes against 0 on [0.6, 0.97]: both ends off the nodes
+        u = sampled(lambda t: t - 0.65, lambda t: 1 + 0 * t, n=17)
+        assert crossings_of(u, (declared((0.0,), 0.6, 0.97),))[0] == pytest.approx([0.65],
+                                                                                 abs=1e-12)
+        assert crossings_of(u, (declared((0.0,), 0.66, 0.97),)) == [[]]
+        # a cubic curve crossing u = 0.2 - t once inside [0.3, 0.7], once left of it
+        u = sampled(lambda t: 0.2 - t, lambda t: -1 + 0 * t, n=17)
+        poly = np.polynomial.Polynomial.fromroots([0.2, 0.5, 1.5]) * 8 \
+            + np.polynomial.Polynomial([0.2, -1.0])
+        xs = crossings_of(u, (declared(poly.coef, 0.3, 0.7),))[0]
+        assert xs == pytest.approx([0.5], abs=1e-12)
+
+    def test_one_pass_over_many_curves_matches_one_curve_at_a_time(self):
+        rng = np.random.default_rng(7)
+        u = GridFunction(np.linspace(0.0, 1.0, 21), 0.5 * rng.standard_normal(21),
+                         3.0 * rng.standard_normal(21))
+        curves = [declared(rng.uniform(-0.5, 0.5, int(rng.integers(1, 5))),
+                           *sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(6)]
+        curves.insert(2, TestBatchedCrossings.random_curves(rng, 2)[1])  # one scanned
+        got = crossings_of(u, tuple(curves))
+        assert got == [crossings_of(u, (c,))[0] for c in curves]
+        assert sum(map(len, got)) >= 4
+
+    def test_a_non_finite_gap_names_the_curve_and_the_knot(self):
+        u = sampled(lambda t: t - 0.3123, lambda t: 1 + 0 * t, n=17)
+        values = u.values.copy()
+        values[5] = np.nan
+        with pytest.raises(DomainError, match=r"'declared'.*t = 0\.3125"):
+            find_crossings(u.nodes, (values, u.derivatives), (declared((0.0, 0.1)),))
+
+    @pytest.mark.parametrize("spec_of", ["step", "phi-example"])
+    def test_catalog_curves_equal_their_polynomials(self, spec_of):
+        from bvpkit.catalog import make_nonlinearity_from_id
+        rng = np.random.default_rng(13)
+        if spec_of == "step":
+            curves = [make_nonlinearity_from_id("step", {"threshold": thr}).curves[0]
+                      for thr in (0.05, -0.4, 0.0, *rng.uniform(-5.0, 5.0, 5))]
+        else:
+            curves = make_nonlinearity_from_id("phi-example", {"curve_count": 12}).curves
+        declared_curves = [c for c in curves if c.poly is not None]
+        # the wedge lines -t/(k+1) declare (0, -1/(k+1)); the fan lines k*sqrt(t) declare none
+        assert len(declared_curves) == (len(curves) if spec_of == "step" else 12)
+        for c in declared_curves:
+            t = np.concatenate(([c.a, c.b], rng.uniform(c.a, c.b, 10_000)))
+            np.testing.assert_allclose(c.value(t), np.polynomial.polynomial.polyval(t, c.poly),
+                                       rtol=4e-16, atol=0.0)
+
+
 class TestCrossingSteps:
     """ITP keeps bisection's worst case and beats it on a simple root."""
 
@@ -572,15 +764,37 @@ class TestCrossingSteps:
         width = (b - a) / (SCAN_PER_PANEL * (n - 1))
         assert calls <= math.ceil(math.log2(width / 1e-12)) + 1
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_declared_cell_keeps_the_worst_case(self, seed, monkeypatch):
+        # one root of a monotone gap against a declared line: one ITP cell, the
+        # root's node panel, whose cubic is evaluated once per step
+        import bvpkit.model
+        rng = np.random.default_rng(seed)
+        n, w, c1 = int(rng.integers(5, 40)), rng.uniform(1.0, 9.0), rng.uniform(-0.5, 0.5)
+        r = rng.uniform(0.05, 0.95)  # the root; the gap's slope is >= 1 - 0.45 - 0.5
+        c0 = r + 0.05 * np.sin(w * r) - c1 * r
+        u = sampled(lambda t: t + 0.05 * np.sin(w * t), lambda t: 1 + 0.05 * w * np.cos(w * t), n)
+        cubic = Counted(bvpkit.model._panel_gap)
+        monkeypatch.setattr(bvpkit.model, "_panel_gap", cubic)
+        xs = crossings_of(u, (declared((c0, c1)),))[0]
+        assert len(xs) == 1
+        assert abs(grid_eval(u, xs[0])[0] - (c0 + c1 * xs[0])) <= 1e-11
+        assert cubic.calls <= math.ceil(math.log2((1 / (n - 1)) / 1e-12)) + 1
+
     def test_step_crossing_solution(self):
         from bvpkit import DIRICHLET, ProblemSpec, solve_picard
         from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
         nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
         spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
                            weight=make_weight_from_id("constant", {"value": 1.0}))
-        calls, xs = self.refinement_calls(solve_picard(spec, tol=1e-8).u, nl.curves[0])
+        u, curve = solve_picard(spec, tol=1e-8).u, nl.curves[0]
+        calls, xs = self.refinement_calls(u, replace(curve, poly=None))  # the scanned twin
         assert len(xs) == 2
         assert calls <= 10  # bisection takes 31 from width 1/512 to 1e-12
+        # the declared curve's cells step on their own cubics: no value call at all
+        value = Counted(curve.value)
+        assert len(crossings_of(u, (replace(curve, value=value),))[0]) == 2
+        assert value.calls == 0
 
 
 class TestNonFiniteGap:
