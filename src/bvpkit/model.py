@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -63,6 +64,11 @@ def vectorized(fn):
 
     call._vectorized = True
     return call
+
+
+def _int_at_least(x, least) -> bool:
+    """Whether x is an integer (a numpy one too, a bool not) >= least."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) and x >= least
 
 
 def _vectorize_fields(obj, *names):
@@ -131,6 +137,8 @@ class Nonlinearity:
     measurability: str = "asserted"
 
     def __post_init__(self):
+        if not (self.degree is None or _int_at_least(self.degree, 0)):
+            raise ValueError(f"degree must be None or an integer >= 0, got {self.degree!r}")
         _vectorize_fields(self, "eval", "local_bound")
 
 
@@ -284,19 +292,18 @@ def _itp_point(j, a, b, ga, gb, n_max, k1):
     """The ITP point of the bracket [a, b], whose gaps ga and gb have opposite
     signs, at step j of n_max: the regula-falsi point, truncated toward the
     midpoint by k1*(b - a)**2 and projected into the bisection radius
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  A regula-falsi point
-    outside [a, b] (rounding at an end, or underflow in the gaps' products)
-    is replaced by the midpoint, so every point lies in the bracket and the
-    bracket shrinks as the radius says."""
+    (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  A point not strictly
+    inside (a, b) (regula falsi on an end or past it, by rounding or by
+    underflow in the gaps' products) is replaced by the midpoint, so every
+    step shrinks the bracket and none evaluates an end again."""
     mid, w = 0.5 * (a + b), b - a
     xf = (gb * a - ga * b) / (gb - ga)
-    if not a <= xf <= b:
-        xf = mid
     s = 1.0 if mid > xf else -1.0 if mid < xf else 0.0
     d = k1 * w * w
     xt = xf + s * d if d <= abs(mid - xf) else mid
     r = 0.5 * CROSSING_TOL * 2.0 ** (n_max - j) - 0.5 * w
-    return xt if abs(xt - mid) <= r else mid - s * r
+    x = xt if abs(xt - mid) <= r else mid - s * r
+    return x if a < x < b else mid
 
 
 def _not_finite(curve, t):
@@ -418,10 +425,10 @@ def find_crossings(nodes, y, curves):
     array pass; two crossings inside one scan cell are not seen.
 
     Each curve's cells are then refined together by ITP steps, with u in
-    floats: a scanned curve's live cells take one curve.value call per step, a
-    declared cell evaluates its own cubic, and a declared step that lands on
-    an end of its bracket bisects instead.  ITP keeps bisection's bracket and
-    worst case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1
+    floats: a scanned curve's live cells take one curve.value call per step,
+    a declared cell evaluates its own cubic, and both take their points from
+    _itp_point, strictly inside the bracket.  ITP keeps bisection's bracket
+    and worst case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1
     steps to a bracket <= 1e-12 wide, whose midpoint is returned, and
     converges superlinearly on a simple root (the step example's crossings
     take 8 or 9 steps, where bisection took 31).  Crossings closer than 1e-11
@@ -478,8 +485,7 @@ def find_crossings(nodes, y, curves):
             j += 1
             if curve.poly is None:
                 gaps = [value(x) - lv for x, lv in zip(xs, curve.value(np.array(xs)).tolist())]
-            else:  # a point on its bracket's end (regula falsi within rounding of it) bisects
-                xs = [x if c[0] < x < c[1] else 0.5 * (c[0] + c[1]) for c, x in zip(steps, xs)]
+            else:
                 gaps = [_panel_gap(c[6], x) for c, x in zip(steps, xs)]
             for c, x, fx in zip(steps, xs, gaps):
                 if not math.isfinite(fx):

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import BallViolation
 from .hammerstein import _apply_T, _node_data, in_ball
 from .kernel import BoundaryParams
-from .model import GridFunction, ProblemSpec, c1_norm_of, norm_c1
+from .model import GridFunction, ProblemSpec, _int_at_least, c1_norm_of, norm_c1
 
 MIN_RELAX = 1.0 / 16.0
 DEPTH = 2  # differences in the mixing history, which holds the last 3 iterates
@@ -61,12 +61,15 @@ def solve_picard(spec: ProblemSpec, u0: GridFunction | None = None,
     (chattering across an inviable curve is the usual cause).  update_norms
     holds ||u_{k+1} - u_k||.  curve_crossings counts, per curve, the crossings
     that the sweep of the returned iterate split its panels at.  Raises
-    BallViolation if u0 or a plain step fails in_ball.
+    BallViolation if u0 or a plain step fails in_ball, and ValueError unless
+    0 < relax <= 1, tol > 0 and max_iter is an integer >= 1.
     """
     if not 0.0 < relax <= 1.0:
         raise ValueError("relax must lie in (0, 1]")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if not _int_at_least(max_iter, 1):
+        raise ValueError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     y = _node_data(spec, u0) if u0 is not None else np.zeros((2, spec.grid_size))
 
     update_norms = []

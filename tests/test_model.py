@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -7,8 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from bvpkit import DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
-from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, hermite_basis,
-                          hermite_value)
+from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, Nonlinearity,
+                          _itp_point, hermite_basis, hermite_value)
 from bvpkit.quadrature import BLOCK, integrate_groups
 
 from conftest import Counted, crossings_of, smoke_spec
@@ -303,6 +304,14 @@ class TestDiscontinuityCurve:
         assert replace(curve, poly=None).poly is None
 
 
+class TestNonlinearity:
+    @pytest.mark.parametrize("degree", [True, 1.5, float("nan"), -1])
+    def test_degree_rejected(self, degree):
+        # at build time, not in the Gauss rule of the first apply_T
+        with pytest.raises(ValueError, match="degree"):
+            Nonlinearity(eval=lambda t, u: u, degree=degree)
+
+
 class TestCurveCrossings:
     def line_curve(self, c):
         return DiscontinuityCurve(a=0.0, b=1.0,
@@ -369,8 +378,6 @@ def crossings_per_cell(u, curve, tol=1e-12):
             while b - a > tol:
                 half, w = 0.5 * (a + b), b - a
                 falsi = (fb * a - fa * b) / (fb - fa)
-                if not a <= falsi <= b:
-                    falsi = half
                 sigma = np.sign(half - falsi)
                 delta = kappa1 * w * w
                 # truncate toward the midpoint, then project into the bisection radius
@@ -378,6 +385,8 @@ def crossings_per_cell(u, curve, tol=1e-12):
                 radius = tol / 2 * 2.0 ** (n_max - j) - w / 2
                 if abs(x - half) > radius:
                     x = half - sigma * radius
+                if not a < x < b:  # a point on an end or past it bisects
+                    x = half
                 fx = d(x)
                 j += 1
                 if fx == 0.0:
@@ -396,6 +405,18 @@ def crossings_per_cell(u, curve, tol=1e-12):
     return out
 
 
+@functools.cache
+def step_solution():
+    """The step example's solution (threshold 0.05, N = 129) and its declared
+    threshold curve."""
+    from bvpkit import DIRICHLET, ProblemSpec, solve_picard
+    from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+    nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
+    spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
+                       weight=make_weight_from_id("constant", {"value": 1.0}))
+    return solve_picard(spec, tol=1e-8).u, nl.curves[0]
+
+
 class TestLockstepCrossings:
     """The lockstep ITP steps return bitwise the abscissae of the per-cell loop."""
 
@@ -406,13 +427,7 @@ class TestLockstepCrossings:
         return got
 
     def test_step_crossing_solution(self):
-        from bvpkit import DIRICHLET, ProblemSpec, solve_picard
-        from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-        nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
-        spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
-                           weight=make_weight_from_id("constant", {"value": 1.0}))
-        u = solve_picard(spec, tol=1e-8).u
-        curve = nl.curves[0]
+        u, curve = step_solution()
         assert curve.poly == (0.05,)
         # the undeclared twin is scanned and refined bit for bit as the per-cell loop;
         # the declared curve's crossings from its Bernstein cells agree within 1e-12
@@ -782,12 +797,7 @@ class TestCrossingSteps:
         assert cubic.calls <= math.ceil(math.log2((1 / (n - 1)) / 1e-12)) + 1
 
     def test_step_crossing_solution(self):
-        from bvpkit import DIRICHLET, ProblemSpec, solve_picard
-        from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-        nl = make_nonlinearity_from_id("step", {"low": 1.0, "high": 2.0, "threshold": 0.05})
-        spec = ProblemSpec(params=DIRICHLET, nonlinearity=nl, radius=4.0, grid_size=129,
-                           weight=make_weight_from_id("constant", {"value": 1.0}))
-        u, curve = solve_picard(spec, tol=1e-8).u, nl.curves[0]
+        u, curve = step_solution()
         calls, xs = self.refinement_calls(u, replace(curve, poly=None))  # the scanned twin
         assert len(xs) == 2
         assert calls <= 10  # bisection takes 31 from width 1/512 to 1e-12
@@ -795,6 +805,36 @@ class TestCrossingSteps:
         value = Counted(curve.value)
         assert len(crossings_of(u, (replace(curve, value=value),))[0]) == 2
         assert value.calls == 0
+
+    @pytest.mark.parametrize("seed", range(1, 51))
+    def test_the_scanned_twin_does_not_stall_on_a_perturbed_solution(self, seed):
+        # regula falsi lands on an end of some bracket on several of these draws;
+        # that step bisects instead of evaluating the end again
+        u, curve = step_solution()
+        noise = 1e-13 * np.random.default_rng(seed).standard_normal(u.values.size)
+        calls, xs = self.refinement_calls(replace(u, values=u.values + noise),
+                                          replace(curve, poly=None))
+        assert len(xs) == 2
+        assert calls <= 16
+
+    def test_itp_points_lie_strictly_inside_the_bracket(self):
+        # brackets 1e-12 to 1e-1 wide inside a cell up to 1e-1 wide, opposite gaps
+        # of magnitude 1e-300 to 1, and any step j below the cell's n_max
+        rng = np.random.default_rng(0)
+        outside = []
+        for _ in range(20000):
+            w = 10.0 ** rng.uniform(-12.0, -1.0)
+            a = rng.uniform(0.0, 1.0 - w)
+            b = a + w
+            w0 = 10.0 ** rng.uniform(math.log10(b - a), -1.0)  # the cell's first width
+            n_max = math.ceil(math.log2(w0 / 1e-12)) + 1
+            ga = float(rng.choice([-1.0, 1.0])) * 10.0 ** rng.uniform(-300.0, 0.0)
+            gb = -math.copysign(10.0 ** rng.uniform(-300.0, 0.0), ga)
+            j = int(rng.integers(0, n_max))
+            x = _itp_point(j, a, b, ga, gb, n_max, 0.2 / w0)
+            if not a < x < b:
+                outside.append((j, a, b, ga, gb, n_max, w0))
+        assert not outside, f"{len(outside)} points not inside, first {outside[0]}"
 
 
 class TestNonFiniteGap:

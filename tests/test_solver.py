@@ -197,9 +197,13 @@ class TestOneStopTest:
         assert np.array_equal([sol.u.values, sol.u.derivatives], sweeps[best][0])
         assert sol.residual == res[best] == residual(spec, sol.u)
 
-    def test_max_iter_validation(self):
-        with pytest.raises(ValueError):
-            solve_picard(smoke_spec(), max_iter=0)
+    @pytest.mark.parametrize("name, value", [
+        ("max_iter", 0), ("max_iter", -3), ("max_iter", 2.5), ("max_iter", True),
+        ("tol", 0.0), ("tol", -1.0), ("tol", float("nan"))])
+    def test_max_iter_validation(self, name, value):
+        # each fails before the first sweep, naming the argument
+        with pytest.raises(ValueError, match=name):
+            solve_picard(smoke_spec(), **{name: value})
 
 
 class TestHalving:
