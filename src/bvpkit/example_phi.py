@@ -127,16 +127,17 @@ def make_curves(ex: PhiExample):
     """The first curve_count members of each jump family.
 
     The sqrt-fan curvature blows up at 0, so those curves open at t = 0;
-    classification clips them at its t_min anyway.  The wedge lines declare
-    their coefficients (poly), so find_crossings takes them from the Bernstein
-    form of u - poly; the fan lines are scanned.
+    classification clips them at its t_min anyway.  Every curve declares its
+    coefficients (poly): a fan line k*sqrt(t) is (0, k) in x = sqrt(t), a wedge
+    line (0, -1/(k+1)) in t, so find_crossings takes both families from the
+    Bernstein form of u - poly and scans neither.
     """
     curves = []
     for k in range(1, ex.curve_count + 1):
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: _k * np.sqrt(t),
             second_derivative=lambda t, _k=k: -_k / (4.0 * t ** 1.5),
-            epsilon=ex.epsilon, label=f"gamma_{k}"))
+            epsilon=ex.epsilon, label=f"gamma_{k}", poly=(0.0, float(k)), poly_in="sqrt(t)"))
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: -t / (_k + 1.0),
             second_derivative=np.zeros_like,

@@ -30,6 +30,10 @@ from .quadrature import make_plan
 
 SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
 CROSSING_TOL = 1e-12  # find_crossings: bracket width of a crossing; 10x merges
+# DiscontinuityCurve.poly_in: the degree of u in that variable on a knot panel, and
+# the bracket width of a crossing in it (a bracket w wide in sqrt(t) <= 1 spans <= 2w in t)
+POLY_DEGREE = {"t": 3, "sqrt(t)": 6}
+STEP_TOL = {"t": CROSSING_TOL, "sqrt(t)": 0.5 * CROSSING_TOL}
 
 
 def vectorized(fn):
@@ -95,8 +99,10 @@ class DiscontinuityCurve:
     """A curve y = value(t) on [a, b] along which f(t, .) may jump.
 
     epsilon is the half-width of the tube sampled by the classifier.  poly,
-    when given, declares value(t) = poly[0] + poly[1]*t + ... + poly[k]*t**k
-    with k <= 3; find_crossings then reads the curve from poly alone.
+    when given, declares value(t) = poly[0] + poly[1]*x + ... + poly[k]*x**k
+    in the variable poly_in: x = t with k <= 3, or x = sqrt(t) with k <= 6
+    (the fan u = k*sqrt(t) is (0, k) in "sqrt(t)").  find_crossings then reads
+    the curve from poly alone; an undeclared curve is scanned.
     """
 
     a: float
@@ -105,17 +111,21 @@ class DiscontinuityCurve:
     second_derivative: callable
     epsilon: float = 0.05
     label: str = "curve"
-    poly: tuple | None = None  # power-basis coefficients in t, degree <= 3
+    poly: tuple | None = None  # power-basis coefficients in poly_in
+    poly_in: str = "t"  # or "sqrt(t)"
 
     def __post_init__(self):
         if not 0.0 <= self.a < self.b <= 1.0:
             raise ValueError(f"curve domain [{self.a}, {self.b}] invalid")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
+        if self.poly_in not in tuple(POLY_DEGREE):  # by ==, so an unhashable one is refused too
+            raise ValueError(f"poly_in must be 't' or 'sqrt(t)', got {self.poly_in!r}")
         if self.poly is not None:
-            poly = tuple(float(c) for c in self.poly)
-            if not (1 <= len(poly) <= 4 and all(map(math.isfinite, poly))):
-                raise ValueError(f"poly must hold 1 to 4 finite coefficients, got {self.poly!r}")
+            poly, most = tuple(float(c) for c in self.poly), POLY_DEGREE[self.poly_in] + 1
+            if not (1 <= len(poly) <= most and all(map(math.isfinite, poly))):
+                raise ValueError(f"poly in {self.poly_in} must hold 1 to {most} finite "
+                                 f"coefficients, got {self.poly!r}")
             object.__setattr__(self, "poly", poly)
         _vectorize_fields(self, "value", "second_derivative")
 
@@ -253,8 +263,8 @@ class ProblemSpec:
             raise ValueError("radius must be > 0")
         if not self.quad_tol > 0:
             raise ValueError("quad_tol must be > 0")
-        if not self.grid_size >= 3:
-            raise ValueError("grid_size must be >= 3")
+        if not _int_at_least(self.grid_size, 3):
+            raise ValueError(f"grid_size must be an integer >= 3, got {self.grid_size!r}")
 
     @functools.cached_property
     def nodes(self) -> np.ndarray:
@@ -288,20 +298,21 @@ def _sample(params, g, nodes, s):
     return g(s), left_factor(params, s), right_factor(params, s), *hermite_basis(nodes, s)
 
 
-def _itp_point(j, a, b, ga, gb, n_max, k1):
+def _itp_point(j, a, b, ga, gb, n_max, k1, tol=CROSSING_TOL):
     """The ITP point of the bracket [a, b], whose gaps ga and gb have opposite
-    signs, at step j of n_max: the regula-falsi point, truncated toward the
-    midpoint by k1*(b - a)**2 and projected into the bisection radius
-    (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  A point not strictly
-    inside (a, b) (regula falsi on an end or past it, by rounding or by
-    underflow in the gaps' products) is replaced by the midpoint, so every
-    step shrinks the bracket and none evaluates an end again."""
+    signs, at step j of n_max toward a bracket tol wide: the regula-falsi
+    point, truncated toward the midpoint by k1*(b - a)**2 and projected into
+    the bisection radius (Oliveira & Takahashi, ACM TOMS 47(1), 2020).  A
+    point not strictly inside (a, b) (regula falsi on an end or past it, by
+    rounding or by underflow in the gaps' products) is replaced by the
+    midpoint, so every step shrinks the bracket and none evaluates an end
+    again."""
     mid, w = 0.5 * (a + b), b - a
     xf = (gb * a - ga * b) / (gb - ga)
     s = 1.0 if mid > xf else -1.0 if mid < xf else 0.0
     d = k1 * w * w
     xt = xf + s * d if d <= abs(mid - xf) else mid
-    r = 0.5 * CROSSING_TOL * 2.0 ** (n_max - j) - 0.5 * w
+    r = 0.5 * tol * 2.0 ** (n_max - j) - 0.5 * w
     x = xt if abs(xt - mid) <= r else mid - s * r
     return x if a < x < b else mid
 
@@ -310,95 +321,177 @@ def _not_finite(curve, t):
     return DomainError(f"u - value of curve {curve.label!r} is not finite at t = {t!r}")
 
 
+def _convolve(p, q):
+    """The product of two polynomials given as lists of coefficient arrays."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for k, c in enumerate(q):
+            out[i + k] = out[i + k] + a * c
+    return out
+
+
+def _hermite_map(knots):
+    """The Bernstein coefficients of degree 6 of u on each panel [x_i, x_{i+1}]
+    of x = sqrt(knots), a (4, 7, rows, panels) map from u's Hermite data (v_i,
+    d_i, v_{i+1}, d_{i+1}) at the panel's knots, whose first and last rows are
+    (1, 0, 0, 0) and (0, 0, 1, 0) exactly.  In the panel's coordinate tau,
+    t = x**2 has local coordinate s = 2 sig tau + (1 - 2 sig) tau**2, sig =
+    x_i / (x_i + x_{i+1}): Bernstein coefficients (0, sig, 1), and 1 - s has
+    (1, 1 - sig, 0).  Each cubic Bernstein basis polynomial in s is a product
+    of three of these, of degree 6 in tau; binomially scaled Bernstein
+    coefficients multiply by convolution.  A zero-width panel maps v_i alone."""
+    x = np.sqrt(knots)
+    h = np.diff(knots, axis=1)
+    sig = x[:, :-1] / (x[:, :-1] + x[:, 1:])
+    one, zero = np.ones_like(sig), np.zeros_like(sig)
+    s, z = (zero, 2.0 * sig, one), (one, 2.0 * (1.0 - sig), zero)
+    bern = []
+    for j in range(4):
+        p = [one]
+        for q in (s,) * j + (z,) * (3 - j):
+            p = _convolve(p, q)
+        bern.append(np.array([math.comb(3, j) * c / math.comb(6, k)
+                              for k, c in enumerate(p)]))
+    b0, b1, b2, b3 = bern
+    flat = h == 0.0
+    return np.array((np.where(flat, 1.0, b0 + b1), h * b1 / 3.0,
+                     np.where(flat, 0.0, b2 + b3), -h * b2 / 3.0))
+
+
+def _shifted_bernstein(q, x):
+    """Bernstein coefficients 1 to 5 of degree 6 of the polynomials q (power
+    basis, (deg + 1, rows, 1)) on each panel [x_i, x_{i+1}] of their rows x:
+    the Taylor coefficients a_m of q(x_i + w tau) by Horner's rule, then
+    c_k = sum over m <= k of binom(k, m) / binom(6, m) * a_m."""
+    x0, w = x[:, :-1], np.diff(x, axis=1)
+    a = [q[-1] + 0.0 * x0]
+    for qk in q[-2::-1]:
+        a = [a[0] * x0 + qk, *(a[m] * x0 + a[m - 1] * w for m in range(1, len(a))), a[-1] * w]
+    return np.array([sum(math.comb(k, m) / math.comb(6, m) * a[m]
+                         for m in range(min(k, len(a) - 1) + 1)) for k in range(1, 6)])
+
+
 @functools.lru_cache(maxsize=32)
-def _knot_frame(node_bytes, curves):
+def _knot_frame(node_bytes, curves, var):
     """What _bernstein_cells needs of the nodes (as bytes) and the declared
-    curves' (a, b, poly) alone, read-only.  Per curve, a row of knots (the
-    nodes clipped to its domain), the index of those off the nodes, and poly
-    and poly' at the knots (Horner's rule); flat over the rows, which knots
-    lie inside their domain, and a third of the width of the panel from each
-    knot but the last, 0 from a row's last knot to the next row's first.  A
-    solve asks for the same frame on every sweep."""
+    curves' (a, b, poly) in var alone, read-only.  A row of knots (the nodes
+    clipped to the domain) per distinct domain, the index of those off the
+    nodes, and each curve's domain row (a slice of all rows where the curves
+    share one domain); per curve, its knots in var, which of them lie inside
+    its domain, and poly at them (Horner's rule).  Then, in
+    t, poly' at the knots and a third of each panel's width; in x = sqrt(t),
+    _hermite_map of the domain rows and each curve's Bernstein coefficients
+    (poly at the knots, _shifted_bernstein between).  A solve asks for the
+    same frame on every sweep."""
     nodes = np.frombuffer(node_bytes)
-    ends = np.array([(a, b) for a, b, _ in curves])
+    domains = list(dict.fromkeys((a, b) for a, b, _ in curves))
+    dom = np.array([domains.index((a, b)) for a, b, _ in curves])
+    ends = np.array(domains)
     knots = np.minimum(np.maximum(nodes, ends[:, :1]), ends[:, 1:])
+    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:]))[dom]
+    off = np.nonzero(knots != nodes)
+    xk = (knots if var == "t" else np.sqrt(knots))[dom]
     deg = max(len(poly) for _, _, poly in curves)
     q = np.array([poly + (0.0,) * (deg - len(poly)) for _, _, poly in curves]).T[..., None]
-    gam, slope = np.zeros_like(knots) + q[-1], np.zeros_like(knots)
+    gam, slope = np.zeros_like(xk) + q[-1], np.zeros_like(xk)
     for qk in q[-2::-1]:
-        slope = slope * knots + gam
-        gam = gam * knots + qk
-    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:])).ravel()
-    h3 = np.diff(knots, append=knots[:, -1:]).ravel()[:-1] / 3.0
-    off = np.nonzero(knots != nodes)
-    for a in (knots, *off, gam, slope, inner, h3):
+        slope = slope * xk + gam
+        gam = gam * xk + qk
+    if var == "t":  # flat over the rows, 0 from a row's last knot to the next row's first
+        by_var = (slope, np.diff(xk, append=xk[:, -1:]).ravel()[:-1] / 3.0)
+    else:
+        poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))
+        by_var = (_hermite_map(knots), poly_b)
+    for a in (knots, *off, dom, xk, inner, gam, *by_var):
         a.flags.writeable = False
-    return knots, off, gam, slope, inner, h3
+    return knots, off, dom if len(domains) > 1 else slice(None), xk, inner, gam, *by_var
 
 
-def _bernstein_cells(nodes, y, curves):
-    """Refinement cells of declared curves (poly given), one sorted list each.
+def _halves(c):
+    """de Casteljau's split at 1/2: both halves' Bernstein coefficients."""
+    left, right = [c[0]], [c[-1]]
+    while len(c) > 1:
+        c = [0.5 * (a + b) for a, b in zip(c, c[1:])]
+        left.append(c[0])
+        right.append(c[-1])
+    return left, right[::-1]
+
+
+def _bernstein_cells(nodes, y, curves, var):
+    """Refinement cells of declared curves whose poly is in var, one sorted
+    list each, in var (t, or x = sqrt(t)).
 
     On each panel between knots (the nodes clipped to the curve's domain, with
     u's Hermite data at an end inside a node panel) the gap u - poly is a
-    cubic, exactly, with Bernstein coefficients (g_i, g_i + h g'_i/3, g_{i+1} -
-    h g'_{i+1}/3, g_{i+1}); their sign changes bound its roots there (Lane &
-    Riesenfeld, BIT 21, 1981).  One array pass, over all curves' knots laid
-    end to end, skips every panel whose coefficients show no strict sign
+    polynomial, exactly, of degree 3 in t or 6 in x.  Its Bernstein
+    coefficients come from the gap's values at the knots and, in t, its
+    slopes: (g_i, g_i + h g'_i/3, g_{i+1} - h g'_{i+1}/3, g_{i+1}); in x, from
+    _hermite_map of u's data minus poly's own.  Their sign changes bound its
+    roots there (Lane & Riesenfeld, BIT 21, 1981).  One array pass, over all
+    curves' panels, skips every panel whose coefficients show no strict sign
     change.  A piece with one change and nonzero ends is an ITP cell that
     carries (left knot, width, coefficients); one with more, or with one and
     a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
-    until it has at most one, or is CROSSING_TOL wide and counts as one
-    crossing at its midpoint.  An exact zero at an interior knot or at a split
-    point is a crossing there.
+    until it has at most one, or is STEP_TOL wide and counts as one crossing
+    at its midpoint.  An exact zero at an interior knot or at a split point is
+    a crossing there.
     """
-    tol, n = CROSSING_TOL, nodes.size
-    knots, off, gam, slope, inner, h3 = _knot_frame(
-        np.ascontiguousarray(nodes, dtype=float).tobytes(), tuple((c.a, c.b, c.poly) for c in curves))
-    val, der = y
+    eps = STEP_TOL[var]
+    knots, off, rows, xk, inner, gam, *by_var = _knot_frame(
+        np.ascontiguousarray(nodes, dtype=float).tobytes(),
+        tuple((c.a, c.b, c.poly) for c in curves), var)
+    val, der = y  # one row, broadcast, unless a domain end lies inside a node panel
     if off[0].size:
-        val, der = np.repeat(np.asarray(y)[:, None], len(curves), axis=1)
+        val, der = np.repeat(np.asarray(y, dtype=float)[:, None], len(knots), axis=1)
         val[off], der[off] = _value_and_slope(nodes, y, knots[off])
-    g, d = (val - gam).ravel(), (der - slope).ravel()
-    b = np.array((g[:-1], g[:-1] + h3 * d[:-1], g[1:] - h3 * d[1:], g[1:]))
+    g, n = val[rows] - gam, xk.shape[1]  # the gap at the knots
+    if var == "t":  # panels flat over the rows' knots laid end to end
+        slope, h3 = by_var
+        flat, d, stride = g.ravel(), (der[rows] - slope).ravel(), n
+        b = np.array((flat[:-1], flat[:-1] + h3 * d[:-1], flat[1:] - h3 * d[1:], flat[1:]))
+    else:  # panels flat over the rows' panels
+        (m0, m1, m2, m3), poly_b = by_var
+        u_b = m0 * val[..., :-1] + m1 * der[..., :-1] + m2 * val[..., 1:] + m3 * der[..., 1:]
+        b, stride = (u_b[:, rows] - poly_b).reshape(7, -1), n - 1
     if not np.isfinite(b).all():
-        k, p = np.argwhere(~np.isfinite(b))[0]
-        r, i = divmod(int(p) + (k >= 2), n)
-        raise _not_finite(curves[r], float(knots[r, i]))
+        bad = np.broadcast_to(~(np.isfinite(val) & np.isfinite(der))[rows], xk.shape)
+        if bad.any():
+            r, i = np.argwhere(bad)[0]
+        else:
+            r, i = divmod(int(np.argwhere(~np.isfinite(b).all(0))[0, 0]), stride)
+        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], xk.shape)[r, i]))
     cells = [[] for _ in curves]
     if not g.all():  # an exact zero at an interior knot is a crossing there
-        for p in np.nonzero((g == 0.0) & inner)[0].tolist():
-            r, i = divmod(p, n)
-            x = float(knots[r, i])
+        for r, i in np.argwhere((g == 0.0) & inner).tolist():
+            x = float(xk[r, i])
             cells[r].append([x, x, 0.0, 0.0, 0, 0.0])
     ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
     for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
-        r, i = divmod(p, n)
-        if i == n - 1:  # from one curve's last knot to the next one's first
+        r, i = divmod(p, stride)
+        if i == n - 1:  # in t, from one row's last knot to the next one's first
             continue
-        lo, hi = float(knots[r, i]), float(knots[r, i + 1])
+        lo, hi = float(xk[r, i]), float(xk[r, i + 1])
         panel, out = (lo, hi - lo, *coef), cells[r]
         pieces = [(lo, hi, coef)]
         while pieces:
-            lo, hi, (c0, c1, c2, c3) = pieces.pop()
-            signs = [c > 0.0 for c in (c0, c1, c2, c3) if c != 0.0]
+            lo, hi, c = pieces.pop()
+            signs = [v > 0.0 for v in c if v != 0.0]
             changes = sum(s != t for s, t in zip(signs, signs[1:]))
             if not changes:
                 continue
             w = hi - lo
-            if changes == 1 and c0 != 0.0 and c3 != 0.0:
-                out.append([lo, hi, c0, c3, math.ceil(math.log2(w / tol)) + 1, 0.2 / w, panel])
+            if changes == 1 and c[0] != 0.0 and c[-1] != 0.0:
+                n_max = math.ceil(math.log2(w / eps)) + 1
+                out.append([lo, hi, c[0], c[-1], n_max, 0.2 / w, panel])
                 continue
             mid = 0.5 * (lo + hi)
-            if w <= tol:
+            if w <= eps:
                 out.append([mid, mid, 0.0, 0.0, 0, 0.0])
                 continue
-            c01, c12, c23 = 0.5 * (c0 + c1), 0.5 * (c1 + c2), 0.5 * (c2 + c3)
-            c012, c123 = 0.5 * (c01 + c12), 0.5 * (c12 + c23)
-            cm = 0.5 * (c012 + c123)
-            if cm == 0.0:
+            left, right = _halves(c)
+            if right[0] == 0.0:
                 out.append([mid, mid, 0.0, 0.0, 0, 0.0])
-            pieces += [(mid, hi, (cm, c123, c23, c3)), (lo, mid, (c0, c01, c012, cm))]
+            pieces += [(mid, hi, right), (lo, mid, left)]
     for out in cells:
         out.sort(key=lambda c: c[0])
     return cells
@@ -412,24 +505,36 @@ def _panel_gap(panel, s):
     return z * z * (z * c0 + 3.0 * x * c1) + x * x * (3.0 * z * c2 + x * c3)
 
 
+def _panel_gap_x(panel, s):
+    """A declared cell's gap at s in x = sqrt(t), of degree 6, by de Casteljau."""
+    x = (s - panel[0]) / panel[1]
+    z, c = 1.0 - x, panel[2:]
+    while len(c) > 1:
+        c = [z * a + x * b for a, b in zip(c, c[1:])]
+    return c[0]
+
+
 def find_crossings(nodes, y, curves):
     """Locate where u, of node data y on nodes, crosses each curve: one sorted
     list of crossing abscissae strictly inside the curve's domain per curve.
 
     A declared curve (DiscontinuityCurve.poly) takes its cells from the
-    Bernstein form of u - poly (_bernstein_cells) and never calls curve.value:
-    every crossing is isolated, and a near-double pair that no piece
-    CROSSING_TOL wide separates counts as one.  The others are scanned:
-    u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of the
-    curve's domain, u evaluated once per distinct domain, all gaps in one
-    array pass; two crossings inside one scan cell are not seen.
+    Bernstein form of u - poly in its poly_in, t or x = sqrt(t)
+    (_bernstein_cells), and never calls curve.value: every crossing is
+    isolated, and a near-double pair that no piece STEP_TOL wide separates
+    counts as one.  A curve that declares no poly (a user callable; every
+    catalog curve declares one) is scanned: u(s) - curve.value(s) on
+    SCAN_PER_PANEL * (N - 1) equal cells of the curve's domain, u evaluated
+    once per distinct domain, all gaps in one array pass; two crossings
+    inside one scan cell are not seen.
 
     Each curve's cells are then refined together by ITP steps, with u in
     floats: a scanned curve's live cells take one curve.value call per step,
-    a declared cell evaluates its own cubic, and both take their points from
-    _itp_point, strictly inside the bracket.  ITP keeps bisection's bracket
-    and worst case: a cell of width w takes at most ceil(log2(w / 1e-12)) + 1
-    steps to a bracket <= 1e-12 wide, whose midpoint is returned, and
+    a declared cell evaluates its own Bernstein polynomial, and both take
+    their points from _itp_point, strictly inside the bracket.  ITP keeps
+    bisection's bracket and worst case: a cell of width w takes at most
+    ceil(log2(w / eps)) + 1 steps to a bracket <= eps = STEP_TOL wide (1e-12
+    in t, a cell in x returns t = x**2), whose midpoint is returned, and
     converges superlinearly on a simple root (the step example's crossings
     take 8 or 9 steps, where bisection took 31).  Crossings closer than 1e-11
     are merged.  A non-finite gap, at a scan point, a knot or a step, raises
@@ -438,10 +543,12 @@ def find_crossings(nodes, y, curves):
     tol = CROSSING_TOL
     # [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's panel
     # for _panel_gap; b = a where the gap is 0
-    cells = [[] for _ in curves]
-    declared = [k for k, c in enumerate(curves) if c.poly is not None]
-    if declared:
-        for k, cs in zip(declared, _bernstein_cells(nodes, y, [curves[k] for k in declared])):
+    cells, declared = [[] for _ in curves], {}
+    for k, c in enumerate(curves):
+        if c.poly is not None:
+            declared.setdefault(c.poly_in, []).append(k)
+    for var, ks in declared.items():
+        for k, cs in zip(ks, _bernstein_cells(nodes, y, [curves[k] for k in ks], var)):
             cells[k] = cs
     spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol and curves[k].poly is None]
@@ -479,17 +586,20 @@ def find_crossings(nodes, y, curves):
 
     out = []
     for curve, cs in zip(curves, cells):
+        var = "t" if curve.poly is None else curve.poly_in  # a scanned curve's cells lie in t
+        eps, in_x = STEP_TOL[var], var != "t"
+        gap = _panel_gap_x if in_x else _panel_gap
         steps, j = cs, 0  # live cells step in lockstep: each has taken j steps
-        while steps := [c for c in steps if c[1] - c[0] > tol]:  # one ITP step of each
-            xs = [_itp_point(j, *c[:6]) for c in steps]
+        while steps := [c for c in steps if c[1] - c[0] > eps]:  # one ITP step of each
+            xs = [_itp_point(j, *c[:6], eps) for c in steps]
             j += 1
             if curve.poly is None:
                 gaps = [value(x) - lv for x, lv in zip(xs, curve.value(np.array(xs)).tolist())]
             else:
-                gaps = [_panel_gap(c[6], x) for c, x in zip(steps, xs)]
+                gaps = [gap(c[6], x) for c, x in zip(steps, xs)]
             for c, x, fx in zip(steps, xs, gaps):
                 if not math.isfinite(fx):
-                    raise _not_finite(curve, x)
+                    raise _not_finite(curve, x * x if in_x else x)
                 if fx == 0.0:
                     c[0] = c[1] = x
                 elif c[2] * fx < 0.0:
@@ -498,6 +608,7 @@ def find_crossings(nodes, y, curves):
                     c[0], c[2] = x, fx
         merged = []
         for x in (0.5 * (c[0] + c[1]) for c in cs):
+            x = x * x if in_x else x
             if not merged or x - merged[-1] > 10 * tol:
                 merged.append(x)
         out.append(merged)

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from bvpkit import (DIRICHLET, BallViolation, apply_T, bc_residual, bounds_report,
-                    check_h1, equicontinuity_check, grid_eval, norm_c1, residual,
-                    solve_picard, validate_params)
+from bvpkit import (DIRICHLET, BallViolation, PhiExample, apply_T, bc_residual,
+                    bounds_report, build_problem, check_h1, equicontinuity_check, grid_eval,
+                    norm_c1, residual, solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
 from bvpkit.hammerstein import _closed_forms, _running_integrals
 from bvpkit.kernel import left_factor, right_factor
@@ -142,6 +142,97 @@ class TestPlantedDoubleCrossing:
         missed = apply_T(twin, u)
         assert np.max(np.abs(missed.values - ref_v)) + np.max(np.abs(missed.derivatives - ref_d)) \
             > 1e4 * spec.quad_tol
+
+
+class TestPlantedFanLinePair:
+    """u = (l - delta) s, with l the tangent of 3 sqrt(t) at t0 = 0.25 + 1/1024
+    (the middle of a scan cell) and s a smoothstep from 0 at t = 0 to 1 for
+    t >= 0.15, dips delta below the divisor's fan line gamma_3 and crosses it
+    twice inside one scan cell.  The fan line declares (0, 3) in sqrt(t), so
+    both crossings split T's panels.  The reference integrates g f(., u) by
+    scipy.integrate.quad, one call per piece, split at every level change of
+    the region map along u, found by sampling and brentq.  A scan of gamma_3
+    sees neither crossing of the pair, and T was then 1.2e-7 (delta = 1e-6)
+    and 1.0e-7 (delta = 1e-7) off in max|value| + max|derivative|."""
+
+    T0, RAMP = 0.25 + 1 / 1024, 0.15
+
+    @classmethod
+    def spec_and_u(cls, delta):
+        spec = build_problem(PhiExample(), validate_params(1.0, 1.0, 1.0, 1.0), radius=40.0,
+                             grid_size=129)
+        t, m = spec.nodes, 1.5 / math.sqrt(cls.T0)
+        line = 3 * math.sqrt(cls.T0) + m * (t - cls.T0) - delta
+        x = np.minimum(t / cls.RAMP, 1.0)
+        ramp, dramp = x * x * (3 - 2 * x), 6 * x * (1 - x) / cls.RAMP
+        return spec, GridFunction(t, line * ramp, m * ramp + line * dramp)
+
+    @classmethod
+    def pair(cls, delta):
+        """Where l - delta = 3 sqrt(t): m x**2 - 3x + l(0) - delta = 0 in x =
+        sqrt(t), m = 1.5 / sqrt(t0) and l(0) = 1.5 sqrt(t0), so x = sqrt(t0)
+        (1 -+ sqrt(6 delta / sqrt(t0)) / 3)."""
+        r0 = math.sqrt(cls.T0)
+        e = math.sqrt(6 * delta / r0) / 3
+        return (r0 * (1 - e)) ** 2, (r0 * (1 + e)) ** 2
+
+    @staticmethod
+    def level_changes(u):
+        """Where the region index n(s, u(s)) changes, from 2**16 samples and
+        brentq on u(s) - k sqrt(s); u > 0 here, so each change crosses a fan line."""
+        from scipy.optimize import brentq
+        from bvpkit.example_phi import _region_array
+        s = np.linspace(0.0, 1.0, 2 ** 16 + 1)[1:]
+        vals = grid_eval(u, s)[0]
+        assert (vals > 0.0).all()
+        n = _region_array(s, vals)
+        changes = []
+        for i in np.nonzero(np.diff(n))[0]:
+            assert abs(n[i + 1] - n[i]) == 1
+            k = max(n[i], n[i + 1]) - 1
+            changes.append(brentq(lambda r: grid_eval(u, r)[0] - k * math.sqrt(r), s[i], s[i + 1],
+                                  xtol=1e-16, rtol=1e-15))
+        return changes
+
+    @staticmethod
+    def reference(spec, u, changes):
+        """Tu and (Tu)' at the nodes: L and R summed over the pieces between the
+        nodes and the level changes, on each of which f is constant and g ds =
+        2 dx in x = sqrt(s)."""
+        from scipy.integrate import quad
+        p, nodes = spec.params, spec.nodes
+        cuts = np.unique(np.concatenate((nodes, changes)))
+        left, right = np.zeros(cuts.size - 1), np.zeros(cuts.size - 1)
+        for j, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+            mid = 0.5 * (lo + hi)
+            f = float(spec.nonlinearity.eval(mid, grid_eval(u, mid)[0]))
+            for out, factor in ((left, left_factor), (right, right_factor)):
+                out[j] = f * quad(lambda x: 2.0 * factor(p, x * x), math.sqrt(lo), math.sqrt(hi),
+                                  epsabs=1e-14, epsrel=1e-14)[0]
+        at = np.searchsorted(cuts, nodes)
+        L = np.concatenate(([0.0], np.cumsum(left)))[at]
+        R = np.concatenate((np.cumsum(right[::-1])[::-1], [0.0]))[at]
+        return _closed_forms(spec, nodes, L, R)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-7])
+    def test_T_splits_at_both_crossings(self, delta):
+        spec, u = self.spec_and_u(delta)
+        curves = spec.nonlinearity.curves
+        gamma_3 = next(c for c in curves if c.label == "gamma_3")
+        assert gamma_3.poly == (0.0, 3.0) and gamma_3.poly_in == "sqrt(t)"
+        pair = self.pair(delta)
+        assert 0.25 < pair[0] < pair[1] < 0.25 + 1 / 512  # one scan cell
+        near = [x for x in crossings_of(u, (gamma_3,))[0] if abs(x - self.T0) < 1 / 512]
+        assert len(near) == 2 and np.max(np.abs(np.subtract(near, pair))) <= 1e-12
+        # T's breakpoints are the reference's level changes
+        changes = self.level_changes(u)
+        breaks = sorted(x for xs in crossings_of(u, curves) for x in xs)
+        assert len(breaks) == len(changes)
+        assert np.max(np.abs(np.subtract(breaks, changes))) <= 1e-12
+        ref_v, ref_d = self.reference(spec, u, changes)
+        tu = apply_T(spec, u)
+        assert np.max(np.abs(tu.values - ref_v)) + np.max(np.abs(tu.derivatives - ref_d)) \
+            <= spec.quad_tol
 
 
 class TestResidual:

@@ -262,10 +262,16 @@ class TestProblemSpec:
                                              ({"grid_size": 2}, "grid_size"),
                                              ({"quad_tol": np.nan}, "quad_tol"),
                                              ({"radius": np.nan}, "radius"),
-                                             ({"grid_size": np.nan}, "grid_size")])
+                                             ({"grid_size": np.nan}, "grid_size"),
+                                             ({"grid_size": 65.5}, "grid_size"),
+                                             ({"grid_size": True}, "grid_size")])
     def test_bad_numerics_rejected(self, knob, match):
+        # at build time, not in np.linspace at the first use of spec.nodes
         with pytest.raises(ValueError, match=match):
             smoke_spec(**knob)
+
+    def test_numpy_integer_grid_size_accepted(self):
+        assert smoke_spec(grid_size=np.int64(129)).nodes.size == 129
 
     def test_half_is_a_node(self):
         spec = smoke_spec(grid_size=129)
@@ -295,6 +301,20 @@ class TestDiscontinuityCurve:
         with pytest.raises(ValueError, match="poly"):
             DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
                                second_derivative=np.zeros_like, poly=poly)
+
+    @pytest.mark.parametrize("poly, poly_in, match", [
+        ((0.0, 1.0), "x", "poly_in"), ((0.0, 1.0), None, "poly_in"), ((0.0,), ["t"], "poly_in"),
+        ((1.0,) * 8, "sqrt(t)", "sqrt"), ((0.0, np.nan), "sqrt(t)", "sqrt")])
+    def test_poly_in_rejected(self, poly, poly_in, match):
+        with pytest.raises(ValueError, match=match):
+            DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
+                               second_derivative=np.zeros_like, poly=poly, poly_in=poly_in)
+
+    def test_degree_six_in_sqrt_t_accepted(self):
+        curve = DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
+                                   second_derivative=np.zeros_like, poly=range(7),
+                                   poly_in="sqrt(t)")
+        assert curve.poly == tuple(map(float, range(7))) and curve.poly_in == "sqrt(t)"
 
     def test_poly_kept_as_float_coefficients(self):
         curve = DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like,
@@ -514,8 +534,14 @@ class TestBatchedCrossings:
             return hermite_basis(nodes, rows)
 
         monkeypatch.setattr(bvpkit.model, "hermite_basis", counted)
-        assert len(divisor_spec.nonlinearity.curves) == 16
-        assert crossings_of(divisor_solution.u, divisor_spec.nonlinearity.curves) == [[]] * 16
+        curves = divisor_spec.nonlinearity.curves
+        assert len(curves) == 16
+        # every divisor curve declares its polynomial, so none is scanned
+        assert crossings_of(divisor_solution.u, curves) == [[]] * 16
+        assert sizes == []
+        # their undeclared twins share the domain [0, 1]: one scan of u
+        twins = tuple(replace(c, poly=None) for c in curves)
+        assert crossings_of(divisor_solution.u, twins) == [[]] * 16
         assert sizes == [4 * 128 + 1]
 
 
@@ -584,58 +610,70 @@ class TestCrossingsAgainstExactRoots:
         assert crossings_of(u, (line(0.0, -6.032212003637185e-264),)) == [[]]
 
 
-def declared(poly, a=0.0, b=1.0):
-    """A curve that declares its power-basis coefficients, with value from them."""
+def declared(poly, a=0.0, b=1.0, poly_in="t"):
+    """A curve that declares its power-basis coefficients in poly_in, t or
+    sqrt(t), with value and second derivative from them."""
     poly = tuple(poly)
     pp = np.polynomial.polynomial
-    return DiscontinuityCurve(a=a, b=b, value=lambda t: pp.polyval(t, poly),
-                              second_derivative=lambda t: pp.polyval(t, pp.polyder(poly, 2)),
-                              label="declared", poly=poly)
+    if poly_in == "t":
+        return DiscontinuityCurve(a=a, b=b, value=lambda t: pp.polyval(t, poly),
+                                  second_derivative=lambda t: pp.polyval(t, pp.polyder(poly, 2)),
+                                  label="declared", poly=poly)
+
+    def second_derivative(t):  # of q(x), x = sqrt(t): (q''(x) - q'(x)/x) / (4 x**2)
+        x = np.sqrt(t)
+        return (pp.polyval(x, pp.polyder(poly, 2)) - pp.polyval(x, pp.polyder(poly)) / x) / (4 * t)
+
+    return DiscontinuityCurve(a=a, b=b, value=lambda t: pp.polyval(np.sqrt(t), poly),
+                              second_derivative=second_derivative, label="declared",
+                              poly=poly, poly_in="sqrt(t)")
 
 
 class TestDeclaredCrossingsAgainstExactRoots:
-    """The twin of TestCrossingsAgainstExactRoots for declared curves of degree
-    <= 3 on random domains: numpy.roots of u - poly on each node panel, with
-    no assumption on slopes or on how close the roots lie."""
+    """The twin of TestCrossingsAgainstExactRoots for declared curves on random
+    domains, polynomials of degree <= 3 in t or <= 6 in x = sqrt(t): numpy.roots
+    of u - poly on each node panel, with no assumption on slopes or on how
+    close the roots lie."""
 
     @staticmethod
-    def exact_roots(u, poly):
-        """(t, |u'(t) - poly'(t)|) at each root in [0, 1] of a panel's cubic
-        whose imaginary part is at most 1e-6 (a complex pair counts once, at
-        its real part), sorted, roots within 1e-12 counted once; None where
-        u - poly vanishes on a whole panel."""
+    def exact_roots(u, poly, poly_in="t"):
+        """(t, slope) at each root in [0, 1] of a panel's gap polynomial whose
+        imaginary part is at most 1e-6 (a complex pair counts once, at its real
+        part), sorted, roots within 1e-12 counted once; None where u - poly
+        vanishes on a whole panel.  The gap is the Hermite cubic minus poly in
+        the panel's local coordinate: x = (t - t0) / h, of degree 3, and the
+        slope is |u' - poly'| in t; or tau = (sqrt(t) - sqrt(t0)) / w, of
+        degree 6, and the slope is |d(u - poly)/d sqrt(t)|."""
         P = np.polynomial.Polynomial
         roots = []
         for i in range(u.nodes.size - 1):
             t0, h = u.nodes[i], u.nodes[i + 1] - u.nodes[i]
             u0, u1 = u.values[i], u.values[i + 1]
             m0, m1 = h * u.derivatives[i], h * u.derivatives[i + 1]
-            # the Hermite cubic minus poly(t0 + h x), in x = (t - t0) / h
-            gap = P([u0, m0, -3 * u0 - 2 * m0 + 3 * u1 - m1, 2 * u0 + m0 - 2 * u1 + m1]) \
-                - P(poly)(P([t0, h]))
+            cubic = P([u0, m0, -3 * u0 - 2 * m0 + 3 * u1 - m1, 2 * u0 + m0 - 2 * u1 + m1])
+            if poly_in == "t":
+                var, w = P([t0, h]), h
+                gap = cubic - P(poly)(var)
+            else:
+                x0 = math.sqrt(t0)
+                var, w = P([x0, math.sqrt(u.nodes[i + 1]) - x0]), math.sqrt(u.nodes[i + 1]) - x0
+                gap = cubic((var ** 2 - t0) / h) - P(poly)(var)
             if not gap.coef.any():
                 return None
             for z in np.roots(gap.coef[::-1]):
                 if abs(z.imag) <= 1e-6 and -1e-9 <= z.real <= 1.0 + 1e-9:
-                    roots.append((t0 + h * z.real, abs(gap.deriv()(z.real)) / h))
+                    x = var(z.real)
+                    roots.append((x if poly_in == "t" else x * x, abs(gap.deriv()(z.real)) / w))
         roots.sort()
         return [r for k, r in enumerate(roots) if k == 0 or r[0] - roots[k - 1][0] > 1e-12]
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    @given(n=st.integers(3, 17), data=st.data(),
-           poly=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=4),
-           a=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
-           b=st.one_of(st.just(1.0), st.floats(0.6, 1.0)))
-    def test_roots_are_the_crossings(self, n, data, poly, a, b):
-        values = data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
-        derivs = data.draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n))
-        u = GridFunction(np.linspace(0.0, 1.0, n), np.array(values) / 64, np.array(derivs) / 16)
-        roots = self.exact_roots(u, poly)
+    def check(self, u, poly, a, b, poly_in):
+        roots = self.exact_roots(u, poly, poly_in)
         assume(roots is not None)
         # a root within the oracle's 1e-9 of a domain end may lie on either side
         assume(all(abs(t - end) > 1e-9 for t, _ in roots for end in (a, b)))
         roots = [(t, slope) for t, slope in roots if a < t < b]
-        got = np.array(crossings_of(u, (declared(poly, a, b),))[0])
+        got = np.array(crossings_of(u, (declared(poly, a, b, poly_in),))[0])
         # clusters of roots within 1e-6: a steep lone root is found once, within
         # 1e-11; a near-double pair or a touch comes back at most once per root
         clusters = []
@@ -654,6 +692,28 @@ class TestDeclaredCrossingsAgainstExactRoots:
                 assert near.size <= len(cl)
         assert seen == got.size  # no crossing away from a root
         assert np.all(np.diff(got) > 1e-11) and np.all((got > a) & (got < b))
+
+    @staticmethod
+    def node_data(n, data):
+        values = data.draw(st.lists(st.integers(-64, 64), min_size=n, max_size=n))
+        derivs = data.draw(st.lists(st.integers(-48, 48), min_size=n, max_size=n))
+        return GridFunction(np.linspace(0.0, 1.0, n), np.array(values) / 64, np.array(derivs) / 16)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 17), data=st.data(),
+           poly=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=4),
+           a=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+           b=st.one_of(st.just(1.0), st.floats(0.6, 1.0)))
+    def test_roots_are_the_crossings(self, n, data, poly, a, b):
+        self.check(self.node_data(n, data), poly, a, b, "t")
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(3, 17), data=st.data(),
+           poly=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=7),
+           a=st.one_of(st.just(0.0), st.floats(0.0, 0.4)),
+           b=st.one_of(st.just(1.0), st.floats(0.6, 1.0)))
+    def test_roots_in_sqrt_t_are_the_crossings(self, n, data, poly, a, b):
+        self.check(self.node_data(n, data), poly, a, b, "sqrt(t)")
 
 
 class TestDeclaredCrossings:
@@ -736,6 +796,26 @@ class TestDeclaredCrossings:
         with pytest.raises(DomainError, match=r"'declared'.*t = 0\.3125"):
             find_crossings(u.nodes, (values, u.derivatives), (declared((0.0, 0.1)),))
 
+    @pytest.mark.parametrize("n, a, b, expected", [
+        (17, 0.0, 1.0, [0.25]),  # an exact zero at the knot 1/4, where u = 1/2 = sqrt(1/4)
+        (3, 0.0, 1.0, [0.25]),  # a root inside the panel [0, 1/2], refined by ITP steps
+        (17, 0.1, 0.3, [0.25]),  # domain ends inside node panels
+        (17, 0.26, 0.9, []),
+    ])
+    def test_roots_of_a_line_against_sqrt_t(self, n, a, b, expected):
+        # u = 2t meets sqrt(t), (0, 1) in sqrt(t), at t = 1/4 and at t = 0
+        u = sampled(lambda t: 2 * t, lambda t: 2 + 0 * t, n)
+        xs = crossings_of(u, (declared((0.0, 1.0), a, b, "sqrt(t)"),))[0]
+        assert len(xs) == len(expected)
+        assert np.all(np.abs(np.subtract(xs, expected)) <= 1e-12)
+
+    def test_sqrt_t_curves_never_call_value(self):
+        u = sampled(lambda t: 2 * t, lambda t: 2 + 0 * t, 9)
+        value = Counted(lambda t: np.sqrt(t))
+        curve = replace(declared((0.0, 1.0), poly_in="sqrt(t)"), value=value)
+        assert crossings_of(u, (curve,))[0] == pytest.approx([0.25], abs=1e-12)
+        assert value.calls == 0
+
     @pytest.mark.parametrize("spec_of", ["step", "phi-example"])
     def test_catalog_curves_equal_their_polynomials(self, spec_of):
         from bvpkit.catalog import make_nonlinearity_from_id
@@ -745,13 +825,38 @@ class TestDeclaredCrossings:
                       for thr in (0.05, -0.4, 0.0, *rng.uniform(-5.0, 5.0, 5))]
         else:
             curves = make_nonlinearity_from_id("phi-example", {"curve_count": 12}).curves
-        declared_curves = [c for c in curves if c.poly is not None]
-        # the wedge lines -t/(k+1) declare (0, -1/(k+1)); the fan lines k*sqrt(t) declare none
-        assert len(declared_curves) == (len(curves) if spec_of == "step" else 12)
-        for c in declared_curves:
+        # the wedge lines -t/(k+1) declare (0, -1/(k+1)) in t, the fan lines
+        # k*sqrt(t) declare (0, k) in sqrt(t)
+        assert all(c.poly is not None for c in curves)
+        for c in curves:
             t = np.concatenate(([c.a, c.b], rng.uniform(c.a, c.b, 10_000)))
-            np.testing.assert_allclose(c.value(t), np.polynomial.polynomial.polyval(t, c.poly),
+            x = t if c.poly_in == "t" else np.sqrt(t)
+            np.testing.assert_allclose(c.value(t), np.polynomial.polynomial.polyval(x, c.poly),
                                        rtol=4e-16, atol=0.0)
+
+
+class TestEveryCatalogCurveIsDeclared:
+    """No curve the catalog builds falls back to the scan of find_crossings."""
+
+    @pytest.mark.parametrize("nl_id, params", [("step", {}), ("step", {"threshold": -0.4}),
+                                               ("phi-example", {"curve_count": 1}),
+                                               ("phi-example", {"curve_count": 8})])
+    def test_every_curve_declares_its_polynomial(self, nl_id, params):
+        from bvpkit.catalog import make_nonlinearity_from_id
+        curves = make_nonlinearity_from_id(nl_id, params).curves
+        assert curves and all(c.poly is not None for c in curves)
+
+    def test_a_divisor_solve_never_calls_curve_value(self, divisor_spec):
+        from bvpkit import solve_picard
+        nl = divisor_spec.nonlinearity
+        values = [Counted(c.value) for c in nl.curves]
+        curves = tuple(replace(c, value=v) for c, v in zip(nl.curves, values))
+        spec = replace(divisor_spec, nonlinearity=replace(nl, curves=curves))
+        sol = solve_picard(spec, tol=1e-8)
+        assert sol.converged and [v.calls for v in values] == [0] * 16
+        # the counters see a scan: the undeclared twin of a fan line calls value
+        crossings_of(sol.u, (replace(curves[0], poly=None),))
+        assert values[0].calls == 1
 
 
 class TestCrossingSteps:
@@ -795,6 +900,24 @@ class TestCrossingSteps:
         assert len(xs) == 1
         assert abs(grid_eval(u, xs[0])[0] - (c0 + c1 * xs[0])) <= 1e-11
         assert cubic.calls <= math.ceil(math.log2((1 / (n - 1)) / 1e-12)) + 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_a_sqrt_t_cell_keeps_the_worst_case(self, seed, monkeypatch):
+        # one root of a monotone gap against c0 + c1 sqrt(t), c1 < 0: one ITP cell in
+        # x = sqrt(t), at most as wide as the first panel [0, sqrt(1/(n - 1))], refined
+        # to a bracket 5e-13 wide in x
+        import bvpkit.model
+        rng = np.random.default_rng(seed)
+        n, w, c1 = int(rng.integers(5, 40)), rng.uniform(1.0, 9.0), rng.uniform(-0.5, 0.0)
+        r = rng.uniform(0.05, 0.95)  # the root; the gap's slope in t is >= 1 - 0.45
+        c0 = r + 0.05 * np.sin(w * r) - c1 * np.sqrt(r)
+        u = sampled(lambda t: t + 0.05 * np.sin(w * t), lambda t: 1 + 0.05 * w * np.cos(w * t), n)
+        degree6 = Counted(bvpkit.model._panel_gap_x)
+        monkeypatch.setattr(bvpkit.model, "_panel_gap_x", degree6)
+        xs = crossings_of(u, (declared((c0, c1), poly_in="sqrt(t)"),))[0]
+        assert len(xs) == 1
+        assert abs(grid_eval(u, xs[0])[0] - (c0 + c1 * math.sqrt(xs[0]))) <= 1e-11
+        assert degree6.calls <= math.ceil(math.log2(math.sqrt(1 / (n - 1)) / 5e-13)) + 1
 
     def test_step_crossing_solution(self):
         u, curve = step_solution()
