@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import QuadratureError
 from .hammerstein import BoundsReport, _apply_T, _node_data, bounds_report
-from .model import DiscontinuityCurve, GridFunction, ProblemSpec, Weight, c1_norm_of
+from .model import (DiscontinuityCurve, GridFunction, ProblemSpec, Weight, _int_at_least,
+                    c1_norm_of)
 from .quadrature import integrate_groups
 
 VIABLE = "viable"
@@ -246,8 +247,8 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
     call and one f call on their stacked centre lines.  Each non-viable
     curve's epsilon-tube is then one f call of its own."""
     _check_t_min(t_min)
-    if n_t < 2 or n_y < 2:
-        raise ValueError("need n_t, n_y >= 2")
+    if not (_int_at_least(n_t, 2) and _int_at_least(n_y, 2)):
+        raise ValueError(f"need n_t, n_y >= 2 (integers), got {n_t!r}, {n_y!r}")
     domains = {}
     for i, curve in enumerate(curves):
         lo, hi = max(curve.a, t_min), curve.b
@@ -280,11 +281,12 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
 def _tube_verdict(f, ts, g, gamma, neg_curv, eps, n_y):
     """(verdict, margin) of a non-viable curve from its sampled epsilon-tube."""
     # the epsilon-tube as an (n_y, n_t) grid, one row per offset from the curve
-    gf = g * f(ts, np.linspace(gamma - eps, gamma + eps, n_y))
+    d = neg_curv - g * f(ts, np.linspace(gamma - eps, gamma + eps, n_y))
     # min of -gamma'' - g f over the tube: positive => pushed down
-    upper = float(np.min(neg_curv - gf))
-    # min of g f + gamma'' over the tube: positive => pushed up
-    lower = float(np.min(gf - neg_curv))
+    upper = float(d.min())
+    # min of g f + gamma'' = -d over the tube: positive => pushed up.  a - b
+    # is -(b - a) exactly, and 0.0 - keeps the +0.0 that b - a gives at a == b
+    lower = 0.0 - float(d.max())
     if upper > 0.0:
         return INVIABLE_UPPER, upper
     if lower > 0.0:
@@ -399,8 +401,9 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     grid must be fine enough for n_samples bumps (a ValueError names the
     largest usable n_samples).
     """
-    if not eps > 0 or n_samples < 1:  # NaN fails too
-        raise ValueError("need eps > 0 and n_samples >= 1")
+    if not (eps > 0 and _int_at_least(n_samples, 1)):  # a NaN eps fails too
+        raise ValueError(f"need eps > 0 and n_samples >= 1 (an integer), got "
+                         f"{eps!r}, {n_samples!r}")
     y = _node_data(spec, u, margin=eps)
     samples = [y] + [y + (-1 if i % 2 else +1) * eps * _bump(spec.nodes, i // 2 + 1)
                      for i in range(n_samples - 1)]

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     estimate_HR, minimal_R_power, norm_c1, residual,
                     simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import HR_U_SAMPLES, _bump
+from bvpkit.hypotheses import HR_U_SAMPLES, _bump, _tube_verdict
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 
@@ -207,6 +208,13 @@ def _const_curve(c, eps=0.1):
                  id="minimal_R_power-nan"),
     pytest.param(lambda: classify_curves(smoke_spec(), (), n_t=1), "n_t, n_y >= 2",
                  id="classify_curves-n_t"),
+    # a grid size is an integer: not a float, a bool or NaN
+    *[pytest.param(lambda kw=kw: classify_curves(smoke_spec(), (_const_curve(0.5),), **kw),
+                   "n_t, n_y >= 2", id=f"classify_curves-{name}")
+      for name, kw in [("n_t-float", {"n_t": 200.5}), ("n_y-float", {"n_y": 30.0}),
+                       ("n_t-bool", {"n_t": True}), ("n_y-nan", {"n_y": np.nan})]],
+    pytest.param(lambda: classify_curve(smoke_spec(), _const_curve(0.5), n_y=2.0),
+                 "n_t, n_y >= 2", id="classify_curve-n_y-float"),
     pytest.param(lambda: simplex_least_squares(np.eye(3), np.zeros(2)), "dim == target size",
                  id="simplex-shapes"),
     pytest.param(lambda: simplex_least_squares(np.ones(3), np.zeros(3)), "dim == target size",
@@ -217,6 +225,10 @@ def _const_curve(c, eps=0.1):
         smoke_spec().nodes), eps=1e-3, n_samples=0), "n_samples >= 1", id="probe-n_samples"),
     pytest.param(lambda: convexification_probe(smoke_spec(), GridFunction.zero(
         smoke_spec().nodes), eps=np.nan, n_samples=3), "eps > 0", id="probe-eps-nan"),
+    # a sample count is an integer: not a float, a bool or NaN
+    *[pytest.param(lambda n=n: convexification_probe(smoke_spec(), GridFunction.zero(
+        smoke_spec().nodes), eps=1e-3, n_samples=n), "n_samples >= 1",
+        id=f"probe-n_samples-{n!r}") for n in (2.5, True, 3.0, np.nan)],
 ])
 def test_bad_arguments_rejected(call, match):
     with pytest.raises(ValueError, match=match):
@@ -454,6 +466,23 @@ class TestGridPassesMatchLoops:
         upper, lower = _loop_margins(spec, curve)
         assert r.verdict == INVIABLE_LOWER and r.psi_margin == lower
         assert lower == pytest.approx(0.1 * (0.3 - 0.2) + 1.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_tube_margins_keep_the_sign_of_zero(self, zero):
+        # f = 1 on and above the curve y = 0 and 0 below it, with g = 1: the
+        # tube's upper margin is -1 and its lower one a zero, whose sign must
+        # be that of min(g f - neg_curv), the report's 0.0 and not -0.0
+        def f(t, u):
+            return np.where(u >= 0.0, 1.0, 0.0) + 0.0 * t
+
+        ts, n_y = np.linspace(0.0, 1.0, 5), 4
+        g, gamma, neg_curv = np.ones(5), np.zeros(5), np.full(5, zero)
+        verdict, margin = _tube_verdict(f, ts, g, gamma, neg_curv, 0.1, n_y)
+        gf = g * f(ts, np.linspace(gamma - 0.1, gamma + 0.1, n_y))
+        upper, lower = float(np.min(neg_curv - gf)), float(np.min(gf - neg_curv))
+        assert (upper, lower) == (-1.0, 0.0) and verdict == INDETERMINATE
+        assert np.array(margin).tobytes() == np.array(max(upper, lower)).tobytes()
+        assert math.copysign(1.0, margin) == 1.0
 
     def test_estimate_HR_profile(self, divisor_spec):
         t_grid = divisor_spec.nodes[1:]
