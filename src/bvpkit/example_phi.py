@@ -25,6 +25,7 @@ from .model import DiscontinuityCurve, Nonlinearity, ProblemSpec, Weight
 # until some region index passes this bound
 _MAX_REGION = 10 ** 12
 _PHI_TABLE_SIZE = 2 ** 16  # phi(n) for n below this is looked up, not divided
+_PHI_TABLE_MAX = 120  # the largest phi(n) below _PHI_TABLE_SIZE
 
 
 @lru_cache(maxsize=None)
@@ -74,10 +75,10 @@ def _region_array(t, u):
 
 @lru_cache(maxsize=None)
 def _phi_table() -> np.ndarray:
-    """phi(n) for 0 < n < _PHI_TABLE_SIZE as uint8 (phi <= 120 there), built
-    on first use: every d up to the square root adds its divisor pair d, n/d
-    to each multiple n >= d*d, and a square's root counts once."""
-    tab = np.zeros(_PHI_TABLE_SIZE, dtype=np.uint8)
+    """phi(n) for 0 < n < _PHI_TABLE_SIZE, built on first use: every d up
+    to the square root adds its divisor pair d, n/d to each multiple n >= d*d,
+    and a square's root counts once."""
+    tab = np.zeros(_PHI_TABLE_SIZE, dtype=np.int64)
     for d in range(1, math.isqrt(_PHI_TABLE_SIZE - 1) + 1):
         tab[d * d::d] += 2
         tab[d * d] -= 1
@@ -91,30 +92,17 @@ def _phi_pow(n_arr, lam: float):
 
     phi comes from _phi_table; indices outside it (n >= _PHI_TABLE_SIZE,
     which region indices up to _MAX_REGION can be, and n < 1, for phi's
-    DomainError) go through the cached trial division of phi, whose values
-    can pass the table's uint8.  The power is a lookup into
-    arange(max phi + 1)**lam, the same float pow as on each value."""
+    DomainError) go through the cached trial division of phi.  The power is
+    a lookup into arange(max phi + 1)**lam, the same float pow as on each
+    value."""
     n = np.asarray(n_arr, dtype=np.int64).ravel()
     tab = _phi_table()
     off = (n < 1) | (n >= tab.size)
-    phis = tab.take(n, mode="clip").astype(np.int64)
+    phis = tab.take(n, mode="clip")
     if off.any():
         phis[off] = [phi(int(m)) for m in n[off]]
     powers = np.arange(phis.max(initial=0) + 1.0) ** lam
     return powers[phis].reshape(np.shape(n_arr))
-
-
-@lru_cache(maxsize=1)
-def _neg_pow_table(lam: float) -> np.ndarray:
-    """-phi(n)**lam for 0 < n < _PHI_TABLE_SIZE, read-only, for one lam at a
-    time.  Entry n is -_phi_pow(n, lam) bit for bit: the same float pow,
-    elementwise, on the same values.  Built in place, so that no index or
-    power temporary of the table's size is made (entry 0 is never read)."""
-    out = _phi_table().astype(float)
-    out **= lam
-    np.negative(out, out=out)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -143,40 +131,37 @@ def make_curves(ex: PhiExample):
     classification clips them at its t_min anyway.  Every curve declares its
     coefficients (poly): a fan line k*sqrt(t) is (0, k) in x = sqrt(t), a wedge
     line (0, -1/(k+1)) in t, so find_crossings takes both families from the
-    Bernstein form of u - poly and scans neither.  The curves do not depend on
-    lam, and being frozen they are built once per (curve_count, epsilon) and
-    shared.
+    Bernstein form of u - poly and scans neither.
     """
-    return _curves(ex.curve_count, ex.epsilon)
-
-
-@lru_cache(maxsize=8, typed=True)  # typed: a float curve_count still fails in range
-def _curves(curve_count, epsilon):
     curves = []
-    for k in range(1, curve_count + 1):
+    for k in range(1, ex.curve_count + 1):
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: _k * np.sqrt(t),
             second_derivative=lambda t, _k=k: -_k / (4.0 * t ** 1.5),
-            epsilon=epsilon, label=f"gamma_{k}", poly=(0.0, float(k)), poly_in="sqrt(t)"))
+            epsilon=ex.epsilon, label=f"gamma_{k}", poly=(0.0, float(k)), poly_in="sqrt(t)"))
         curves.append(DiscontinuityCurve(
             a=0.0, b=1.0, value=lambda t, _k=k: -t / (_k + 1.0),
             second_derivative=np.zeros_like,
-            epsilon=epsilon, label=f"gamma_hat_{k}", poly=(0.0, -1.0 / (k + 1.0))))
+            epsilon=ex.epsilon, label=f"gamma_hat_{k}", poly=(0.0, -1.0 / (k + 1.0))))
     return tuple(curves)
 
 
 def make_nonlinearity(ex: PhiExample) -> Nonlinearity:
-    """f = -phi(n(t, u))**lam with the curves of make_curves.  Where every
-    region index is below _PHI_TABLE_SIZE, f is one gather from
-    _neg_pow_table(lam), built on the first such call; otherwise it is
-    -_phi_pow, with the same values bit for bit."""
+    """f = -phi(n(t, u))**lam with the curves of make_curves.  f gathers phi
+    from _phi_table and then -phi**lam from the 121 powers -arange(121)**lam
+    made here; region indices past the table take -_phi_pow's value.  Either
+    way each value is the same float pow of the same phi as _phi_pow's."""
     lam = ex.lam
+    neg_powers = -(np.arange(_PHI_TABLE_MAX + 1.0) ** lam)
 
     def f(t, u):
         n = _region_array(t, u)  # every n >= 1
-        if n.max(initial=0) < _PHI_TABLE_SIZE:
-            return _neg_pow_table(lam).take(n)
-        return -_phi_pow(n, lam)
+        out = neg_powers.take(_phi_table().take(n, mode="clip"))
+        if n.max(initial=0) >= _PHI_TABLE_SIZE:  # phi past the table
+            past = n >= _PHI_TABLE_SIZE
+            out = np.asarray(out)  # writeable; a 0-d n gave a scalar
+            out[past] = -_phi_pow(n[past], lam)
+        return out
 
     return Nonlinearity(eval=f, curves=make_curves(ex), local_bound=None,
                         measurability="checked_by_decomposition")

@@ -11,8 +11,7 @@ import bvpkit
 
 from bvpkit import (DomainError, PhiExample, build_problem, classify_curve,
                     phi, region_index, validate_params)
-from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.example_phi import (_MAX_REGION, _neg_pow_table, _phi_pow, _phi_table,
+from bvpkit.example_phi import (_MAX_REGION, _PHI_TABLE_MAX, _phi_pow, _phi_table,
                                 _region_array, make_curves, make_nonlinearity,
                                 make_weight)
 
@@ -42,8 +41,8 @@ class TestPhi:
             phi(0)
 
 
-# region indices past the table whose divisor counts (320 to 6720) pass a byte
-_PAST_A_BYTE = [2162160, 3603600, 735134400, 963761198400]
+# region indices past the table whose divisor counts (320 to 6720) pass 120
+_LARGE_PHI = [2162160, 3603600, 735134400, 963761198400]
 
 
 def _phi_pow_reference(n, lam):
@@ -67,7 +66,7 @@ class TestPhiTable:
                             rng.integers(2 ** 16, 2 ** 20, 40),
                             _MAX_REGION - rng.integers(0, 1000, 4),
                             [1, 2 ** 16 - 1, 2 ** 16, _MAX_REGION],
-                            _PAST_A_BYTE])
+                            _LARGE_PHI])
         rng.shuffle(n)
         for arr in (n, n.reshape(4, -1), np.array(7), np.array(2 ** 16 + 1),
                     np.array([], dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
@@ -83,54 +82,42 @@ class TestPhiTable:
         with pytest.raises(ValueError):
             _phi_table()[2] = 0
 
-    def test_table_is_uint8(self):
-        # phi(n) <= 120 below 2**16, so a byte per entry holds it
-        tab = _phi_table()
-        assert tab.dtype == np.uint8 and tab.max() == 120
+    def test_table_max(self):
+        # f's power list -arange(_PHI_TABLE_MAX + 1)**lam covers the table
+        assert _phi_table().max() == _PHI_TABLE_MAX == 120
 
     @pytest.mark.parametrize("lam", [1.0 / 3.0, 0.31, 0.77, *np.random.default_rng(
         67).uniform(0.01, 0.99, 20)])
-    def test_neg_pow_table_is_bitwise_the_negated_power(self, lam):
-        got = _neg_pow_table(lam)
-        assert got.dtype == np.float64 and got.shape == (2 ** 16,)
-        ref = -_phi_pow(np.arange(1, 2 ** 16), lam)
-        assert got[1:].tobytes() == ref.tobytes()
-
-    def test_neg_pow_table_is_read_only_and_cached_for_one_lam(self):
-        with pytest.raises(ValueError):
-            _neg_pow_table(0.3)[2] = 0.0
-        assert _neg_pow_table(0.3) is _neg_pow_table(0.3)
-        _neg_pow_table(0.4)
-        info = _neg_pow_table.cache_info()
-        assert info.maxsize == 1 and info.currsize == 1
-        f = make_nonlinearity(PhiExample(lam=0.3)).eval
-        out = f(np.full(3, 0.25), np.array([0.6, -0.1, 3.0]))
-        out[0] = 1.0  # a fresh array, not a view of the table
-        assert _neg_pow_table.cache_info().currsize == 1
-        assert _neg_pow_table(0.3)[2] == -(2.0 ** 0.3)
+    def test_f_over_the_whole_table_is_bitwise_the_negated_power(self, lam):
+        # one wedge point in each region n < 2**16, t/-u = n + 1/2
+        n = np.arange(1, 2 ** 16)
+        t = np.random.default_rng(68).uniform(1e-3, 1.0, n.size)
+        u = -t / (n + 0.5)
+        assert np.array_equal(_region_array(t, u), n)
+        got = make_nonlinearity(PhiExample(lam=lam)).eval(t, u)
+        assert got.tobytes() == (-_phi_pow(n, lam)).tobytes()
 
     def test_import_does_not_build_the_table(self):
         # neither importing bvpkit nor building the phi-example nonlinearity
-        # (from the catalog or through build_problem) builds a table
+        # (from the catalog or through build_problem) builds the table
         env = dict(os.environ)
         env["PYTHONPATH"] = str(Path(bvpkit.__file__).resolve().parent.parent)
         code = ("import bvpkit, bvpkit.cli, bvpkit.catalog\n"
-                "from bvpkit.example_phi import _neg_pow_table, _phi_table\n"
+                "from bvpkit.example_phi import _phi_table\n"
                 "bvpkit.catalog.make_nonlinearity_from_id('phi-example', {})\n"
                 "bvpkit.build_problem(bvpkit.PhiExample(), "
                 "bvpkit.validate_params(1, 1, 1, 1), radius=4.0)\n"
-                "print(_phi_table.cache_info().currsize, "
-                "_neg_pow_table.cache_info().currsize)")
+                "print(_phi_table.cache_info().currsize)")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "0 0"
+        assert proc.stdout.strip() == "0"
 
 
 def _f_grids(rng):
     """Seeded (t, u) grids whose region indices stay in the table, pass it
-    (up to 2**20) or reach _MAX_REGION - 1000, and the fan points of regions
-    _PAST_A_BYTE."""
+    (up to 2**20) or reach _MAX_REGION - 1000, the wedge points of regions
+    2**16 - 1 and 2**16, and the fan points of regions _LARGE_PHI."""
     t = rng.uniform(1e-4, 1.0, (30, 200))
     inside = rng.uniform(-4.0, 4.0, t.shape)
     past = inside.copy()
@@ -142,7 +129,8 @@ def _f_grids(rng):
     return [(t, inside), (t, past), (t[:2, :3], near), (t[0], inside[0]),
             (0.25, 0.6), (np.array(0.36), np.array(-0.36 / (2 ** 16 + 3))),
             (t[0, :0], inside[0, :0]), (t[0, 0], inside[:, 0]),
-            (np.ones(4), np.array(_PAST_A_BYTE) - 1.0)]  # regions _PAST_A_BYTE
+            (np.full(2, 0.5), -0.5 / np.array([2 ** 16 - 0.5, 2 ** 16 + 0.5])),
+            (np.ones(4), np.array(_LARGE_PHI) - 1.0)]  # regions _LARGE_PHI
 
 
 class TestNonlinearityLookup:
@@ -157,7 +145,7 @@ class TestNonlinearityLookup:
             got, ref = f(t, u), -_phi_pow_reference(n, lam)
             assert np.shape(got) == ref.shape and got.dtype == ref.dtype
             assert got.tobytes() == ref.tobytes()
-        assert paths == {True, False}  # both the gather and the fallback ran
+        assert paths == {True, False}  # calls with and without indices past the table
 
     @pytest.mark.parametrize("t, u, match", [
         (0.0, 0.5, "t > 0"), (-0.25, 0.5, "t > 0"), (np.nan, 0.5, "t > 0"),
@@ -168,15 +156,6 @@ class TestNonlinearityLookup:
         f = make_nonlinearity(PhiExample(lam=LAM)).eval
         with pytest.raises(DomainError, match=match):
             f(t, u)
-
-    def test_curves_are_shared_across_lam(self):
-        # the curves do not depend on lam; curve_count and epsilon pick them
-        a = make_curves(PhiExample(lam=0.3))
-        assert make_curves(PhiExample(lam=0.7)) is a
-        assert make_nonlinearity_from_id("phi-example", {"lambda": 0.3}).curves is a
-        other = make_curves(PhiExample(lam=0.3, epsilon=0.04))
-        assert other is not a and {c.epsilon for c in other} == {0.04}
-        assert len(make_curves(PhiExample(curve_count=3))) == 6
 
 
 class TestRegionIndex:
