@@ -1,4 +1,4 @@
-"""The divisor-step example problem u'' = phi_pow(n(t, u)) / sqrt(t).
+"""The divisor-step example problem u'' = phi(n(t, u))**lam / sqrt(t).
 
 phi(1) = 2 and phi(n) for n >= 2 is the number of divisors of n, so
 phi >= 2 everywhere and the right-hand side never vanishes.  The region
@@ -47,8 +47,10 @@ def phi(n: int) -> int:
 
 def region_index(t: float, u: float) -> int:
     """The region containing (t, u): 1 below u = -t, floor(t/-u) in the
-    wedge -t <= u < 0, floor(u/sqrt(t)) + 1 for u >= 0.  The quotients are
-    rounded before the floor, so u = -t/n lies in region n."""
+    wedge -t <= u < 0, floor(u/sqrt(t)) + 1 for u >= 0.  The floor is taken
+    of the float quotient, which on a wedge line u = -t/n can fall an ulp
+    short of n: for t = 1, 5568 of the lines n < 2**16 put u in region n - 1,
+    the first n = 93."""
     return int(_region_array(t, u))
 
 
@@ -85,24 +87,6 @@ def _phi_table() -> np.ndarray:
     tab[1] = 2  # the phi(1) = 2 convention
     tab.flags.writeable = False
     return tab
-
-
-def _phi_pow(n_arr, lam: float):
-    """phi(n)**lam on an integer array.
-
-    phi comes from _phi_table; indices outside it (n >= _PHI_TABLE_SIZE,
-    which region indices up to _MAX_REGION can be, and n < 1, for phi's
-    DomainError) go through the cached trial division of phi.  The power is
-    a lookup into arange(max phi + 1)**lam, the same float pow as on each
-    value."""
-    n = np.asarray(n_arr, dtype=np.int64).ravel()
-    tab = _phi_table()
-    off = (n < 1) | (n >= tab.size)
-    phis = tab.take(n, mode="clip")
-    if off.any():
-        phis[off] = [phi(int(m)) for m in n[off]]
-    powers = np.arange(phis.max(initial=0) + 1.0) ** lam
-    return powers[phis].reshape(np.shape(n_arr))
 
 
 @dataclass(frozen=True)
@@ -149,8 +133,8 @@ def make_curves(ex: PhiExample):
 def make_nonlinearity(ex: PhiExample) -> Nonlinearity:
     """f = -phi(n(t, u))**lam with the curves of make_curves.  f gathers phi
     from _phi_table and then -phi**lam from the 121 powers -arange(121)**lam
-    made here; region indices past the table take -_phi_pow's value.  Either
-    way each value is the same float pow of the same phi as _phi_pow's."""
+    made here; region indices past the table take phi's trial division and
+    the same float pow."""
     lam = ex.lam
     neg_powers = -(np.arange(_PHI_TABLE_MAX + 1.0) ** lam)
 
@@ -160,7 +144,7 @@ def make_nonlinearity(ex: PhiExample) -> Nonlinearity:
         if n.max(initial=0) >= _PHI_TABLE_SIZE:  # phi past the table
             past = n >= _PHI_TABLE_SIZE
             out = np.asarray(out)  # writeable; a 0-d n gave a scalar
-            out[past] = -_phi_pow(n[past], lam)
+            out[past] = -(np.array([phi(int(m)) for m in n[past]], dtype=float) ** lam)
         return out
 
     return Nonlinearity(eval=f, curves=make_curves(ex), local_bound=None,

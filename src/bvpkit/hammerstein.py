@@ -10,9 +10,9 @@ a breakpoint, so f(., u(.)) is integrated piecewise-smooth (for a weight
 singular at 0, in x = sqrt(s) on every panel, where crossings within 1e-14 in
 x merge).  model.find_crossings detects every crossing of a curve that
 declares its polynomial in t or sqrt(t) (DiscontinuityCurve.poly), from the
-Bernstein form of u - poly; every catalog curve does, the divisor's fan
-lines in sqrt(t).  A user's undeclared curve is scanned, and two crossings
-in one scan cell are missed, which the exact rule below would not notice.
+Bernstein form of u - poly in sqrt(t); every catalog curve declares one.  A
+user's undeclared curve is scanned, and two crossings in one scan cell are
+missed, which the exact rule below would not notice.
 T takes one round of the smallest exact Gauss rule where the weight's power
 and f's degree are declared (ProblemSpec.exact_points), else the adaptive
 pair.  Its first round

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -29,11 +30,11 @@ from .kernel import BoundaryParams, left_factor, right_factor
 from .quadrature import make_plan
 
 SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
-CROSSING_TOL = 1e-12  # find_crossings: bracket width of a crossing; 10x merges
-# DiscontinuityCurve.poly_in: the degree of u in that variable on a knot panel, and
-# the bracket width of a crossing in it (a bracket w wide in sqrt(t) <= 1 spans <= 2w in t)
-POLY_DEGREE = {"t": 3, "sqrt(t)": 6}
-STEP_TOL = {"t": CROSSING_TOL, "sqrt(t)": 0.5 * CROSSING_TOL}
+CROSSING_TOL = 1e-12  # find_crossings: bracket width of a crossing in t; 10x merges
+# a declared curve's bracket width in x = sqrt(t) <= 1: it spans <= 2 * STEP_TOL in t
+STEP_TOL = 0.5 * CROSSING_TOL
+_BINOMIAL_6 = tuple(float(math.comb(6, k)) for k in range(7))  # scales a cell for _panel_gap
+POLY_DEGREE = {"t": 3, "sqrt(t)": 6}  # DiscontinuityCurve.poly_in: the highest degree of poly
 
 
 def vectorized(fn):
@@ -102,7 +103,8 @@ class DiscontinuityCurve:
     when given, declares value(t) = poly[0] + poly[1]*x + ... + poly[k]*x**k
     in the variable poly_in: x = t with k <= 3, or x = sqrt(t) with k <= 6
     (the fan u = k*sqrt(t) is (0, k) in "sqrt(t)").  find_crossings then reads
-    the curve from poly alone; an undeclared curve is scanned.
+    the curve from poly alone, in x = sqrt(t) (_poly_x, where a cubic in t
+    (c0, c1, c2, c3) is (c0, 0, c1, 0, c2, 0, c3)); an undeclared curve is scanned.
     """
 
     a: float
@@ -121,12 +123,16 @@ class DiscontinuityCurve:
             raise ValueError("epsilon must be > 0")
         if self.poly_in not in tuple(POLY_DEGREE):  # by ==, so an unhashable one is refused too
             raise ValueError(f"poly_in must be 't' or 'sqrt(t)', got {self.poly_in!r}")
+        poly_x = None
         if self.poly is not None:
             poly, most = tuple(float(c) for c in self.poly), POLY_DEGREE[self.poly_in] + 1
             if not (1 <= len(poly) <= most and all(map(math.isfinite, poly))):
                 raise ValueError(f"poly in {self.poly_in} must hold 1 to {most} finite "
                                  f"coefficients, got {self.poly!r}")
             object.__setattr__(self, "poly", poly)
+            poly_x = poly if self.poly_in == "sqrt(t)" else tuple(
+                c for a in poly for c in (0.0, a))[1:]
+        object.__setattr__(self, "_poly_x", poly_x)
         _vectorize_fields(self, "value", "second_derivative")
 
 
@@ -321,6 +327,21 @@ def _not_finite(curve, t):
     return DomainError(f"u - value of curve {curve.label!r} is not finite at t = {t!r}")
 
 
+def _shrink(curve, cell, x, fx, in_x):
+    """One ITP step's update of a cell [a, b, gap at a, gap at b, ...] of curve
+    by the gap fx at x: the bracket keeps the side where the gap changes sign,
+    or closes on x where fx is 0.  A non-finite fx raises DomainError at t
+    (x**2 for a cell in x = sqrt(t))."""
+    if not math.isfinite(fx):
+        raise _not_finite(curve, x * x if in_x else x)
+    if fx == 0.0:
+        cell[0] = cell[1] = x
+    elif cell[2] * fx < 0.0:
+        cell[1], cell[3] = x, fx
+    else:
+        cell[0], cell[2] = x, fx
+
+
 def _convolve(p, q):
     """The product of two polynomials given as lists of coefficient arrays."""
     out = [0.0] * (len(p) + len(q) - 1)
@@ -372,39 +393,35 @@ def _shifted_bernstein(q, x):
 
 
 @functools.lru_cache(maxsize=32)
-def _knot_frame(node_bytes, curves, var):
+def _knot_frame(node_bytes, curves):
     """What _bernstein_cells needs of the nodes (as bytes) and the declared
-    curves' (a, b, poly) in var alone, read-only.  A row of knots (the nodes
-    clipped to the domain) per distinct domain, the index of those off the
-    nodes, and each curve's domain row (a slice of all rows where the curves
-    share one domain); per curve, its knots in var, which of them lie inside
-    its domain, and poly at them (Horner's rule).  Then, in
-    t, poly' at the knots and a third of each panel's width; in x = sqrt(t),
-    _hermite_map of the domain rows and each curve's Bernstein coefficients
-    (poly at the knots, _shifted_bernstein between).  A solve asks for the
-    same frame on every sweep."""
+    curves' (a, b, poly in x = sqrt(t)) alone, read-only.  A row of knots (the
+    nodes clipped to the domain) per distinct domain, the index of those off
+    the nodes, and each curve's domain row (a slice of all rows where the
+    curves share one domain); per curve, its knots in x (as floats) and
+    whether each panel's left knot lies inside its domain (flat over the
+    curves); _hermite_map of the domain rows, and each curve's Bernstein
+    coefficients (poly at the knots by Horner's rule, _shifted_bernstein
+    between).  A solve asks for the same frame on every sweep."""
     nodes = np.frombuffer(node_bytes)
     domains = list(dict.fromkeys((a, b) for a, b, _ in curves))
     dom = np.array([domains.index((a, b)) for a, b, _ in curves])
     ends = np.array(domains)
     knots = np.minimum(np.maximum(nodes, ends[:, :1]), ends[:, 1:])
-    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:]))[dom]
+    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:]))[dom, :-1].ravel()
     off = np.nonzero(knots != nodes)
-    xk = (knots if var == "t" else np.sqrt(knots))[dom]
+    xk = np.sqrt(knots)[dom]
     deg = max(len(poly) for _, _, poly in curves)
     q = np.array([poly + (0.0,) * (deg - len(poly)) for _, _, poly in curves]).T[..., None]
-    gam, slope = np.zeros_like(xk) + q[-1], np.zeros_like(xk)
+    gam = np.zeros_like(xk) + q[-1]
     for qk in q[-2::-1]:
-        slope = slope * xk + gam
         gam = gam * xk + qk
-    if var == "t":  # flat over the rows, 0 from a row's last knot to the next row's first
-        by_var = (slope, np.diff(xk, append=xk[:, -1:]).ravel()[:-1] / 3.0)
-    else:
-        poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))
-        by_var = (_hermite_map(knots), poly_b)
-    for a in (knots, *off, dom, xk, inner, gam, *by_var):
+    hmap = _hermite_map(knots)
+    poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))
+    for a in (knots, *off, dom, inner, hmap, poly_b):
         a.flags.writeable = False
-    return knots, off, dom if len(domains) > 1 else slice(None), xk, inner, gam, *by_var
+    rows = dom if len(domains) > 1 else slice(None)
+    return knots, off, rows, tuple(map(tuple, xk.tolist())), inner, hmap, poly_b
 
 
 def _halves(c):
@@ -417,75 +434,66 @@ def _halves(c):
     return left, right[::-1]
 
 
-def _bernstein_cells(nodes, y, curves, var):
-    """Refinement cells of declared curves whose poly is in var, one sorted
-    list each, in var (t, or x = sqrt(t)).
+def _bernstein_cells(nodes, y, curves):
+    """Refinement cells of declared curves, one sorted list each, in x = sqrt(t).
 
     On each panel between knots (the nodes clipped to the curve's domain, with
     u's Hermite data at an end inside a node panel) the gap u - poly is a
-    polynomial, exactly, of degree 3 in t or 6 in x.  Its Bernstein
-    coefficients come from the gap's values at the knots and, in t, its
-    slopes: (g_i, g_i + h g'_i/3, g_{i+1} - h g'_{i+1}/3, g_{i+1}); in x, from
-    _hermite_map of u's data minus poly's own.  Their sign changes bound its
-    roots there (Lane & Riesenfeld, BIT 21, 1981).  One array pass, over all
-    curves' panels, skips every panel whose coefficients show no strict sign
-    change.  A piece with one change and nonzero ends is an ITP cell that
-    carries (left knot, width, coefficients); one with more, or with one and
-    a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
+    polynomial of degree 6 in x, exactly: u is a cubic in t = x**2 there.  Its
+    Bernstein coefficients are _hermite_map of u's data minus poly's own, and
+    their sign changes bound its roots there (Lane & Riesenfeld, BIT 21,
+    1981).  One array pass, over all curves' panels, skips every panel whose
+    coefficients show no strict sign change.  A piece with one change and
+    nonzero ends is an ITP cell that carries its panel's ends, width and
+    binomially scaled coefficients, for _panel_gap; one with more, or with one
+    and a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
     until it has at most one, or is STEP_TOL wide and counts as one crossing
     at its midpoint.  An exact zero at an interior knot or at a split point is
     a crossing there.
     """
-    eps = STEP_TOL[var]
-    knots, off, rows, xk, inner, gam, *by_var = _knot_frame(
+    knots, off, rows, xk, inner, hmap, poly_b = _knot_frame(
         np.ascontiguousarray(nodes, dtype=float).tobytes(),
-        tuple((c.a, c.b, c.poly) for c in curves), var)
-    val, der = y  # one row, broadcast, unless a domain end lies inside a node panel
+        tuple((c.a, c.b, c._poly_x) for c in curves))
+    y = np.asarray(y, dtype=float)[:, None]  # one row, unless a domain end is off the nodes
     if off[0].size:
-        val, der = np.repeat(np.asarray(y, dtype=float)[:, None], len(knots), axis=1)
-        val[off], der[off] = _value_and_slope(nodes, y, knots[off])
-    g, n = val[rows] - gam, xk.shape[1]  # the gap at the knots
-    if var == "t":  # panels flat over the rows' knots laid end to end
-        slope, h3 = by_var
-        flat, d, stride = g.ravel(), (der[rows] - slope).ravel(), n
-        b = np.array((flat[:-1], flat[:-1] + h3 * d[:-1], flat[1:] - h3 * d[1:], flat[1:]))
-    else:  # panels flat over the rows' panels
-        (m0, m1, m2, m3), poly_b = by_var
-        u_b = m0 * val[..., :-1] + m1 * der[..., :-1] + m2 * val[..., 1:] + m3 * der[..., 1:]
-        b, stride = (u_b[:, rows] - poly_b).reshape(7, -1), n - 1
+        y = np.repeat(y, len(knots), axis=1)
+        y[:, off[0], off[1]] = _value_and_slope(nodes, y[:, 0], knots[off])
+    n = len(xk[0]) - 1  # panels per row
+    data = np.concatenate((y[..., :-1], y[..., 1:]))[:, None]  # (v_i, d_i, v_i+1, d_i+1)
+    b = ((hmap * data).sum(0)[:, rows] - poly_b).reshape(7, -1)  # flat over the rows' panels
     if not np.isfinite(b).all():
-        bad = np.broadcast_to(~(np.isfinite(val) & np.isfinite(der))[rows], xk.shape)
+        shape = (len(curves), n + 1)
+        bad = np.broadcast_to(~np.isfinite(y).all(0)[rows], shape)
         if bad.any():
             r, i = np.argwhere(bad)[0]
         else:
-            r, i = divmod(int(np.argwhere(~np.isfinite(b).all(0))[0, 0]), stride)
-        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], xk.shape)[r, i]))
+            r, i = divmod(int(np.argwhere(~np.isfinite(b).all(0))[0, 0]), n)
+        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], shape)[r, i]))
     cells = [[] for _ in curves]
-    if not g.all():  # an exact zero at an interior knot is a crossing there
-        for r, i in np.argwhere((g == 0.0) & inner).tolist():
-            x = float(xk[r, i])
-            cells[r].append([x, x, 0.0, 0.0, 0, 0.0])
+    if not b[0].all():  # the gap at each panel's left knot (the map's first row is
+        # exact): a zero at an interior knot is a crossing there
+        for p in np.nonzero((b[0] == 0.0) & inner)[0].tolist():
+            r, i = divmod(p, n)
+            cells[r].append([xk[r][i], xk[r][i], 0.0, 0.0, 0, 0.0])
     ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
     for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
-        r, i = divmod(p, stride)
-        if i == n - 1:  # in t, from one row's last knot to the next one's first
-            continue
-        lo, hi = float(xk[r, i]), float(xk[r, i + 1])
-        panel, out = (lo, hi - lo, *coef), cells[r]
+        r, i = divmod(p, n)
+        lo, hi = xk[r][i], xk[r][i + 1]
+        panel, out = (lo, hi, hi - lo, *map(operator.mul, _BINOMIAL_6, coef)), cells[r]
         pieces = [(lo, hi, coef)]
         while pieces:
             lo, hi, c = pieces.pop()
             signs = [v > 0.0 for v in c if v != 0.0]
-            changes = sum(s != t for s, t in zip(signs, signs[1:]))
+            changes = sum(map(operator.ne, signs, signs[1:]))
             if not changes:
                 continue
             w = hi - lo
             if changes == 1 and c[0] != 0.0 and c[-1] != 0.0:
-                n_max = math.ceil(math.log2(w / eps)) + 1
+                n_max = math.ceil(math.log2(w / STEP_TOL)) + 1
                 out.append([lo, hi, c[0], c[-1], n_max, 0.2 / w, panel])
                 continue
             mid = 0.5 * (lo + hi)
-            if w <= eps:
+            if w <= STEP_TOL:
                 out.append([mid, mid, 0.0, 0.0, 0, 0.0])
                 continue
             left, right = _halves(c)
@@ -498,20 +506,14 @@ def _bernstein_cells(nodes, y, curves, var):
 
 
 def _panel_gap(panel, s):
-    """A declared cell's gap cubic at s, from its Bernstein coefficients."""
-    lo, w, c0, c1, c2, c3 = panel
-    x = (s - lo) / w
-    z = 1.0 - x
-    return z * z * (z * c0 + 3.0 * x * c1) + x * x * (3.0 * z * c2 + x * c3)
-
-
-def _panel_gap_x(panel, s):
-    """A declared cell's gap at s in x = sqrt(t), of degree 6, by de Casteljau."""
-    x = (s - panel[0]) / panel[1]
-    z, c = 1.0 - x, panel[2:]
-    while len(c) > 1:
-        c = [z * a + x * b for a, b in zip(c, c[1:])]
-    return c[0]
+    """A declared cell's gap at s in x = sqrt(t), of degree 6 on its panel
+    [lo, hi]: with tau = (s - lo) / (hi - lo), (1 - tau)**6 times Horner's rule
+    in tau / (1 - tau) on the binomially scaled Bernstein coefficients."""
+    lo, hi, w, d0, d1, d2, d3, d4, d5, d6 = panel
+    e = hi - s
+    r, z = (s - lo) / e, e / w
+    z3 = z * z * z
+    return ((((((d6 * r + d5) * r + d4) * r + d3) * r + d2) * r + d1) * r + d0) * z3 * z3
 
 
 def find_crossings(nodes, y, curves):
@@ -519,36 +521,35 @@ def find_crossings(nodes, y, curves):
     list of crossing abscissae strictly inside the curve's domain per curve.
 
     A declared curve (DiscontinuityCurve.poly) takes its cells from the
-    Bernstein form of u - poly in its poly_in, t or x = sqrt(t)
-    (_bernstein_cells), and never calls curve.value: every crossing is
-    isolated, and a near-double pair that no piece STEP_TOL wide separates
-    counts as one.  A curve that declares no poly (a user callable; every
-    catalog curve declares one) is scanned: u(s) - curve.value(s) on
-    SCAN_PER_PANEL * (N - 1) equal cells of the curve's domain, u evaluated
-    once per distinct domain, all gaps in one array pass; two crossings
-    inside one scan cell are not seen.
+    Bernstein form of u - poly in x = sqrt(t) (_bernstein_cells, one pass over
+    all declared curves, whether poly_in is t or sqrt(t)), and never calls
+    curve.value: every crossing is isolated, and a near-double pair that no
+    piece STEP_TOL wide separates counts as one.  A curve that declares no
+    poly (a user callable; every catalog curve declares one) is scanned:
+    u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of the
+    curve's domain, u evaluated once per distinct domain, all gaps in one
+    array pass; two crossings inside one scan cell are not seen.
 
-    Each curve's cells are then refined together by ITP steps, with u in
-    floats: a scanned curve's live cells take one curve.value call per step,
-    a declared cell evaluates its own Bernstein polynomial, and both take
-    their points from _itp_point, strictly inside the bracket.  ITP keeps
-    bisection's bracket and worst case: a cell of width w takes at most
-    ceil(log2(w / eps)) + 1 steps to a bracket <= eps = STEP_TOL wide (1e-12
-    in t, a cell in x returns t = x**2), whose midpoint is returned, and
-    converges superlinearly on a simple root (the step example's crossings
-    take 8 or 9 steps, where bisection took 31).  Crossings closer than 1e-11
-    are merged.  A non-finite gap, at a scan point, a knot or a step, raises
-    DomainError naming the curve and t.
+    The cells are then refined by ITP steps, with u in floats: a scanned
+    curve's live cells step together, one curve.value call per step, and a
+    declared cell steps alone, on its own panel's polynomial (_panel_gap).
+    Both take their points from _itp_point, strictly inside the bracket, and
+    shrink it by _shrink.  ITP keeps bisection's bracket and worst case: a
+    cell of width w takes at most ceil(log2(w / eps)) + 1 steps to a bracket
+    <= eps wide (CROSSING_TOL = 1e-12 in t for a scanned cell, STEP_TOL =
+    5e-13 in x for a declared one, which returns t = x**2), whose midpoint is
+    returned, and converges superlinearly on a simple root (most of the step
+    example's crossings take 8 or 9 steps, where bisection took 31).
+    Crossings closer than 1e-11 are merged.  A non-finite gap, at a scan
+    point, a knot or a step, raises DomainError naming the curve and t.
     """
     tol = CROSSING_TOL
     # [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's panel
     # for _panel_gap; b = a where the gap is 0
-    cells, declared = [[] for _ in curves], {}
-    for k, c in enumerate(curves):
-        if c.poly is not None:
-            declared.setdefault(c.poly_in, []).append(k)
-    for var, ks in declared.items():
-        for k, cs in zip(ks, _bernstein_cells(nodes, y, [curves[k] for k in ks], var)):
+    cells = [[] for _ in curves]
+    declared = [k for k, c in enumerate(curves) if c.poly is not None]
+    if declared:
+        for k, cs in zip(declared, _bernstein_cells(nodes, y, [curves[k] for k in declared])):
             cells[k] = cs
     spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol and curves[k].poly is None]
@@ -586,26 +587,21 @@ def find_crossings(nodes, y, curves):
 
     out = []
     for curve, cs in zip(curves, cells):
-        var = "t" if curve.poly is None else curve.poly_in  # a scanned curve's cells lie in t
-        eps, in_x = STEP_TOL[var], var != "t"
-        gap = _panel_gap_x if in_x else _panel_gap
-        steps, j = cs, 0  # live cells step in lockstep: each has taken j steps
-        while steps := [c for c in steps if c[1] - c[0] > eps]:  # one ITP step of each
-            xs = [_itp_point(j, *c[:6], eps) for c in steps]
-            j += 1
-            if curve.poly is None:
-                gaps = [value(x) - lv for x, lv in zip(xs, curve.value(np.array(xs)).tolist())]
-            else:
-                gaps = [gap(c[6], x) for c, x in zip(steps, xs)]
-            for c, x, fx in zip(steps, xs, gaps):
-                if not math.isfinite(fx):
-                    raise _not_finite(curve, x * x if in_x else x)
-                if fx == 0.0:
-                    c[0] = c[1] = x
-                elif c[2] * fx < 0.0:
-                    c[1], c[3] = x, fx
-                else:
-                    c[0], c[2] = x, fx
+        in_x = curve.poly is not None  # a scanned curve's cells lie in t
+        if in_x:  # a declared cell steps alone, on its own panel's polynomial
+            for c in cs:
+                j = 0
+                while c[1] - c[0] > STEP_TOL:
+                    x = _itp_point(j, *c[:6], STEP_TOL)
+                    j += 1
+                    _shrink(curve, c, x, _panel_gap(c[6], x), in_x)
+        else:  # live cells step in lockstep, one curve.value call per step
+            steps, j = cs, 0  # each live cell has taken j steps
+            while steps := [c for c in steps if c[1] - c[0] > tol]:
+                xs = [_itp_point(j, *c[:6], tol) for c in steps]
+                j += 1
+                for c, x, lv in zip(steps, xs, curve.value(np.array(xs)).tolist()):
+                    _shrink(curve, c, x, value(x) - lv, in_x)
         merged = []
         for x in (0.5 * (c[0] + c[1]) for c in cs):
             x = x * x if in_x else x

@@ -11,9 +11,8 @@ import bvpkit
 
 from bvpkit import (DomainError, PhiExample, build_problem, classify_curve,
                     phi, region_index, validate_params)
-from bvpkit.example_phi import (_MAX_REGION, _PHI_TABLE_MAX, _phi_pow, _phi_table,
-                                _region_array, make_curves, make_nonlinearity,
-                                make_weight)
+from bvpkit.example_phi import (_MAX_REGION, _PHI_TABLE_MAX, _phi_table, _region_array,
+                                make_curves, make_nonlinearity, make_weight)
 
 LAM = 1.0 / 3.0
 
@@ -59,25 +58,6 @@ class TestPhiTable:
         assert tab.size == 2 ** 16
         assert np.array_equal(tab[1:], ref)
 
-    @pytest.mark.parametrize("lam", [1.0 / 3.0, 0.31, 0.77])
-    def test_phi_pow_is_bitwise_the_pointwise_power(self, lam):
-        rng = np.random.default_rng(59)
-        n = np.concatenate([rng.integers(1, 2 ** 16, 3000),
-                            rng.integers(2 ** 16, 2 ** 20, 40),
-                            _MAX_REGION - rng.integers(0, 1000, 4),
-                            [1, 2 ** 16 - 1, 2 ** 16, _MAX_REGION],
-                            _LARGE_PHI])
-        rng.shuffle(n)
-        for arr in (n, n.reshape(4, -1), np.array(7), np.array(2 ** 16 + 1),
-                    np.array([], dtype=np.int64), np.zeros((0, 3), dtype=np.int64)):
-            got, ref = _phi_pow(arr, lam), _phi_pow_reference(arr, lam)
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            assert got.tobytes() == ref.tobytes()
-
-    def test_phi_pow_rejects_n_below_one(self):
-        with pytest.raises(DomainError):
-            _phi_pow(np.array([3, 0, 5]), LAM)
-
     def test_table_is_read_only(self):
         with pytest.raises(ValueError):
             _phi_table()[2] = 0
@@ -95,7 +75,8 @@ class TestPhiTable:
         u = -t / (n + 0.5)
         assert np.array_equal(_region_array(t, u), n)
         got = make_nonlinearity(PhiExample(lam=lam)).eval(t, u)
-        assert got.tobytes() == (-_phi_pow(n, lam)).tobytes()
+        # the pointwise power of the table's phi, which test_table_is_phi checks
+        assert got.tobytes() == (-(_phi_table()[n].astype(float) ** lam)).tobytes()
 
     def test_import_does_not_build_the_table(self):
         # neither importing bvpkit nor building the phi-example nonlinearity
@@ -180,6 +161,11 @@ class TestRegionIndex:
         for n in range(1, 8):
             assert region_index(t, -t / n) == n
             assert region_index(t, -t / (n + 1) - 1e-13) == n
+
+    def test_a_wedge_line_can_floor_to_the_region_below(self):
+        # the float quotient 1 / (1/93) falls an ulp short of 93
+        assert 1.0 / (1.0 / 93) < 93.0
+        assert region_index(1.0, -1.0 / 93) == 92
 
     def test_zero_u(self):
         assert region_index(0.5, 0.0) == 1

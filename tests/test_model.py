@@ -757,13 +757,17 @@ class TestDeclaredCrossings:
         assert np.all(np.abs(np.subtract(xs, expected)) <= 1e-12)
 
     def test_exact_zeros_at_split_points(self):
-        # on the panel [0, 1/8], u = 96 (x - 1/2)(x - 3/4) in x = 8t, whose Bernstein
-        # coefficients (36, -4, -12, 12) change sign twice: de Casteljau's value at the
-        # split point 1/16 is an exact 0, and at 3/32, the split point of the right half
-        values, derivs = np.full(9, 12.0), np.zeros(9)
-        values[0], derivs[:2] = 36.0, (-960.0, 576.0)
-        u = GridFunction(np.linspace(0.0, 1.0, 9), values, derivs)
-        assert crossings_of(u, (declared((0.0,)),)) == [[1 / 16, 3 / 32]]
+        # u = 0 on 17 nodes against q(t) = -960 (16t - 1/4)(16t - 9/16), declared in t.
+        # On the first panel [0, 1/4] of x = sqrt(t) the gap is 960 (tau**2 - 1/4)
+        # (tau**2 - 9/16) in tau = 4x, whose Bernstein coefficients (135, 135, 83, -21,
+        # -113, -65, 315) are exact and change sign twice: de Casteljau's value at the
+        # split point tau = 1/2 is an exact 0, and at 3/4, the split point of the right
+        # half; t = x**2 = 1/64 and 9/256.  The twin declared in sqrt(t) finds the same.
+        u = GridFunction.zero(np.linspace(0.0, 1.0, 17))
+        poly = (-135.0, 12480.0, -245760.0)
+        assert crossings_of(u, (declared(poly),)) == [[1 / 64, 9 / 256]]
+        twin = declared((-135.0, 0.0, 12480.0, 0.0, -245760.0), poly_in="sqrt(t)")
+        assert crossings_of(u, (twin,)) == [[1 / 64, 9 / 256]]
 
     def test_domain_ends_inside_node_panels(self):
         # u = t - 0.65 on 17 nodes against 0 on [0.6, 0.97]: both ends off the nodes
@@ -835,6 +839,48 @@ class TestDeclaredCrossings:
                                        rtol=4e-16, atol=0.0)
 
 
+class TestOneCrossingPath:
+    """Every declared curve takes one path, in x = sqrt(t): a cubic in t is the
+    polynomial in x with interleaved zero coefficients."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_curve_in_t_equals_its_twin_in_sqrt_t(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        u = GridFunction(np.linspace(0.0, 1.0, n), 0.5 * rng.standard_normal(n),
+                         3.0 * rng.standard_normal(n))
+        found = 0
+        for _ in range(6):
+            poly = rng.uniform(-0.5, 0.5, int(rng.integers(1, 5)))
+            ends = (0.0, 1.0) if rng.random() < 0.3 else sorted(rng.uniform(0.0, 1.0, 2))
+            twin = np.zeros(2 * poly.size - 1)
+            twin[::2] = poly
+            t_curve, x_curve = declared(poly, *ends), declared(twin, *ends, "sqrt(t)")
+            alone = [crossings_of(u, (c,))[0] for c in (t_curve, x_curve)]
+            assert alone[0] == alone[1]
+            assert crossings_of(u, (t_curve, x_curve)) == alone
+            found += len(alone[0])
+        assert found >= 2
+
+    def test_the_divisor_curves_take_one_bernstein_pass(self, monkeypatch, divisor_spec):
+        # u = 1/2 - t crosses the fan line k sqrt(t) at ((sqrt(k**2 + 2) - k)/2)**2, and
+        # the wedge line -t/(k+1) at (k+1)/(2k) for k > 1 (at the domain end t = 1 for k = 1)
+        import bvpkit.model
+        curves = divisor_spec.nonlinearity.curves
+        assert {c.poly_in for c in curves} == {"t", "sqrt(t)"}
+        passes = Counted(bvpkit.model._bernstein_cells)
+        monkeypatch.setattr(bvpkit.model, "_bernstein_cells", passes)
+        u = sampled(lambda t: 0.5 - t, lambda t: -1 + 0 * t, 129)
+        got = crossings_of(u, curves)
+        assert passes.calls == 1
+        expected = {**{f"gamma_{k}": [((math.sqrt(k * k + 2.0) - k) / 2.0) ** 2]
+                       for k in range(1, 9)},
+                    **{f"gamma_hat_{k}": [(k + 1) / (2 * k)] for k in range(2, 9)}}
+        assert sum(map(len, got)) == 15
+        for c, xs in zip(curves, got):
+            assert xs == pytest.approx(expected.get(c.label, []), abs=1e-12)
+
+
 class TestEveryCatalogCurveIsDeclared:
     """No curve the catalog builds falls back to the scan of find_crossings."""
 
@@ -887,19 +933,19 @@ class TestCrossingSteps:
     @pytest.mark.parametrize("seed", range(12))
     def test_a_declared_cell_keeps_the_worst_case(self, seed, monkeypatch):
         # one root of a monotone gap against a declared line: one ITP cell, the
-        # root's node panel, whose cubic is evaluated once per step
+        # root's node panel in x = sqrt(t), whose polynomial is evaluated once per step
         import bvpkit.model
         rng = np.random.default_rng(seed)
         n, w, c1 = int(rng.integers(5, 40)), rng.uniform(1.0, 9.0), rng.uniform(-0.5, 0.5)
         r = rng.uniform(0.05, 0.95)  # the root; the gap's slope is >= 1 - 0.45 - 0.5
         c0 = r + 0.05 * np.sin(w * r) - c1 * r
         u = sampled(lambda t: t + 0.05 * np.sin(w * t), lambda t: 1 + 0.05 * w * np.cos(w * t), n)
-        cubic = Counted(bvpkit.model._panel_gap)
-        monkeypatch.setattr(bvpkit.model, "_panel_gap", cubic)
+        gap = Counted(bvpkit.model._panel_gap)
+        monkeypatch.setattr(bvpkit.model, "_panel_gap", gap)
         xs = crossings_of(u, (declared((c0, c1)),))[0]
         assert len(xs) == 1
         assert abs(grid_eval(u, xs[0])[0] - (c0 + c1 * xs[0])) <= 1e-11
-        assert cubic.calls <= math.ceil(math.log2((1 / (n - 1)) / 1e-12)) + 1
+        assert gap.calls <= math.ceil(math.log2((1 / (n - 1)) / 1e-12)) + 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_a_sqrt_t_cell_keeps_the_worst_case(self, seed, monkeypatch):
@@ -912,12 +958,12 @@ class TestCrossingSteps:
         r = rng.uniform(0.05, 0.95)  # the root; the gap's slope in t is >= 1 - 0.45
         c0 = r + 0.05 * np.sin(w * r) - c1 * np.sqrt(r)
         u = sampled(lambda t: t + 0.05 * np.sin(w * t), lambda t: 1 + 0.05 * w * np.cos(w * t), n)
-        degree6 = Counted(bvpkit.model._panel_gap_x)
-        monkeypatch.setattr(bvpkit.model, "_panel_gap_x", degree6)
+        gap = Counted(bvpkit.model._panel_gap)
+        monkeypatch.setattr(bvpkit.model, "_panel_gap", gap)
         xs = crossings_of(u, (declared((c0, c1), poly_in="sqrt(t)"),))[0]
         assert len(xs) == 1
         assert abs(grid_eval(u, xs[0])[0] - (c0 + c1 * math.sqrt(xs[0]))) <= 1e-11
-        assert degree6.calls <= math.ceil(math.log2(math.sqrt(1 / (n - 1)) / 5e-13)) + 1
+        assert gap.calls <= math.ceil(math.log2(math.sqrt(1 / (n - 1)) / 5e-13)) + 1
 
     def test_step_crossing_solution(self):
         u, curve = step_solution()
