@@ -26,6 +26,7 @@ INVIABLE_UPPER = "inviable_upper"
 INVIABLE_LOWER = "inviable_lower"
 INDETERMINATE = "indeterminate"
 HR_U_SAMPLES = 201  # evenly spaced u in [-R, R] at which estimate_HR samples |f|
+F_BLOCK = 2 ** 14  # most points per sampling f call: 128 KiB, glibc's default mmap threshold
 
 
 @dataclass(frozen=True)
@@ -117,12 +118,12 @@ def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
     """Pointwise bound H_R(t) on |f(t, u)| over |u| <= R = spec.radius.
 
     Uses the declared closed-form bound when the nonlinearity carries one;
-    otherwise samples HR_U_SAMPLES points over [-R, R] plus points just above
-    and below each declared curve, all t at once on one (t, u) grid; a
-    curve point outside the curve's domain or the ball is replaced by -R,
-    which the base samples hold anyway.  The uniformity flag is a heuristic
-    warning that the profile piles up toward an endpoint (so the sampled
-    sup may not be a uniform essential bound).
+    otherwise samples HR_U_SAMPLES points over [-R, R], then points just above
+    and below each declared curve, each against t in f calls on at most
+    F_BLOCK points; a curve point outside the curve's domain or the ball is
+    replaced by -R, which the base samples hold anyway.  The uniformity flag
+    is a heuristic warning that the profile piles up toward an endpoint (so
+    the sampled sup may not be a uniform essential bound).
     """
     r = spec.radius
     t_grid = np.asarray(spec.nodes[_hr_mask(spec)] if t_grid is None else t_grid, dtype=float)
@@ -134,22 +135,32 @@ def estimate_HR(spec: ProblemSpec, t_grid=None) -> HRResult:
         profile = nl.local_bound(t_grid, r)
         source = "local_bound"
     else:
-        cols = [np.tile(np.linspace(-r, r, HR_U_SAMPLES), (t_grid.size, 1))]
-        for curve in nl.curves:
-            inside = (curve.a <= t_grid) & (t_grid <= curve.b)
-            gv = curve.value(t_grid[inside])
-            for shift in (-curve.epsilon / 2, curve.epsilon / 2):
-                col = np.full_like(t_grid, -r)
-                col[inside] = gv + shift
-                cols.append(col)
-        uu = np.column_stack(cols)
-        uu[~(np.abs(uu) <= r)] = -r
-        profile = np.max(np.abs(nl.eval(t_grid[:, None], uu)), axis=1)
+        base = np.linspace(-r, r, HR_U_SAMPLES)
+        profile = _max_abs_rows(nl.eval, t_grid, np.broadcast_to(base, (t_grid.size, base.size)))
+        if nl.curves:
+            cols = []
+            for curve in nl.curves:
+                inside = (curve.a <= t_grid) & (t_grid <= curve.b)
+                gv = curve.value(t_grid[inside])
+                for shift in (-curve.epsilon / 2, curve.epsilon / 2):
+                    col = np.full_like(t_grid, -r)
+                    col[inside] = gv + shift
+                    cols.append(col)
+            uu = np.column_stack(cols)
+            uu[~(np.abs(uu) <= r)] = -r
+            profile = np.maximum(profile, _max_abs_rows(nl.eval, t_grid, uu))
         source = "sampled"
 
     return HRResult(passed=bool(np.all(np.isfinite(profile))),
                     sup=float(np.max(profile)), profile=profile, t_grid=t_grid,
                     uniformity_flag=_uniformity_flag(profile), source=source)
+
+
+def _max_abs_rows(f, t, uu):
+    """max_j |f(t[i], uu[i, j])| for each i, from f calls on at most F_BLOCK points."""
+    rows = max(1, F_BLOCK // uu.shape[1])
+    return np.concatenate([np.max(np.abs(f(t[i:i + rows, None], uu[i:i + rows])), axis=1)
+                           for i in range(0, t.size, rows)])
 
 
 def _uniformity_flag(profile: np.ndarray) -> bool:
@@ -244,8 +255,9 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
                     n_y: int = 30) -> list:
     """classify_curve for each curve, with one viability pass per distinct
     clipped domain: the curves sharing a domain share its t grid, one weight
-    call and one f call on their stacked centre lines.  Each non-viable
-    curve's epsilon-tube is then one f call of its own."""
+    call and one f call on their stacked centre lines.  The epsilon-tubes of
+    the domain's non-viable curves are then sampled in blocks of whole tubes,
+    each block one f call on at most F_BLOCK points (one tube at least)."""
     _check_t_min(t_min)
     if not (_int_at_least(n_t, 2) and _int_at_least(n_y, 2)):
         raise ValueError(f"need n_t, n_y >= 2 (integers), got {n_t!r}, {n_y!r}")
@@ -257,6 +269,7 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
         domains.setdefault((lo, hi), []).append(i)
 
     f = spec.nonlinearity.eval
+    tubes_per_call = max(1, F_BLOCK // (n_y * n_t))
     out = [None] * len(curves)
     for (lo, hi), members in domains.items():
         ts = np.linspace(lo, hi, n_t)
@@ -264,34 +277,36 @@ def classify_curves(spec: ProblemSpec, curves, t_min: float = 1e-6, n_t: int = 2
         gammas = np.array([curves[i].value(ts) for i in members])
         neg_curvs = -np.array([curves[i].second_derivative(ts) for i in members])
         defects = np.max(np.abs(neg_curvs - g * f(ts, gammas)), axis=1)
-        for i, gamma, neg_curv, defect in zip(members, gammas, neg_curvs, defects):
+        verdicts = [(VIABLE, 0.0)] * len(members)
+        tubes = [c for c, defect in enumerate(defects) if not defect <= 1e-8]
+        if len(tubes) < len(members):  # only the rows of the curves that need a tube
+            gammas, neg_curvs = gammas[tubes], neg_curvs[tubes]
+        eps = np.array([curves[members[c]].epsilon for c in tubes])[:, None]
+        lows, highs = gammas - eps, gammas + eps
+        steps, offsets = (highs - lows) / (n_y - 1), np.arange(n_y)[:, None, None]
+        for b in range(0, len(tubes), tubes_per_call):
+            s = slice(b, b + tubes_per_call)
+            # the block's tubes, one (n_y, n_t) slab each: np.linspace(lows, highs,
+            # n_y)'s arithmetic without its per-call overhead
+            ys = offsets * steps[s]
+            ys += lows[s]
+            ys[-1] = highs[s]
+            d = neg_curvs[s] - g * f(ts, ys)  # -gamma'' - g f
+            for j, c in enumerate(tubes[s]):
+                # min of d over the tube: > 0 => pushed down; min of -d: > 0 =>
+                # pushed up.  a - b is -(b - a) exactly, and 0.0 - keeps the
+                # +0.0 that b - a gives at a == b
+                upper, lower = float(d[:, j].min()), 0.0 - float(d[:, j].max())
+                verdicts[c] = ((INVIABLE_UPPER, upper) if upper > 0.0 else
+                               (INVIABLE_LOWER, lower) if lower > 0.0 else
+                               (INDETERMINATE, max(upper, lower)))
+        for i, (verdict, margin) in zip(members, verdicts):
             curve = curves[i]
-            if defect <= 1e-8:
-                verdict, margin = VIABLE, 0.0
-            else:
-                verdict, margin = _tube_verdict(f, ts, g, gamma, neg_curv,
-                                                curve.epsilon, n_y)
             out[i] = ClassificationResult(
                 curve=curve.label, verdict=verdict, psi_margin=margin,
                 epsilon_used=curve.epsilon, t_min_clip=t_min,
                 clipped_measure=float(max(0.0, lo - curve.a)), n_t=n_t, n_y=n_y)
     return out
-
-
-def _tube_verdict(f, ts, g, gamma, neg_curv, eps, n_y):
-    """(verdict, margin) of a non-viable curve from its sampled epsilon-tube."""
-    # the epsilon-tube as an (n_y, n_t) grid, one row per offset from the curve
-    d = neg_curv - g * f(ts, np.linspace(gamma - eps, gamma + eps, n_y))
-    # min of -gamma'' - g f over the tube: positive => pushed down
-    upper = float(d.min())
-    # min of g f + gamma'' = -d over the tube: positive => pushed up.  a - b
-    # is -(b - a) exactly, and 0.0 - keeps the +0.0 that b - a gives at a == b
-    lower = 0.0 - float(d.max())
-    if upper > 0.0:
-        return INVIABLE_UPPER, upper
-    if lower > 0.0:
-        return INVIABLE_LOWER, lower
-    return INDETERMINATE, float(max(upper, lower))
 
 
 def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,

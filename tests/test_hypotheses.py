@@ -13,7 +13,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     estimate_HR, minimal_R_power, norm_c1, residual,
                     simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import HR_U_SAMPLES, _bump, _tube_verdict
+from bvpkit.hypotheses import F_BLOCK, HR_U_SAMPLES, _bump
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 
@@ -402,20 +402,39 @@ class TestClassifyCurves:
     def test_no_curves(self, divisor_spec):
         assert classify_curves(divisor_spec, ()) == []
 
+    @pytest.mark.parametrize("count", [5, 7])
+    def test_odd_tube_blocks_match_one_at_a_time(self, divisor_spec, count):
+        # two 30 x 200 tubes per f call, so the last block holds one tube;
+        # every curve has an epsilon of its own
+        rng = np.random.default_rng(count)
+        curves = [replace(c, epsilon=float(rng.uniform(0.02, 0.08)))
+                  for c in divisor_spec.nonlinearity.curves[:count]]
+        batch = classify_curves(divisor_spec, curves)
+        single = [classify_curve(divisor_spec, c) for c in curves]
+        assert batch == single
+        assert ([np.array(r.psi_margin).tobytes() for r in batch]
+                == [np.array(r.psi_margin).tobytes() for r in single])
+        for r, curve in zip(batch, curves):
+            assert r.verdict == INVIABLE_UPPER
+            assert r.psi_margin == _loop_margins(divisor_spec, curve)[0]
+
     def test_divisor_certification_f_calls(self, divisor_spec):
-        # estimate_HR, one centre-line pass for the one shared domain, and
-        # one tube per curve: 18 calls, against 33 for one curve at a time
-        calls = []
+        # estimate_HR's base samples in 2 row blocks and its curve points in
+        # one call, one centre-line pass for the one shared domain, and the 16
+        # tubes two at a time: 12 calls, against 33 for one curve at a time
+        points = []
         f = divisor_spec.nonlinearity.eval
 
         def counted(t, u):
-            calls.append(t)
+            points.append(np.broadcast(t, u).size)
             return f(t, u)
 
         spec = replace(divisor_spec,
                        nonlinearity=replace(divisor_spec.nonlinearity, eval=counted))
         report = certify_hypotheses(spec)
-        assert len(calls) <= 18
+        assert len(points) == 12
+        assert max(points) <= F_BLOCK
+        assert sum(points) == 129_024
         assert [r.verdict for r in report.h5] == [INVIABLE_UPPER] * 16
 
 
@@ -469,20 +488,23 @@ class TestGridPassesMatchLoops:
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_tube_margins_keep_the_sign_of_zero(self, zero):
-        # f = 1 on and above the curve y = 0 and 0 below it, with g = 1: the
-        # tube's upper margin is -1 and its lower one a zero, whose sign must
-        # be that of min(g f - neg_curv), the report's 0.0 and not -0.0
+        # f = 1 on and above the curve y = 0 and 0 below it, with g = 1 and
+        # -gamma'' = zero: the tube's upper margin is -1 and its lower one a
+        # zero, whose sign must be that of min(g f - neg_curv), the report's
+        # 0.0 and not -0.0
         def f(t, u):
             return np.where(u >= 0.0, 1.0, 0.0) + 0.0 * t
 
-        ts, n_y = np.linspace(0.0, 1.0, 5), 4
-        g, gamma, neg_curv = np.ones(5), np.zeros(5), np.full(5, zero)
-        verdict, margin = _tube_verdict(f, ts, g, gamma, neg_curv, 0.1, n_y)
-        gf = g * f(ts, np.linspace(gamma - 0.1, gamma + 0.1, n_y))
+        spec = replace(_step_classifier_spec(), nonlinearity=Nonlinearity(eval=f))
+        curve = DiscontinuityCurve(a=0.0, b=1.0, value=np.zeros_like, epsilon=0.1,
+                                   second_derivative=lambda t: np.full_like(t, -zero))
+        (r,) = classify_curves(spec, [curve], t_min=0.0, n_t=5, n_y=4)
+        ts, neg_curv = np.linspace(0.0, 1.0, 5), np.full(5, zero)
+        gf = f(ts, np.linspace(np.full(5, -0.1), np.full(5, 0.1), 4))
         upper, lower = float(np.min(neg_curv - gf)), float(np.min(gf - neg_curv))
-        assert (upper, lower) == (-1.0, 0.0) and verdict == INDETERMINATE
-        assert np.array(margin).tobytes() == np.array(max(upper, lower)).tobytes()
-        assert math.copysign(1.0, margin) == 1.0
+        assert (upper, lower) == (-1.0, 0.0) and r.verdict == INDETERMINATE
+        assert np.array(r.psi_margin).tobytes() == np.array(max(upper, lower)).tobytes()
+        assert math.copysign(1.0, r.psi_margin) == 1.0
 
     def test_estimate_HR_profile(self, divisor_spec):
         t_grid = divisor_spec.nodes[1:]
@@ -495,6 +517,17 @@ class TestGridPassesMatchLoops:
         t_grid = np.linspace(0.01, 1.0, 37)
         r = estimate_HR(spec, t_grid=t_grid)
         assert np.array_equal(r.profile, _loop_hr_profile(spec, t_grid))
+
+    @pytest.mark.parametrize("radius, t_count", [(None, None), (0.5, None), (None, 1000)])
+    def test_estimate_HR_profile_across_blocks(self, divisor_spec, radius, t_count):
+        # 256 rows: 81 base rows per f call leave a block of 13, and at
+        # R = 0.5 -R placeholders fill most curve columns; 1000 rows put the
+        # 32 curve columns in blocks of 512 and 488 rows
+        spec = replace(divisor_spec, grid_size=257, radius=radius or divisor_spec.radius)
+        t_grid = spec.nodes[1:] if t_count is None else np.linspace(1e-3, 1.0, t_count)
+        assert t_grid.size % (F_BLOCK // HR_U_SAMPLES) != 0
+        r = estimate_HR(spec, t_grid=t_grid)
+        assert r.profile.tobytes() == _loop_hr_profile(spec, t_grid).tobytes()
 
 
 class TestSimplexLeastSquares:

@@ -933,7 +933,10 @@ class TestCrossingSteps:
     @pytest.mark.parametrize("seed", range(12))
     def test_a_declared_cell_keeps_the_worst_case(self, seed, monkeypatch):
         # one root of a monotone gap against a declared line: one ITP cell, the
-        # root's node panel in x = sqrt(t), whose polynomial is evaluated once per step
+        # root's node panel in x = sqrt(t), whose polynomial is evaluated once per
+        # step.  The bound is bisection's worst case on the node panel in t, down
+        # to 1e-12: tighter than ITP's own worst case in x (ceil(log2(w / 5e-13))
+        # + 1 for the panel's width w in x), which this simple root never needs
         import bvpkit.model
         rng = np.random.default_rng(seed)
         n, w, c1 = int(rng.integers(5, 40)), rng.uniform(1.0, 9.0), rng.uniform(-0.5, 0.5)
