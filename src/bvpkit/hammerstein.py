@@ -20,8 +20,12 @@ reads the points, g, both factors and the Hermite basis of the panels no
 crossing splits from ProblemSpec.plan, built by the first application of T to
 the spec from the nodes, the BC factors, the weight and the rule alone; T
 brings in u, as one (2, N) array of node values and derivatives, f and the
-products.  apply_T, residual and the probe check u and pass that array;
-solve_picard carries one through its sweeps.  A solve samples g once on the
+products.  apply_T and residual check u and pass that array; solve_picard
+carries one through its sweeps.  The probe passes a stack of its samples,
+(k, 2, N), and T integrates them in one quadrature pass whose groups are
+every iterate's panels, each iterate's split at its own crossings alone, so
+each image is bitwise what that iterate alone gives; a stack whose first
+rounds would pass STACK_POINTS goes in chunks.  A solve samples g once on the
 plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
 N = 129 for the pair), then only on split subpanels (4 points per split sweep
 on the step example, 96 with the pair) and in the pair's refinement rounds.
@@ -34,7 +38,14 @@ import numpy as np
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
 from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, hermite_value, norm_c1
-from .quadrature import integrate_groups
+from .quadrature import BLOCK, integrate_groups
+
+# most first-round points one stacked T integrates per call (a larger stack goes
+# in chunks, or one iterate at a time): its copies of the plan's rows cost page
+# faults past it.  5 iterates in one call against one at a time (2-core Xeon):
+# step-crossing (128 points each) 0.83 against 1.24 ms, picard (768) 0.45 against
+# 0.46 ms, divisor (3072, the pair) 1.90 against 1.37 ms
+STACK_POINTS = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -70,7 +81,8 @@ def _node_data(spec: ProblemSpec, u: GridFunction, margin: float = 0.0) -> np.nd
     return np.array((u.values, u.derivatives))
 
 
-def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None):
+def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None,
+                       stack=False):
     """L[i] = int_{e_0}^{e_i} left*h and R[i] = int_{e_i}^{e_m} right*h at the
     edges e_0 < ... < e_m (default: the grid nodes).
 
@@ -84,15 +96,21 @@ def _running_integrals(spec: ProblemSpec, both, breaks=(), edges=None, plan=None
     size at most (alpha+beta+gamma+delta) / Gamma, and L, R sum at most N-1
     panels, so each meets quad_tol, as one node integral over [0, 1] would,
     apart from rounding; a quad_tol below that rounding (the panels' summed
-    floors, scaled the same way) raises MaxDepthExceeded.
+    floors, scaled the same way) raises MaxDepthExceeded.  Given stack, breaks
+    holds one breakpoint set per iterate, and L and R come as one row each.
     """
     p = spec.params
     edges = spec.nodes if edges is None else edges
     tol = spec.quad_tol * p.gamma_const / (
         (p.alpha + p.beta + p.gamma + p.delta) * (spec.grid_size - 1))
-    left, right = integrate_groups(both, edges, breaks, spec.weight.singular_left, tol, plan)
-    return (np.concatenate(([0.0], np.cumsum(left))),
-            np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
+    left, right = integrate_groups(both, edges, breaks, spec.weight.singular_left, tol, plan,
+                                   stack)
+    if not stack:
+        return (np.concatenate(([0.0], np.cumsum(left))),
+                np.concatenate((np.cumsum(right[::-1])[::-1], [0.0])))
+    zero = np.zeros((left.shape[0], 1))
+    return (np.concatenate((zero, np.cumsum(left, axis=1)), axis=1),
+            np.concatenate((np.cumsum(right[:, ::-1], axis=1)[:, ::-1], zero), axis=1))
 
 
 def _closed_forms(spec: ProblemSpec, t, left, right):
@@ -116,7 +134,15 @@ def apply_T(spec: ProblemSpec, u: GridFunction) -> GridFunction:
 def _apply_T(spec: ProblemSpec, y: np.ndarray):
     """T's node data from node data y that passed _node_data or the solver's
     ball test, and the crossings of the declared curves, which split its
-    panels and which solve_picard keeps; a non-finite image raises ValueError."""
+    panels and which solve_picard keeps; a non-finite image raises ValueError.
+
+    A stack y of shape (k, 2, N) gives the k images as one (k, 2, N) array and
+    the k crossing lists.  One quadrature call integrates up to STACK_POINTS
+    first-round points of it; its groups are every iterate's panels, each
+    split at its own iterate's crossings alone, so each image, and each error
+    raised, is bitwise what y[j] alone gives."""
+    if y.ndim == 3:
+        return _apply_T_stack(spec, y)
     f = spec.nonlinearity.eval
 
     def both(s, g, left, right, *basis):
@@ -126,10 +152,34 @@ def _apply_T(spec: ProblemSpec, y: np.ndarray):
     crossings = find_crossings(spec.nodes, y, spec.nonlinearity.curves)
     breaks = tuple(sorted(x for xs in crossings for x in xs))
     left, right = _running_integrals(spec, both, breaks, plan=spec.plan)
-    ty = np.array(_closed_forms(spec, spec.nodes, left, right))
+    return _checked(np.array(_closed_forms(spec, spec.nodes, left, right))), crossings
+
+
+def _apply_T_stack(spec: ProblemSpec, ys: np.ndarray):
+    per = max(1, STACK_POINTS // ((spec.grid_size - 1) * (spec.exact_points or BLOCK)))
+    if len(ys) > per:
+        parts = [_apply_T_stack(spec, ys[j:j + per]) for j in range(0, len(ys), per)]
+        return np.concatenate([ty for ty, _ in parts]), [c for _, cs in parts for c in cs]
+    if len(ys) == 1:  # the single path, which takes no copy of the plan's rows
+        ty, crossings = _apply_T(spec, ys[0])
+        return ty[None], [crossings]
+    f, size = spec.nonlinearity.eval, spec.grid_size
+    flat = ys.transpose(1, 0, 2).reshape(2, -1)  # iterate j's node i at j*N + i
+
+    def both(s, g, left, right, i, h, b0, b1, b2, b3, copy):
+        hs = g * f(s.reshape(g.shape), hermite_value(flat, i + size * copy, h, b0, b1, b2, b3))
+        return np.array((left * hs, right * hs))
+
+    crossings = [find_crossings(spec.nodes, y, spec.nonlinearity.curves) for y in ys]
+    breaks = [tuple(sorted(x for xs in c for x in xs)) for c in crossings]
+    left, right = _running_integrals(spec, both, breaks, plan=spec.plan, stack=True)
+    return _checked(np.stack(_closed_forms(spec, spec.nodes, left, right), axis=1)), crossings
+
+
+def _checked(ty):
     if not np.isfinite(ty).all():
         raise ValueError("grid function entries must be finite")
-    return ty, crossings
+    return ty
 
 
 def residual(spec: ProblemSpec, u: GridFunction) -> float:

@@ -370,23 +370,31 @@ def simplex_least_squares(vertices: np.ndarray, target: np.ndarray,
     return lam, math.sqrt(x2)
 
 
-def _bump(nodes: np.ndarray, j: int) -> np.ndarray:
-    """Cosine bump on the j-th dyadic window as (2, N) node data of discrete C1
-    norm 1: j=1 -> [0,1]; j=2,3 -> halves; j=4..7 -> quarters; and so on.
-    Probe samples 2j and 2j+1 need bump j; a window with no node inside by
-    more than the nodes' rounding raises ValueError (its bump would be noise)."""
-    level = j.bit_length() - 1
-    w = 0.5 ** level
-    a = (j - 2 ** level) * w
+def _bumps(nodes: np.ndarray, js) -> np.ndarray:
+    """Cosine bumps on the dyadic windows js as (len(js), 2, N) node data,
+    each of discrete C1 norm 1: j=1 -> [0,1]; j=2,3 -> halves; j=4..7 ->
+    quarters; and so on, all windows in one array pass.  The first window with
+    no node inside by more than the nodes' rounding raises ValueError (its
+    bump would be noise)."""
+    levels = [j.bit_length() - 1 for j in js]
+    w = np.array([0.5 ** level for level in levels])[:, None]
+    a = np.array([(j - 2 ** level) * 0.5 ** level for j, level in zip(js, levels)])[:, None]
     margin = nodes.size * math.ulp(1.0)
-    if not np.any((nodes > a + margin) & (nodes < a + w - margin)):
+    inside = ((nodes > a + margin) & (nodes < a + w - margin)).any(axis=1)
+    if not inside.all():
+        j = js[int(np.argmin(inside))]
         raise ValueError(f"bump {j} has no node inside its dyadic window on "
                          f"{nodes.size} nodes: n_samples must be <= {2 * j - 1}")
     xi = np.clip((nodes - a) / w, 0.0, 1.0)
     vals = 0.5 * (1.0 - np.cos(2.0 * np.pi * xi))
     ders = (np.pi / w) * np.sin(2.0 * np.pi * xi)
-    scale = c1_norm_of(vals, ders)
-    return np.array((vals / scale, ders / scale))
+    scale = (np.max(np.abs(vals), axis=1) + np.max(np.abs(ders), axis=1))[:, None]
+    return np.stack((vals / scale, ders / scale), axis=1)
+
+
+def _bump(nodes: np.ndarray, j: int) -> np.ndarray:
+    """Bump j alone as (2, N) node data; probe samples 2j - 1 and 2j share it."""
+    return _bumps(nodes, [j])[0]
 
 
 @dataclass(frozen=True)
@@ -403,7 +411,9 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     """Finite-sample shadow of the convexified-operator membership test.
 
     Perturbs u inside an eps-ball (u, then u +/- eps * bump_1, u +/- eps *
-    bump_2, ...), applies the operator to every sample, and bounds the
+    bump_2, ..., the bumps built in one array pass), applies the operator to
+    the stack of samples in one pass (each sample's panels split at its own
+    crossings, each image bitwise that sample's own), and bounds the
     discrete C1 distance from u to the convex hull of the images from above,
     by the C1 gap at the hull's L2-nearest point or at a vertex.  A small
     bound is evidence that u survives convexification.  The samples for n
@@ -420,9 +430,10 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
         raise ValueError(f"need eps > 0 and n_samples >= 1 (an integer), got "
                          f"{eps!r}, {n_samples!r}")
     y = _node_data(spec, u, margin=eps)
-    samples = [y] + [y + (-1 if i % 2 else +1) * eps * _bump(spec.nodes, i // 2 + 1)
-                     for i in range(n_samples - 1)]
-    cols = np.stack([_apply_T(spec, w)[0].ravel() for w in samples], axis=1)
+    steps = eps * _bumps(spec.nodes, range(1, n_samples // 2 + 1))
+    samples = np.empty((n_samples, *y.shape))
+    samples[0], samples[1::2], samples[2::2] = y, y + steps, y - steps[:(n_samples - 1) // 2]
+    cols = np.ascontiguousarray(_apply_T(spec, samples)[0].reshape(n_samples, -1).T)
     y = y.ravel()
 
     best, witness, history = np.inf, None, []

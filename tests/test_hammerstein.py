@@ -11,7 +11,9 @@ from bvpkit import (DIRICHLET, BallViolation, PhiExample, apply_T, bc_residual,
                     bounds_report, build_problem, check_h1, equicontinuity_check, grid_eval,
                     norm_c1, residual, solve_picard, validate_params)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.hammerstein import _closed_forms, _running_integrals
+from bvpkit.errors import DomainError, MaxDepthExceeded, NonFiniteIntegrand
+from bvpkit.hammerstein import STACK_POINTS, _apply_T, _closed_forms, _running_integrals
+from bvpkit.hypotheses import _bumps
 from bvpkit.kernel import left_factor, right_factor
 from bvpkit.model import GridFunction, Nonlinearity, ProblemSpec, Weight
 from bvpkit.quadrature import BLOCK, integrate_groups, make_plan
@@ -659,6 +661,178 @@ class TestSweepPlan:
         monkeypatch.setattr(bvpkit.model, "make_plan", plans)
         code, _ = cli.run(cfg)
         assert code == 0 and plans.calls == 1
+
+
+def _probe_stack(spec, u, eps=1e-3, bumps=2):
+    """u and u +/- eps * bump_j, j = 1..bumps, as one (2 * bumps + 1, 2, N) stack."""
+    y = np.array((u.values, u.derivatives))
+    steps = eps * _bumps(spec.nodes, range(1, bumps + 1))
+    return np.concatenate((y[None], y + steps, y - steps))
+
+
+def _demo_polynomial_spec():
+    """The hull-probe demo's user f = 0.1 u + 1, which declares no degree."""
+    f = Nonlinearity(eval=lambda t, u: 0.1 * np.asarray(u, float) + 1.0,
+                     local_bound=lambda t, r: 0.1 * r + 1.0)
+    return ProblemSpec(params=DIRICHLET, weight=const_weight(), nonlinearity=f,
+                       radius=1.0, quad_tol=1e-10, grid_size=129)
+
+
+def _raised(call):
+    """The type and message of what a call raised, or None."""
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return None
+
+
+class TestStackedT:
+    """_apply_T on a (k, 2, N) stack: each iterate's image and crossings are
+    bitwise what the iterate alone gives, from one quadrature call per chunk
+    of at most STACK_POINTS first-round points."""
+
+    @pytest.fixture(params=["one call", "chunks of two", "default"])
+    def stacked(self, request, monkeypatch):
+        """Checks a stack's T, under one STACK_POINTS, against each iterate
+        alone, and counts its quadrature calls: one per chunk."""
+        import bvpkit.hammerstein as hammerstein
+        calls = []
+        monkeypatch.setattr(hammerstein, "integrate_groups",
+                            lambda *args: calls.append(1) or integrate_groups(*args))
+
+        def check(spec, ys):
+            points = (spec.grid_size - 1) * (spec.exact_points or BLOCK)  # per iterate
+            budget = {"one call": 2 ** 40, "chunks of two": 2 * points,
+                      "default": STACK_POINTS}[request.param]
+            monkeypatch.setattr(hammerstein, "STACK_POINTS", budget)
+            calls.clear()
+            images, crossings = _apply_T(spec, ys)
+            assert len(calls) == -(-len(ys) // max(1, budget // points))
+            assert images.shape == ys.shape and len(crossings) == len(ys)
+            for y, image, xs in zip(ys, images, crossings):
+                alone, alone_xs = _apply_T(spec, y)
+                assert image.tobytes() == alone.tobytes()
+                assert xs == alone_xs
+            return crossings
+
+        return check
+
+    def test_a_stack_of_one(self, stacked):
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
+        u = solve_picard(spec, tol=1e-8).u
+        ys = np.array((u.values, u.derivatives))[None]
+        stacked(spec, ys)
+        assert _apply_T(spec, ys)[0].shape == (1, 2, 129)
+
+    @pytest.mark.parametrize("degree", ["declared", None], ids=["exact rule", "pair"])
+    def test_step_iterates_crossing_0_1_and_2_times(self, stacked, degree):
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
+        u = solve_picard(spec, tol=1e-8).u
+        if degree is None:
+            spec = replace(spec, nonlinearity=replace(spec.nonlinearity, degree=None))
+        t = spec.nodes
+        # u = 0.07 t crosses the threshold at t = 5/7, inside a node panel
+        ys = np.array([np.zeros((2, t.size)), (0.07 * t, np.full(t.size, 0.07)),
+                       (u.values, u.derivatives)] + list(_probe_stack(spec, u)))
+        crossings = stacked(spec, ys)
+        assert [len(xs) for xs, in crossings] == [0, 1] + [2] * 6
+
+    def test_a_user_polynomial_by_the_adaptive_pair(self, stacked):
+        spec = _demo_polynomial_spec()
+        assert spec.exact_points is None
+        u = solve_picard(spec).u
+        rng = np.random.default_rng(7)
+        ys = np.concatenate((_probe_stack(spec, u), [
+            np.array((w.values, w.derivatives))
+            for w in (random_ball_function(spec, rng, 0.5) for _ in range(2))]))
+        stacked(spec, ys)
+
+    def test_the_divisor_weight_in_sqrt_s(self, stacked, divisor_spec,
+                                          divisor_solution):
+        assert divisor_spec.weight.singular_left
+        ys = np.concatenate((_probe_stack(divisor_spec, divisor_solution.u, 1e-2),
+                             np.zeros((1, 2, divisor_spec.grid_size))))
+        stacked(divisor_spec, ys)
+
+    def test_refined_rounds(self, stacked):
+        # u**20 at 1e-12 on 4 panels takes more rounds on some iterates than on others
+        spec = replace(smoke_spec(grid_size=5, quad_tol=1e-12, radius=2.0),
+                       nonlinearity=Nonlinearity(eval=lambda t, u: u ** 20,
+                                                 local_bound=lambda t, r: r ** 20))
+        rng = np.random.default_rng(5)
+        ys = np.array([(w.values, w.derivatives) for w in (
+            random_ball_function(spec, rng, fill) for fill in (0.9, 0.2, 0.95, 0.5, 0.8))])
+        stacked(spec, ys)
+
+
+class TestStackedTErrors:
+    """A stack, in one quadrature call, raises what its first failing iterate
+    raises alone."""
+
+    @pytest.fixture(autouse=True)
+    def one_call(self, monkeypatch):
+        import bvpkit.hammerstein as hammerstein
+        monkeypatch.setattr(hammerstein, "STACK_POINTS", 2 ** 40)
+
+    @staticmethod
+    def linear_spec(quad_tol=1e-9, declared=True, coeffs=(1.0, -1.4)):
+        spec = catalog_spec("polynomial", {"coeffs": list(coeffs)}, 10.0, 65)
+        spec = replace(spec, quad_tol=quad_tol)
+        if not declared:
+            spec = replace(spec, nonlinearity=replace(spec.nonlinearity, degree=None))
+        return spec
+
+    @pytest.mark.parametrize("case", ["step", "exact rule", "pair"])
+    def test_a_non_finite_iterate(self, case):
+        spec = (catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 65)
+                if case == "step" else self.linear_spec(declared=case == "exact rule"))
+        good = np.zeros((2, spec.grid_size))
+        bad = good.copy()
+        bad[0, 9] = np.nan
+        alone = _raised(lambda: _apply_T(spec, bad))
+        assert alone[0] is (DomainError if case == "step" else NonFiniteIntegrand)
+        assert _raised(lambda: _apply_T(spec, np.array([good, bad, good]))) == alone
+
+    def test_a_non_finite_image(self, monkeypatch):
+        # images whose L(1) = int s f(s, u(s)) ds is negative are poisoned: f = 1 - 1.4 u
+        # is -1.8 for u = 2
+        import bvpkit.hammerstein as hammerstein
+        closed_forms = hammerstein._closed_forms
+        monkeypatch.setattr(hammerstein, "_closed_forms", lambda spec, t, left, right: np.add(
+            closed_forms(spec, t, left, right), np.where(left[..., -1:] < 0.0, np.nan, 0.0)))
+        spec = self.linear_spec()
+        zero, two = np.zeros((2, spec.grid_size)), np.zeros((2, spec.grid_size))
+        two[0] = 2.0
+        alone = _raised(lambda: _apply_T(spec, two))
+        assert alone == (ValueError, "grid function entries must be finite")
+        assert _raised(lambda: _apply_T(spec, np.array([zero, two, zero]))) == alone
+        assert np.isfinite(_apply_T(spec, np.array([zero, zero]))[0]).all()
+
+    @pytest.mark.parametrize("declared", [True, False], ids=["exact rule", "pair"])
+    def test_a_tolerance_below_rounding(self, declared):
+        # f = u = c: the rounding floor grows with c, and one float apart one
+        # iterate alone raises and the other does not
+        spec = self.linear_spec(quad_tol=1e-16, declared=declared, coeffs=(0.0, 1.0))
+
+        def iterate(c):
+            y = np.zeros((2, spec.grid_size))
+            y[0] = c
+            return y
+
+        def raises_alone(c):
+            return _raised(lambda: _apply_T(spec, iterate(c))) is not None
+
+        low, high = 0.0, 8.0
+        assert not raises_alone(low) and raises_alone(high)
+        while np.nextafter(low, 9.0) < high:
+            mid = 0.5 * (low + high)
+            low, high = (low, mid) if raises_alone(mid) else (mid, high)
+        alone = _raised(lambda: _apply_T(spec, iterate(high)))
+        assert alone[0] is MaxDepthExceeded and "rounding floor" in alone[1]
+        assert _raised(lambda: _apply_T(spec, np.array([iterate(low), iterate(high)]))) == alone
+        images, _ = _apply_T(spec, np.array([iterate(low), iterate(0.5 * low)]))
+        assert images[0].tobytes() == _apply_T(spec, iterate(low))[0].tobytes()
 
 
 class TestEquicontinuity:

@@ -12,8 +12,8 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     classify_curves, convexification_probe, equicontinuity_check,
                     estimate_HR, minimal_R_power, norm_c1, residual,
                     simplex_least_squares, solve_picard)
-from bvpkit.catalog import make_nonlinearity_from_id
-from bvpkit.hypotheses import F_BLOCK, HR_U_SAMPLES, _bump
+from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
+from bvpkit.hypotheses import F_BLOCK, HR_U_SAMPLES, _bump, _bumps
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 
@@ -710,6 +710,33 @@ class TestConvexificationProbe:
         r5 = convexification_probe(spec, u, eps=0.05, n_samples=5)
         assert r5.history[:3] == r3.history
         assert r5.history[-1] < r5.history[0]
+
+    def test_the_step_probe_samples_f_once(self):
+        # the step-crossing workload's exact rule: one f call where one T per sample
+        # made 5, on the same points
+        spec = replace(_crossing_step_spec(),
+                       weight=make_weight_from_id("constant", {"value": 1.0}))
+        u = solve_picard(spec).u
+        f = Counted(spec.nonlinearity.eval)
+        counted = replace(spec, nonlinearity=replace(spec.nonlinearity, eval=f))
+        convexification_probe(counted, u, eps=1e-3, n_samples=5)
+        assert spec.exact_points == 1 and f.calls == 1
+        probe_points, f.calls, f.points = f.points, 0, 0
+        y = np.array((u.values, u.derivatives))
+        for w in [y] + [y + sign * 1e-3 * _bump(spec.nodes, j) for j in (1, 2) for sign in (1, -1)]:
+            bvpkit.hypotheses._apply_T(counted, w)
+        assert f.calls == 5 and f.points == probe_points
+
+    def test_bumps_in_one_pass_are_each_bump_alone(self):
+        for n in (5, 17, 99, 129, 257):
+            nodes = np.linspace(0.0, 1.0, n)
+            usable = [j for j in range(1, 64) if (j.bit_length() - 1) <= np.log2(n - 1) - 1]
+            together = _bumps(nodes, usable)
+            for j, bump in zip(usable, together):
+                assert bump.tobytes() == _bump(nodes, j).tobytes()
+        # the first window with no node inside is the one named
+        with pytest.raises(ValueError, match="bump 4 has no node"):
+            _bumps(np.linspace(0.0, 1.0, 5), range(1, 10))
 
     @pytest.mark.parametrize("u, error, match", REJECTED_U)
     def test_u_off_the_grid_or_outside_the_ball_is_rejected(self, u, error, match):

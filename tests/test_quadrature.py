@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from bvpkit import (DIRICHLET, BvpError, GridFunction, IntegrandSpec, MaxDepthExceeded,
                     NonFiniteIntegrand, apply_T, dk_dt, integrate)
 from bvpkit.model import Weight
-from bvpkit.quadrature import BLOCK, MAX_DEPTH, MAX_GROWTH, integrate_groups
+from bvpkit.quadrature import BLOCK, MAX_DEPTH, MAX_GROWTH, integrate_groups, make_plan
 
 from conftest import Counted, const_weight, random_ball_function, smoke_spec
 
@@ -240,6 +240,124 @@ class TestGroups:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NonFiniteIntegrand, match=re.escape(f"overflows on [{edges[3]}, {edges[4]}]")):
             integrate_groups(fn, edges)
+
+
+class TestStacks:
+    """integrate_groups(stack=True): copy j of every group, split at its own
+    breakpoints alone, gives the bits and the errors of a call on copy j."""
+
+    EDGES = np.linspace(0.0, 1.0, 9)
+    # no cut; one cut; two cuts in one group and one within 1e-14 of an edge; and
+    # a cut that only the singular variable merges with the edge beside it
+    SETS = ((), (0.3,), (0.4, 0.43, 0.51, 0.75 - 5e-15), (0.125 + 1e-13, 0.9))
+
+    @staticmethod
+    def integrand(s, copy):
+        s = s.reshape(copy.shape[0], -1)
+        return np.stack((np.exp(s) * np.cos(3.0 * s + copy), np.abs(s - 0.43) ** 0.5 + copy))
+
+    def alone(self, j):
+        return lambda s: self.integrand(s, np.full((s.size // BLOCK, 1), j))
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_copies_are_their_own_calls(self, singular):
+        got = integrate_groups(self.integrand, self.EDGES, self.SETS, singular, 1e-12,
+                               stack=True)
+        assert got.shape == (2, len(self.SETS), 8)
+        for j, breaks in enumerate(self.SETS):
+            one = integrate_groups(self.alone(j), self.EDGES, breaks, singular, 1e-12)
+            assert got[:, j].tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("points", [2, None], ids=["exact rule", "pair"])
+    def test_a_plan_serves_every_copy(self, points):
+        sample = lambda s: (np.sin(s),)  # noqa: E731
+        plan = make_plan(sample, self.EDGES, points=points)
+        block = points or BLOCK
+
+        def fn(s, sin_s, copy):
+            return np.stack((sin_s * (1.0 + copy) * s.reshape(sin_s.shape),
+                             np.where(s.reshape(sin_s.shape) < 0.43, copy, 2.0)))
+
+        fn = Counted(fn)
+        got = integrate_groups(fn, self.EDGES, self.SETS, tol=1e-9, plan=plan, stack=True)
+        if points:
+            assert fn.calls == 1
+        for j, breaks in enumerate(self.SETS):
+            one = integrate_groups(
+                lambda s, sin_s: fn.fn(s, sin_s, np.full((s.size // block, 1), j)),
+                self.EDGES, breaks, tol=1e-9, plan=plan)
+            assert got[:, j].tobytes() == one.tobytes()
+
+    def test_one_copy_stack(self):
+        got = integrate_groups(self.integrand, self.EDGES, self.SETS[2:3], tol=1e-12,
+                               stack=True)
+        one = integrate_groups(self.alone(0), self.EDGES, self.SETS[2], tol=1e-12)
+        assert got.shape == (2, 1, 8) and got[:, 0].tobytes() == one.tobytes()
+
+    def test_each_copy_has_its_own_subpanel_budget(self):
+        # jumps at 1/3 and 0.6 take one group past 32 times its first round's
+        # one subpanel plus 80; beside a smooth copy a shared budget would be 144
+        def fn(s, copy):
+            s = s.reshape(np.shape(copy)[0], -1) if np.ndim(copy) else s
+            return 1.0 + copy * (np.where(s < 1.0 / 3.0, 0.0, 1.0) + np.where(s < 0.6, 0.0, 1.0))
+
+        with pytest.raises(MaxDepthExceeded) as alone:
+            integrate_groups(lambda s: fn(s, 1), (0.0, 1.0), tol=1e-12)
+        assert "past 32 times its first round's 1 plus 80" in str(alone.value)
+        with pytest.raises(MaxDepthExceeded) as stacked:
+            integrate_groups(fn, (0.0, 1.0), ((), ()), tol=1e-12, stack=True)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("kink", [False, True], ids=["smooth", "kink"])
+    def test_each_copy_has_its_own_rounding_floor(self, kink):
+        # scale * g at tol 1e-17: the floors sum to about eps * scale * int |g|, past
+        # m * tol = 1.6e-16 from scale 0.4 on; pass and fail sit one float apart.  The
+        # undeclared kink at 0.43 takes that call past round 1, where the 15 groups
+        # finished in round 1 bring their floors' sum (pairwise from 8 terms on)
+        edges = np.linspace(0.0, 1.0, 17)
+
+        def g(s):
+            return np.exp(s) + (np.abs(s - 0.43) if kink else 0.0)
+
+        def alone(scale, fn=None):
+            return integrate_groups(fn or (lambda s: scale * g(s)), edges, tol=1e-17)
+
+        def stacked(*scales):
+            scales = np.array(scales)
+            return integrate_groups(
+                lambda s, copy: scales[copy] * g(s.reshape(copy.shape[0], -1)),
+                edges, ((),) * scales.size, tol=1e-17, stack=True)
+
+        def raises_alone(scale):
+            try:
+                alone(scale)
+            except MaxDepthExceeded:
+                return True
+            return False
+
+        low, high = 1e-3, 1.0
+        assert not raises_alone(low) and raises_alone(high)
+        while np.nextafter(low, 2.0) < high:
+            mid = 0.5 * (low + high)
+            low, high = (low, mid) if raises_alone(mid) else (mid, high)
+        got = stacked(0.0, low, 1e-3)
+        for j, scale in enumerate((0.0, low, 1e-3)):
+            assert got[:, j].tobytes() == alone(scale).tobytes()
+        fn = Counted(lambda s: high * g(s))
+        with pytest.raises(MaxDepthExceeded) as expected:
+            alone(high, fn)
+        assert "rounding floor" in str(expected.value) and (fn.calls > 1) == kink
+        for scales in ((0.0, high), (high, low), (low, 0.0, high)):
+            with pytest.raises(MaxDepthExceeded) as got:
+                stacked(*scales)
+            assert str(got.value) == str(expected.value)
+        # a stack raises in the first round where a copy fails, for the first copy
+        # failing there: 1e3 fails in round 1, and high there too unless kinked
+        with pytest.raises(MaxDepthExceeded) as large:
+            alone(1e3)
+        with pytest.raises(MaxDepthExceeded) as got:
+            stacked(low, high, 1e3)
+        assert str(got.value) == str((large if kink else expected).value)
 
 
 @pytest.mark.parametrize("fn, singular", [(lambda s: 1.0 / s, True),
