@@ -15,20 +15,21 @@ user's undeclared curve is scanned, and two crossings in one scan cell are
 missed, which the exact rule below would not notice.
 T takes one round of the smallest exact Gauss rule where the weight's power
 and f's degree are declared (ProblemSpec.exact_points), else the adaptive
-pair.  Its first round
-reads the points, g, both factors and the Hermite basis of the panels no
-crossing splits from ProblemSpec.plan, built by the first application of T to
-the spec from the nodes, the BC factors, the weight and the rule alone; T
-brings in u, as one (2, N) array of node values and derivatives, f and the
-products.  apply_T and residual check u and pass that array; solve_picard
-carries one through its sweeps.  The probe passes a stack of its samples,
-(k, 2, N), and T integrates them in one quadrature pass whose groups are
-every iterate's panels, each iterate's split at its own crossings alone, so
-each image is bitwise what that iterate alone gives; a stack whose first
-rounds would pass STACK_POINTS goes in chunks.  A solve samples g once on the
-plan's points (768 for picard's linear f at N = 257, 3 per panel; 3072 at
-N = 129 for the pair), then only on split subpanels (4 points per split sweep
-on the step example, 96 with the pair) and in the pair's refinement rounds.
+pair.  Its first round reads the points, g, both factors and the Hermite
+basis of the panels no crossing splits from ProblemSpec.plan, built by the
+first application of T to the spec from the nodes, the BC factors, the
+weight and the rule alone; T brings in u, as one (2, N) array of node values
+and derivatives, f and the products.  apply_T and residual check u and pass
+that array; solve_picard carries one through its sweeps.  The probe passes a
+stack of its samples, (k, 2, N).  Under an exact rule T integrates them in
+one quadrature round whose groups are every iterate's panels, each iterate's
+split at its own crossings alone, so each image is bitwise what that iterate
+alone gives; a stack whose round would pass STACK_POINTS goes in chunks.
+Under the pair, which refines each iterate on its own, T takes them one at a
+time.  A solve samples g once on the plan's points (768 for picard's linear
+f at N = 257, 3 per panel; 3072 at N = 129 for the pair), then only on split
+subpanels (4 points per split sweep on the step example, 96 with the pair)
+and in the pair's refinement rounds.
 """
 
 from dataclasses import dataclass
@@ -38,13 +39,13 @@ import numpy as np
 from .errors import BallViolation
 from .kernel import left_factor, right_factor
 from .model import GridFunction, ProblemSpec, c1_norm_of, find_crossings, hermite_value, norm_c1
-from .quadrature import BLOCK, integrate_groups
+from .quadrature import integrate_groups
 
-# most first-round points one stacked T integrates per call (a larger stack goes
-# in chunks, or one iterate at a time): its copies of the plan's rows cost page
-# faults past it.  5 iterates in one call against one at a time (2-core Xeon):
-# step-crossing (128 points each) 0.83 against 1.24 ms, picard (768) 0.45 against
-# 0.46 ms, divisor (3072, the pair) 1.90 against 1.37 ms
+# most points of an exact rule one stacked T integrates per call (a larger stack
+# goes in chunks): its copies of the plan's rows cost page faults past it.  A probe
+# stack of 5 or 9 iterates in one call against one at a time (2-core Xeon): 18-46 %
+# faster for picard's f at N <= 257 and the step at N <= 1025 (up to 9216 points),
+# slower for picard at N = 513 (+41-62 %) and 1025 (+130-144 %), the step at 2049 (+7-20 %)
 STACK_POINTS = 2 ** 12
 
 
@@ -137,10 +138,12 @@ def _apply_T(spec: ProblemSpec, y: np.ndarray):
     panels and which solve_picard keeps; a non-finite image raises ValueError.
 
     A stack y of shape (k, 2, N) gives the k images as one (k, 2, N) array and
-    the k crossing lists.  One quadrature call integrates up to STACK_POINTS
-    first-round points of it; its groups are every iterate's panels, each
-    split at its own iterate's crossings alone, so each image, and each error
-    raised, is bitwise what y[j] alone gives."""
+    the k crossing lists.  Under an exact rule one quadrature call integrates
+    up to STACK_POINTS first-round points of it, in the rule's one round; its
+    groups are every iterate's panels, each split at its own iterate's
+    crossings alone.  Under the adaptive pair T takes one iterate at a time.
+    Either way each image, and each error raised, is bitwise what y[j] alone
+    gives."""
     if y.ndim == 3:
         return _apply_T_stack(spec, y)
     f = spec.nonlinearity.eval
@@ -156,7 +159,8 @@ def _apply_T(spec: ProblemSpec, y: np.ndarray):
 
 
 def _apply_T_stack(spec: ProblemSpec, ys: np.ndarray):
-    per = max(1, STACK_POINTS // ((spec.grid_size - 1) * (spec.exact_points or BLOCK)))
+    points = spec.exact_points  # the pair refines each iterate on its own: one at a time
+    per = 1 if points is None else max(1, STACK_POINTS // ((spec.grid_size - 1) * points))
     if len(ys) > per:
         parts = [_apply_T_stack(spec, ys[j:j + per]) for j in range(0, len(ys), per)]
         return np.concatenate([ty for ty, _ in parts]), [c for _, cs in parts for c in cs]

@@ -412,8 +412,8 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
 
     Perturbs u inside an eps-ball (u, then u +/- eps * bump_1, u +/- eps *
     bump_2, ..., the bumps built in one array pass), applies the operator to
-    the stack of samples in one pass (each sample's panels split at its own
-    crossings, each image bitwise that sample's own), and bounds the
+    the stack of samples, in one pass under an exact rule (each sample's panels
+    split at its own crossings, each image bitwise its own), and bounds the
     discrete C1 distance from u to the convex hull of the images from above,
     by the C1 gap at the hull's L2-nearest point or at a vertex.  A small
     bound is evidence that u survives convexification.  The samples for n

@@ -37,15 +37,15 @@ pair: blocks of n points, error 0, one round (the checks on non-finite
 values and the rounding floor stay), exact where fn is a polynomial of
 degree < 2n in x between breakpoints (Davis & Rabinowitz 1984).
 
-A stack integrates n copies of the groups in one call, one breakpoint set
-per copy (T applied to n iterates at once, each split at its own
-crossings): copy j's group i is group j*m + i, and each row carries its
-copy as one more integrand argument.  The groups' sums, their done test and
-their bisection are as before; each copy's rows are weighed apart from the
-others (a BLAS product rounds a row by its place among the rows it is
-given), and each copy's rounding floor and subpanel budget are its own.  So
-every copy gets the bits a call on it alone gets, and a stack raises where
-one of its copies alone would.
+A stack integrates n copies of the groups in the one round of a plan's
+exact rule, one breakpoint set per copy (T applied to n iterates at once,
+each split at its own crossings): the integrand gets each row's copy as one
+more argument and is called once on every copy's rows.  Each copy's rows
+are weighed, and its rounding floor checked, on their own (a BLAS product
+rounds a row by its place among the rows it is given), so every copy gets
+the bits a call on it alone gets, and a stack raises what its first failing
+copy alone raises.  The adaptive pair refines each group on its own
+schedule, so it takes no stacks.
 """
 
 from dataclasses import dataclass, field
@@ -150,28 +150,22 @@ def _interval(lo, hi, e0):
     return f"[{_s(lo, e0)}, {_s(hi, e0)}]"
 
 
-def _rule(fn, lo, hi, e0, sample, points, rows=None, ends=None):
-    """(integral, error estimate, rounding floor), each of shape (k, P), for
-    the P subpanels [lo, hi] in x from one call of fn on all their Gauss points
-    (rows are _sampled there, unless given): the 16-point rule and its excess
-    over the 8-point one, or the exact points-point rule and None.  Given
-    ends, rows ends[j]:ends[j+1] are weighed apart from the others."""
+def _values(fn, lo, hi, e0, sample, points, rows=None):
+    """fn's values, shape (k, P, points or BLOCK), at the Gauss points of the
+    P subpanels [lo, hi] in x from one call of fn (rows are _sampled there,
+    unless given), times ds/dx = 2x in x = sqrt(s - e_0)."""
     s, *sampled = _sampled(lo, hi, e0, sample, points) if rows is None else rows
     f = np.asarray(fn(s.ravel(), *sampled), dtype=float).reshape(-1, *s.shape)
-    f = f if e0 is None else f * (2.0 * _gauss(lo, hi, points))
+    return f if e0 is None else f * (2.0 * _gauss(lo, hi, points))
+
+
+def _weigh(f, lo, hi, e0, points):
+    """(integral, error estimate, rounding floor), each of shape (k, P), from
+    _values f on the P subpanels [lo, hi]: the 16-point rule and its excess
+    over the 8-point one, or the exact points-point rule and None."""
     if not np.isfinite(f).all():
         i = int(np.argmin(np.isfinite(f).all(axis=(0, 2))))
         raise NonFiniteIntegrand(f"integrand not finite on {_interval(lo[i], hi[i], e0)}")
-    if ends is None:
-        return _weigh(f, lo, hi, points)
-    # a BLAS product's rounding of a row depends on the row's place among those it
-    # is given, so each copy's rows are weighed alone, as a call on that copy weighs them
-    parts = [_weigh(f[:, a:b], lo[a:b], hi[a:b], points)
-             for a, b in zip(ends[:-1], ends[1:]) if a < b]
-    return tuple(None if p[0] is None else np.concatenate(p, axis=1) for p in zip(*parts))
-
-
-def _weigh(f, lo, hi, points):
     half = 0.5 * (hi - lo)
     weights = _gauss_rule(points)[1]
     val = half * (f[..., :weights.size] @ weights)
@@ -196,16 +190,6 @@ def _floor_error(rounding, floor, lo, hi, e0, total):
         f"no depth up to {MAX_DEPTH} bisection levels can meet it")
 
 
-def _depth_error(level, err, err_sum, live, lo, hi, grp, e0, tol, sampled, first):
-    i = int(np.argmax(np.where(live, err.max(axis=0), -1.0)))
-    budget = "" if level == MAX_DEPTH else (
-        f" (the next round would take the call to {sampled} subpanels, past "
-        f"{MAX_GROWTH} times its first round's {first} plus {2 * MAX_DEPTH})")
-    return MaxDepthExceeded(
-        f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
-        f"after {level} bisection levels near {_interval(lo[i], hi[i], e0)}{budget}")
-
-
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
                      plan=None, stack=False):
@@ -224,28 +208,28 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     rows for unsplit groups; a plan's points replace BLOCK and the pair by the
     points-point Gauss rule, whose one round has error 0.
 
-    Given stack, breakpoints is a sequence of n breakpoint sets, and the call
-    integrates n copies of every group at once, shape (k, n, m): copy j's
-    groups are split at breakpoints[j] alone, and fn gets, after its other
-    arguments, each block's copy j as a (P, 1) integer column.  Each copy's
-    integrals, its rounding floor and its subpanel budget are its own, the
-    same bits and checks as a call with breakpoints[j] alone: a stack raises
-    in the first round where a copy fails, as the first such copy alone does."""
+    Given stack, the plan must name an exact rule (ValueError otherwise),
+    breakpoints is a sequence of n breakpoint sets, and the call integrates
+    n copies of every group in that rule's one round, shape (k, n, m): copy
+    j's groups are split at breakpoints[j] alone, and fn gets, after its
+    other arguments, each block's copy j as a (P, 1) integer column.  Each
+    copy's integrals and checks are its own, the same bits and errors as a
+    call with breakpoints[j] alone: a stack raises what its first copy to
+    fail them raises."""
+    sample, rows, points = plan if plan is not None else (None, None, None)
+    if stack and points is None:
+        raise ValueError("a stack needs a plan that names an exact rule")
     x, cuts, e0 = _variable(edges, () if stack else breakpoints, singular_left)
     m = x.size - 1
-    sample, rows, points = plan if plan is not None else (None, None, None)
     if stack:  # group j*m + i is group i of copy j; its rows carry j as a last column
         parts = [_subpanels(x, _variable(edges, b, singular_left)[1]) for b in breakpoints]
-        n, first = len(parts), np.array([lo.size for lo, _, _ in parts])
-        panels = lo, hi, grp = tuple(np.concatenate(a) for a in zip(
+        n = len(parts)
+        lo, hi, grp = (np.concatenate(a) for a in zip(
             *((lo, hi, g + j * m) for j, (lo, hi, g) in enumerate(parts))))
-        rows = _sampled(lo, hi, e0, sample, points) if plan is None else tuple(
-            a.take(grp % m, axis=0) for a in rows)
-        rows += ((grp // m)[:, None],)
+        rows = (*(a.take(grp % m, axis=0) for a in rows), (grp // m)[:, None])
     else:
         n, panels = 1, _subpanels(x, cuts)
         lo, hi, grp = panels
-        first = lo.size
         if plan is not None and lo.size > m:
             rows = tuple(a.take(grp, axis=0) for a in rows)
     # a split group's rows are its own subpanels', merged into the plan's so that g is
@@ -255,73 +239,59 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
         cut = np.bincount(grp, minlength=n * m)[grp] > 1
         for a, new in zip(rows, _sampled(lo[cut], hi[cut], e0, sample, points)):
             a[cut] = new
-    ends = np.concatenate(([0], np.cumsum(first))) if stack else None
-    estimates = _rule(fn, lo, hi, e0, sample, points, rows, ends)
-    sampled = first
-    out = np.zeros((estimates[0].shape[0], n * m))
-    # summed floors of the finished groups, per copy
-    floor_done = np.zeros((out.shape[0], n) if stack else out.shape[0])
+    f = _values(fn, lo, hi, e0, sample, points, rows)
+    if stack:
+        out, start = [], 0
+        for lo, hi, grp in parts:
+            # a BLAS product rounds a row by its place among the rows it is given,
+            # so each copy's rows are weighed alone, as a call on that copy weighs them
+            val, _, floor = _weigh(f[:, start:start + lo.size], lo, hi, e0, points)
+            start += lo.size
+            rounding = floor.sum(axis=1)
+            if (rounding > m * tol).any():
+                raise _floor_error(rounding, floor, lo, hi, e0, m * tol)
+            out.append(val if grp.size == m else _group_sums(grp, val, m))
+        return np.stack(out, axis=1)
+    estimates = _weigh(f, lo, hi, e0, points)
+    first = sampled = lo.size
+    out = np.zeros((estimates[0].shape[0], m))
+    floor_done = np.zeros(out.shape[0])  # summed floors of the finished groups
     for level in range(MAX_DEPTH + 1):
         lo, hi, grp = panels
         val, err, floor = estimates
-        # each copy's floors are summed as a call on it alone sums them: numpy sums a
-        # contiguous row pairwise (compress keeps the rows contiguous) and a masked
-        # pick (column-major) in sequence, and the two can differ in the last bit
-        copies = [grp // m == j for j in range(n)] if stack else None
-        rounding = floor_done + (np.stack([floor.compress(c, axis=1).sum(axis=1) for c in copies],
-                                          axis=1) if stack else floor.sum(axis=1))
+        rounding = floor_done + floor.sum(axis=1)
         if (rounding > m * tol).any():
-            if stack:  # the first copy past its floor, alone
-                j = int(np.argmax((rounding > m * tol).any(axis=0)))
-                mine = copies[j]
-                rounding, floor, lo, hi = rounding[:, j], floor[:, mine], lo[mine], hi[mine]
             raise _floor_error(rounding, floor, lo, hi, e0, m * tol)
         if points is not None:  # an exact rule's one round has error 0
-            # no value is -0.0 (a dot product starts from 0.0), so the group sums of
-            # a copy that nothing splits are its values, as a call on it alone returns
-            if lo.size > n * m:
-                val = _group_sums(grp, val, n * m)
-            return val.reshape(-1, n, m) if stack else val
-        err_sum = _group_sums(grp, err, n * m)
+            return val if grp.size == m else _group_sums(grp, val, m)
+        err_sum = _group_sums(grp, err, m)
         done = (err_sum <= tol).all(axis=0)
         # each group's sum lands once: 0.0 is added to its 0.0 before it is done,
         # and afterwards it has no subpanels, so 0.0 is all it adds
-        out += np.where(done, _group_sums(grp, val, n * m), 0.0)
+        out += np.where(done, _group_sums(grp, val, m), 0.0)
         live = ~done[grp]
         if not live.any():
-            return out.reshape(-1, n, m) if stack else out
-        split = live & np.any(err > tol / np.bincount(grp, minlength=n * m)[grp], axis=0)
-        if stack:
-            sampled = sampled + 2 * np.bincount(grp[split] // m, minlength=n)
-            over = sampled > MAX_GROWTH * first + 2 * MAX_DEPTH
-            if level == MAX_DEPTH:
-                over |= np.bincount(grp[live] // m, minlength=n) > 0
-            if over.any():
-                j = int(np.argmax(over))
-                mine = copies[j]
-                raise _depth_error(level, err[:, mine], err_sum, live[mine], lo[mine],
-                                   hi[mine], grp[mine], e0, tol, sampled[j], first[j])
-            floor_done += np.stack([floor[:, ~live & c].sum(axis=1) for c in copies], axis=1)
-        else:
-            sampled += 2 * np.count_nonzero(split)
-            if level == MAX_DEPTH or sampled > MAX_GROWTH * first + 2 * MAX_DEPTH:
-                raise _depth_error(level, err, err_sum, live, lo, hi, grp, e0, tol,
-                                   sampled, first)
-            floor_done += floor[:, ~live].sum(axis=1)
+            return out
+        split = live & np.any(err > tol / np.bincount(grp, minlength=m)[grp], axis=0)
+        sampled += 2 * np.count_nonzero(split)
+        if level == MAX_DEPTH or sampled > MAX_GROWTH * first + 2 * MAX_DEPTH:
+            i = int(np.argmax(np.where(live, err.max(axis=0), -1.0)))
+            budget = "" if level == MAX_DEPTH else (
+                f" (the next round would take the call to {sampled} subpanels, past "
+                f"{MAX_GROWTH} times its first round's {first} plus {2 * MAX_DEPTH})")
+            raise MaxDepthExceeded(
+                f"error estimate {err_sum[:, grp[i]].max():.3e} still above tol {tol:.3e} "
+                f"after {level} bisection levels near "
+                f"{_interval(lo[i], hi[i], e0)}{budget}")
+        floor_done += floor[:, ~live].sum(axis=1)
         keep = live & ~split
         mid = 0.5 * (lo + hi)
         halves = (np.concatenate((lo[split], mid[split])),
                   np.concatenate((mid[split], hi[split])), np.tile(grp[split], 2))
-        rows = ends = None
-        if stack:  # each copy's halves together, in the order a call on it alone has them
-            copy = halves[2] // m
-            order = np.argsort(copy, kind="stable")
-            halves, copy = tuple(a[order] for a in halves), copy[order]
-            rows = (*_sampled(halves[0], halves[1], e0, sample, points), copy[:, None])
-            ends = np.searchsorted(copy, np.arange(n + 1))
         panels = tuple(np.concatenate((a[keep], b)) for a, b in zip(panels, halves))
         estimates = tuple(np.concatenate((a[:, keep], b), axis=1) for a, b in zip(
-            estimates, _rule(fn, halves[0], halves[1], e0, sample, points, rows, ends)))
+            estimates, _weigh(_values(fn, *halves[:2], e0, sample, points), *halves[:2], e0,
+                              points)))
 
 
 def integrate(spec: IntegrandSpec, a: float, b: float) -> float:

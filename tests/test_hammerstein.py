@@ -690,25 +690,27 @@ def _raised(call):
 class TestStackedT:
     """_apply_T on a (k, 2, N) stack: each iterate's image and crossings are
     bitwise what the iterate alone gives, from one quadrature call per chunk
-    of at most STACK_POINTS first-round points."""
+    of at most STACK_POINTS first-round points under an exact rule, and per
+    iterate under the adaptive pair."""
 
     @pytest.fixture(params=["one call", "chunks of two", "default"])
     def stacked(self, request, monkeypatch):
         """Checks a stack's T, under one STACK_POINTS, against each iterate
-        alone, and counts its quadrature calls: one per chunk."""
+        alone, and counts its quadrature calls: one per chunk, or per iterate
+        for the pair."""
         import bvpkit.hammerstein as hammerstein
         calls = []
         monkeypatch.setattr(hammerstein, "integrate_groups",
                             lambda *args: calls.append(1) or integrate_groups(*args))
 
         def check(spec, ys):
-            points = (spec.grid_size - 1) * (spec.exact_points or BLOCK)  # per iterate
+            points = (spec.grid_size - 1) * (spec.exact_points or 0)  # per iterate
             budget = {"one call": 2 ** 40, "chunks of two": 2 * points,
                       "default": STACK_POINTS}[request.param]
             monkeypatch.setattr(hammerstein, "STACK_POINTS", budget)
             calls.clear()
             images, crossings = _apply_T(spec, ys)
-            assert len(calls) == -(-len(ys) // max(1, budget // points))
+            assert len(calls) == -(-len(ys) // (max(1, budget // points) if points else 1))
             assert images.shape == ys.shape and len(crossings) == len(ys)
             for y, image, xs in zip(ys, images, crossings):
                 alone, alone_xs = _apply_T(spec, y)

@@ -243,8 +243,9 @@ class TestGroups:
 
 
 class TestStacks:
-    """integrate_groups(stack=True): copy j of every group, split at its own
-    breakpoints alone, gives the bits and the errors of a call on copy j."""
+    """integrate_groups(stack=True) by a plan's exact rule: copy j of every
+    group, split at its own breakpoints alone, gives the bits and the errors
+    of a call on copy j."""
 
     EDGES = np.linspace(0.0, 1.0, 9)
     # no cut; one cut; two cuts in one group and one within 1e-14 of an edge; and
@@ -256,23 +257,25 @@ class TestStacks:
         s = s.reshape(copy.shape[0], -1)
         return np.stack((np.exp(s) * np.cos(3.0 * s + copy), np.abs(s - 0.43) ** 0.5 + copy))
 
-    def alone(self, j):
-        return lambda s: self.integrand(s, np.full((s.size // BLOCK, 1), j))
+    def alone(self, j, points):
+        return lambda s: self.integrand(s, np.full((s.size // points, 1), j))
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_copies_are_their_own_calls(self, singular):
-        got = integrate_groups(self.integrand, self.EDGES, self.SETS, singular, 1e-12,
-                               stack=True)
-        assert got.shape == (2, len(self.SETS), 8)
-        for j, breaks in enumerate(self.SETS):
-            one = integrate_groups(self.alone(j), self.EDGES, breaks, singular, 1e-12)
-            assert got[:, j].tobytes() == one.tobytes()
+        # a port of the adaptive pair's case to exact rules of 1, 4 and 8 points
+        for points in (1, 4, 8):
+            plan = make_plan(None, self.EDGES, singular, points)
+            got = integrate_groups(self.integrand, self.EDGES, self.SETS, singular, 1e-12,
+                                   plan, stack=True)
+            assert got.shape == (2, len(self.SETS), 8)
+            for j, breaks in enumerate(self.SETS):
+                one = integrate_groups(self.alone(j, points), self.EDGES, breaks, singular,
+                                       1e-12, plan)
+                assert got[:, j].tobytes() == one.tobytes()
 
-    @pytest.mark.parametrize("points", [2, None], ids=["exact rule", "pair"])
-    def test_a_plan_serves_every_copy(self, points):
+    def test_a_plan_serves_every_copy(self):
         sample = lambda s: (np.sin(s),)  # noqa: E731
-        plan = make_plan(sample, self.EDGES, points=points)
-        block = points or BLOCK
+        plan = make_plan(sample, self.EDGES, points=2)
 
         def fn(s, sin_s, copy):
             return np.stack((sin_s * (1.0 + copy) * s.reshape(sin_s.shape),
@@ -280,84 +283,104 @@ class TestStacks:
 
         fn = Counted(fn)
         got = integrate_groups(fn, self.EDGES, self.SETS, tol=1e-9, plan=plan, stack=True)
-        if points:
-            assert fn.calls == 1
+        assert fn.calls == 1
         for j, breaks in enumerate(self.SETS):
             one = integrate_groups(
-                lambda s, sin_s: fn.fn(s, sin_s, np.full((s.size // block, 1), j)),
+                lambda s, sin_s: fn.fn(s, sin_s, np.full((s.size // 2, 1), j)),
                 self.EDGES, breaks, tol=1e-9, plan=plan)
             assert got[:, j].tobytes() == one.tobytes()
 
     def test_one_copy_stack(self):
+        # a port of the adaptive pair's case to the 8-point rule
+        plan = make_plan(None, self.EDGES, points=8)
         got = integrate_groups(self.integrand, self.EDGES, self.SETS[2:3], tol=1e-12,
-                               stack=True)
-        one = integrate_groups(self.alone(0), self.EDGES, self.SETS[2], tol=1e-12)
+                               plan=plan, stack=True)
+        one = integrate_groups(self.alone(0, 8), self.EDGES, self.SETS[2], tol=1e-12,
+                               plan=plan)
         assert got.shape == (2, 1, 8) and got[:, 0].tobytes() == one.tobytes()
 
-    def test_each_copy_has_its_own_subpanel_budget(self):
-        # jumps at 1/3 and 0.6 take one group past 32 times its first round's
-        # one subpanel plus 80; beside a smooth copy a shared budget would be 144
-        def fn(s, copy):
-            s = s.reshape(np.shape(copy)[0], -1) if np.ndim(copy) else s
-            return 1.0 + copy * (np.where(s < 1.0 / 3.0, 0.0, 1.0) + np.where(s < 0.6, 0.0, 1.0))
+    @pytest.mark.parametrize("pair", [False, True], ids=["no plan", "pair"])
+    def test_a_stack_needs_an_exact_rule(self, pair):
+        plan = make_plan(None, self.EDGES) if pair else None
+        with pytest.raises(ValueError, match="a stack needs a plan that names an exact rule"):
+            integrate_groups(self.integrand, self.EDGES, self.SETS, plan=plan, stack=True)
 
-        with pytest.raises(MaxDepthExceeded) as alone:
-            integrate_groups(lambda s: fn(s, 1), (0.0, 1.0), tol=1e-12)
-        assert "past 32 times its first round's 1 plus 80" in str(alone.value)
-        with pytest.raises(MaxDepthExceeded) as stacked:
-            integrate_groups(fn, (0.0, 1.0), ((), ()), tol=1e-12, stack=True)
-        assert str(stacked.value) == str(alone.value)
-
-    @pytest.mark.parametrize("kink", [False, True], ids=["smooth", "kink"])
-    def test_each_copy_has_its_own_rounding_floor(self, kink):
-        # scale * g at tol 1e-17: the floors sum to about eps * scale * int |g|, past
-        # m * tol = 1.6e-16 from scale 0.4 on; pass and fail sit one float apart.  The
-        # undeclared kink at 0.43 takes that call past round 1, where the 15 groups
-        # finished in round 1 bring their floors' sum (pairwise from 8 terms on)
+    def test_each_copy_has_its_own_rounding_floor(self):
+        # a port of the adaptive pair's smooth case to the 8-point rule.  scale * exp at
+        # tol 1e-17: the floors sum to about eps * scale * int exp, past m * tol =
+        # 1.6e-16 from scale 0.4 on; pass and fail sit one float apart
         edges = np.linspace(0.0, 1.0, 17)
-
-        def g(s):
-            return np.exp(s) + (np.abs(s - 0.43) if kink else 0.0)
+        plan = make_plan(None, edges, points=8)
 
         def alone(scale, fn=None):
-            return integrate_groups(fn or (lambda s: scale * g(s)), edges, tol=1e-17)
+            return integrate_groups(fn or (lambda s: scale * np.exp(s)), edges, tol=1e-17,
+                                    plan=plan)
 
         def stacked(*scales):
             scales = np.array(scales)
             return integrate_groups(
-                lambda s, copy: scales[copy] * g(s.reshape(copy.shape[0], -1)),
-                edges, ((),) * scales.size, tol=1e-17, stack=True)
+                lambda s, copy: scales[copy] * np.exp(s.reshape(copy.shape[0], -1)),
+                edges, ((),) * scales.size, tol=1e-17, plan=plan, stack=True)
 
-        def raises_alone(scale):
-            try:
-                alone(scale)
-            except MaxDepthExceeded:
-                return True
-            return False
-
-        low, high = 1e-3, 1.0
-        assert not raises_alone(low) and raises_alone(high)
-        while np.nextafter(low, 2.0) < high:
-            mid = 0.5 * (low + high)
-            low, high = (low, mid) if raises_alone(mid) else (mid, high)
+        low, high = _least_failing_scale(alone)
         got = stacked(0.0, low, 1e-3)
         for j, scale in enumerate((0.0, low, 1e-3)):
             assert got[:, j].tobytes() == alone(scale).tobytes()
-        fn = Counted(lambda s: high * g(s))
+        fn = Counted(lambda s: high * np.exp(s))
         with pytest.raises(MaxDepthExceeded) as expected:
             alone(high, fn)
-        assert "rounding floor" in str(expected.value) and (fn.calls > 1) == kink
-        for scales in ((0.0, high), (high, low), (low, 0.0, high)):
+        assert "rounding floor" in str(expected.value) and fn.calls == 1
+        # a stack raises what its first failing copy raises alone, even where a
+        # later copy is not finite
+        for scales in ((0.0, high), (high, low), (low, 0.0, high), (low, high, 1e3),
+                       (high, np.nan)):
             with pytest.raises(MaxDepthExceeded) as got:
                 stacked(*scales)
             assert str(got.value) == str(expected.value)
-        # a stack raises in the first round where a copy fails, for the first copy
-        # failing there: 1e3 fails in round 1, and high there too unless kinked
-        with pytest.raises(MaxDepthExceeded) as large:
-            alone(1e3)
-        with pytest.raises(MaxDepthExceeded) as got:
-            stacked(low, high, 1e3)
-        assert str(got.value) == str((large if kink else expected).value)
+
+
+def _least_failing_scale(integral):
+    """Neighbouring floats low < high in [1e-3, 1] where integral(scale)
+    passes at low and raises MaxDepthExceeded at high."""
+    def raises(scale):
+        try:
+            integral(scale)
+        except MaxDepthExceeded:
+            return True
+        return False
+
+    low, high = 1e-3, 1.0
+    assert not raises(low) and raises(high)
+    while np.nextafter(low, 2.0) < high:
+        mid = 0.5 * (low + high)
+        low, high = (low, mid) if raises(mid) else (mid, high)
+    return low, high
+
+
+def test_finished_groups_bring_their_floors_to_later_rounds():
+    # scale * g at tol 1e-17, as in TestStacks, with an undeclared kink at 0.43 that
+    # takes the call past round 1: there the 15 groups finished in round 1 bring
+    # their floors' sum (pairwise from 8 terms on) to the rounding floor
+    edges = np.linspace(0.0, 1.0, 17)
+
+    def g(s):
+        return np.exp(s) + np.abs(s - 0.43)
+
+    _, high = _least_failing_scale(lambda scale: integrate_groups(
+        lambda s: scale * g(s), edges, tol=1e-17))
+    fn = Counted(lambda s: high * g(s))
+    with pytest.raises(MaxDepthExceeded, match="rounding floor"):
+        integrate_groups(fn, edges, tol=1e-17)
+    assert fn.calls > 1
+
+
+def test_two_undeclared_jumps_exceed_the_subpanel_budget():
+    # jumps at 1/3 and 0.6 take one group past 32 times its first round's one
+    # subpanel plus 80
+    with pytest.raises(MaxDepthExceeded) as raised:
+        integrate_groups(lambda s: 1.0 + np.where(s < 1.0 / 3.0, 0.0, 1.0)
+                         + np.where(s < 0.6, 0.0, 1.0), (0.0, 1.0), tol=1e-12)
+    assert "past 32 times its first round's 1 plus 80" in str(raised.value)
 
 
 @pytest.mark.parametrize("fn, singular", [(lambda s: 1.0 / s, True),
