@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError
-from .example_phi import PhiExample, make_nonlinearity
+from .example_phi import PhiExample, make_nonlinearity, make_weight
 from .model import DiscontinuityCurve, Nonlinearity, Weight
 
 
@@ -52,9 +52,7 @@ def make_weight_from_id(weight_id: str, params: dict) -> Weight:
                       power=0.0)
     if weight_id == "inv-sqrt":
         _only(params, "scale")
-        scale = number(params.get("scale", 1.0))
-        return Weight(eval=lambda t, _s=scale: _s / np.sqrt(t), singular_left=True,
-                      power=-0.5)
+        return make_weight(number(params.get("scale", 1.0)))
     raise ConfigError(f"unknown weight id {weight_id!r}", field="problem.weight.id")
 
 

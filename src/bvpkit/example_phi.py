@@ -104,8 +104,8 @@ class PhiExample:
             raise ValueError("curve_count must be >= 1")
 
 
-def make_weight() -> Weight:
-    return Weight(eval=lambda t: 1.0 / np.sqrt(t), singular_left=True, power=-0.5)
+def make_weight(scale: float = 1.0) -> Weight:
+    return Weight(eval=lambda t: scale / np.sqrt(t), singular_left=True, power=-0.5)
 
 
 def make_curves(ex: PhiExample):

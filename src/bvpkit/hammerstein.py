@@ -15,21 +15,22 @@ user's undeclared curve is scanned, and two crossings in one scan cell are
 missed, which the exact rule below would not notice.
 T takes one round of the smallest exact Gauss rule where the weight's power
 and f's degree are declared (ProblemSpec.exact_points), else the adaptive
-pair.  Its first round reads the points, g, both factors and the Hermite
-basis of the panels no crossing splits from ProblemSpec.plan, built by the
+pair.  Where no crossing splits a panel, its first round reads the points,
+g, both factors and the Hermite basis from ProblemSpec.plan, built by the
 first application of T to the spec from the nodes, the BC factors, the
-weight and the rule alone; T brings in u, as one (2, N) array of node values
-and derivatives, f and the products.  apply_T and residual check u and pass
-that array; solve_picard carries one through its sweeps.  The probe passes a
-stack of its samples, (k, 2, N).  Under an exact rule T integrates them in
+weight and the rule alone, and T brings in u, as one (2, N) array of node
+values and derivatives, f and the products; a split call samples them all
+afresh.  apply_T and residual check u and pass that array; solve_picard
+carries one through its sweeps.  The probe passes a stack of its samples,
+(k, 2, N).  Under an exact rule T integrates them in
 one quadrature round whose groups are every iterate's panels, each iterate's
 split at its own crossings alone, so each image is bitwise what that iterate
 alone gives; a stack whose round would pass STACK_POINTS goes in chunks.
 Under the pair, which refines each iterate on its own, T takes them one at a
 time.  A solve samples g once on the plan's points (768 for picard's linear
-f at N = 257, 3 per panel; 3072 at N = 129 for the pair), then only on split
-subpanels (4 points per split sweep on the step example, 96 with the pair)
-and in the pair's refinement rounds.
+f at N = 257, 3 per panel; 3072 at N = 129 for the pair), then on every
+subpanel of a split sweep (130 points per sweep on the step example, 3120
+with the pair) and in the pair's refinement rounds.
 """
 
 from dataclasses import dataclass

@@ -392,11 +392,6 @@ def _bumps(nodes: np.ndarray, js) -> np.ndarray:
     return np.stack((vals / scale, ders / scale), axis=1)
 
 
-def _bump(nodes: np.ndarray, j: int) -> np.ndarray:
-    """Bump j alone as (2, N) node data; probe samples 2j - 1 and 2j share it."""
-    return _bumps(nodes, [j])[0]
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     hull_distance: float  # an upper bound on the C1 distance to the hull of the images

@@ -582,8 +582,7 @@ def find_crossings(nodes, y, curves):
         def value(s):  # hermite_value at a float s
             i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
             h = nodes[i + 1] - nodes[i]
-            b0, b1, b2, b3 = _basis((s - nodes[i]) / h)
-            return vals[i] * b0 + h * ders[i] * b1 + vals[i + 1] * b2 + h * ders[i + 1] * b3
+            return hermite_value((vals, ders), i, h, *_basis((s - nodes[i]) / h))
 
     out = []
     for curve, cs in zip(curves, cells):

@@ -30,7 +30,8 @@ An integrand called again and again on the same groups can be given a plan
 (make_plan): the points of round 1 of every group and sample(s), the
 integrand's inputs that depend on the points alone, taken there once.  For T
 (ProblemSpec.plan) those are g, both kernel factors and the Hermite basis.
-Round 1 then samples only the subpanels of split groups, later rounds sample
+Round 1 reads the plan's rows when the call splits no group, else samples
+every subpanel afresh as make_plan did (the same bits); later rounds sample
 all theirs, and the loop, its checks and its budget are the same.  A plan
 may name an n-point Gauss rule, exact to degree 2n - 1, in place of the
 pair: blocks of n points, error 0, one round (the checks on non-finite
@@ -204,8 +205,8 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     tol unreported (a unit step at 1/3 comes out 3.7e-8 off at tol 1e-8).
 
     Given plan = make_plan(sample, edges, singular_left, points), fn is called
-    as fn(s, *sample(s)) (fn(s) for sample None) and round 1 reads the plan's
-    rows for unsplit groups; a plan's points replace BLOCK and the pair by the
+    as fn(s, *sample(s)) (fn(s) for sample None); round 1 reads the plan's rows
+    unless a group is split; a plan's points replace BLOCK and the pair by the
     points-point Gauss rule, whose one round has error 0.
 
     Given stack, the plan must name an exact rule (ValueError otherwise),
@@ -223,24 +224,19 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
     m = x.size - 1
     if stack:  # group j*m + i is group i of copy j; its rows carry j as a last column
         parts = [_subpanels(x, _variable(edges, b, singular_left)[1]) for b in breakpoints]
-        n = len(parts)
         lo, hi, grp = (np.concatenate(a) for a in zip(
             *((lo, hi, g + j * m) for j, (lo, hi, g) in enumerate(parts))))
-        rows = (*(a.take(grp % m, axis=0) for a in rows), (grp // m)[:, None])
     else:
-        n, panels = 1, _subpanels(x, cuts)
-        lo, hi, grp = panels
-        if plan is not None and lo.size > m:
-            rows = tuple(a.take(grp, axis=0) for a in rows)
-    # a split group's rows are its own subpanels', merged into the plan's so that g is
-    # sampled there alone: with a scalar-only g (looped by vectorized), a step-crossing
-    # solve (N = 129) took 8-9 ms with the merge, 25-28 ms without it (2-core Xeon)
-    if plan is not None and lo.size > n * m:
-        cut = np.bincount(grp, minlength=n * m)[grp] > 1
-        for a, new in zip(rows, _sampled(lo[cut], hi[cut], e0, sample, points)):
-            a[cut] = new
-    f = _values(fn, lo, hi, e0, sample, points, rows)
+        lo, hi, grp = panels = _subpanels(x, cuts)
+        parts = [panels]
+    if rows is not None and lo.size > len(parts) * m:  # a split group: sample afresh
+        rows = _sampled(lo, hi, e0, sample, points)
+    elif stack:
+        rows = tuple(a.take(grp % m, axis=0) for a in rows)
     if stack:
+        rows = (*rows, (grp // m)[:, None])
+    f = _values(fn, lo, hi, e0, sample, points, rows)
+    if points is not None:  # an exact rule's one round has error 0
         out, start = [], 0
         for lo, hi, grp in parts:
             # a BLAS product rounds a row by its place among the rows it is given,
@@ -251,7 +247,7 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
             if (rounding > m * tol).any():
                 raise _floor_error(rounding, floor, lo, hi, e0, m * tol)
             out.append(val if grp.size == m else _group_sums(grp, val, m))
-        return np.stack(out, axis=1)
+        return np.stack(out, axis=1) if stack else out[0]
     estimates = _weigh(f, lo, hi, e0, points)
     first = sampled = lo.size
     out = np.zeros((estimates[0].shape[0], m))
@@ -262,8 +258,6 @@ def integrate_groups(fn, edges, breakpoints=(), singular_left=False, tol=1e-10,
         rounding = floor_done + floor.sum(axis=1)
         if (rounding > m * tol).any():
             raise _floor_error(rounding, floor, lo, hi, e0, m * tol)
-        if points is not None:  # an exact rule's one round has error 0
-            return val if grp.size == m else _group_sums(grp, val, m)
         err_sum = _group_sums(grp, err, m)
         done = (err_sum <= tol).all(axis=0)
         # each group's sum lands once: 0.0 is added to its 0.0 before it is done,

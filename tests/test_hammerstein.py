@@ -622,18 +622,35 @@ class TestSweepPlan:
         assert sol.converged and sol.iterations >= 5
         assert (g.calls, g.points) == (1, 256 * BLOCK)
 
-    def test_split_sweeps_sample_the_weight_on_split_panels_alone(self):
+    def test_split_sweeps_sample_the_weight_on_every_subpanel(self):
         # the solution crosses the threshold in 2 node panels: after the plan's
-        # 128 panels, each sweep that splits them samples g on their 4 subpanels
+        # 128 panels, each sweep that splits them samples g afresh on all 130
+        # subpanels, by the pair
         g = Counted(lambda t: np.ones_like(t))
         spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129,
                             weight=Weight(eval=g))
+        assert spec.exact_points is None
         sol = solve_picard(spec, tol=1e-8)
         assert sol.converged and sol.iterations == 7
-        assert (g.calls, g.points) == (7, 128 * BLOCK + 6 * 4 * BLOCK)
+        assert (g.calls, g.points) == (7, 128 * BLOCK + 6 * 130 * BLOCK)
         g.calls = g.points = 0
         apply_T(spec, sol.u)
-        assert (g.calls, g.points) == (1, 4 * BLOCK)
+        assert (g.calls, g.points) == (1, 130 * BLOCK)
+
+    def test_a_split_stack_samples_the_weight_once(self):
+        # under the exact rule, 5 probe iterates that each cross twice: one g call
+        # on every copy's 130 one-point subpanels, each image its iterate's alone
+        g = Counted(lambda t: np.ones_like(t))
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129,
+                            weight=Weight(eval=g, power=0.0))
+        assert spec.exact_points == 1
+        ys = _probe_stack(spec, solve_picard(spec, tol=1e-8).u)
+        g.calls = g.points = 0
+        images, crossings = _apply_T(spec, ys)
+        assert [len(xs) for xs, in crossings] == [2] * 5
+        assert (g.calls, g.points) == (1, 5 * 130)
+        for y, image in zip(ys, images):
+            assert image.tobytes() == _apply_T(spec, y)[0].tobytes()
 
     def test_specs_with_different_weights_never_share_a_plan(self, monkeypatch):
         spec = smoke_spec()

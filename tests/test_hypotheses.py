@@ -13,7 +13,7 @@ from bvpkit import (DIRICHLET, INDETERMINATE, INVIABLE_LOWER, INVIABLE_UPPER,
                     estimate_HR, minimal_R_power, norm_c1, residual,
                     simplex_least_squares, solve_picard)
 from bvpkit.catalog import make_nonlinearity_from_id, make_weight_from_id
-from bvpkit.hypotheses import F_BLOCK, HR_U_SAMPLES, _bump, _bumps
+from bvpkit.hypotheses import F_BLOCK, HR_U_SAMPLES, _bumps
 from bvpkit.model import (DiscontinuityCurve, GridFunction, Nonlinearity,
                           ProblemSpec, Weight)
 
@@ -642,10 +642,10 @@ class TestConvexificationProbe:
         u = GridFunction.zero(spec.nodes)
         for j in range(1, 10):
             if j < 4:
-                _bump(spec.nodes, j)
+                _bumps(spec.nodes, [j])[0]
             else:
                 with pytest.raises(ValueError, match=f"n_samples must be <= {2 * j - 1}"):
-                    _bump(spec.nodes, j)
+                    _bumps(spec.nodes, [j])[0]
         assert len(convexification_probe(spec, u, eps=1e-2, n_samples=7).history) == 7
         with pytest.raises(ValueError, match="n_samples must be <= 7"):
             convexification_probe(spec, u, eps=1e-2, n_samples=8)
@@ -654,7 +654,7 @@ class TestConvexificationProbe:
         nodes = np.linspace(0.0, 1.0, 99)
         assert 0.0 < 0.5 - nodes[49] <= np.spacing(0.5)
         with pytest.raises(ValueError):
-            _bump(nodes, 191)
+            _bumps(nodes, [191])[0]
 
     def test_converged_solution_distance_at_residual_level(self):
         spec = poly_spec()
@@ -723,7 +723,8 @@ class TestConvexificationProbe:
         assert spec.exact_points == 1 and f.calls == 1
         probe_points, f.calls, f.points = f.points, 0, 0
         y = np.array((u.values, u.derivatives))
-        for w in [y] + [y + sign * 1e-3 * _bump(spec.nodes, j) for j in (1, 2) for sign in (1, -1)]:
+        for w in [y] + [y + sign * 1e-3 * _bumps(spec.nodes, [j])[0]
+                        for j in (1, 2) for sign in (1, -1)]:
             bvpkit.hypotheses._apply_T(counted, w)
         assert f.calls == 5 and f.points == probe_points
 
@@ -733,7 +734,7 @@ class TestConvexificationProbe:
             usable = [j for j in range(1, 64) if (j.bit_length() - 1) <= np.log2(n - 1) - 1]
             together = _bumps(nodes, usable)
             for j, bump in zip(usable, together):
-                assert bump.tobytes() == _bump(nodes, j).tobytes()
+                assert bump.tobytes() == _bumps(nodes, [j])[0].tobytes()
         # the first window with no node inside is the one named
         with pytest.raises(ValueError, match="bump 4 has no node"):
             _bumps(np.linspace(0.0, 1.0, 5), range(1, 10))
@@ -749,7 +750,7 @@ def reference_probe(spec, u, eps, n_samples, solve=simplex_least_squares):
     zero-padded warm start, on the +/- bump family built by a toggle."""
     family, j, sign = [u], 1, +1
     while len(family) < n_samples:
-        bv, bd = _bump(u.nodes, j)
+        bv, bd = _bumps(u.nodes, [j])[0]
         family.append(GridFunction(u.nodes, u.values + sign * eps * bv,
                                    u.derivatives + sign * eps * bd))
         j, sign = (j, -1) if sign > 0 else (j + 1, +1)
@@ -801,7 +802,7 @@ def _step_probe_points():
     u = solve_picard(spec).u
     family = [u]
     for j in (1, 2):
-        bv, bd = _bump(u.nodes, j)
+        bv, bd = _bumps(u.nodes, [j])[0]
         family += [GridFunction(u.nodes, u.values + sign * 1e-3 * bv,
                                 u.derivatives + sign * 1e-3 * bd) for sign in (+1, -1)]
     images = [apply_T(spec, w) for w in family]
@@ -863,7 +864,7 @@ class TestProbeMatchesReference:
         for j in range(1, 32):
             level = int(np.floor(np.log2(j)))
             a, b = (j - 2 ** level) / 2 ** level, (j - 2 ** level + 1) / 2 ** level
-            vals, ders = _bump(nodes, j)
+            vals, ders = _bumps(nodes, [j])[0]
             outside = (nodes < a) | (nodes > b)
             assert outside.any() == (j > 1)
             assert np.max(np.abs(vals[outside]), initial=0.0) <= 1e-12
