@@ -22,15 +22,15 @@ weight and the rule alone, and T brings in u, as one (2, N) array of node
 values and derivatives, f and the products; a split call samples them all
 afresh.  apply_T and residual check u and pass that array; solve_picard
 carries one through its sweeps.  The probe passes a stack of its samples,
-(k, 2, N).  Under an exact rule T integrates them in
-one quadrature round whose groups are every iterate's panels, each iterate's
-split at its own crossings alone, so each image is bitwise what that iterate
-alone gives; a stack whose round would pass STACK_POINTS goes in chunks.
-Under the pair, which refines each iterate on its own, T takes them one at a
-time.  A solve samples g once on the plan's points (768 for picard's linear
-f at N = 257, 3 per panel; 3072 at N = 129 for the pair), then on every
-subpanel of a split sweep (130 points per sweep on the step example, 3120
-with the pair) and in the pair's refinement rounds.
+(k, 2, N).  Under an exact rule T finds their crossings in one call and
+integrates them in one quadrature round whose groups are every iterate's
+panels, each split at its own iterate's crossings alone, so each image is
+bitwise what that iterate alone gives; a stack whose round would pass
+STACK_POINTS goes in chunks.  Under the pair, which refines each iterate on its
+own, T takes them one at a time.  A solve samples g once on the plan's points
+(768 for picard's linear f at N = 257, 3 per panel; 3072 at N = 129 for the
+pair), then on every subpanel of a split sweep (130 points per sweep on the
+step example, 3120 with the pair) and in the pair's refinement rounds.
 """
 
 from dataclasses import dataclass
@@ -139,12 +139,12 @@ def _apply_T(spec: ProblemSpec, y: np.ndarray):
     panels and which solve_picard keeps; a non-finite image raises ValueError.
 
     A stack y of shape (k, 2, N) gives the k images as one (k, 2, N) array and
-    the k crossing lists.  Under an exact rule one quadrature call integrates
-    up to STACK_POINTS first-round points of it, in the rule's one round; its
-    groups are every iterate's panels, each split at its own iterate's
-    crossings alone.  Under the adaptive pair T takes one iterate at a time.
-    Either way each image, and each error raised, is bitwise what y[j] alone
-    gives."""
+    the k crossing lists, from one find_crossings call per chunk.  Under an
+    exact rule one quadrature call integrates a chunk of up to STACK_POINTS
+    first-round points, in the rule's one round; its groups are every
+    iterate's panels, each split at its own iterate's crossings alone.  Under
+    the adaptive pair T takes one iterate at a time.  Either way each image,
+    and each error raised, is bitwise what y[j] alone gives."""
     if y.ndim == 3:
         return _apply_T_stack(spec, y)
     f = spec.nonlinearity.eval
@@ -175,7 +175,7 @@ def _apply_T_stack(spec: ProblemSpec, ys: np.ndarray):
         hs = g * f(s.reshape(g.shape), hermite_value(flat, i + size * copy, h, b0, b1, b2, b3))
         return np.array((left * hs, right * hs))
 
-    crossings = [find_crossings(spec.nodes, y, spec.nonlinearity.curves) for y in ys]
+    crossings = find_crossings(spec.nodes, ys, spec.nonlinearity.curves)
     breaks = [tuple(sorted(x for xs in c for x in xs)) for c in crossings]
     left, right = _running_integrals(spec, both, breaks, plan=spec.plan, stack=True)
     return _checked(np.stack(_closed_forms(spec, spec.nodes, left, right), axis=1)), crossings

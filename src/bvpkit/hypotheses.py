@@ -407,16 +407,16 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
 
     Perturbs u inside an eps-ball (u, then u +/- eps * bump_1, u +/- eps *
     bump_2, ..., the bumps built in one array pass), applies the operator to
-    the stack of samples, in one pass under an exact rule (each sample's panels
-    split at its own crossings, each image bitwise its own), and bounds the
+    the stack of samples in one pass (one crossing search; under an exact rule
+    one quadrature round, each image bitwise its sample's own), and bounds the
     discrete C1 distance from u to the convex hull of the images from above,
     by the C1 gap at the hull's L2-nearest point or at a vertex.  A small
     bound is evidence that u survives convexification.  The samples for n
     are a prefix of those for n + 1, and enrichment m (the first m images)
-    keeps the best distance so far, so history is non-increasing.  Each enrichment warm-starts the
-    simplex solve from the previous coefficients and measures only its
-    coefficients and the newest vertex: every vertex is measured once, when
-    it joins.  u must live on spec.nodes (ValueError) and pass in_ball with
+    keeps the best distance so far, so history is non-increasing.  The
+    vertices' gaps take one reduction; each enrichment warm-starts the
+    simplex solve from the previous coefficients and measures their gap, then
+    vertex m's.  u must live on spec.nodes (ValueError) and pass in_ball with
     margin eps (BallViolation), which puts every sample in the ball, and the
     grid must be fine enough for n_samples bumps (a ValueError names the
     largest usable n_samples).
@@ -430,17 +430,17 @@ def convexification_probe(spec: ProblemSpec, u: GridFunction, eps: float,
     samples[0], samples[1::2], samples[2::2] = y, y + steps, y - steps[:(n_samples - 1) // 2]
     cols = np.ascontiguousarray(_apply_T(spec, samples)[0].reshape(n_samples, -1).T)
     y = y.ravel()
+    vertex_gaps = np.abs(cols - y[:, None]).reshape(2, -1, n_samples).max(axis=1).sum(0).tolist()
 
     best, witness, history = np.inf, None, []
     coeffs = np.zeros(0)
     for m in range(1, n_samples + 1):
         # at m = 1 the warm start [0.0] is a cold start
         coeffs, _ = simplex_least_squares(cols[:, :m], y, coeffs0=np.append(coeffs, 0.0))
-        for lam in (coeffs, np.eye(m)[m - 1]):
-            # the discrete C1 norm of the stacked (values, derivatives) gap
-            d = c1_norm_of(*np.split(cols[:, :m] @ lam - y, 2))
+        for d, lam in ((c1_norm_of(*(cols[:, :m] @ coeffs - y).reshape(2, -1)), coeffs),
+                       (vertex_gaps[m - 1], [0.0] * (m - 1) + [1.0])):
             if d < best:
-                best, witness = d, np.pad(lam, (0, n_samples - m))
+                best, witness = d, np.concatenate((lam, np.zeros(n_samples - m)))
         history.append(best)
     return ProbeResult(hull_distance=best, witness_coeffs=witness,
                        history=history, eps=eps, n_samples=n_samples)

@@ -202,7 +202,7 @@ def _locate(nodes, rows):
     columns, and the rows' local coordinates x.  A row's panel is the one its
     middle point falls in (the last one from t = 1 on)."""
     i = np.searchsorted(nodes, rows[:, rows.shape[1] // 2], side="right") - 1
-    i = np.clip(i, 0, nodes.size - 2)[:, None]
+    i = np.minimum(np.maximum(i, 0), nodes.size - 2)[:, None]
     t0 = nodes[i]
     h = nodes[i + 1] - t0
     return i, h, (rows - t0) / h
@@ -244,8 +244,9 @@ def _value_and_slope(nodes, y, t):
 
 
 def c1_norm_of(values, derivatives) -> float:
-    """max|values| + max|derivatives|: the discrete C1 norm of node data."""
-    return float(np.max(np.abs(values)) + np.max(np.abs(derivatives)))
+    """max|values| + max|derivatives| (one abs, one max): the discrete C1 norm."""
+    v, d = np.abs((values, derivatives)).max(axis=1)
+    return float(v + d)
 
 
 def norm_c1(u: GridFunction) -> float:
@@ -402,7 +403,7 @@ def _knot_frame(node_bytes, curves):
     whether each panel's left knot lies inside its domain (flat over the
     curves); _hermite_map of the domain rows, and each curve's Bernstein
     coefficients (poly at the knots by Horner's rule, _shifted_bernstein
-    between).  A solve asks for the same frame on every sweep."""
+    between), with an axis for a stack.  A solve asks for it on every sweep."""
     nodes = np.frombuffer(node_bytes)
     domains = list(dict.fromkeys((a, b) for a, b, _ in curves))
     dom = np.array([domains.index((a, b)) for a, b, _ in curves])
@@ -416,8 +417,8 @@ def _knot_frame(node_bytes, curves):
     gam = np.zeros_like(xk) + q[-1]
     for qk in q[-2::-1]:
         gam = gam * xk + qk
-    hmap = _hermite_map(knots)
-    poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))
+    hmap = _hermite_map(knots)[:, :, None]
+    poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))[:, None]
     for a in (knots, *off, dom, inner, hmap, poly_b):
         a.flags.writeable = False
     rows = dom if len(domains) > 1 else slice(None)
@@ -434,51 +435,49 @@ def _halves(c):
     return left, right[::-1]
 
 
-def _bernstein_cells(nodes, y, curves):
-    """Refinement cells of declared curves, one sorted list each, in x = sqrt(t).
+def _bernstein_cells(nodes, ys, curves):
+    """Refinement cells of declared curves in x = sqrt(t) for each iterate of a
+    stack ys (k, 2, N): one sorted list per curve, yielded iterate by iterate.
 
     On each panel between knots (the nodes clipped to the curve's domain, with
     u's Hermite data at an end inside a node panel) the gap u - poly is a
     polynomial of degree 6 in x, exactly: u is a cubic in t = x**2 there.  Its
     Bernstein coefficients are _hermite_map of u's data minus poly's own, and
     their sign changes bound its roots there (Lane & Riesenfeld, BIT 21,
-    1981).  One array pass, over all curves' panels, skips every panel whose
+    1981).  One array pass over every iterate's panels skips each panel whose
     coefficients show no strict sign change.  A piece with one change and
     nonzero ends is an ITP cell that carries its panel's ends, width and
     binomially scaled coefficients, for _panel_gap; one with more, or with one
     and a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
     until it has at most one, or is STEP_TOL wide and counts as one crossing
     at its midpoint.  An exact zero at an interior knot or at a split point is
-    a crossing there.
+    a crossing there.  A non-finite gap raises DomainError in place of the
+    first iterate that has one, after those before it.
     """
     knots, off, rows, xk, inner, hmap, poly_b = _knot_frame(
         np.ascontiguousarray(nodes, dtype=float).tobytes(),
         tuple((c.a, c.b, c._poly_x) for c in curves))
-    y = np.asarray(y, dtype=float)[:, None]  # one row, unless a domain end is off the nodes
+    y = ys.transpose(1, 0, 2)[:, :, None]  # one row, unless a domain end is off the nodes
     if off[0].size:
-        y = np.repeat(y, len(knots), axis=1)
-        y[:, off[0], off[1]] = _value_and_slope(nodes, y[:, 0], knots[off])
-    n = len(xk[0]) - 1  # panels per row
+        y = np.repeat(y, len(knots), axis=2)
+        for j, yj in enumerate(ys):
+            y[:, j, off[0], off[1]] = _value_and_slope(nodes, yj, knots[off])
+    m, n = len(curves), len(xk[0]) - 1  # curves per iterate, panels per curve
     data = np.concatenate((y[..., :-1], y[..., 1:]))[:, None]  # (v_i, d_i, v_i+1, d_i+1)
-    b = ((hmap * data).sum(0)[:, rows] - poly_b).reshape(7, -1)  # flat over the rows' panels
-    if not np.isfinite(b).all():
-        shape = (len(curves), n + 1)
-        bad = np.broadcast_to(~np.isfinite(y).all(0)[rows], shape)
-        if bad.any():
-            r, i = np.argwhere(bad)[0]
-        else:
-            r, i = divmod(int(np.argwhere(~np.isfinite(b).all(0))[0, 0]), n)
-        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], shape)[r, i]))
-    cells = [[] for _ in curves]
+    b = ((hmap * data).sum(0)[:, :, rows] - poly_b).reshape(7, -1)  # flat over the panels
+    # cells for the iterates before the first non-finite gap, if any
+    bad_at = b.shape[1] if np.isfinite(b).all() else int(np.isfinite(b).all(0).argmin())
+    b = b[:, :bad_at - bad_at % (m * n)]
+    cells = [[] for _ in range(b.shape[1] // n)]  # one per iterate and curve
     if not b[0].all():  # the gap at each panel's left knot (the map's first row is
         # exact): a zero at an interior knot is a crossing there
-        for p in np.nonzero((b[0] == 0.0) & inner)[0].tolist():
+        for p in np.flatnonzero((b[0].reshape(-1, m * n) == 0.0) & inner).tolist():
             r, i = divmod(p, n)
-            cells[r].append([xk[r][i], xk[r][i], 0.0, 0.0, 0, 0.0])
+            cells[r].append([xk[r % m][i], xk[r % m][i], 0.0, 0.0, 0, 0.0])
     ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
     for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
         r, i = divmod(p, n)
-        lo, hi = xk[r][i], xk[r][i + 1]
+        lo, hi = xk[r % m][i], xk[r % m][i + 1]
         panel, out = (lo, hi, hi - lo, *map(operator.mul, _BINOMIAL_6, coef)), cells[r]
         pieces = [(lo, hi, coef)]
         while pieces:
@@ -502,7 +501,11 @@ def _bernstein_cells(nodes, y, curves):
             pieces += [(mid, hi, right), (lo, mid, left)]
     for out in cells:
         out.sort(key=lambda c: c[0])
-    return cells
+    yield from (cells[j:j + m] for j in range(0, len(cells), m))
+    if bad_at < len(ys) * m * n:  # the first knot where u is not finite, else the first panel
+        bad = np.broadcast_to(~np.isfinite(y[:, bad_at // (m * n)]).all(0), knots.shape)[rows]
+        r, i = np.argwhere(bad)[0] if bad.any() else divmod(bad_at % (m * n), n)
+        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], (m, n + 1))[r, i]))
 
 
 def _panel_gap(panel, s):
@@ -518,16 +521,17 @@ def _panel_gap(panel, s):
 
 def find_crossings(nodes, y, curves):
     """Locate where u, of node data y on nodes, crosses each curve: one sorted
-    list of crossing abscissae strictly inside the curve's domain per curve.
+    list of crossing abscissae strictly inside the curve's domain per curve;
+    for a stack y (k, 2, N), k such lists, each bitwise its iterate's alone.
 
     A declared curve (DiscontinuityCurve.poly) takes its cells from the
     Bernstein form of u - poly in x = sqrt(t) (_bernstein_cells, one pass over
-    all declared curves, whether poly_in is t or sqrt(t)), and never calls
+    every iterate's declared curves, poly_in t or sqrt(t)), and never calls
     curve.value: every crossing is isolated, and a near-double pair that no
     piece STEP_TOL wide separates counts as one.  A curve that declares no
-    poly (a user callable; every catalog curve declares one) is scanned:
-    u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of the
-    curve's domain, u evaluated once per distinct domain, all gaps in one
+    poly (a user callable; every catalog curve declares one) is scanned, per
+    iterate: u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of
+    the curve's domain, u evaluated once per distinct domain, all gaps in one
     array pass; two crossings inside one scan cell are not seen.
 
     The cells are then refined by ITP steps, with u in floats: a scanned
@@ -541,16 +545,24 @@ def find_crossings(nodes, y, curves):
     returned, and converges superlinearly on a simple root (most of the step
     example's crossings take 8 or 9 steps, where bisection took 31).
     Crossings closer than 1e-11 are merged.  A non-finite gap, at a scan
-    point, a knot or a step, raises DomainError naming the curve and t.
+    point, a knot or a step, raises DomainError naming the curve and t; a
+    stack raises what its first failing iterate raises alone.
     """
+    ys = np.asarray(y, dtype=float)
+    declared = [k for k, c in enumerate(curves) if c.poly is not None]
+    passes = _bernstein_cells(nodes, ys.reshape(-1, 2, len(nodes)), [curves[k] for k in declared])
+    found = (lambda: dict(zip(declared, next(passes)))) if declared else dict
+    if ys.ndim == 2:
+        return _refined(nodes, ys, curves, found())
+    return [_refined(nodes, y, curves, found()) for y in ys]  # in order, as alone
+
+
+def _refined(nodes, y, curves, found):
+    """find_crossings of one iterate y, given its declared curves' cells by index."""
     tol = CROSSING_TOL
     # [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's panel
     # for _panel_gap; b = a where the gap is 0
-    cells = [[] for _ in curves]
-    declared = [k for k, c in enumerate(curves) if c.poly is not None]
-    if declared:
-        for k, cs in zip(declared, _bernstein_cells(nodes, y, [curves[k] for k in declared])):
-            cells[k] = cs
+    cells = [found.get(k, []) for k in range(len(curves))]
     spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
     live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol and curves[k].poly is None]
     if live:

@@ -94,8 +94,8 @@ def _subpanels(edges, breakpoints):
     of the group's right end is dropped."""
     m = edges.size - 1
     cuts, last = [], {}
-    for x in sorted({float(x) for x in breakpoints}):
-        i = int(np.searchsorted(edges, x, side="right")) - 1
+    xs = sorted({float(x) for x in breakpoints})
+    for x, i in zip(xs, (edges.searchsorted(xs, side="right") - 1).tolist() if xs else ()):
         if 0 <= i < m and x - last.get(i, edges[i]) > 1e-14 and edges[i + 1] - x > 1e-14:
             cuts.append(x)
             last[i] = x

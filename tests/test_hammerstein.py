@@ -774,6 +774,17 @@ class TestStackedT:
                              np.zeros((1, 2, divisor_spec.grid_size))))
         stacked(divisor_spec, ys)
 
+    def test_a_stack_takes_one_crossing_search(self, monkeypatch):
+        import bvpkit.hammerstein as hammerstein
+        from bvpkit.model import find_crossings
+        spec = catalog_spec("step", {"low": 1.0, "high": 2.0, "threshold": 0.05}, 4.0, 129)
+        ys = _probe_stack(spec, solve_picard(spec, tol=1e-8).u)
+        searches = Counted(find_crossings)
+        monkeypatch.setattr(hammerstein, "find_crossings", searches)
+        crossings = _apply_T(spec, ys)[1]
+        assert searches.calls == 1
+        assert crossings == [find_crossings(spec.nodes, y, spec.nonlinearity.curves) for y in ys]
+
     def test_refined_rounds(self, stacked):
         # u**20 at 1e-12 on 4 panels takes more rounds on some iterates than on others
         spec = replace(smoke_spec(grid_size=5, quad_tol=1e-12, radius=2.0),

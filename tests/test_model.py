@@ -9,10 +9,10 @@ from hypothesis import assume, given, settings, strategies as st
 from bvpkit import DomainError, find_crossings, find_curve_crossings, grid_eval, norm_c1
 from bvpkit.errors import MaxDepthExceeded
 from bvpkit.model import (SCAN_PER_PANEL, DiscontinuityCurve, GridFunction, Nonlinearity,
-                          _itp_point, hermite_basis, hermite_value)
+                          _itp_point, c1_norm_of, hermite_basis, hermite_value)
 from bvpkit.quadrature import BLOCK, integrate_groups
 
-from conftest import Counted, crossings_of, smoke_spec
+from conftest import Counted, crossings_of, random_ball_function, smoke_spec
 
 
 def sampled(fn, dfn, n=33):
@@ -185,6 +185,35 @@ class TestNormC1:
             s = GridFunction(nodes, a.values + b.values,
                              a.derivatives + b.derivatives)
             assert norm_c1(s) <= norm_c1(a) + norm_c1(b) + 1e-14
+
+
+class TestC1NormOf:
+    """c1_norm_of gives bitwise the two maxima of |values| and |derivatives|
+    summed, NaN, infinities and signed zeros included."""
+
+    @staticmethod
+    def two_maxima(values, derivatives):
+        return float(np.max(np.abs(values)) + np.max(np.abs(derivatives)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        v, d = rng.standard_normal((2, n)) * 10.0 ** rng.integers(-300, 300, (2, n))
+        got = c1_norm_of(v, d)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(self.two_maxima(v, d)).tobytes()
+
+    @pytest.mark.parametrize("values, derivatives", [
+        ([-0.0, -0.0], [0.0, -0.0]), ([-0.0], [-0.0]), ([1.0, np.nan], [2.0, 3.0]),
+        ([1.0, 2.0], [np.nan, -3.0]), ([np.nan, 0.0], [np.nan, 1.0]), ([np.inf, 1.0], [2.0, 0.0]),
+        ([-np.inf, 1.0], [2.0, 0.0]), ([1.0, 2.0], [-np.inf, np.inf]),
+        ([np.inf, np.nan], [-np.inf, 0.0]), ([-1e308, 1.0], [-1e308, -0.0])])
+    def test_special_entries(self, values, derivatives):
+        v, d = np.array(values), np.array(derivatives)
+        with np.errstate(over="ignore"):
+            want = self.two_maxima(v, d)
+            assert np.float64(c1_norm_of(v, d)).tobytes() == np.float64(want).tobytes()
 
 
 class TestGridFunctionInvariants:
@@ -1033,3 +1062,86 @@ class TestNonFiniteGap:
             crossings_of(u, (holed,))
         t = float(str(err.value).rsplit("t = ", 1)[1])
         assert 19 / 64 < t < 20 / 64
+
+
+def _raised(call):
+    """The type and message of what a call raised, or None."""
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001  (any error is compared)
+        return type(err), str(err)
+    return None
+
+
+class TestStackedCrossings:
+    """find_crossings on a (k, 2, N) stack of node data gives, bitwise, the
+    lists of one call per iterate, from one Bernstein pass over the stack."""
+
+    @staticmethod
+    def curve_set(name, divisor_spec):
+        from bvpkit.catalog import make_nonlinearity_from_id
+        step = make_nonlinearity_from_id("step", {"threshold": 0.05}).curves
+        off = (declared((0.05, -0.3), a=0.123, b=0.871),
+               declared((0.0, 0.4, 0.0, -0.2), a=0.05, b=0.61, poly_in="sqrt(t)"))
+        wavy = DiscontinuityCurve(a=0.2, b=0.9, value=lambda t: 0.1 * np.sin(7.0 * t),
+                                  second_derivative=lambda t: -4.9 * np.sin(7.0 * t),
+                                  label="wavy")
+        return {"step": step, "divisor": divisor_spec.nonlinearity.curves, "off the nodes": off,
+                "mixed": (*step, replace(step[0], poly=None), off[0], wavy,
+                          divisor_spec.nonlinearity.curves[3])}[name]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 9])
+    @pytest.mark.parametrize("name", ["step", "divisor", "off the nodes", "mixed"])
+    def test_a_stack_gives_the_per_iterate_lists(self, monkeypatch, divisor_spec, name, k):
+        import bvpkit.model
+        curves = self.curve_set(name, divisor_spec)
+        rng = np.random.default_rng(k + 10 * len(curves))
+        ys = np.array([(u.values, u.derivatives) for u in (
+            random_ball_function(divisor_spec, rng, fill) for fill in rng.uniform(0.05, 0.9, k))])
+        alone = [find_crossings(divisor_spec.nodes, y, curves) for y in ys]
+        passes = Counted(bvpkit.model._bernstein_cells)
+        monkeypatch.setattr(bvpkit.model, "_bernstein_cells", passes)
+        got = find_crossings(divisor_spec.nodes, ys, curves)
+        assert passes.calls == 1
+        assert repr(got) == repr(alone)  # bitwise: repr round-trips every float
+        assert sum(len(xs) for xs_k in got for xs in xs_k) >= k  # the iterates cross
+
+    @staticmethod
+    def stack_with(bad, at, good=3):
+        """good finite iterates of the step example with bad in place of iterate at."""
+        t = np.linspace(0.0, 1.0, 65)
+        ys = np.array([(0.1 * np.sin(3.0 * t + j), 0.3 * np.cos(3.0 * t + j))
+                       for j in range(good)])
+        ys[at] = bad
+        return t, ys
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["NaN node value", "NaN node derivative",
+                                      "overflow in the pass", "overflow at a step"])
+    def test_a_non_finite_iterate_raises_its_own_error(self, case, at):
+        from bvpkit.catalog import make_nonlinearity_from_id
+        curves = make_nonlinearity_from_id("step", {"threshold": 0.05}).curves
+        bad = np.zeros((2, 65))
+        if case.startswith("overflow"):  # finite data: coefficients past the largest
+            # float at the knot t = 0.3125, or only once scaled for the ITP steps
+            bad[:, 20:22] = 1.797e308 if case.endswith("pass") else 1.7e308
+        else:
+            bad[int(case.endswith("derivative")), 9] = np.nan
+        t, ys = self.stack_with(bad, at)
+        with np.errstate(over="ignore"):
+            alone = _raised(lambda: find_crossings(t, bad, curves))
+            assert alone is not None and alone[0] is DomainError
+            assert ("t = 0.3125" in alone[1]) == case.endswith("pass")
+            assert _raised(lambda: find_crossings(t, ys, curves)) == alone
+
+    def test_an_earlier_iterate_failing_later_raises_first(self):
+        # iterate 0 is NaN at t = 1 alone: the declared curve on [0, 0.6] never reads
+        # that node and passes, and the scan of the undeclared curve then fails;
+        # iterate 1 fails in the Bernstein pass, which is taken for both first
+        t = np.linspace(0.0, 1.0, 65)
+        curves = (declared((0.05,), b=0.6), replace(declared((0.05,)), poly=None))
+        first, second = np.zeros((2, 65)), np.zeros((2, 65))
+        first[0, -1] = second[0, 9] = np.nan
+        alone = [_raised(lambda y=y: find_crossings(t, y, curves)) for y in (first, second)]
+        assert alone[0] != alone[1] and all(err[0] is DomainError for err in alone)
+        assert _raised(lambda: find_crossings(t, np.array([first, second]), curves)) == alone[0]

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from bvpkit import (DIRICHLET, BvpError, GridFunction, IntegrandSpec, MaxDepthExceeded,
                     NonFiniteIntegrand, apply_T, dk_dt, integrate)
 from bvpkit.model import Weight
-from bvpkit.quadrature import BLOCK, MAX_DEPTH, MAX_GROWTH, integrate_groups, make_plan
+from bvpkit.quadrature import (BLOCK, MAX_DEPTH, MAX_GROWTH, _subpanels, integrate_groups,
+                               make_plan)
 
 from conftest import Counted, const_weight, random_ball_function, smoke_spec
 
@@ -240,6 +241,63 @@ class TestGroups:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NonFiniteIntegrand, match=re.escape(f"overflows on [{edges[3]}, {edges[4]}]")):
             integrate_groups(fn, edges)
+
+
+def _subpanels_per_cut(edges, breakpoints):
+    """_subpanels as one np.searchsorted call per cut."""
+    m = edges.size - 1
+    cuts, last = [], {}
+    for x in sorted({float(x) for x in breakpoints}):
+        i = int(np.searchsorted(edges, x, side="right")) - 1
+        if 0 <= i < m and x - last.get(i, edges[i]) > 1e-14 and edges[i + 1] - x > 1e-14:
+            cuts.append(x)
+            last[i] = x
+    if not cuts:
+        return edges[:-1], edges[1:], np.arange(m)
+    pts = np.sort(np.concatenate((edges, cuts)))
+    return pts[:-1].copy(), pts[1:].copy(), np.searchsorted(edges, pts[:-1], side="right") - 1
+
+
+class TestSubpanels:
+    """_subpanels, one searchsorted over the sorted cuts, gives bitwise the
+    per-cut loop's subpanels and groups."""
+
+    EDGES = {"uniform": np.linspace(0.0, 1.0, 9), "in x": np.sqrt(np.linspace(0.0, 1.0, 9)),
+             "offset": np.linspace(0.25, 0.75, 5)}
+
+    @staticmethod
+    def assert_bitwise(edges, breaks):
+        got, want = _subpanels(edges, breaks), _subpanels_per_cut(edges, breaks)
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        return got
+
+    @pytest.mark.parametrize("edges", list(EDGES), ids=list(EDGES))
+    @pytest.mark.parametrize("case", ["empty", "close pairs", "near edges", "on edges",
+                                      "outside", "NaN", "everything"])
+    def test_matches_the_per_cut_loop(self, edges, case):
+        e = self.EDGES[edges]
+        inside = [e[1] + 0.3 * (e[2] - e[1]), e[3] + 0.5 * (e[4] - e[3])]
+        cases = {
+            "empty": [],
+            "close pairs": [x + d for x in inside for d in (0.0, 5e-15, 2e-14, 9e-15)],
+            "near edges": [x + d for x in e[1:-1] for d in (-5e-15, 5e-15, -2e-14, 2e-14)]
+                          + [e[0] + 5e-15, e[-1] - 5e-15],
+            "on edges": list(e) + inside,
+            "outside": [e[0] - 0.1, e[-1] + 0.1, -np.inf, np.inf, *inside],
+            "NaN": [np.nan, *inside, np.nan],
+        }
+        cases["everything"] = [x for c in cases.values() for x in c][::-1]
+        lo, _, _ = self.assert_bitwise(e, cases[case])
+        assert (lo.size > e.size - 1) == (case not in ("empty",))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_clusters(self, seed):
+        rng = np.random.default_rng(seed)
+        e = self.EDGES["in x"]
+        centres = rng.uniform(e[0] - 0.05, e[-1] + 0.05, 6)
+        breaks = np.concatenate([c + rng.uniform(-3e-14, 3e-14, 4) for c in centres])
+        self.assert_bitwise(e, np.concatenate((breaks, rng.choice(e, 3))))
 
 
 class TestStacks:
