@@ -154,7 +154,7 @@ def _apply_T(spec: ProblemSpec, y: np.ndarray):
         return np.array((left * hs, right * hs))
 
     crossings = find_crossings(spec.nodes, y, spec.nonlinearity.curves)
-    breaks = tuple(sorted(x for xs in crossings for x in xs))
+    breaks = tuple(x for xs in crossings for x in xs)  # _subpanels sorts them
     left, right = _running_integrals(spec, both, breaks, plan=spec.plan)
     return _checked(np.array(_closed_forms(spec, spec.nodes, left, right))), crossings
 
@@ -176,7 +176,7 @@ def _apply_T_stack(spec: ProblemSpec, ys: np.ndarray):
         return np.array((left * hs, right * hs))
 
     crossings = find_crossings(spec.nodes, ys, spec.nonlinearity.curves)
-    breaks = [tuple(sorted(x for xs in c for x in xs)) for c in crossings]
+    breaks = [tuple(x for xs in c for x in xs) for c in crossings]
     left, right = _running_integrals(spec, both, breaks, plan=spec.plan, stack=True)
     return _checked(np.stack(_closed_forms(spec, spec.nodes, left, right), axis=1)), crossings
 

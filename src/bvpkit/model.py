@@ -20,7 +20,6 @@ import functools
 import math
 import numbers
 import operator
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -352,19 +351,19 @@ def _convolve(p, q):
     return out
 
 
-def _hermite_map(knots):
+def _hermite_map(nodes):
     """The Bernstein coefficients of degree 6 of u on each panel [x_i, x_{i+1}]
-    of x = sqrt(knots), a (4, 7, rows, panels) map from u's Hermite data (v_i,
-    d_i, v_{i+1}, d_{i+1}) at the panel's knots, whose first and last rows are
+    of x = sqrt(nodes), a (4, 7, panels) map from u's Hermite data (v_i, d_i,
+    v_{i+1}, d_{i+1}) at the panel's nodes, whose first and last rows are
     (1, 0, 0, 0) and (0, 0, 1, 0) exactly.  In the panel's coordinate tau,
     t = x**2 has local coordinate s = 2 sig tau + (1 - 2 sig) tau**2, sig =
     x_i / (x_i + x_{i+1}): Bernstein coefficients (0, sig, 1), and 1 - s has
     (1, 1 - sig, 0).  Each cubic Bernstein basis polynomial in s is a product
     of three of these, of degree 6 in tau; binomially scaled Bernstein
-    coefficients multiply by convolution.  A zero-width panel maps v_i alone."""
-    x = np.sqrt(knots)
-    h = np.diff(knots, axis=1)
-    sig = x[:, :-1] / (x[:, :-1] + x[:, 1:])
+    coefficients multiply by convolution."""
+    x = np.sqrt(nodes)
+    h = np.diff(nodes)
+    sig = x[:-1] / (x[:-1] + x[1:])
     one, zero = np.ones_like(sig), np.zeros_like(sig)
     s, z = (zero, 2.0 * sig, one), (one, 2.0 * (1.0 - sig), zero)
     bern = []
@@ -375,54 +374,45 @@ def _hermite_map(knots):
         bern.append(np.array([math.comb(3, j) * c / math.comb(6, k)
                               for k, c in enumerate(p)]))
     b0, b1, b2, b3 = bern
-    flat = h == 0.0
-    return np.array((np.where(flat, 1.0, b0 + b1), h * b1 / 3.0,
-                     np.where(flat, 0.0, b2 + b3), -h * b2 / 3.0))
+    return np.array((b0 + b1, h * b1 / 3.0, b2 + b3, -h * b2 / 3.0))
 
 
 def _shifted_bernstein(q, x):
-    """Bernstein coefficients 1 to 5 of degree 6 of the polynomials q (power
-    basis, (deg + 1, rows, 1)) on each panel [x_i, x_{i+1}] of their rows x:
-    the Taylor coefficients a_m of q(x_i + w tau) by Horner's rule, then
-    c_k = sum over m <= k of binom(k, m) / binom(6, m) * a_m."""
-    x0, w = x[:, :-1], np.diff(x, axis=1)
-    a = [q[-1] + 0.0 * x0]
+    """The Bernstein coefficients of degree 6 of the polynomials q (power
+    basis, (deg + 1, rows, 1)) on each panel [x_i, x_{i+1}] of the nodes x:
+    the Taylor coefficients a_m of q(x_i + w tau) by Horner's rule at every
+    node (w = 0 at the last), then c_k = sum over m <= k of binom(k, m) /
+    binom(6, m) * a_m, where c_0 is a_0 at x_i and c_6 is a_0 at x_{i+1}."""
+    w = np.append(np.diff(x), 0.0)
+    a = [q[-1] + 0.0 * x]
     for qk in q[-2::-1]:
-        a = [a[0] * x0 + qk, *(a[m] * x0 + a[m - 1] * w for m in range(1, len(a))), a[-1] * w]
-    return np.array([sum(math.comb(k, m) / math.comb(6, m) * a[m]
-                         for m in range(min(k, len(a) - 1) + 1)) for k in range(1, 6)])
+        a = [a[0] * x + qk, *(a[m] * x + a[m - 1] * w for m in range(1, len(a))), a[-1] * w]
+    a, right = np.array(a)[..., :-1], a[0][..., 1:]
+    return np.array((a[0], *(sum(math.comb(k, m) / math.comb(6, m) * a[m]
+                                 for m in range(min(k, len(a) - 1) + 1))
+                             for k in range(1, 6)), right))
 
 
 @functools.lru_cache(maxsize=32)
 def _knot_frame(node_bytes, curves):
     """What _bernstein_cells needs of the nodes (as bytes) and the declared
-    curves' (a, b, poly in x = sqrt(t)) alone, read-only.  A row of knots (the
-    nodes clipped to the domain) per distinct domain, the index of those off
-    the nodes, and each curve's domain row (a slice of all rows where the
-    curves share one domain); per curve, its knots in x (as floats) and
-    whether each panel's left knot lies inside its domain (flat over the
-    curves); _hermite_map of the domain rows, and each curve's Bernstein
-    coefficients (poly at the knots by Horner's rule, _shifted_bernstein
-    between), with an axis for a stack.  A solve asks for it on every sweep."""
+    curves' (a, b, poly in x = sqrt(t)) alone, read-only: the nodes in x as
+    floats; per curve, flat over the curves, whether each panel's left node
+    lies strictly inside its domain, and (m, panels) whether each panel meets
+    it (None where every panel meets every domain); _hermite_map of the node
+    panels, and each curve's Bernstein coefficients (_shifted_bernstein), with
+    an axis for a stack.  A solve asks for it on every sweep."""
     nodes = np.frombuffer(node_bytes)
-    domains = list(dict.fromkeys((a, b) for a, b, _ in curves))
-    dom = np.array([domains.index((a, b)) for a, b, _ in curves])
-    ends = np.array(domains)
-    knots = np.minimum(np.maximum(nodes, ends[:, :1]), ends[:, 1:])
-    inner = ((knots > ends[:, :1]) & (knots < ends[:, 1:]))[dom, :-1].ravel()
-    off = np.nonzero(knots != nodes)
-    xk = np.sqrt(knots)[dom]
+    lo, hi = np.array([(a, b) for a, b, _ in curves]).T[..., None]  # (m, 1) columns
+    inner = ((nodes[:-1] > lo) & (nodes[:-1] < hi)).ravel()
+    live = (nodes[1:] > lo) & (nodes[:-1] < hi)
     deg = max(len(poly) for _, _, poly in curves)
     q = np.array([poly + (0.0,) * (deg - len(poly)) for _, _, poly in curves]).T[..., None]
-    gam = np.zeros_like(xk) + q[-1]
-    for qk in q[-2::-1]:
-        gam = gam * xk + qk
-    hmap = _hermite_map(knots)[:, :, None]
-    poly_b = np.array((gam[:, :-1], *_shifted_bernstein(q, xk), gam[:, 1:]))[:, None]
-    for a in (knots, *off, dom, inner, hmap, poly_b):
+    hmap = _hermite_map(nodes)[:, :, None, None]
+    poly_b = _shifted_bernstein(q, np.sqrt(nodes))[:, None]
+    for a in (inner, live, hmap, poly_b):
         a.flags.writeable = False
-    rows = dom if len(domains) > 1 else slice(None)
-    return knots, off, rows, tuple(map(tuple, xk.tolist())), inner, hmap, poly_b
+    return tuple(np.sqrt(nodes).tolist()), inner, None if live.all() else live, hmap, poly_b
 
 
 def _halves(c):
@@ -436,48 +426,54 @@ def _halves(c):
 
 
 def _bernstein_cells(nodes, ys, curves):
-    """Refinement cells of declared curves in x = sqrt(t) for each iterate of a
-    stack ys (k, 2, N): one sorted list per curve, yielded iterate by iterate.
+    """(cells, failed) for declared curves and a stack ys (k, 2, N): failed is
+    None or the DomainError of the first iterate with a non-finite gap, and
+    cells holds, per iterate before it, one sorted list of cells in x =
+    sqrt(t) per curve.
 
-    On each panel between knots (the nodes clipped to the curve's domain, with
-    u's Hermite data at an end inside a node panel) the gap u - poly is a
-    polynomial of degree 6 in x, exactly: u is a cubic in t = x**2 there.  Its
-    Bernstein coefficients are _hermite_map of u's data minus poly's own, and
-    their sign changes bound its roots there (Lane & Riesenfeld, BIT 21,
-    1981).  One array pass over every iterate's panels skips each panel whose
+    On each node panel the gap u - poly is a polynomial of degree 6 in x,
+    exactly: u is a cubic in t = x**2 there.  Its Bernstein coefficients are
+    _hermite_map of u's data minus poly's own, and their sign changes bound
+    its roots there (Lane & Riesenfeld, BIT 21, 1981).  They are zeroed on a
+    panel that does not meet the curve's domain: no cell and no error there.
+    One array pass over every iterate's panels skips each panel whose
     coefficients show no strict sign change.  A piece with one change and
     nonzero ends is an ITP cell that carries its panel's ends, width and
     binomially scaled coefficients, for _panel_gap; one with more, or with one
     and a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
     until it has at most one, or is STEP_TOL wide and counts as one crossing
-    at its midpoint.  An exact zero at an interior knot or at a split point is
-    a crossing there.  A non-finite gap raises DomainError in place of the
-    first iterate that has one, after those before it.
+    at its midpoint.  An exact zero at a node inside the domain or at a split
+    point is a crossing there.  The error names the first end of the failing
+    panel where u is not finite, else its left node.
     """
-    knots, off, rows, xk, inner, hmap, poly_b = _knot_frame(
+    xk, inner, live, hmap, poly_b = _knot_frame(
         np.ascontiguousarray(nodes, dtype=float).tobytes(),
         tuple((c.a, c.b, c._poly_x) for c in curves))
-    y = ys.transpose(1, 0, 2)[:, :, None]  # one row, unless a domain end is off the nodes
-    if off[0].size:
-        y = np.repeat(y, len(knots), axis=2)
-        for j, yj in enumerate(ys):
-            y[:, j, off[0], off[1]] = _value_and_slope(nodes, yj, knots[off])
-    m, n = len(curves), len(xk[0]) - 1  # curves per iterate, panels per curve
+    y = ys.transpose(1, 0, 2)[:, :, None]
+    m, n = len(curves), len(xk) - 1  # curves per iterate, panels per curve
     data = np.concatenate((y[..., :-1], y[..., 1:]))[:, None]  # (v_i, d_i, v_i+1, d_i+1)
-    b = ((hmap * data).sum(0)[:, :, rows] - poly_b).reshape(7, -1)  # flat over the panels
+    b = (hmap * data).sum(0) - poly_b
+    if live is not None:  # no cell and no error from a panel outside a domain
+        b = np.where(live, b, 0.0)
+    b = b.reshape(7, -1)  # flat over the panels
     # cells for the iterates before the first non-finite gap, if any
     bad_at = b.shape[1] if np.isfinite(b).all() else int(np.isfinite(b).all(0).argmin())
+    failed = None
+    if bad_at < b.shape[1]:
+        j, (r, i) = bad_at // (m * n), divmod(bad_at % (m * n), n)
+        at = int((~np.isfinite(ys[j, :, i:i + 2]).all(0)).argmax())
+        failed = _not_finite(curves[r], float(nodes[i + at]))
     b = b[:, :bad_at - bad_at % (m * n)]
     cells = [[] for _ in range(b.shape[1] // n)]  # one per iterate and curve
-    if not b[0].all():  # the gap at each panel's left knot (the map's first row is
-        # exact): a zero at an interior knot is a crossing there
+    if not b[0].all():  # the gap at each panel's left node (the map's first row is
+        # exact): a zero at a node inside the domain is a crossing there
         for p in np.flatnonzero((b[0].reshape(-1, m * n) == 0.0) & inner).tolist():
             r, i = divmod(p, n)
-            cells[r].append([xk[r % m][i], xk[r % m][i], 0.0, 0.0, 0, 0.0])
+            cells[r].append([xk[i], xk[i], 0.0, 0.0, 0, 0.0])
     ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
     for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
         r, i = divmod(p, n)
-        lo, hi = xk[r % m][i], xk[r % m][i + 1]
+        lo, hi = xk[i], xk[i + 1]
         panel, out = (lo, hi, hi - lo, *map(operator.mul, _BINOMIAL_6, coef)), cells[r]
         pieces = [(lo, hi, coef)]
         while pieces:
@@ -501,11 +497,7 @@ def _bernstein_cells(nodes, ys, curves):
             pieces += [(mid, hi, right), (lo, mid, left)]
     for out in cells:
         out.sort(key=lambda c: c[0])
-    yield from (cells[j:j + m] for j in range(0, len(cells), m))
-    if bad_at < len(ys) * m * n:  # the first knot where u is not finite, else the first panel
-        bad = np.broadcast_to(~np.isfinite(y[:, bad_at // (m * n)]).all(0), knots.shape)[rows]
-        r, i = np.argwhere(bad)[0] if bad.any() else divmod(bad_at % (m * n), n)
-        raise _not_finite(curves[r], float(np.broadcast_to(knots[rows], (m, n + 1))[r, i]))
+    return [cells[j:j + m] for j in range(0, len(cells), m)], failed
 
 
 def _panel_gap(panel, s):
@@ -525,14 +517,15 @@ def find_crossings(nodes, y, curves):
     for a stack y (k, 2, N), k such lists, each bitwise its iterate's alone.
 
     A declared curve (DiscontinuityCurve.poly) takes its cells from the
-    Bernstein form of u - poly in x = sqrt(t) (_bernstein_cells, one pass over
-    every iterate's declared curves, poly_in t or sqrt(t)), and never calls
-    curve.value: every crossing is isolated, and a near-double pair that no
-    piece STEP_TOL wide separates counts as one.  A curve that declares no
-    poly (a user callable; every catalog curve declares one) is scanned, per
-    iterate: u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1) equal cells of
-    the curve's domain, u evaluated once per distinct domain, all gaps in one
-    array pass; two crossings inside one scan cell are not seen.
+    Bernstein form of u - poly in x = sqrt(t) on the node panels that meet its
+    domain (_bernstein_cells, one pass over every iterate's declared curves),
+    and never calls curve.value: every crossing is isolated, and a near-double
+    pair that no piece STEP_TOL wide separates counts as one.  A curve that
+    declares no poly (a user callable; every catalog curve declares one) is
+    scanned, per iterate: u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1)
+    equal cells of the curve's domain, u evaluated once per distinct domain,
+    all gaps in one array pass; two crossings inside one scan cell are not
+    seen.
 
     The cells are then refined by ITP steps, with u in floats: a scanned
     curve's live cells step together, one curve.value call per step, and a
@@ -544,17 +537,21 @@ def find_crossings(nodes, y, curves):
     5e-13 in x for a declared one, which returns t = x**2), whose midpoint is
     returned, and converges superlinearly on a simple root (most of the step
     example's crossings take 8 or 9 steps, where bisection took 31).
-    Crossings closer than 1e-11 are merged.  A non-finite gap, at a scan
-    point, a knot or a step, raises DomainError naming the curve and t; a
-    stack raises what its first failing iterate raises alone.
+    Crossings not strictly inside the domain are dropped, and those closer
+    than 1e-11 merged.  A non-finite gap, at a scan point, a node of a panel
+    that meets the domain or a step, raises DomainError naming the curve and
+    t; a stack raises what its first failing iterate raises alone.
     """
     ys = np.asarray(y, dtype=float)
+    stack = ys.reshape(-1, 2, len(nodes))
     declared = [k for k, c in enumerate(curves) if c.poly is not None]
-    passes = _bernstein_cells(nodes, ys.reshape(-1, 2, len(nodes)), [curves[k] for k in declared])
-    found = (lambda: dict(zip(declared, next(passes)))) if declared else dict
-    if ys.ndim == 2:
-        return _refined(nodes, ys, curves, found())
-    return [_refined(nodes, y, curves, found()) for y in ys]  # in order, as alone
+    found, failed = (_bernstein_cells(nodes, stack, [curves[k] for k in declared])
+                     if declared else ([()] * len(stack), None))
+    out = [_refined(nodes, y, curves, dict(zip(declared, cells)))  # in order, as alone
+           for y, cells in zip(stack, found)]
+    if failed is not None:
+        raise failed
+    return out if ys.ndim == 3 else out[0]
 
 
 def _refined(nodes, y, curves, found):
@@ -588,14 +585,6 @@ def _refined(nodes, y, curves, found):
     if not any(cells):
         return cells
 
-    if any(cells[k] for k in live):
-        nodes, vals, ders = nodes.tolist(), y[0].tolist(), y[1].tolist()
-
-        def value(s):  # hermite_value at a float s
-            i = min(max(bisect_right(nodes, s) - 1, 0), len(nodes) - 2)
-            h = nodes[i + 1] - nodes[i]
-            return hermite_value((vals, ders), i, h, *_basis((s - nodes[i]) / h))
-
     out = []
     for curve, cs in zip(curves, cells):
         in_x = curve.poly is not None  # a scanned curve's cells lie in t
@@ -609,14 +598,15 @@ def _refined(nodes, y, curves, found):
         else:  # live cells step in lockstep, one curve.value call per step
             steps, j = cs, 0  # each live cell has taken j steps
             while steps := [c for c in steps if c[1] - c[0] > tol]:
-                xs = [_itp_point(j, *c[:6], tol) for c in steps]
+                xs = np.array([_itp_point(j, *c[:6], tol) for c in steps])
                 j += 1
-                for c, x, lv in zip(steps, xs, curve.value(np.array(xs)).tolist()):
-                    _shrink(curve, c, x, value(x) - lv, in_x)
+                gaps = hermite_value(y, *hermite_basis(nodes, xs[:, None]))[:, 0] - curve.value(xs)
+                for c, x, fx in zip(steps, xs.tolist(), gaps.tolist()):
+                    _shrink(curve, c, x, fx, in_x)
         merged = []
         for x in (0.5 * (c[0] + c[1]) for c in cs):
-            x = x * x if in_x else x
-            if not merged or x - merged[-1] > 10 * tol:
+            x = x * x if in_x else x  # a declared curve's cells span whole node panels
+            if curve.a < x < curve.b and (not merged or x - merged[-1] > 10 * tol):
                 merged.append(x)
         out.append(merged)
     return out

@@ -1145,3 +1145,57 @@ class TestStackedCrossings:
         alone = [_raised(lambda y=y: find_crossings(t, y, curves)) for y in (first, second)]
         assert alone[0] != alone[1] and all(err[0] is DomainError for err in alone)
         assert _raised(lambda: find_crossings(t, np.array([first, second]), curves)) == alone[0]
+
+
+class TestDomainAsAFilter:
+    """A declared curve's domain filters the crossings of its node panels: a
+    curve on [a, b] gives bitwise its [0, 1] twin's crossings inside (a, b),
+    and u is read on no node panel outside (a, b)."""
+
+    def test_a_domain_restricts_the_twin_bitwise(self):
+        rng = np.random.default_rng(39)
+        nodes = np.linspace(0.0, 1.0, 17)
+        compared = crossed = 0
+        for _ in range(200):
+            y = np.array((0.5 * rng.standard_normal(17), 3.0 * rng.standard_normal(17)))
+            poly_in = str(rng.choice(["t", "sqrt(t)"]))
+            poly = tuple(rng.uniform(-0.5, 0.5, int(rng.integers(1, 4 if poly_in == "t" else 6))))
+            a, b = sorted(rng.uniform(0.0, 1.0, 2))
+            twin = find_crossings(nodes, y, (declared(poly, poly_in=poly_in),))[0]
+            if any(abs(t - end) <= 1e-11 for t in twin for end in (a, b)):
+                continue
+            got = find_crossings(nodes, y, (declared(poly, a, b, poly_in),))[0]
+            assert repr(got) == repr([t for t in twin if a < t < b]), (poly, poly_in, a, b)
+            compared += 1
+            crossed += bool(got)
+        assert compared >= 190 and crossed >= 100
+
+    @staticmethod
+    def holed(row, at):
+        """Finite node data on 17 nodes (u = 0.1 crosses 0.05 + 0.2 (t - 0.5)
+        at t = 0.75), and the same with a NaN at node `at` of row `row`."""
+        t = np.linspace(0.0, 1.0, 17)
+        y = np.array((0.1 + 0.02 * np.sin(9.0 * t), 0.18 * np.cos(9.0 * t)))
+        bad = y.copy()
+        bad[row, at] = np.nan
+        return t, y, bad
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_nan_outside_the_domain_raises_nothing(self, row):
+        # node 2 (t = 0.125) lies in the panels [1/16, 3/16], wholly outside [0.3, 0.9]
+        t, y, bad = self.holed(row, 2)
+        curves = (declared((-0.05, 0.2), a=0.3, b=0.9), declared((0.1,), a=0.41, b=0.6))
+        want = find_crossings(t, y, curves)
+        assert find_crossings(t, bad, curves) == want and want[0]
+        stack = np.array([y, bad, y])
+        assert find_crossings(t, stack, curves) == find_crossings(t, np.array([y, y, y]), curves)
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_a_nan_in_a_straddling_panel_is_named_at_its_node(self, row):
+        # node 4 (t = 0.25) starts the panel [0.25, 0.3125], which holds a = 0.3
+        t, y, bad = self.holed(row, 4)
+        curves = (declared((-0.05, 0.2), a=0.3, b=0.9),)
+        with pytest.raises(DomainError, match=r"'declared'.*t = 0\.25$"):
+            find_crossings(t, bad, curves)
+        with pytest.raises(DomainError, match=r"'declared'.*t = 0\.25$"):
+            find_crossings(t, np.array([y, bad]), curves)
