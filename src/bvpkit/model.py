@@ -28,7 +28,7 @@ from .errors import DomainError
 from .kernel import BoundaryParams, left_factor, right_factor
 from .quadrature import make_plan
 
-SCAN_PER_PANEL = 4  # find_crossings: 4(N-1) equal cells per curve domain, any width
+SCAN_PER_PANEL = 4  # find_crossings scans an undeclared curve on 4(N-1) cells of its domain
 CROSSING_TOL = 1e-12  # find_crossings: bracket width of a crossing in t; 10x merges
 # a declared curve's bracket width in x = sqrt(t) <= 1: it spans <= 2 * STEP_TOL in t
 STEP_TOL = 0.5 * CROSSING_TOL
@@ -226,19 +226,13 @@ def grid_eval(u: GridFunction, t):
     t_arr = np.asarray(t, dtype=float)
     if not ((0.0 <= t_arr) & (t_arr <= 1.0)).all():  # NaN fails too
         raise DomainError("t must lie in [0, 1]")
-    val, der = _value_and_slope(u.nodes, (u.values, u.derivatives), t_arr)
+    i, h, x = _locate(u.nodes, t_arr.reshape(-1, 1))
+    y, x2 = (u.values, u.derivatives), x * x
+    val = hermite_value(y, i, h, *_basis(x)).reshape(t_arr.shape)
+    der = (hermite_value(y, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
+                         3 * x2 - 2 * x) / h).reshape(t_arr.shape)
     if val.ndim == 0:
         return float(val), float(der)
-    return val, der
-
-
-def _value_and_slope(nodes, y, t):
-    """The Hermite interpolant of node data y and its derivative at the array t."""
-    i, h, x = _locate(nodes, t.reshape(-1, 1))
-    x2 = x * x
-    val = hermite_value(y, i, h, *_basis(x)).reshape(t.shape)
-    der = (hermite_value(y, i, h, 6 * x2 - 6 * x, 3 * x2 - 4 * x + 1, -6 * x2 + 6 * x,
-                         3 * x2 - 2 * x) / h).reshape(t.shape)
     return val, der
 
 
@@ -442,8 +436,11 @@ def _bernstein_cells(nodes, ys, curves):
     binomially scaled coefficients, for _panel_gap; one with more, or with one
     and a zero end, is halved by de Casteljau (Farouki & Rajan, CAGD 4, 1987)
     until it has at most one, or is STEP_TOL wide and counts as one crossing
-    at its midpoint.  An exact zero at a node inside the domain or at a split
-    point is a crossing there.  The error names the first end of the failing
+    at its midpoint.  Beside a zero first or last coefficient (u tangent to
+    the curve there), an interior one inside its rounding bound 8 ulp(1)
+    (|hmap|^T |data| + |poly_b|) (Higham, SIAM 2002, ch. 3) is 0 first, so
+    noise fakes no crossing.  An exact zero at a node inside the domain or at
+    a split point is a crossing there.  The error names the first end of the failing
     panel where u is not finite, else its left node.
     """
     xk, inner, live, hmap, poly_b = _knot_frame(
@@ -473,6 +470,12 @@ def _bernstein_cells(nodes, ys, curves):
     ps = np.nonzero((b.min(0) < 0.0) & (b.max(0) > 0.0))[0]
     for p, coef in zip(ps.tolist(), b[:, ps].T.tolist()):
         r, i = divmod(p, n)
+        if coef[0] == 0.0 or coef[-1] == 0.0:  # beside a zero end, rounding noise fakes
+            # no sign change: an interior coefficient inside its rounding bound is 0
+            data = np.abs(ys[r // m, :, i:i + 2].T.ravel())  # (v_i, d_i, v_i+1, d_i+1)
+            bound = np.abs(hmap[:, :, 0, 0, i]).T @ data + np.abs(poly_b[:, 0, r % m, i])
+            coef[1:6] = [0.0 if abs(v) < 8 * math.ulp(1.0) * e else v
+                         for v, e in zip(coef[1:6], bound[1:6].tolist())]
         lo, hi = xk[i], xk[i + 1]
         panel, out = (lo, hi, hi - lo, *map(operator.mul, _BINOMIAL_6, coef)), cells[r]
         pieces = [(lo, hi, coef)]
@@ -523,13 +526,14 @@ def find_crossings(nodes, y, curves):
     pair that no piece STEP_TOL wide separates counts as one.  A curve that
     declares no poly (a user callable; every catalog curve declares one) is
     scanned, per iterate: u(s) - curve.value(s) on SCAN_PER_PANEL * (N - 1)
-    equal cells of the curve's domain, u evaluated once per distinct domain,
-    all gaps in one array pass; two crossings inside one scan cell are not
-    seen.
+    equal cells of the curve's domain, one curve.value call per curve and u
+    evaluated once per distinct domain; two crossings inside one scan cell are
+    not seen.
 
-    The cells are then refined by ITP steps, with u in floats: a scanned
-    curve's live cells step together, one curve.value call per step, and a
-    declared cell steps alone, on its own panel's polynomial (_panel_gap).
+    Curve by curve, the cells are then refined by ITP steps, with u in floats,
+    and merged: a scanned curve's live cells step together, one curve.value
+    call per step, and a declared cell steps alone, on its own panel's
+    polynomial (_panel_gap).
     Both take their points from _itp_point, strictly inside the bracket, and
     shrink it by _shrink.  ITP keeps bisection's bracket and worst case: a
     cell of width w takes at most ceil(log2(w / eps)) + 1 steps to a bracket
@@ -540,7 +544,8 @@ def find_crossings(nodes, y, curves):
     Crossings not strictly inside the domain are dropped, and those closer
     than 1e-11 merged.  A non-finite gap, at a scan point, a node of a panel
     that meets the domain or a step, raises DomainError naming the curve and
-    t; a stack raises what its first failing iterate raises alone.
+    t: an iterate raises the Bernstein pass's error first, then the first in
+    curve order; a stack raises what its first failing iterate raises alone.
     """
     ys = np.asarray(y, dtype=float)
     stack = ys.reshape(-1, 2, len(nodes))
@@ -555,39 +560,13 @@ def find_crossings(nodes, y, curves):
 
 
 def _refined(nodes, y, curves, found):
-    """find_crossings of one iterate y, given its declared curves' cells by index."""
-    tol = CROSSING_TOL
-    # [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's panel
-    # for _panel_gap; b = a where the gap is 0
-    cells = [found.get(k, []) for k in range(len(curves))]
-    spans = [(c.a, c.b) for c in curves]  # 0 <= a < b <= 1 by DiscontinuityCurve
-    live = [k for k, (lo, hi) in enumerate(spans) if hi - lo > tol and curves[k].poly is None]
-    if live:
-        n_scan = SCAN_PER_PANEL * (nodes.size - 1)
-        grids = {d: np.linspace(*d, n_scan + 1) for d in dict.fromkeys(spans[k] for k in live)}
-        levels = {d: hermite_value(y, *hermite_basis(nodes, grids[d][:, None])) for d in grids}
-        gap = np.array([levels[spans[k]][:, 0] - curves[k].value(grids[spans[k]]) for k in live])
-        if not np.isfinite(gap).all():
-            r, i = np.argwhere(~np.isfinite(gap))[0]
-            raise _not_finite(curves[live[r]], float(grids[spans[live[r]]][i]))
-        hit = gap == 0.0
-        hit[:, 0] = hit[:, -1] = False
-        hit[:, :-1] |= gap[:, :-1] * gap[:, 1:] < 0.0
-        for r, i in zip(*np.nonzero(hit)):
-            ts, g = grids[spans[live[r]]], float(gap[r, i])
-            a = float(ts[i])
-            if g == 0.0:
-                cells[live[r]].append([a, a, g, g, 0, 0.0])
-            else:
-                b = float(ts[i + 1])
-                cells[live[r]].append([a, b, g, float(gap[r, i + 1]),
-                                       math.ceil(math.log2((b - a) / tol)) + 1, 0.2 / (b - a)])
-    if not any(cells):
-        return cells
-
-    out = []
-    for curve, cs in zip(curves, cells):
-        in_x = curve.poly is not None  # a scanned curve's cells lie in t
+    """find_crossings of one iterate y, given its declared curves' cells by index;
+    an undeclared curve takes its cells from its own scan."""
+    tol, levels, out = CROSSING_TOL, {}, []  # levels: u at a scanned domain's points, by (a, b)
+    for k, curve in enumerate(curves):
+        # cells [a, b, gap at a, gap at b, step budget, kappa1], and a declared cell's
+        # panel for _panel_gap; b = a where the gap is 0
+        cs, in_x = found.get(k, []), curve.poly is not None  # in_x: cells in x = sqrt(t)
         if in_x:  # a declared cell steps alone, on its own panel's polynomial
             for c in cs:
                 j = 0
@@ -595,14 +574,30 @@ def _refined(nodes, y, curves, found):
                     x = _itp_point(j, *c[:6], STEP_TOL)
                     j += 1
                     _shrink(curve, c, x, _panel_gap(c[6], x), in_x)
-        else:  # live cells step in lockstep, one curve.value call per step
-            steps, j = cs, 0  # each live cell has taken j steps
+        elif curve.b - curve.a > tol:  # scanned; 0 <= a < b <= 1 by DiscontinuityCurve
+            ts = np.linspace(curve.a, curve.b, SCAN_PER_PANEL * (nodes.size - 1) + 1)
+            if (curve.a, curve.b) not in levels:
+                levels[curve.a, curve.b] = hermite_value(y, *hermite_basis(nodes, ts[:, None]))
+            gap = levels[curve.a, curve.b][:, 0] - curve.value(ts)
+            if not np.isfinite(gap).all():
+                raise _not_finite(curve, float(ts[np.isfinite(gap).argmin()]))
+            hit = gap == 0.0
+            hit[0] = hit[-1] = False
+            hit[:-1] |= gap[:-1] * gap[1:] < 0.0
+            for i in np.flatnonzero(hit).tolist():
+                a, b, ga, gb = float(ts[i]), float(ts[i + 1]), float(gap[i]), float(gap[i + 1])
+                cs.append([a, a, ga, ga, 0, 0.0] if ga == 0.0 else
+                          [a, b, ga, gb, math.ceil(math.log2((b - a) / tol)) + 1, 0.2 / (b - a)])
+            steps, j = cs, 0  # live cells step in lockstep, one curve.value call per step
             while steps := [c for c in steps if c[1] - c[0] > tol]:
                 xs = np.array([_itp_point(j, *c[:6], tol) for c in steps])
                 j += 1
                 gaps = hermite_value(y, *hermite_basis(nodes, xs[:, None]))[:, 0] - curve.value(xs)
                 for c, x, fx in zip(steps, xs.tolist(), gaps.tolist()):
                     _shrink(curve, c, x, fx, in_x)
+        if not cs:
+            out.append([])
+            continue
         merged = []
         for x in (0.5 * (c[0] + c[1]) for c in cs):
             x = x * x if in_x else x  # a declared curve's cells span whole node panels

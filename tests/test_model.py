@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from dataclasses import replace
 
@@ -1199,3 +1200,37 @@ class TestDomainAsAFilter:
             find_crossings(t, bad, curves)
         with pytest.raises(DomainError, match=r"'declared'.*t = 0\.25$"):
             find_crossings(t, np.array([y, bad]), curves)
+
+
+class TestTangentAtAZeroEnd:
+    """u - gamma with a zero end coefficient on a node panel and interior
+    Bernstein coefficients that are rounding noise: the noise fakes no sign
+    change, so no crossing beside t = 0 and no split panel that T cannot
+    integrate there."""
+
+    @staticmethod
+    def tangent(nodes, slope, c):
+        """u = -t (slope + c t): tangent at t = 0 to the line -slope t."""
+        return np.array((-nodes * (slope + c * nodes), -(slope + 2 * c * nodes)))
+
+    def test_tangents_to_the_wedge_lines_at_zero(self, divisor_spec):
+        # u = -t (1/k + c t) touches the wedge line -t/k at t = 0; below it for c > 0
+        from bvpkit import apply_T
+        nodes, curves = divisor_spec.nodes, divisor_spec.nonlinearity.curves
+        near_zero = []
+        for k, c in itertools.product(range(2, 10), (0.1, 0.5, -0.1)):
+            y = self.tangent(nodes, 1 / k, c)
+            xs = find_crossings(nodes, y, curves)
+            near_zero += [(k, c, x) for x_k in xs for x in x_k if x < 1e-10]
+            apply_T(divisor_spec, GridFunction(nodes, *y))  # returns
+        assert near_zero == []
+
+    def test_twenty_curves_per_family(self):
+        # u = -t (0.05 + 0.1 t) touches the wedge line -t/20 at t = 0: 13 crossings
+        from bvpkit import PhiExample, apply_T, build_problem, validate_params
+        spec = build_problem(PhiExample(curve_count=20), validate_params(1.0, 1.0, 1.0, 1.0),
+                             radius=4.0, quad_tol=1e-9, grid_size=129)
+        y = self.tangent(spec.nodes, 0.05, 0.1)
+        xs = find_crossings(spec.nodes, y, spec.nonlinearity.curves)
+        assert sum(map(len, xs)) == 13 and min(x for x_k in xs for x in x_k) > 1e-10
+        apply_T(spec, GridFunction(spec.nodes, *y))  # returns
